@@ -104,7 +104,11 @@ class LlmPersonaAggregator(Aggregator):
         self.max_tokens = max_tokens
 
     def params(self) -> dict:
-        return {"template": self.template, "temperature": self.temperature}
+        # max_tokens is recorded only when set, so default specs stay as they were.
+        params = {"template": self.template, "temperature": self.temperature}
+        if self.max_tokens is not None:
+            params["max_tokens"] = self.max_tokens
+        return params
 
     def aggregate(self, children_texts: list[str]) -> str:
         self._check(children_texts)
@@ -125,6 +129,8 @@ class LlmPersonaAggregator(Aggregator):
 
 def aggregator_from_spec(kind: str, params: Optional[dict] = None, client=None) -> Aggregator:
     """Build an aggregator from its serialized (kind, params) identity."""
+    if params is not None and not isinstance(params, dict):
+        raise InvalidParameterError(f"{kind} aggregator params must be an object, got {params!r}")
     params = dict(params or {})
     if kind == "concat":
         agg: Aggregator = ConcatAggregator(separator=params.pop("separator", "\n"))
@@ -135,6 +141,7 @@ def aggregator_from_spec(kind: str, params: Optional[dict] = None, client=None) 
             client=client,
             template=params.pop("template", "persona_v1"),
             temperature=params.pop("temperature", 0.0),
+            max_tokens=params.pop("max_tokens", None),
         )
     else:
         raise InvalidParameterError(f"unknown aggregator kind {kind!r}")

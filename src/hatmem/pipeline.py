@@ -5,6 +5,11 @@ snapshots. Turns are ingested one leaf per utterance as "<speaker>: <text>";
 the snapshot taken at a session's end is that session's memory record, and
 it covers everything up to and including the session because the root
 aggregates all prior leaves.
+
+Ingesting a turn only appends its leaf. The tree aggregates the changed
+ancestors at the next read of internal text, so the aggregation cost, and an
+`AggregationUnavailableError` when the aggregator's endpoint fails, come from
+`end_session`, `build_context` with a hat_* strategy, and `serialize`.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ STRATEGIES = ("all_context", "part_context", "gold_memory", "hat_bfs", "hat_dfs"
 class MemoryState:
     tree: HatTree
     session_snapshots: dict[int, str] = field(default_factory=dict)
+    sessions: set[int] = field(default_factory=set)  # sessions with an ingested turn
 
 
 def new_memory(memory_length: int, aggregator) -> MemoryState:
@@ -51,16 +57,18 @@ def ingest_turn(state: MemoryState, turn: DialogueTurn) -> int:
     if not turn.text:
         raise InvalidParameterError("turn text must be nonempty")
     meta = {"speaker": turn.speaker, "session": turn.session, "turn_index": turn.turn_index}
-    return state.tree.insert_leaf(f"{turn.speaker}: {turn.text}", meta=meta)
-
-
-def _sessions_ingested(state: MemoryState) -> set[int]:
-    return {leaf.meta["session"] for leaf in state.tree.leaves() if leaf.meta}
+    leaf_id = state.tree.append_leaf(f"{turn.speaker}: {turn.text}", meta=meta)
+    state.sessions.add(turn.session)
+    return leaf_id
 
 
 def end_session(state: MemoryState, session: int) -> str:
-    """Snapshot the root text as the memory record for a finished session."""
-    if session not in _sessions_ingested(state):
+    """Snapshot the root text as the memory record for a finished session.
+
+    Aggregates every turn appended since the last read first; if that fails,
+    no snapshot is recorded.
+    """
+    if session not in state.sessions:
         raise NotFoundError(f"no turns ingested for session {session}")
     snapshot = state.tree.root_text()
     state.session_snapshots[session] = snapshot
@@ -93,7 +101,7 @@ def build_context(state: MemoryState, query: str, strategy: str, *,
     if strategy == "all_context":
         return "\n".join(leaf.text for leaf in tree.leaves())
     if strategy == "part_context":
-        current = max(_sessions_ingested(state))
+        current = max(state.sessions)
         return "\n".join(leaf.text for leaf in tree.leaves()
                          if leaf.meta and leaf.meta["session"] == current)
     if strategy == "gold_memory":

@@ -1,4 +1,4 @@
-"""Layered aggregate tree with cached upward re-aggregation.
+"""Layered aggregate tree with deferred, cached re-aggregation.
 
 The tree stores dialogue turns as leaves in its last layer. Every internal
 node's text is the aggregate of its children's texts, and layer 0 always
@@ -7,7 +7,11 @@ holds the single root. Node (layer k, index i) has its parent at
 (M ** depth leaves), a new root layer is prepended and every existing layer
 shifts down by one.
 
-Re-aggregation after an insert walks from the new leaf's parent to the root.
+Appending a leaf only places it and marks its ancestors pending; no
+aggregator runs. `flush` aggregates every pending node once, deepest layer
+first, so a node whose subtree gained several leaves since the last read
+costs one aggregation rather than one per leaf. Every public read of
+internal text flushes first, and `insert_leaf` is an append plus a flush.
 Each node keeps a digest-keyed cache (`previous_complete_state`) mapping the
 hash of its ordered child states to the text it aggregated under that state,
 so a repeated child state never calls the aggregator again.
@@ -53,8 +57,10 @@ class Node:
 class HatTree:
     """The layered tree plus its aggregator binding and call instrumentation.
 
-    Writers must be exclusive: one insert or update at a time. Any number of
-    readers may query a quiesced tree.
+    Writers must be exclusive: one append, flush, insert or update at a time.
+    A read of internal text flushes pending aggregation first, so while
+    leaves are pending a read is a write too. Any number of readers may query
+    a tree with nothing pending.
     """
 
     def __init__(self, memory_length: int, aggregator):
@@ -69,6 +75,9 @@ class HatTree:
         self.nodes: dict[int, Node] = {}
         self.leaf_count = 0
         self.agg_call_count = 0
+        # Ids of internal nodes awaiting aggregation. Closed upward: every
+        # ancestor of a pending node is pending too.
+        self.pending: set[int] = set()
         self._next_id = 0
 
     # ------------------------------------------------------------------ reads
@@ -89,21 +98,25 @@ class HatTree:
         row = self.layers[layer]
         if index < 0 or index >= len(row):
             raise NotFoundError(f"index {index} out of range in layer {layer} (size {len(row)})")
+        self.flush()
         return self.nodes[row[index]]
 
     def parent_of(self, node_id: int) -> Optional[Node]:
         node = self._node(node_id)
         if node.parent is None:
             return None
+        self.flush()
         return self.nodes[node.parent]
 
     def children_of(self, node_id: int) -> list[Node]:
         node = self._node(node_id)
+        self.flush()
         return [self.nodes[cid] for cid in node.children]
 
     def root(self) -> Node:
         if not self.layers:
             raise NotFoundError("tree is empty")
+        self.flush()
         return self.nodes[self.layers[0][0]]
 
     def root_text(self) -> str:
@@ -115,6 +128,7 @@ class HatTree:
         return [self.nodes[nid] for nid in self.layers[-1]]
 
     def iter_nodes(self):
+        self.flush()
         for row in self.layers:
             for nid in row:
                 yield self.nodes[nid]
@@ -127,52 +141,109 @@ class HatTree:
 
     # ----------------------------------------------------------------- writes
 
-    def insert_leaf(self, text: str, meta: Optional[dict] = None) -> int:
-        """Append one leaf and re-aggregate its ancestor chain.
+    def append_leaf(self, text: str, meta: Optional[dict] = None) -> int:
+        """Place one leaf and mark its ancestors pending, without aggregating.
 
-        Grows a new root layer first when the leaf layer is at capacity.
-        If aggregation fails the whole insert is rolled back and the tree,
-        including its caches and counters, is left exactly as it was.
+        Grows a new root layer first when the leaf layer is at capacity. The
+        ancestors are aggregated by the next `flush` or read of internal text.
         """
-        if not isinstance(text, str) or not text:
-            raise InvalidParameterError("leaf text must be a nonempty string")
+        return self._append(text, meta, [])
+
+    def insert_leaf(self, text: str, meta: Optional[dict] = None) -> int:
+        """Append one leaf, then flush every pending node.
+
+        If aggregation fails the append is rolled back and the tree,
+        including its caches, counters and pending set, is left exactly as
+        it was.
+        """
         undo: list[tuple] = []
         try:
-            if not self.layers:
-                # The root layer and the leaf layer appear with the first leaf.
-                self.layers.append([])
-                self.layers.append([])
-                undo.append(("pop_layer",))
-                undo.append(("pop_layer",))
-            elif self.leaf_count == self.memory_length ** self.depth():
-                self._grow_root(undo)
-            leaf = self._place_leaf(text, meta, undo)
-            self.leaf_count += 1
-            undo.append(("dec_leaf_count",))
-            self._update_chain(self.nodes[leaf.parent], undo)
-            return leaf.id
+            leaf_id = self._append(text, meta, undo)
+            self.flush()
+            return leaf_id
         except BaseException:
             self._rollback(undo)
             raise
 
     def update_text(self, node_id: int) -> None:
-        """Recompute one internal node from its children, then propagate up.
+        """Recompute one internal node and its ancestors from their children.
 
-        A child-state digest already present in the node's cache restores the
-        cached text without calling the aggregator; propagation continues to
-        the root either way.
+        Marks the node and every ancestor pending and flushes, so each is
+        recomputed once. A child-state digest already present in a node's
+        cache restores the cached text without calling the aggregator. If
+        the flush fails the tree is left as it was.
         """
         node = self._node(node_id)
         if node.is_leaf:
             raise ContractViolationError(f"update_text on leaf node {node_id}")
-        undo: list[tuple] = []
+        added = self._mark_pending(node)
         try:
-            self._update_chain(node, undo)
+            self.flush()
         except BaseException:
-            self._rollback(undo)
+            self.pending.difference_update(added)
             raise
 
+    def flush(self) -> None:
+        """Aggregate every pending node once, deepest layer first.
+
+        A parent aggregates its children's new texts from the same flush.
+        Nothing is assigned until every aggregate call has returned, so a
+        failed flush leaves texts, caches, agg_call_count and the pending set
+        as they were.
+        """
+        if not self.pending:
+            return
+        texts: dict[int, str] = {}
+        new_entries: list[tuple[Node, str, str]] = []
+        order = sorted((self.nodes[nid] for nid in self.pending),
+                       key=lambda n: (-n.layer, n.index))
+        for node in order:
+            child_texts = [texts.get(cid, self.nodes[cid].text) for cid in node.children]
+            digest = _child_digest(node.children, child_texts)
+            text = node.previous_complete_state.get(digest)
+            if text is None:
+                text = self.aggregator.aggregate(child_texts)
+                new_entries.append((node, digest, text))
+            texts[node.id] = text
+        for node, digest, text in new_entries:
+            node.previous_complete_state[digest] = text
+        for node in order:
+            node.text = texts[node.id]
+        self.agg_call_count += len(new_entries)
+        self.pending.clear()
+
     # -------------------------------------------------------------- internals
+
+    def _append(self, text: str, meta: Optional[dict], undo: list) -> int:
+        if not isinstance(text, str) or not text:
+            raise InvalidParameterError("leaf text must be a nonempty string")
+        if not self.layers:
+            # The root layer and the leaf layer appear with the first leaf.
+            self.layers.append([])
+            self.layers.append([])
+            undo.append(("pop_layer",))
+            undo.append(("pop_layer",))
+        elif self.leaf_count == self.memory_length ** self.depth():
+            self._grow_root(undo)
+        leaf = self._place_leaf(text, meta, undo)
+        self.leaf_count += 1
+        undo.append(("dec_leaf_count",))
+        undo.append(("unmark", self._mark_pending(self.nodes[leaf.parent])))
+        return leaf.id
+
+    def _mark_pending(self, node: Node) -> list[int]:
+        """Add node and its ancestors to the pending set; return the ids added.
+
+        The set is closed upward, so marking stops at the first pending node.
+        """
+        added = []
+        while node.id not in self.pending:
+            self.pending.add(node.id)
+            added.append(node.id)
+            if node.parent is None:
+                break
+            node = self.nodes[node.parent]
+        return added
 
     def _new_node(self, layer: int, index: int, undo: list, text: str = "",
                   meta: Optional[dict] = None) -> Node:
@@ -220,41 +291,11 @@ class HatTree:
             child = parent
         return leaf
 
-    def _child_digest(self, node: Node) -> str:
-        h = hashlib.sha256()
-        for cid in node.children:
-            text_hash = hashlib.sha256(self.nodes[cid].text.encode("utf-8")).hexdigest()
-            h.update(f"{cid}:{text_hash};".encode("ascii"))
-        return h.hexdigest()
-
-    def _update_chain(self, node: Node, undo: list) -> None:
-        current: Optional[Node] = node
-        while current is not None:
-            digest = self._child_digest(current)
-            cached = current.previous_complete_state.get(digest)
-            if cached is None:
-                texts = [self.nodes[cid].text for cid in current.children]
-                result = self.aggregator.aggregate(texts)
-                undo.append(("set_text", current.id, current.text))
-                undo.append(("del_cache", current.id, digest))
-                undo.append(("dec_agg_count",))
-                current.text = result
-                current.previous_complete_state[digest] = result
-                self.agg_call_count += 1
-            elif cached != current.text:
-                undo.append(("set_text", current.id, current.text))
-                current.text = cached
-            current = self.nodes[current.parent] if current.parent is not None else None
-
     def _rollback(self, undo: list) -> None:
         for entry in reversed(undo):
             op = entry[0]
-            if op == "set_text":
-                self.nodes[entry[1]].text = entry[2]
-            elif op == "del_cache":
-                self.nodes[entry[1]].previous_complete_state.pop(entry[2], None)
-            elif op == "dec_agg_count":
-                self.agg_call_count -= 1
+            if op == "unmark":
+                self.pending.difference_update(entry[1])
             elif op == "dec_leaf_count":
                 self.leaf_count -= 1
             elif op == "unlink":
@@ -279,7 +320,11 @@ class HatTree:
     # ------------------------------------------------------------ persistence
 
     def serialize(self) -> str:
-        """Stable JSON document; identical trees serialize byte-identically."""
+        """Stable JSON document; identical trees serialize byte-identically.
+
+        Flushes first, so a document never holds a stale internal text.
+        """
+        self.flush()
         layers_doc = []
         for row in self.layers:
             layer_doc = []
@@ -412,6 +457,14 @@ class HatTree:
                 raise DocumentParseError(f"depth {d} inconsistent with {leaf_count} leaves (want {want})")
         elif d not in (0, 1):
             raise DocumentParseError(f"depth {d} inconsistent with {leaf_count} leaves")
+
+
+def _child_digest(child_ids: list[int], child_texts: list[str]) -> str:
+    h = hashlib.sha256()
+    for cid, text in zip(child_ids, child_texts):
+        text_hash = hashlib.sha256(text.encode("utf-8")).hexdigest()
+        h.update(f"{cid}:{text_hash};".encode("ascii"))
+    return h.hexdigest()
 
 
 def _expect(entry: dict, key: str, typ, layer: int, index: int):

@@ -128,10 +128,25 @@ class TestLlmPersona:
 class TestAggregatorSpecs:
     def test_roundtrip_all_kinds(self):
         for agg in (ConcatAggregator("##"), TruncateAggregator(9),
-                    LlmPersonaAggregator(mock_client())):
+                    LlmPersonaAggregator(mock_client()),
+                    LlmPersonaAggregator(mock_client(), max_tokens=64)):
             spec = agg.spec()
             rebuilt = aggregator_from_spec(spec["kind"], spec["params"], client=mock_client())
             assert rebuilt.spec() == spec
+
+    def test_persona_max_tokens_survives_reload(self):
+        assert "max_tokens" not in LlmPersonaAggregator().params()
+        tree = HatTree(2, LlmPersonaAggregator(mock_client(), max_tokens=64))
+        tree.insert_leaf("he plays chess")
+        tree.insert_leaf("she grows roses")
+        clone = HatTree.deserialize(tree.serialize())
+        assert clone.aggregator.max_tokens == 64
+        assert clone.serialize() == tree.serialize()
+
+    def test_non_object_params_rejected(self):
+        for params in ([1, 2], "x", 5):
+            with pytest.raises(InvalidParameterError):
+                aggregator_from_spec("concat", params)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(InvalidParameterError):

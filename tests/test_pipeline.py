@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import ScriptedClient, TextSetOracle
+from conftest import FailingAggregator, ScriptedClient, TextSetOracle
 
 from hatmem import (
     ChatReply,
@@ -23,6 +23,7 @@ from hatmem import (
     new_memory,
 )
 from hatmem.errors import (
+    AggregationUnavailableError,
     ConfigurationError,
     GenerationUnavailableError,
     InvalidParameterError,
@@ -73,6 +74,13 @@ class TestIngest:
             ingest_turn(state, turn("user", f"turn {i}", index=i))
         assert state.tree.depth() == 3
 
+    def test_ingest_defers_aggregation(self):
+        state = new_memory(3, ConcatAggregator())
+        for i in range(14):
+            ingest_turn(state, turn("user", f"turn {i}", index=i))
+        assert state.tree.agg_call_count == 0
+        assert state.sessions == {1}
+
     def test_rejects_bad_turns(self):
         state = new_memory(2, ConcatAggregator())
         with pytest.raises(InvalidParameterError):
@@ -97,6 +105,18 @@ class TestEndSession:
         state = filled_state()
         with pytest.raises(NotFoundError):
             end_session(state, 9)
+
+    def test_failed_aggregation_records_no_snapshot(self):
+        agg = FailingAggregator("\n", fail_after=0)
+        state = new_memory(2, agg)
+        for i in range(3):
+            ingest_turn(state, turn("user", f"turn {i}", index=i))
+        with pytest.raises(AggregationUnavailableError):
+            end_session(state, 1)
+        assert state.session_snapshots == {}
+        agg.armed = False
+        assert end_session(state, 1) == "user: turn 0\nuser: turn 1\nuser: turn 2"
+        assert state.session_snapshots == {1: "user: turn 0\nuser: turn 1\nuser: turn 2"}
 
     def test_snapshots_contain_all_prior_sessions(self):
         episode = planted_fact_episode(1)

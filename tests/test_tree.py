@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
 from conftest import FailingAggregator, build_tree
 from reference_impls import concat_texts, expected_depth, leaf_spans
 
-from hatmem import ConcatAggregator, HatTree
+from hatmem import ConcatAggregator, HatTree, LlmPersonaAggregator, TruncateAggregator, mock_client
 from hatmem.errors import (
     AggregationUnavailableError,
     ContractViolationError,
@@ -41,6 +42,17 @@ def check_against_reference(tree: HatTree, leaves: list[str], separator: str):
                 assert parent.layer == k - 1 and parent.index == i // M
                 assert node.id in parent.children
     assert [leaf.text for leaf in tree.leaves()] == leaves
+
+
+def texts_by_position(tree: HatTree) -> list[list[str]]:
+    """Node texts per (layer, index), read without flushing."""
+    return [[tree.nodes[nid].text for nid in row] for row in tree.layers]
+
+
+def raw_state(tree: HatTree):
+    """Texts, caches, call count and pending set, read without flushing."""
+    nodes = [(n.text, dict(n.previous_complete_state)) for n in tree.nodes.values()]
+    return nodes, tree.agg_call_count, set(tree.pending)
 
 
 class TestConstruction:
@@ -183,6 +195,104 @@ class TestUpdateAndCache:
                 assert tree.agg_call_count - calls_before <= depth_before + 1
 
 
+class TestDeferredAggregation:
+    def test_append_makes_no_aggregator_call(self):
+        tree = HatTree(3, ConcatAggregator(" | "))
+        for i in range(14):
+            tree.append_leaf(f"t{i}")
+        assert tree.depth() == 3 and tree.leaves()[-1].text == "t13"
+        assert tree.agg_call_count == 0 and tree.pending
+        assert tree.root_text() == " | ".join(f"t{i}" for i in range(14))
+        assert not tree.pending
+
+    def test_interleaved_flushes_match_reference_and_eager(self, rng):
+        words = ["alpha", "bravo", "charlie", "delta"]
+        for _ in range(40):
+            M = rng.choice([2, 3, 5])
+            concat = HatTree(M, ConcatAggregator(" | "))
+            truncate = HatTree(M, TruncateAggregator(4))
+            eager = HatTree(M, TruncateAggregator(4))
+            leaves = []
+            for i in range(rng.randint(1, 60)):
+                text = f"w{i} {rng.choice(words)}"
+                leaves.append(text)
+                concat.append_leaf(text)
+                truncate.append_leaf(text)
+                eager.insert_leaf(text)
+                if rng.random() < 0.3:
+                    for tree in (concat, truncate):
+                        pending, calls = len(tree.pending), tree.agg_call_count
+                        tree.flush()
+                        assert tree.agg_call_count - calls <= pending
+                    assert texts_by_position(concat) == concat_texts(leaves, M, " | ")
+                    assert texts_by_position(truncate) == texts_by_position(eager)
+            check_against_reference(concat, leaves, " | ")
+            truncate.flush()
+            assert texts_by_position(truncate) == texts_by_position(eager)
+
+    def test_one_flush_aggregates_each_node_once(self):
+        eager = build_tree(14, memory_length=3)
+        deferred = HatTree(3, ConcatAggregator(" | "))
+        for i in range(14):
+            deferred.append_leaf(f"t{i}")
+        deferred.flush()
+        internal = sum(len(row) for row in deferred.layers[:-1])
+        assert deferred.agg_call_count == internal == 8
+        assert deferred.agg_call_count < eager.agg_call_count
+        assert texts_by_position(deferred) == texts_by_position(eager)
+
+
+class TestFailedFlush:
+    def pending_tree(self):
+        agg = FailingAggregator(fail_after=10 ** 9)
+        tree = HatTree(3, agg)
+        for i in range(10):
+            tree.insert_leaf(f"t{i}")
+        for i in range(10, 14):
+            tree.append_leaf(f"t{i}")
+        return agg, tree
+
+    def test_failed_flush_changes_nothing(self):
+        eager = texts_by_position(build_tree(14, memory_length=3))
+        for read in ("flush", "root_text", "serialize"):
+            for fail_at in range(4):
+                agg, tree = self.pending_tree()
+                assert len(tree.pending) == 4  # each a cache miss: fail at every call
+                before = raw_state(tree)
+                agg.fail_after = agg.calls + fail_at
+                with pytest.raises(AggregationUnavailableError):
+                    getattr(tree, read)()
+                assert raw_state(tree) == before
+                agg.armed = False
+                tree.flush()
+                assert texts_by_position(tree) == eager
+                assert not tree.pending
+
+    def test_failed_insert_keeps_earlier_pending_nodes(self):
+        agg, tree = self.pending_tree()
+        before = raw_state(tree)
+        layers = [list(row) for row in tree.layers]
+        agg.fail_after = agg.calls
+        with pytest.raises(AggregationUnavailableError):
+            tree.insert_leaf("boom")
+        assert raw_state(tree) == before
+        assert tree.layers == layers and tree.leaf_count == 14
+
+    def test_failed_update_restores_pending_set(self):
+        agg = FailingAggregator(fail_after=10 ** 9)
+        tree = HatTree(2, agg)
+        for i in range(5):
+            tree.insert_leaf(f"t{i}")
+        node = tree.node_at(1, 0)
+        node.previous_complete_state.clear()
+        before = raw_state(tree)
+        agg.fail_after = agg.calls
+        with pytest.raises(AggregationUnavailableError):
+            tree.update_text(node.id)
+        assert raw_state(tree) == before
+        assert not tree.pending
+
+
 class TestAtomicity:
     def test_failed_aggregation_rolls_back_plain_insert(self):
         agg = FailingAggregator(fail_after=10 ** 9)
@@ -316,9 +426,45 @@ class TestPersistence:
         with pytest.raises(DocumentParseError):
             HatTree.deserialize(json.dumps(doc))
 
+    def test_single_field_mutations_fail_only_with_parse_error(self):
+        # Every mutation must either load or raise DocumentParseError.
+        persona = HatTree(2, LlmPersonaAggregator(mock_client(), max_tokens=8))
+        for i in range(5):
+            persona.insert_leaf(f"persona turn {i}", meta={"session": 1})
+        sources = [build_tree(7).serialize(), persona.serialize(),
+                   HatTree(3, TruncateAggregator(5)).serialize()]
+        docs = [json.loads(source) for source in sources]
+        pool = [None, True, 0, 1, -1, 2, 7, 2.5, "", "x", [], [1, 2], [[]], {}, {"a": 1}]
+        rng = random.Random(20240610)
+        for _ in range(3000):
+            doc = json.loads(json.dumps(rng.choice(docs)))
+            container, key = _random_field(doc, rng)
+            if rng.random() < 0.2:
+                del container[key]
+            else:
+                container[key] = rng.choice(pool)
+            try:
+                HatTree.deserialize(json.dumps(doc))
+            except DocumentParseError:
+                pass
+
     def test_insertion_resumes_after_roundtrip(self):
         tree = build_tree(5)
         clone = HatTree.deserialize(tree.serialize(), ConcatAggregator(" | "))
         tree.insert_leaf("t5")
         clone.insert_leaf("t5")
         assert clone.serialize() == tree.serialize()
+
+
+def _random_field(doc, rng: random.Random):
+    """A uniformly chosen (container, key) pair among all fields of doc."""
+    fields = []
+    stack = [doc]
+    while stack:
+        container = stack.pop()
+        keys = container.keys() if isinstance(container, dict) else range(len(container))
+        for key in keys:
+            fields.append((container, key))
+            if isinstance(container[key], (dict, list)):
+                stack.append(container[key])
+    return rng.choice(fields)
