@@ -66,7 +66,6 @@ from .traversal import (
     Cursor,
     LlmAgent,
     LlmOracle,
-    OracleAgent,
     Outcome,
     ScriptedAgent,
     SubstringOracle,

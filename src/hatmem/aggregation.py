@@ -44,10 +44,6 @@ class Aggregator:
         """JSON-able identity of this aggregator, stored in tree documents."""
         return {"kind": self.kind, "params": self.params()}
 
-    @property
-    def ref(self) -> str:
-        return self.kind
-
     def aggregate(self, children_texts: list[str]) -> str:
         raise NotImplementedError
 

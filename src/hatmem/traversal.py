@@ -3,9 +3,12 @@
 A cursor walks node coordinates under a seven-action alphabet; terminal
 actions decide whether the current node suffices for the query. Moves that
 would leave the structure are no-ops instead of errors so a weak agent can
-never crash a walk. Besides the agent-driven walk there are breadth-first
-and depth-first scans that consult a sufficiency oracle at every node.
-All walks stop after `step_budget` agent or oracle consultations.
+never crash a walk, and a no-op move ends the walk as INSUFFICIENT: the agent
+would be shown the same node for the same query again. Besides the
+agent-driven walk there are breadth-first and depth-first scans that judge
+every node with a sufficiency oracle, asking it once per distinct node text.
+Each visited node costs one step, and all walks stop after `step_budget`
+steps.
 """
 
 from __future__ import annotations
@@ -49,13 +52,10 @@ class Cursor:
 @dataclass
 class TraversalConfig:
     step_budget: int = 32
-    discount: float = 0.99  # recorded for completeness; no reward model uses it
 
     def __post_init__(self):
         if not isinstance(self.step_budget, int) or self.step_budget < 1:
             raise InvalidParameterError(f"step_budget must be a positive integer, got {self.step_budget!r}")
-        if not 0 < self.discount < 1:
-            raise InvalidParameterError(f"discount must lie in (0,1), got {self.discount!r}")
 
 
 class Outcome(Enum):
@@ -69,7 +69,7 @@ class TraversalResult:
     outcome: Outcome
     text: Optional[str]
     path: list[tuple[Cursor, TraversalAction]]
-    steps: int
+    steps: int  # one per visited node: an agent consultation, or a scanned node
 
 
 def apply_action(tree: HatTree, cursor: Cursor, action: TraversalAction) -> Cursor:
@@ -101,7 +101,11 @@ def apply_action(tree: HatTree, cursor: Cursor, action: TraversalAction) -> Curs
 
 
 def traverse(tree: HatTree, agent, query: str, config: Optional[TraversalConfig] = None) -> TraversalResult:
-    """Agent-driven walk from the root; every agent consultation costs one step."""
+    """Agent-driven walk from the root; every agent consultation costs one step.
+
+    A move that leaves the cursor where it is ends the walk as INSUFFICIENT,
+    with that move as the last entry of the path.
+    """
     config = config or TraversalConfig()
     if not tree.layers:
         raise InvalidParameterError("cannot traverse an empty tree")
@@ -117,30 +121,45 @@ def traverse(tree: HatTree, agent, query: str, config: Optional[TraversalConfig]
             return TraversalResult(Outcome.SUFFICIENT, node.text, path, steps)
         if action is TraversalAction.REJECT:
             return TraversalResult(Outcome.INSUFFICIENT, None, path, steps)
-        cursor = apply_action(tree, cursor, action)
+        moved = apply_action(tree, cursor, action)
+        if moved == cursor:
+            return TraversalResult(Outcome.INSUFFICIENT, None, path, steps)
+        cursor = moved
     return TraversalResult(Outcome.BUDGET_EXHAUSTED, None, path, steps)
 
 
 def _scan(tree: HatTree, oracle, query: str, config: Optional[TraversalConfig], order) -> TraversalResult:
+    """Judge nodes in `order` until one suffices; each visit costs one step.
+
+    The oracle is asked once per distinct text: a node whose text it already
+    rejected in this scan (a clipped parent often repeats its first child) is
+    rejected again without a call.
+    """
     config = config or TraversalConfig()
     if not tree.layers:
         raise InvalidParameterError("cannot search an empty tree")
     path: list[tuple[Cursor, TraversalAction]] = []
+    rejected: set[str] = set()
     steps = 0
     for cursor in order:
         if steps >= config.step_budget:
             return TraversalResult(Outcome.BUDGET_EXHAUSTED, None, path, steps)
         node = tree.node_at(cursor.layer, cursor.index)
         steps += 1
-        if oracle.sufficient(node.text, query):
-            path.append((cursor, TraversalAction.ACCEPT))
-            return TraversalResult(Outcome.SUFFICIENT, node.text, path, steps)
+        if node.text not in rejected:
+            if oracle.sufficient(node.text, query):
+                path.append((cursor, TraversalAction.ACCEPT))
+                return TraversalResult(Outcome.SUFFICIENT, node.text, path, steps)
+            rejected.add(node.text)
         path.append((cursor, TraversalAction.REJECT))
     return TraversalResult(Outcome.INSUFFICIENT, None, path, steps)
 
 
 def bfs_search(tree: HatTree, oracle, query: str, config: Optional[TraversalConfig] = None) -> TraversalResult:
-    """Layer by layer, left to right; finds the (layer, index)-minimal sufficient node."""
+    """Layer by layer, left to right; finds the (layer, index)-minimal sufficient node.
+
+    Asks the oracle once per distinct node text, see `_scan`.
+    """
     def order():
         for layer in range(len(tree.layers)):
             for index in range(tree.layer_size(layer)):
@@ -149,7 +168,10 @@ def bfs_search(tree: HatTree, oracle, query: str, config: Optional[TraversalConf
 
 
 def dfs_search(tree: HatTree, oracle, query: str, config: Optional[TraversalConfig] = None) -> TraversalResult:
-    """Pre-order, children left to right; finds the pre-order-first sufficient node."""
+    """Pre-order, children left to right; finds the pre-order-first sufficient node.
+
+    Asks the oracle once per distinct node text, see `_scan`.
+    """
     def order():
         if not tree.layers:
             return
@@ -189,22 +211,6 @@ class ScriptedAgent:
                 raise ContractViolationError("scripted actions exhausted")
             self._next = 0
         action = self.actions[self._next]
-        self._next += 1
-        return action
-
-
-class OracleAgent:
-    """Accepts when the oracle is satisfied, else cycles a fixed move list."""
-
-    def __init__(self, oracle, moves: Optional[list[TraversalAction]] = None):
-        self.oracle = oracle
-        self.moves = list(moves) if moves else [TraversalAction.DOWN, TraversalAction.RIGHT]
-        self._next = 0
-
-    def propose_action(self, node_text: str, query: str, visited_path) -> TraversalAction:
-        if self.oracle.sufficient(node_text, query):
-            return TraversalAction.ACCEPT
-        action = self.moves[self._next % len(self.moves)]
         self._next += 1
         return action
 

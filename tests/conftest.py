@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from hatmem import ChatReply, ConcatAggregator, HatTree
+from hatmem import ChatReply, ConcatAggregator, HatTree, TraversalAction
 from hatmem.errors import AggregationUnavailableError
 
 
@@ -45,6 +45,34 @@ class TextSetOracle:
     def sufficient(self, node_text, query):
         self.calls += 1
         return node_text in self.texts
+
+
+class OracleAgent:
+    """Accepts when the oracle is satisfied, else cycles a fixed move list."""
+
+    def __init__(self, oracle, moves=None):
+        self.oracle = oracle
+        self.moves = list(moves) if moves else [TraversalAction.DOWN, TraversalAction.RIGHT]
+        self._next = 0
+
+    def propose_action(self, node_text, query, visited_path):
+        if self.oracle.sufficient(node_text, query):
+            return TraversalAction.ACCEPT
+        action = self.moves[self._next % len(self.moves)]
+        self._next += 1
+        return action
+
+
+class CountingAgent:
+    """Wraps an agent and counts how often the walk consults it."""
+
+    def __init__(self, agent):
+        self.agent = agent
+        self.calls = 0
+
+    def propose_action(self, node_text, query, visited_path):
+        self.calls += 1
+        return self.agent.propose_action(node_text, query, visited_path)
 
 
 class ConstOracle:

@@ -127,9 +127,24 @@ def dfs_visit_order(layer_sizes: list[int], M: int) -> list[tuple[int, int]]:
     return order
 
 
-def first_sufficient(order: list[tuple[int, int]], is_sufficient) -> tuple:
-    """(coordinate or None, oracle calls made) scanning the order linearly."""
-    for calls, coord in enumerate(order, start=1):
-        if is_sufficient(coord):
-            return coord, calls
-    return None, len(order)
+def plain_scan(order: list[tuple[int, int]], text_at, is_sufficient, budget: int) -> dict:
+    """A budgeted scan that asks the oracle about every node it visits.
+
+    Returns the outcome name, accepted text, path of (coordinate, verdict)
+    pairs, steps taken and the texts consulted, in order and with repeats.
+    """
+    path = []
+    consulted = []
+    for coord in order:
+        if len(path) >= budget:
+            return {"outcome": "budget_exhausted", "text": None, "path": path,
+                    "steps": len(path), "consulted": consulted}
+        text = text_at(coord)
+        consulted.append(text)
+        if is_sufficient(text):
+            path.append((coord, "accept"))
+            return {"outcome": "sufficient", "text": text, "path": path,
+                    "steps": len(path), "consulted": consulted}
+        path.append((coord, "reject"))
+    return {"outcome": "insufficient", "text": None, "path": path,
+            "steps": len(path), "consulted": consulted}

@@ -185,7 +185,7 @@ class TestBuildContext:
     def test_budget_exhaustion_falls_back_too(self):
         state = filled_state()
         expected = state.tree.root_text() + "\n" + state.tree.leaves()[-1].text
-        agent = ScriptedAgent([A.UP], cycle=True)
+        agent = ScriptedAgent([A.DOWN, A.UP], cycle=True)
         context = build_context(state, "q", "hat_agent", agent=agent,
                                 config=TraversalConfig(step_budget=4))
         assert context == expected

@@ -2,15 +2,24 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
-from conftest import ConstOracle, ScriptedClient, TextSetOracle, build_tree
+from conftest import (
+    ConstOracle,
+    CountingAgent,
+    OracleAgent,
+    ScriptedClient,
+    TextSetOracle,
+    build_tree,
+)
+from reference_impls import bfs_visit_order, dfs_visit_order, plain_scan
 
 from hatmem import (
     Cursor,
     LlmAgent,
     LlmOracle,
-    OracleAgent,
     Outcome,
     ScriptedAgent,
     SubstringOracle,
@@ -22,7 +31,7 @@ from hatmem import (
     fallback_context,
     traverse,
 )
-from hatmem import ConcatAggregator, HatTree
+from hatmem import ConcatAggregator, HatTree, TruncateAggregator
 from hatmem.errors import (
     ActionParseError,
     ContractViolationError,
@@ -96,7 +105,7 @@ class TestTraverse:
         assert result.steps == 1
 
     def test_budget_exhaustion(self):
-        agent = ScriptedAgent([A.UP], cycle=True)
+        agent = ScriptedAgent([A.DOWN, A.UP], cycle=True)
         result = traverse(build_tree(4), agent, "q", TraversalConfig(step_budget=5))
         assert result.outcome is Outcome.BUDGET_EXHAUSTED
         assert result.steps == 5
@@ -121,6 +130,21 @@ class TestTraverse:
         tree = build_tree(4)
         with pytest.raises(ContractViolationError):
             traverse(tree, ScriptedAgent([A.DOWN]), "q", TraversalConfig(step_budget=3))
+
+    @pytest.mark.parametrize("script, stuck_at", [
+        ([A.UP], Cursor(0, 0)),
+        ([A.START], Cursor(0, 0)),
+        ([A.DOWN, A.DOWN, A.DOWN], Cursor(2, 0)),
+        ([A.DOWN, A.LEFT], Cursor(1, 0)),
+        ([A.DOWN, A.RIGHT, A.RIGHT], Cursor(1, 1)),
+    ])
+    def test_noop_move_ends_walk_insufficient(self, script, stuck_at):
+        agent = CountingAgent(ScriptedAgent(script, cycle=True))
+        result = traverse(build_tree(4), agent, "q", TraversalConfig(step_budget=16))
+        assert result.outcome is Outcome.INSUFFICIENT
+        assert result.text is None
+        assert result.steps == agent.calls == len(script)
+        assert result.path[-1] == (stuck_at, script[-1])
 
     def test_oracle_agent_accepts_at_match(self):
         tree = build_tree(4)
@@ -190,6 +214,45 @@ class TestSearches:
         assert result.path[-1][0] in (Cursor(3, 5), Cursor(2, 2))
         assert "zq" in result.text
         assert leaf.text == "zq marker"
+
+    def test_rejected_text_is_not_asked_again(self):
+        tree = HatTree(2, TruncateAggregator(budget=2))
+        for i in range(4):
+            tree.insert_leaf(f"w{i} x")
+        # Clipped parents repeat their first child: (0,0) = (1,0) = (2,0) = "w0 x".
+        for search in (bfs_search, dfs_search):
+            oracle = ConstOracle(False)
+            result = search(tree, oracle, "q", TraversalConfig(step_budget=100))
+            assert result.outcome is Outcome.INSUFFICIENT
+            assert result.steps == 7
+            assert oracle.calls == 4
+
+    def test_scans_match_plain_reference(self):
+        rng = random.Random(20240610)
+        reused = 0
+        for _ in range(300):
+            M = rng.choice([2, 3])
+            tree = HatTree(M, TruncateAggregator(budget=rng.choice([1, 2, 3])))
+            for _ in range(rng.randint(1, 30)):
+                tree.insert_leaf(" ".join(f"w{rng.randrange(4)}" for _ in range(rng.randint(1, 3))))
+            sizes = [tree.layer_size(k) for k in range(len(tree.layers))]
+            texts = sorted({tree.node_at(k, i).text for k, i in bfs_visit_order(sizes)})
+            targets = set(rng.sample(texts, rng.randint(0, min(2, len(texts)))))
+            budget = rng.randint(1, sum(sizes) + 2)
+            config = TraversalConfig(step_budget=budget)
+            for search, order in ((bfs_search, bfs_visit_order(sizes)),
+                                  (dfs_search, dfs_visit_order(sizes, M))):
+                expected = plain_scan(order, lambda c: tree.node_at(*c).text,
+                                      lambda text: text in targets, budget)
+                oracle = TextSetOracle(targets)
+                result = search(tree, oracle, "q", config)
+                assert result.outcome.value == expected["outcome"]
+                assert result.text == expected["text"]
+                assert result.steps == expected["steps"]
+                assert [((c.layer, c.index), a.value) for c, a in result.path] == expected["path"]
+                assert oracle.calls == len(set(expected["consulted"]))
+                reused += len(expected["consulted"]) - oracle.calls
+        assert reused > 0  # the trees do repeat texts, so the reuse path ran
 
     def test_empty_tree_rejected(self):
         tree = HatTree(2, ConcatAggregator())
@@ -290,10 +353,7 @@ class TestConfig:
     def test_defaults(self):
         config = TraversalConfig()
         assert config.step_budget == 32
-        assert 0 < config.discount < 1
 
     def test_validation(self):
         with pytest.raises(InvalidParameterError):
             TraversalConfig(step_budget=0)
-        with pytest.raises(InvalidParameterError):
-            TraversalConfig(discount=1.0)
