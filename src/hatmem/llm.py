@@ -18,6 +18,7 @@ import hashlib
 import json
 import os
 import re
+import threading
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -99,14 +100,19 @@ class HttpTransport:
 
 
 class MockTransport:
-    """Offline backend; see `heuristic_reply` for the fallback behavior."""
+    """Offline backend; see `heuristic_reply` for the fallback behavior.
+
+    Safe to share across threads: a tree flush calls it from several at once.
+    """
 
     def __init__(self, fixtures: Optional[dict] = None):
         self.fixtures = dict(fixtures or {})
         self.calls = 0
+        self._calls_lock = threading.Lock()
 
     def send(self, payload: dict):
-        self.calls += 1
+        with self._calls_lock:
+            self.calls += 1
         messages = payload.get("messages") or []
         content = self.fixtures.get(request_digest(messages))
         if content is None:

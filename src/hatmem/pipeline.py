@@ -9,7 +9,10 @@ aggregates all prior leaves.
 Ingesting a turn only appends its leaf. The tree aggregates the changed
 ancestors at the next read of internal text, so the aggregation cost, and an
 `AggregationUnavailableError` when the aggregator's endpoint fails, come from
-`end_session`, `build_context` with a hat_* strategy, and `serialize`.
+`end_session`, `build_context` with a hat_* strategy, and `serialize`. The
+tree sends one layer's chat aggregations at once, so with `llm_persona` an
+`end_session` costs about one endpoint round trip per tree layer, not one per
+aggregated node.
 """
 
 from __future__ import annotations

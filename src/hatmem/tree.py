@@ -12,6 +12,10 @@ aggregator runs. `flush` aggregates every pending node once, deepest layer
 first, so a node whose subtree gained several leaves since the last read
 costs one aggregation rather than one per leaf. Every public read of
 internal text flushes first, and `insert_leaf` is an append plus a flush.
+Nodes of one layer do not depend on each other, so a flush sends a layer's
+chat (`llm_persona`) aggregations concurrently, at most 8 at a time: the
+chat client behind such an aggregator must be safe to share across threads,
+as `LlmClient` is. Other kinds aggregate on the calling thread.
 Each node keeps a digest-keyed cache (`previous_complete_state`) mapping the
 hash of its ordered child states to the text it aggregated under that state,
 so a repeated child state never calls the aggregator again.
@@ -22,7 +26,9 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from itertools import groupby
 from typing import Optional
 
 from .errors import (
@@ -34,6 +40,13 @@ from .errors import (
 
 DOC_FORMAT = "hat-tree"
 DOC_VERSION = 1
+
+# The one aggregator kind that waits on a chat endpoint. The others are
+# Python computation, which threads cannot overlap, so they run on the
+# calling thread.
+REMOTE_AGGREGATOR_KIND = "llm_persona"
+# Most chat calls one flush has in flight at once.
+MAX_CONCURRENT_AGGREGATIONS = 8
 
 
 @dataclass
@@ -60,7 +73,9 @@ class HatTree:
     Writers must be exclusive: one append, flush, insert or update at a time.
     A read of internal text flushes pending aggregation first, so while
     leaves are pending a read is a write too. Any number of readers may query
-    a tree with nothing pending.
+    a tree with nothing pending. A flush itself calls a chat aggregator from
+    up to MAX_CONCURRENT_AGGREGATIONS (8) threads at once, so that
+    aggregator's client must be safe to share across threads.
     """
 
     def __init__(self, memory_length: int, aggregator):
@@ -184,9 +199,13 @@ class HatTree:
             raise
 
     def flush(self) -> None:
-        """Aggregate every pending node once, deepest layer first.
+        """Aggregate every pending node once, one layer at a time, deepest first.
 
         A parent aggregates its children's new texts from the same flush.
+        Nodes of one layer do not depend on each other, so when a layer has
+        several cache misses and the aggregator waits on a chat endpoint,
+        their calls run concurrently on a pool of at most
+        MAX_CONCURRENT_AGGREGATIONS threads that lives only for this flush.
         Nothing is assigned until every aggregate call has returned, so a
         failed flush leaves texts, caches, agg_call_count and the pending set
         as they were.
@@ -197,20 +216,34 @@ class HatTree:
         new_entries: list[tuple[Node, str, str]] = []
         order = sorted((self.nodes[nid] for nid in self.pending),
                        key=lambda n: (-n.layer, n.index))
-        for node in order:
-            child_texts = [texts.get(cid, self.nodes[cid].text) for cid in node.children]
-            digest = _child_digest(node.children, child_texts)
-            text = node.previous_complete_state.get(digest)
-            if text is None:
-                text = self.aggregator.aggregate(child_texts)
+        for _, row in groupby(order, key=lambda n: n.layer):
+            misses: list[tuple[Node, str, list[str]]] = []
+            for node in row:
+                child_texts = [texts.get(cid, self.nodes[cid].text) for cid in node.children]
+                digest = _child_digest(node.children, child_texts)
+                text = node.previous_complete_state.get(digest)
+                if text is None:
+                    misses.append((node, digest, child_texts))
+                else:
+                    texts[node.id] = text
+            aggregated = self._aggregate_layer([child_texts for _, _, child_texts in misses])
+            for (node, digest, _), text in zip(misses, aggregated):
+                texts[node.id] = text
                 new_entries.append((node, digest, text))
-            texts[node.id] = text
         for node, digest, text in new_entries:
             node.previous_complete_state[digest] = text
         for node in order:
             node.text = texts[node.id]
         self.agg_call_count += len(new_entries)
         self.pending.clear()
+
+    def _aggregate_layer(self, inputs: list[list[str]]) -> list[str]:
+        """One aggregate per input list, in order; the first failure raises."""
+        if len(inputs) < 2 or self.aggregator.kind != REMOTE_AGGREGATOR_KIND:
+            return [self.aggregator.aggregate(child_texts) for child_texts in inputs]
+        workers = min(len(inputs), MAX_CONCURRENT_AGGREGATIONS)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(self.aggregator.aggregate, inputs))
 
     # -------------------------------------------------------------- internals
 
@@ -364,11 +397,15 @@ class HatTree:
             raise DocumentParseError(f"not valid JSON: {exc}") from exc
         if not isinstance(doc, dict) or doc.get("format") != DOC_FORMAT:
             raise DocumentParseError("missing or wrong format marker")
-        if doc.get("version") != DOC_VERSION:
+        # A bool or a float equal to an int would pass the comparisons below
+        # and then be written back as loaded, so integer fields must be ints.
+        if not _is_int(doc.get("version")) or doc["version"] != DOC_VERSION:
             raise DocumentParseError(f"unsupported document version {doc.get('version')!r}")
         memory_length = doc.get("memory_length")
-        if not isinstance(memory_length, int) or memory_length < 2:
+        if not _is_int(memory_length) or memory_length < 2:
             raise DocumentParseError(f"bad memory_length {memory_length!r}")
+        if not _is_int(doc.get("leaf_count")):
+            raise DocumentParseError(f"bad leaf_count {doc.get('leaf_count')!r}")
         layers_doc = doc.get("layers")
         if not isinstance(layers_doc, list) or not all(isinstance(r, list) for r in layers_doc):
             raise DocumentParseError("layers must be a list of lists")
@@ -402,6 +439,8 @@ class HatTree:
                 )
                 if node.id in tree.nodes:
                     raise DocumentParseError(f"duplicate node id {node.id}")
+                if not all(_is_int(cid) for cid in node.children):
+                    raise DocumentParseError(f"node at layer {k} index {i}: child ids must be integers")
                 for key, value in node.previous_complete_state.items():
                     if not isinstance(key, str) or not isinstance(value, str):
                         raise DocumentParseError(
@@ -465,6 +504,10 @@ def _child_digest(child_ids: list[int], child_texts: list[str]) -> str:
         text_hash = hashlib.sha256(text.encode("utf-8")).hexdigest()
         h.update(f"{cid}:{text_hash};".encode("ascii"))
     return h.hexdigest()
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _expect(entry: dict, key: str, typ, layer: int, index: int):

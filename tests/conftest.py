@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import random
+import threading
+import time
 
 import pytest
+import requests
 
-from hatmem import ChatReply, ConcatAggregator, HatTree, TraversalAction
+from hatmem import ChatReply, ConcatAggregator, HatTree, MockTransport, TraversalAction
 from hatmem.errors import AggregationUnavailableError
 
 
@@ -33,6 +36,79 @@ class FailingAggregator(ConcatAggregator):
             if self.calls > self.fail_after:
                 raise AggregationUnavailableError("injected aggregation failure")
         return super().aggregate(children_texts)
+
+
+class ThreadLoggingAggregator:
+    """Forwards to an aggregator and records the thread of every call."""
+
+    def __init__(self, aggregator):
+        self.aggregator = aggregator
+        self.kind = aggregator.kind
+        self.threads = []
+
+    def spec(self) -> dict:
+        return self.aggregator.spec()
+
+    def aggregate(self, children_texts):
+        self.threads.append(threading.get_ident())
+        return self.aggregator.aggregate(children_texts)
+
+
+class BarrierTransport:
+    """Mock replies; the first `parties` calls each wait until all have started.
+
+    Calls sent one at a time break the barrier when its timeout expires, and
+    the waiting call raises `threading.BrokenBarrierError`.
+    """
+
+    def __init__(self, parties: int = 2, timeout: float = 5.0):
+        self._mock = MockTransport()
+        self._barrier = threading.Barrier(parties, timeout=timeout)
+        self._lock = threading.Lock()
+        self._to_hold = parties
+
+    def send(self, payload):
+        with self._lock:
+            hold = self._to_hold > 0
+            self._to_hold -= 1
+        if hold:
+            self._barrier.wait()
+        return self._mock.send(payload)
+
+
+class LoggingTransport:
+    """Mock replies after a short delay, with each call's start and end logged.
+
+    `calls` holds one record per returned call: its prompt, its reply, and
+    the positions of its start and end on one clock shared by all threads.
+    A call whose prompt contains `fail_on` raises a connection error.
+    """
+
+    def __init__(self, delay_s: float = 0.005):
+        self._mock = MockTransport()
+        self.delay_s = delay_s
+        self.fail_on = None
+        self.calls = []
+        self._clock = 0
+        self._lock = threading.Lock()
+
+    def _tick(self) -> int:
+        with self._lock:
+            self._clock += 1
+            return self._clock
+
+    def send(self, payload):
+        prompt = payload["messages"][-1]["content"]
+        start = self._tick()
+        time.sleep(self.delay_s)
+        if self.fail_on is not None and self.fail_on in prompt:
+            raise requests.ConnectionError("injected connection failure")
+        status, body = self._mock.send(payload)
+        reply = body["choices"][0]["message"]["content"]
+        record = {"prompt": prompt, "reply": reply, "start": start, "end": self._tick()}
+        with self._lock:
+            self.calls.append(record)
+        return status, body
 
 
 class TextSetOracle:

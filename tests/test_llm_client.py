@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 import requests
 
@@ -148,6 +151,27 @@ class TestMock:
         client.complete(simple_request())
         client.complete(simple_request())
         assert transport.calls == 2
+
+    def test_call_count_exact_across_threads(self):
+        transport = MockTransport()
+        payload = simple_request().payload()
+
+        def send_many():
+            for _ in range(300):
+                transport.send(payload)
+
+        threads = [threading.Thread(target=send_many) for _ in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert transport.calls == 1200
 
 
 class TestHeuristicReplies:

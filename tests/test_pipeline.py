@@ -4,23 +4,26 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import FailingAggregator, ScriptedClient, TextSetOracle
+from conftest import FailingAggregator, ScriptedClient, TextSetOracle, ThreadLoggingAggregator
 
 from hatmem import (
     ChatReply,
     ConcatAggregator,
     DialogueTurn,
+    LlmPersonaAggregator,
     ScriptedAgent,
     SubstringOracle,
     TraversalAction as A,
     TraversalConfig,
     build_context,
+    dump_report,
     end_session,
     generate_response,
     ingest_episode,
     ingest_turn,
     mock_client,
     new_memory,
+    run_bench,
 )
 from hatmem.errors import (
     AggregationUnavailableError,
@@ -30,7 +33,7 @@ from hatmem.errors import (
     NotFoundError,
     RemoteUnavailableError,
 )
-from hatmem.fixtures import PLANTED_TOKEN, planted_fact_episode
+from hatmem.fixtures import PLANTED_TOKEN, planted_fact_episode, planted_fact_episodes
 
 
 def turn(speaker: str, text: str, session: int = 1, index: int = 0) -> DialogueTurn:
@@ -242,3 +245,15 @@ class TestGenerateResponse:
 
         with pytest.raises(GenerationUnavailableError):
             generate_response("ctx", "q", DownClient())
+
+
+class TestRunBench:
+    def test_report_bytes_identical_across_runs(self):
+        reports, threads = [], set()
+        for _ in range(2):
+            client = mock_client()
+            agg = ThreadLoggingAggregator(LlmPersonaAggregator(client, max_tokens=16))
+            reports.append(dump_report(run_bench(planted_fact_episodes(3), agg, client)))
+            threads.update(agg.threads)
+        assert reports[0] == reports[1]
+        assert len(threads) > 1  # flushes sent layers concurrently

@@ -4,13 +4,27 @@ from __future__ import annotations
 
 import json
 import random
+import threading
 
 import pytest
 
-from conftest import FailingAggregator, build_tree
+from conftest import (
+    BarrierTransport,
+    FailingAggregator,
+    LoggingTransport,
+    ThreadLoggingAggregator,
+    build_tree,
+)
 from reference_impls import concat_texts, expected_depth, leaf_spans
 
-from hatmem import ConcatAggregator, HatTree, LlmPersonaAggregator, TruncateAggregator, mock_client
+from hatmem import (
+    ConcatAggregator,
+    HatTree,
+    LlmClient,
+    LlmPersonaAggregator,
+    TruncateAggregator,
+    mock_client,
+)
 from hatmem.errors import (
     AggregationUnavailableError,
     ContractViolationError,
@@ -293,6 +307,96 @@ class TestFailedFlush:
         assert not tree.pending
 
 
+def persona_tree(memory_length: int, transport) -> HatTree:
+    client = LlmClient(transport, model="mock-chat", sleep=lambda _s: None)
+    return HatTree(memory_length, LlmPersonaAggregator(client))
+
+
+class TestLayerParallelFlush:
+    def test_calls_of_one_layer_overlap(self):
+        # Both layer-1 calls must be in flight at once to pass the barrier.
+        tree = persona_tree(2, BarrierTransport(parties=2))
+        for i in range(4):
+            tree.append_leaf(f"t{i}")
+        tree.flush()
+        assert texts_by_position(tree) == concat_texts([f"t{i}" for i in range(4)], 2, " ")
+
+    def test_parent_call_starts_after_its_children_returned(self):
+        for M, n in ((2, 16), (3, 27)):
+            transport = LoggingTransport()
+            tree = persona_tree(M, transport)
+            for i in range(n):
+                tree.append_leaf(f"t{i}")
+            tree.flush()
+            # Full trees: every node text is distinct, so replies name nodes.
+            call_for = {call["reply"]: call for call in transport.calls}
+            assert len(call_for) == len(transport.calls) == tree.agg_call_count
+            for row in tree.layers[:-2]:
+                for nid in row:
+                    parent_call = call_for[tree.nodes[nid].text]
+                    for cid in tree.nodes[nid].children:
+                        assert call_for[tree.nodes[cid].text]["end"] < parent_call["start"]
+            calls = transport.calls
+            assert any(a["start"] < b["start"] < a["end"] for a in calls for b in calls)
+
+    def test_failed_call_in_parallel_layer_changes_nothing(self):
+        leaves = [f"t{i}" for i in range(8)]
+        for fail_on in ("t4", "t7"):  # the layer's first or second call fails
+            transport = LoggingTransport(delay_s=0.001)
+            tree = persona_tree(3, transport)
+            for text in leaves[:4]:
+                tree.insert_leaf(text)
+            for text in leaves[4:]:
+                tree.append_leaf(text)
+            assert [tree.nodes[nid].layer for nid in tree.pending].count(1) == 2
+            before = raw_state(tree)
+            transport.fail_on = fail_on
+            with pytest.raises(AggregationUnavailableError):
+                tree.flush()
+            assert raw_state(tree) == before
+            transport.fail_on = None
+            tree.flush()
+            assert texts_by_position(tree) == concat_texts(leaves, 3, " ")
+
+    def test_random_appends_and_flushes_match_flat_join(self, rng):
+        words = ["alpha", "bravo", "charlie", "delta"]
+        for _ in range(30):
+            M = rng.choice([2, 3])
+            tree = HatTree(M, LlmPersonaAggregator(mock_client()))
+            leaves = []
+            flushed = 0
+            for i in range(rng.randint(1, 40)):
+                leaves.append(f"w{i} {rng.choice(words)}")
+                tree.append_leaf(leaves[-1])
+                if rng.random() < 0.3:
+                    flushed += len(tree.pending)
+                    tree.flush()
+            flushed += len(tree.pending)
+            tree.flush()
+            assert tree.agg_call_count == flushed
+            assert texts_by_position(tree) == concat_texts(leaves, M, " ")
+
+    def test_local_kinds_aggregate_on_calling_thread(self):
+        for inner in (ConcatAggregator(), TruncateAggregator(4)):
+            agg = ThreadLoggingAggregator(inner)
+            tree = HatTree(2, agg)
+            for i in range(8):
+                tree.append_leaf(f"t{i}")
+            tree.flush()
+            assert len(agg.threads) == 7
+            assert set(agg.threads) == {threading.get_ident()}
+
+    def test_flush_leaves_no_thread_behind(self):
+        agg = ThreadLoggingAggregator(LlmPersonaAggregator(mock_client()))
+        tree = HatTree(3, agg)
+        for i in range(27):
+            tree.append_leaf(f"t{i}")
+        threads_before = threading.active_count()
+        tree.flush()
+        assert threading.active_count() == threads_before
+        assert set(agg.threads) - {threading.get_ident()}  # the pool did run
+
+
 class TestAtomicity:
     def test_failed_aggregation_rolls_back_plain_insert(self):
         agg = FailingAggregator(fail_after=10 ** 9)
@@ -420,6 +524,20 @@ class TestPersistence:
         with pytest.raises(DocumentParseError):
             HatTree.deserialize(json.dumps(doc))
 
+    def test_rejects_integer_fields_of_other_types(self):
+        for n in (1, 3):
+            good = json.loads(build_tree(n).serialize())
+            mutations = [("leaf_count", True), ("leaf_count", float(n)),
+                         ("version", True), ("version", 1.0)]
+            for key, value in mutations:
+                with pytest.raises(DocumentParseError):
+                    HatTree.deserialize(json.dumps(dict(good, **{key: value})))
+            for child in (0.0, True):
+                doc = json.loads(json.dumps(good))
+                doc["layers"][0][0]["children"][0] = child
+                with pytest.raises(DocumentParseError):
+                    HatTree.deserialize(json.dumps(doc))
+
     def test_rejects_duplicate_ids(self):
         doc = json.loads(build_tree(4).serialize())
         doc["layers"][2][1]["id"] = doc["layers"][2][0]["id"]
@@ -427,14 +545,17 @@ class TestPersistence:
             HatTree.deserialize(json.dumps(doc))
 
     def test_single_field_mutations_fail_only_with_parse_error(self):
-        # Every mutation must either load or raise DocumentParseError.
+        # Every mutation must either load or raise DocumentParseError. One
+        # that loads serializes to a document with integer counts and ids,
+        # which loads and serializes to the same bytes again.
         persona = HatTree(2, LlmPersonaAggregator(mock_client(), max_tokens=8))
         for i in range(5):
             persona.insert_leaf(f"persona turn {i}", meta={"session": 1})
         sources = [build_tree(7).serialize(), persona.serialize(),
                    HatTree(3, TruncateAggregator(5)).serialize()]
         docs = [json.loads(source) for source in sources]
-        pool = [None, True, 0, 1, -1, 2, 7, 2.5, "", "x", [], [1, 2], [[]], {}, {"a": 1}]
+        pool = [None, True, 0, 1, -1, 2, 7, 0.0, 1.0, 2.5, "", "x", [], [1, 2], [[]], {},
+                {"a": 1}]
         rng = random.Random(20240610)
         for _ in range(3000):
             doc = json.loads(json.dumps(rng.choice(docs)))
@@ -444,9 +565,12 @@ class TestPersistence:
             else:
                 container[key] = rng.choice(pool)
             try:
-                HatTree.deserialize(json.dumps(doc))
+                loaded = HatTree.deserialize(json.dumps(doc))
             except DocumentParseError:
-                pass
+                continue
+            document = loaded.serialize()
+            assert all(type(v) is int for v in _integer_fields(json.loads(document)))
+            assert HatTree.deserialize(document).serialize() == document
 
     def test_insertion_resumes_after_roundtrip(self):
         tree = build_tree(5)
@@ -454,6 +578,16 @@ class TestPersistence:
         tree.insert_leaf("t5")
         clone.insert_leaf("t5")
         assert clone.serialize() == tree.serialize()
+
+
+def _integer_fields(doc: dict) -> list:
+    """Version, memory length, leaf count, and every node id and child id."""
+    values = [doc["version"], doc["memory_length"], doc["leaf_count"]]
+    for row in doc["layers"]:
+        for entry in row:
+            values.append(entry["id"])
+            values.extend(entry["children"])
+    return values
 
 
 def _random_field(doc, rng: random.Random):
