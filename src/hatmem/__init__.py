@@ -1,10 +1,10 @@
 """Aggregate-tree memory for long multi-session conversations.
 
 A layered tree stores dialogue turns as leaves and recursively aggregated
-summaries above them, with digest-keyed caching so re-aggregation is
-incremental. Query time walks the tree (agent-driven or BFS/DFS with a
-sufficiency oracle) to pick the context handed to response generation, and a
-metric suite scores the results.
+summaries above them; re-aggregation is incremental, touching only nodes
+whose children changed. Query time walks the tree (agent-driven or BFS/DFS
+with a sufficiency oracle) to pick the context handed to response
+generation, and a metric suite scores the results.
 """
 
 from .aggregation import (

@@ -88,12 +88,23 @@ class LlmPersonaAggregator(Aggregator):
 
     A client is optional so that serialized trees can be loaded for
     inspection without one; aggregation then fails until a client is bound.
+    The other parameters are checked here, so that a spec or tree document
+    carrying a bad one fails to load rather than at its first aggregation.
     """
 
     kind = "llm_persona"
 
     def __init__(self, client=None, template: str = "persona_v1", temperature: float = 0.0,
                  max_tokens: Optional[int] = None):
+        if not isinstance(template, str):
+            raise InvalidParameterError(f"persona template must be a string, got {template!r}")
+        if isinstance(temperature, bool) or not isinstance(temperature, (int, float)) \
+                or not temperature >= 0:
+            raise InvalidParameterError(f"persona temperature must be a number >= 0, got {temperature!r}")
+        if max_tokens is not None and (isinstance(max_tokens, bool) or not isinstance(max_tokens, int)
+                                       or max_tokens < 1):
+            raise InvalidParameterError(
+                f"persona max_tokens must be a positive integer or null, got {max_tokens!r}")
         self.client = client
         self.template = template
         self.temperature = temperature

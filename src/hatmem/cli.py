@@ -204,11 +204,9 @@ def cmd_inspect(args) -> int:
     print(f"depth: {tree.depth()}")
     for layer_index, row in enumerate(tree.layers):
         print(f"layer {layer_index}: {len(row)} node(s)")
-        for index, node_id in enumerate(row):
-            node = tree.nodes[node_id]
+        for index, node in enumerate(row):
             preview = node.text if len(node.text) <= width else node.text[: width - 3] + "..."
-            print(f"  ({layer_index},{index}) id={node.id} children={len(node.children)} "
-                  f"cache={len(node.previous_complete_state)} text={preview!r}")
+            print(f"  ({layer_index},{index}) text={preview!r}")
     return EXIT_OK
 
 

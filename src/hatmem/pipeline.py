@@ -60,9 +60,9 @@ def ingest_turn(state: MemoryState, turn: DialogueTurn) -> int:
     if not turn.text:
         raise InvalidParameterError("turn text must be nonempty")
     meta = {"speaker": turn.speaker, "session": turn.session, "turn_index": turn.turn_index}
-    leaf_id = state.tree.append_leaf(f"{turn.speaker}: {turn.text}", meta=meta)
+    index = state.tree.append_leaf(f"{turn.speaker}: {turn.text}", meta=meta)
     state.sessions.add(turn.session)
-    return leaf_id
+    return index
 
 
 def end_session(state: MemoryState, session: int) -> str:

@@ -179,9 +179,11 @@ def dfs_search(tree: HatTree, oracle, query: str, config: Optional[TraversalConf
         while stack:
             cursor = stack.pop()
             yield cursor
-            node = tree.node_at(cursor.layer, cursor.index)
-            for offset in reversed(range(len(node.children))):
-                stack.append(Cursor(cursor.layer + 1, cursor.index * tree.memory_length + offset))
+            child_layer = cursor.layer + 1
+            if child_layer < len(tree.layers):
+                first = cursor.index * tree.memory_length
+                last = min(first + tree.memory_length, tree.layer_size(child_layer))
+                stack.extend(Cursor(child_layer, index) for index in reversed(range(first, last)))
     return _scan(tree, oracle, query, config, order())
 
 

@@ -45,6 +45,33 @@ def concat_texts(leaves: list[str], M: int, separator: str) -> list[list[str]]:
     return [[separator.join(leaves[lo:hi]) for lo, hi in layer] for layer in spans]
 
 
+def full_recompute(leaves: list[str], M: int, aggregate) -> list[list[str]]:
+    """Node texts per layer, root first, with every internal node aggregated.
+
+    Groups of M consecutive nodes are folded into one parent, from the
+    leaves up, until a single root is left; a lone leaf still gets a root
+    above it. Nothing is skipped or reused.
+    """
+    if not leaves:
+        return []
+    layers = [list(leaves)]
+    while len(layers) == 1 or len(layers[0]) > 1:
+        below = layers[0]
+        layers.insert(0, [aggregate(below[i:i + M]) for i in range(0, len(below), M)])
+    return layers
+
+
+def child_text_lists(layers: list[list[str]], M: int) -> dict[tuple[int, int], list[str]]:
+    """Each internal node's list of child texts, keyed by (height, index).
+
+    Height counts layers above the leaves, so a node keeps its key when a
+    new root layer is added above it.
+    """
+    depth = len(layers) - 1
+    return {(depth - k, i): layers[k + 1][i * M:(i + 1) * M]
+            for k in range(depth) for i in range(len(layers[k]))}
+
+
 # ------------------------------------------------------------------- metrics
 
 def naive_tokenize(text: str) -> list[str]:

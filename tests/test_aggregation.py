@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from conftest import ScriptedClient
@@ -19,6 +21,7 @@ from hatmem import (
 from hatmem.errors import (
     AggregationUnavailableError,
     ContractViolationError,
+    DocumentParseError,
     InvalidParameterError,
 )
 from hatmem.metrics import tokenize
@@ -142,6 +145,20 @@ class TestAggregatorSpecs:
         clone = HatTree.deserialize(tree.serialize())
         assert clone.aggregator.max_tokens == 64
         assert clone.serialize() == tree.serialize()
+
+    @pytest.mark.parametrize("params", [
+        {"temperature": "x"}, {"temperature": -1}, {"temperature": True}, {"template": 3},
+        {"max_tokens": "x"}, {"max_tokens": 0}, {"max_tokens": -5}, {"max_tokens": True},
+    ], ids=lambda params: ",".join(f"{key}={value}" for key, value in params.items()))
+    def test_bad_persona_params_rejected_on_load(self, params):
+        with pytest.raises(InvalidParameterError):
+            aggregator_from_spec("llm_persona", params, client=mock_client())
+        tree = HatTree(2, LlmPersonaAggregator(mock_client()))
+        tree.insert_leaf("he plays chess")
+        doc = json.loads(tree.serialize())
+        doc["aggregator"]["params"].update(params)
+        with pytest.raises(DocumentParseError):
+            HatTree.deserialize(json.dumps(doc))
 
     def test_non_object_params_rejected(self):
         for params in ([1, 2], "x", 5):

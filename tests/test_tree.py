@@ -1,4 +1,4 @@
-"""Tree structure, caching, atomic insertion, and persistence."""
+"""Tree structure, deferred flush, atomic insertion, and persistence."""
 
 from __future__ import annotations
 
@@ -15,7 +15,13 @@ from conftest import (
     ThreadLoggingAggregator,
     build_tree,
 )
-from reference_impls import concat_texts, expected_depth, leaf_spans
+from reference_impls import (
+    child_text_lists,
+    concat_texts,
+    expected_depth,
+    full_recompute,
+    leaf_spans,
+)
 
 from hatmem import (
     ConcatAggregator,
@@ -27,7 +33,6 @@ from hatmem import (
 )
 from hatmem.errors import (
     AggregationUnavailableError,
-    ContractViolationError,
     DocumentParseError,
     InvalidParameterError,
     NotFoundError,
@@ -47,26 +52,25 @@ def check_against_reference(tree: HatTree, leaves: list[str], separator: str):
         assert tree.layer_size(k) == len(layer)
         for i in range(len(layer)):
             node = tree.node_at(k, i)
-            assert node.layer == k and node.index == i
             assert node.text == texts[k][i]
-            if k == 0:
-                assert node.parent is None
-            else:
-                parent = tree.parent_of(node.id)
-                assert parent.layer == k - 1 and parent.index == i // M
-                assert node.id in parent.children
+            if k > 0:
+                # The parent at (k-1, i // M) joins this node's text.
+                assert node.text in tree.node_at(k - 1, i // M).text
+            if k < tree.depth():
+                children = range(i * M, min((i + 1) * M, tree.layer_size(k + 1)))
+                assert node.text == separator.join(tree.node_at(k + 1, j).text for j in children)
     assert [leaf.text for leaf in tree.leaves()] == leaves
 
 
 def texts_by_position(tree: HatTree) -> list[list[str]]:
     """Node texts per (layer, index), read without flushing."""
-    return [[tree.nodes[nid].text for nid in row] for row in tree.layers]
+    return [[node.text for node in row] for row in tree.layers]
 
 
 def raw_state(tree: HatTree):
-    """Texts, caches, call count and pending set, read without flushing."""
-    nodes = [(n.text, dict(n.previous_complete_state)) for n in tree.nodes.values()]
-    return nodes, tree.agg_call_count, set(tree.pending)
+    """Texts and meta per position, call count and flushed leaves, read without flushing."""
+    nodes = [[(node.text, node.meta) for node in row] for row in tree.layers]
+    return nodes, tree.agg_call_count, tree.flushed_leaves
 
 
 class TestConstruction:
@@ -115,9 +119,9 @@ class TestInsertion:
 
     def test_parent_of_index_seven_m3(self):
         tree = build_tree(8, memory_length=3)
-        leaf = tree.node_at(2, 7)
-        parent = tree.parent_of(leaf.id)
-        assert (parent.layer, parent.index) == (1, 2)
+        assert tree.node_at(2, 7).text == "t7"
+        assert tree.layer_size(1) == 3
+        assert tree.node_at(1, 7 // 3).text == "t6 | t7"
 
     def test_empty_text_rejected(self):
         tree = build_tree(2)
@@ -128,9 +132,9 @@ class TestInsertion:
 
     def test_meta_stored_on_leaf(self):
         tree = HatTree(2, ConcatAggregator())
-        leaf_id = tree.insert_leaf("hello", meta={"speaker": "user", "session": 1})
-        node = tree.nodes[leaf_id]
-        assert node.meta == {"speaker": "user", "session": 1}
+        index = tree.insert_leaf("hello", meta={"speaker": "user", "session": 1})
+        assert index == 0
+        assert tree.leaves()[index].meta == {"speaker": "user", "session": 1}
         assert tree.node_at(0, 0).meta is None
 
     def test_random_sequences_match_reference(self, rng):
@@ -157,29 +161,35 @@ class TestReads:
         with pytest.raises(NotFoundError):
             tree.layer_size(5)
         with pytest.raises(NotFoundError):
-            tree.parent_of(999)
+            tree.node_at(-1, 0)
+        with pytest.raises(NotFoundError):
+            tree.node_at(1, -1)
 
     def test_children_ordered_oldest_first(self):
         tree = build_tree(4)
-        root_children = tree.children_of(tree.root().id)
-        assert [c.index for c in root_children] == [0, 1]
-        assert root_children[0].text == "t0 | t1"
+        assert tree.layer_size(1) == 2
+        assert [tree.node_at(1, i).text for i in range(2)] == ["t0 | t1", "t2 | t3"]
 
 
 class TestUpdateAndCache:
-    def test_update_on_leaf_rejected(self):
-        tree = build_tree(2)
-        leaf = tree.leaves()[0]
-        with pytest.raises(ContractViolationError):
-            tree.update_text(leaf.id)
-
     def test_cached_state_skips_aggregator(self):
         tree = build_tree(5)
         before = tree.agg_call_count
         root_text = tree.root_text()
-        tree.update_text(tree.root().id)
+        tree.flush()
+        for k in range(len(tree.layers)):
+            for i in range(tree.layer_size(k)):
+                tree.node_at(k, i)
         assert tree.agg_call_count == before
         assert tree.root_text() == root_text
+        # truncate(2) keeps "w4 x" when "w5 x" joins it, so the insert
+        # aggregates the leaf's parent and stops: its text did not change.
+        tree = HatTree(2, TruncateAggregator(2))
+        for i in range(5):
+            tree.insert_leaf(f"w{i} x")
+        before = tree.agg_call_count
+        tree.insert_leaf("w5 x")
+        assert tree.agg_call_count - before == 1
 
     def test_insert_into_depth3_costs_three_calls(self):
         # 5 leaves at M=2 give depth 3 with room for 8, so no re-root.
@@ -215,9 +225,10 @@ class TestDeferredAggregation:
         for i in range(14):
             tree.append_leaf(f"t{i}")
         assert tree.depth() == 3 and tree.leaves()[-1].text == "t13"
-        assert tree.agg_call_count == 0 and tree.pending
+        assert tree.agg_call_count == 0 and tree.flushed_leaves == 0
+        assert all(node.text is None for row in tree.layers[:-1] for node in row)
         assert tree.root_text() == " | ".join(f"t{i}" for i in range(14))
-        assert not tree.pending
+        assert tree.flushed_leaves == 14
 
     def test_interleaved_flushes_match_reference_and_eager(self, rng):
         words = ["alpha", "bravo", "charlie", "delta"]
@@ -234,10 +245,8 @@ class TestDeferredAggregation:
                 truncate.append_leaf(text)
                 eager.insert_leaf(text)
                 if rng.random() < 0.3:
-                    for tree in (concat, truncate):
-                        pending, calls = len(tree.pending), tree.agg_call_count
-                        tree.flush()
-                        assert tree.agg_call_count - calls <= pending
+                    concat.flush()
+                    truncate.flush()
                     assert texts_by_position(concat) == concat_texts(leaves, M, " | ")
                     assert texts_by_position(truncate) == texts_by_position(eager)
             check_against_reference(concat, leaves, " | ")
@@ -271,7 +280,7 @@ class TestFailedFlush:
         for read in ("flush", "root_text", "serialize"):
             for fail_at in range(4):
                 agg, tree = self.pending_tree()
-                assert len(tree.pending) == 4  # each a cache miss: fail at every call
+                assert tree.layers[2][4].text is None
                 before = raw_state(tree)
                 agg.fail_after = agg.calls + fail_at
                 with pytest.raises(AggregationUnavailableError):
@@ -279,8 +288,10 @@ class TestFailedFlush:
                 assert raw_state(tree) == before
                 agg.armed = False
                 tree.flush()
+                # Four nodes changed, so a call at each position can fail.
+                assert tree.agg_call_count - before[1] == 4
                 assert texts_by_position(tree) == eager
-                assert not tree.pending
+                assert tree.flushed_leaves == 14
 
     def test_failed_insert_keeps_earlier_pending_nodes(self):
         agg, tree = self.pending_tree()
@@ -291,20 +302,6 @@ class TestFailedFlush:
             tree.insert_leaf("boom")
         assert raw_state(tree) == before
         assert tree.layers == layers and tree.leaf_count == 14
-
-    def test_failed_update_restores_pending_set(self):
-        agg = FailingAggregator(fail_after=10 ** 9)
-        tree = HatTree(2, agg)
-        for i in range(5):
-            tree.insert_leaf(f"t{i}")
-        node = tree.node_at(1, 0)
-        node.previous_complete_state.clear()
-        before = raw_state(tree)
-        agg.fail_after = agg.calls
-        with pytest.raises(AggregationUnavailableError):
-            tree.update_text(node.id)
-        assert raw_state(tree) == before
-        assert not tree.pending
 
 
 def persona_tree(memory_length: int, transport) -> HatTree:
@@ -331,11 +328,11 @@ class TestLayerParallelFlush:
             # Full trees: every node text is distinct, so replies name nodes.
             call_for = {call["reply"]: call for call in transport.calls}
             assert len(call_for) == len(transport.calls) == tree.agg_call_count
-            for row in tree.layers[:-2]:
-                for nid in row:
-                    parent_call = call_for[tree.nodes[nid].text]
-                    for cid in tree.nodes[nid].children:
-                        assert call_for[tree.nodes[cid].text]["end"] < parent_call["start"]
+            for k, row in enumerate(tree.layers[:-2]):
+                for i, node in enumerate(row):
+                    parent_call = call_for[node.text]
+                    for child in tree.layers[k + 1][i * M:(i + 1) * M]:
+                        assert call_for[child.text]["end"] < parent_call["start"]
             calls = transport.calls
             assert any(a["start"] < b["start"] < a["end"] for a in calls for b in calls)
 
@@ -348,14 +345,16 @@ class TestLayerParallelFlush:
                 tree.insert_leaf(text)
             for text in leaves[4:]:
                 tree.append_leaf(text)
-            assert [tree.nodes[nid].layer for nid in tree.pending].count(1) == 2
             before = raw_state(tree)
             transport.fail_on = fail_on
             with pytest.raises(AggregationUnavailableError):
                 tree.flush()
             assert raw_state(tree) == before
             transport.fail_on = None
+            returned = len(transport.calls)
             tree.flush()
+            # Layer 1 aggregates (1,1) and (1,2) together, then the root.
+            assert len(transport.calls) - returned == tree.agg_call_count - before[1] == 3
             assert texts_by_position(tree) == concat_texts(leaves, 3, " ")
 
     def test_random_appends_and_flushes_match_flat_join(self, rng):
@@ -364,16 +363,12 @@ class TestLayerParallelFlush:
             M = rng.choice([2, 3])
             tree = HatTree(M, LlmPersonaAggregator(mock_client()))
             leaves = []
-            flushed = 0
             for i in range(rng.randint(1, 40)):
                 leaves.append(f"w{i} {rng.choice(words)}")
                 tree.append_leaf(leaves[-1])
                 if rng.random() < 0.3:
-                    flushed += len(tree.pending)
                     tree.flush()
-            flushed += len(tree.pending)
             tree.flush()
-            assert tree.agg_call_count == flushed
             assert texts_by_position(tree) == concat_texts(leaves, M, " ")
 
     def test_local_kinds_aggregate_on_calling_thread(self):
@@ -466,9 +461,10 @@ class TestPersistence:
     def test_reupdate_after_roundtrip_is_free(self):
         tree = build_tree(13, memory_length=3)
         clone = HatTree.deserialize(tree.serialize())
-        for node in list(clone.iter_nodes()):
-            if not node.is_leaf:
-                clone.update_text(node.id)
+        clone.flush()
+        for k in range(len(clone.layers)):
+            for i in range(clone.layer_size(k)):
+                assert clone.node_at(k, i).text == tree.node_at(k, i).text
         assert clone.agg_call_count == 0
 
     def test_identical_sequences_serialize_identically(self):
@@ -481,9 +477,11 @@ class TestPersistence:
         tree.insert_leaf("a", meta={"session": 1})
         tree.insert_leaf("b", meta={"session": 2})
         clone = HatTree.deserialize(tree.serialize())
-        assert clone.leaves()[0].meta == {"session": 1}
-        root = clone.root()
-        assert root.previous_complete_state == tree.root().previous_complete_state
+        assert [leaf.meta for leaf in clone.leaves()] == [{"session": 1}, {"session": 2}]
+        assert clone.root().meta is None
+        # No cache is stored: a node is its text and meta.
+        doc = json.loads(clone.serialize())
+        assert all(set(entry) == {"text", "meta"} for row in doc["layers"] for entry in row)
 
     def test_explicit_matching_aggregator_accepted(self):
         tree = build_tree(3, separator="; ")
@@ -510,49 +508,59 @@ class TestPersistence:
             HatTree.deserialize(json.dumps(bad_m))
 
     def test_rejects_parent_rule_violation(self):
-        doc = json.loads(build_tree(4).serialize())
-        # Swap the two leaf groups under the layer-1 parents.
-        layer1 = doc["layers"][1]
-        layer1[0]["children"], layer1[1]["children"] = layer1[1]["children"], layer1[0]["children"]
-        with pytest.raises(DocumentParseError) as err:
-            HatTree.deserialize(json.dumps(doc))
-        assert "floor(i/M)" in str(err.value)
+        # 5 leaves at M=2 give layer sizes [1, 2, 3, 5]; the floor(i/M)
+        # parent rule allows no other sizes.
+        good = json.loads(build_tree(5).serialize())
+        for k, delta in ((1, 1), (1, -1), (2, 1), (2, -1), (0, 1)):
+            doc = json.loads(json.dumps(good))
+            row = doc["layers"][k]
+            if delta > 0:
+                row.append(dict(row[0]))
+            else:
+                row.pop()
+            with pytest.raises(DocumentParseError) as err:
+                HatTree.deserialize(json.dumps(doc))
+            assert "want [1, 2, 3, 5]" in str(err.value)
+        # A single-node layer below the root, or a tree with no leaf layer.
+        stacked = dict(good, layers=[good["layers"][0]] + good["layers"])
+        for doc in (stacked, dict(good, layers=[[]]), dict(good, layers=[[], []])):
+            with pytest.raises(DocumentParseError):
+                HatTree.deserialize(json.dumps(doc))
 
     def test_rejects_leaf_count_mismatch(self):
-        doc = json.loads(build_tree(4).serialize())
-        doc["leaf_count"] = 3
-        with pytest.raises(DocumentParseError):
-            HatTree.deserialize(json.dumps(doc))
+        full = json.loads(build_tree(4).serialize())
+        full["layers"][-1].append({"text": "t4", "meta": None})
+        partial = json.loads(build_tree(5).serialize())
+        partial["layers"][-1].pop()
+        for doc in (full, partial):
+            with pytest.raises(DocumentParseError):
+                HatTree.deserialize(json.dumps(doc))
 
     def test_rejects_integer_fields_of_other_types(self):
         for n in (1, 3):
             good = json.loads(build_tree(n).serialize())
-            mutations = [("leaf_count", True), ("leaf_count", float(n)),
-                         ("version", True), ("version", 1.0)]
+            mutations = [("version", True), ("version", 1.0), ("version", 2.0),
+                         ("memory_length", True), ("memory_length", 2.0)]
             for key, value in mutations:
                 with pytest.raises(DocumentParseError):
                     HatTree.deserialize(json.dumps(dict(good, **{key: value})))
-            for child in (0.0, True):
-                doc = json.loads(json.dumps(good))
-                doc["layers"][0][0]["children"][0] = child
-                with pytest.raises(DocumentParseError):
-                    HatTree.deserialize(json.dumps(doc))
 
-    def test_rejects_duplicate_ids(self):
-        doc = json.loads(build_tree(4).serialize())
-        doc["layers"][2][1]["id"] = doc["layers"][2][0]["id"]
-        with pytest.raises(DocumentParseError):
-            HatTree.deserialize(json.dumps(doc))
+    def test_rejects_duplicated_node(self):
+        for k in (0, 1, 2):
+            doc = json.loads(build_tree(4).serialize())
+            doc["layers"][k].insert(0, doc["layers"][k][0])
+            with pytest.raises(DocumentParseError):
+                HatTree.deserialize(json.dumps(doc))
 
     def test_single_field_mutations_fail_only_with_parse_error(self):
         # Every mutation must either load or raise DocumentParseError. One
-        # that loads serializes to a document with integer counts and ids,
+        # that loads serializes to a version-2 document with integer fields,
         # which loads and serializes to the same bytes again.
         persona = HatTree(2, LlmPersonaAggregator(mock_client(), max_tokens=8))
         for i in range(5):
             persona.insert_leaf(f"persona turn {i}", meta={"session": 1})
         sources = [build_tree(7).serialize(), persona.serialize(),
-                   HatTree(3, TruncateAggregator(5)).serialize()]
+                   HatTree(3, TruncateAggregator(5)).serialize(), V1_DOCUMENT]
         docs = [json.loads(source) for source in sources]
         pool = [None, True, 0, 1, -1, 2, 7, 0.0, 1.0, 2.5, "", "x", [], [1, 2], [[]], {},
                 {"a": 1}]
@@ -569,25 +577,148 @@ class TestPersistence:
             except DocumentParseError:
                 continue
             document = loaded.serialize()
+            assert json.loads(document)["version"] == 2
             assert all(type(v) is int for v in _integer_fields(json.loads(document)))
             assert HatTree.deserialize(document).serialize() == document
 
     def test_insertion_resumes_after_roundtrip(self):
-        tree = build_tree(5)
-        clone = HatTree.deserialize(tree.serialize(), ConcatAggregator(" | "))
-        tree.insert_leaf("t5")
-        clone.insert_leaf("t5")
-        assert clone.serialize() == tree.serialize()
+        for M, n in ((2, 5), (3, 13)):
+            tree = build_tree(n, memory_length=M)
+            clone = HatTree.deserialize(tree.serialize(), ConcatAggregator(" | "))
+            before = tree.agg_call_count
+            tree.insert_leaf(f"t{n}")
+            clone.insert_leaf(f"t{n}")
+            assert clone.agg_call_count == tree.agg_call_count - before
+            assert clone.serialize() == tree.serialize()
+
+
+# Written by the version-1 format: M=3, truncate(5), 11 leaves with meta,
+# built by one insert_leaf per leaf. Each node carried an id, its child ids
+# and an aggregation cache; the document carried a leaf count.
+V1_LEAVES = ["user: I like chess a lot", "assistant: I like roses a lot",
+             "user: I like sailing a lot", "assistant: I like jazz a lot",
+             "user: I like tea a lot", "assistant: I like hiking a lot",
+             "user: I like pottery a lot", "assistant: I like chess a lot",
+             "user: I like maps a lot", "assistant: I like violin a lot",
+             "user: I like bread a lot"]
+V1_DOCUMENT = (
+    '{"aggregator":{"kind":"truncate","params":{"budget":5}},"format":"hat-tree",'
+    '"layers":[[{"cache":{"ac6355d44dcdf6e64cc747ac414e7cef2bfbe8d8d6d49caa5e475c7497195e1e":"user i like chess a"},'
+    '"children":[4,16],"id":13,"meta":null,"text":"user i like chess a"}],'
+    '[{"cache":{"7ee6e11771b7da52123fb9b788fe25b5e03f6c8ab7224d0a1733deaf0b9ee6e3":"user i like chess a",'
+    '"f75f08a5f22e44f7520ba9bb5d628e0f1e12e39c5ddff36a0060af973f95fab9":"user i like chess a"},'
+    '"children":[1,6,10],"id":4,"meta":null,"text":"user i like chess a"},'
+    '{"cache":{"8deb04fe21d20917ac07591f6935b0fb00bd70a4d532cf494b1717c31c65a25f":"assistant i like violin a"},'
+    '"children":[15],"id":16,"meta":null,"text":"assistant i like violin a"}],'
+    '[{"cache":{"01f406bda2191721e162d1e6ad07384a44818ffcb5b39ed3ea42a74756de2b2a":"user i like chess a",'
+    '"1bdeead22074a3bf413d3ba44e2f2184aa8a741a1dd046b7456d7f88c07bf2a0":"user i like chess a",'
+    '"b7381f9be634c690589b03aa9cccc2bb5f0e49bc8bb9a93e74eb6073e92dbaae":"user i like chess a"},'
+    '"children":[0,2,3],"id":1,"meta":null,"text":"user i like chess a"},'
+    '{"cache":{"069b10c8ae95483dd8c37a7df12ba2d81feac74a16e6528a7b1894e61033f489":"assistant i like jazz a",'
+    '"4cc9dea2e80b24b524208288b6f9088b5477ff152eead9e0f03457286871d2ce":"assistant i like jazz a",'
+    '"ac8980c7dcba8146ba512690f825be3e6f6197f5ab4d7f010cfaa41816876064":"assistant i like jazz a"},'
+    '"children":[5,7,8],"id":6,"meta":null,"text":"assistant i like jazz a"},'
+    '{"cache":{"0c92a2f140a5d331fcc8731e4ec81d60b519a37e8e3c79a59581b90de12e28e8":"user i like pottery a",'
+    '"862e0ffbc24990158306475f320aebb9fc5fcc23d4a19553fd16f6c2d42caba3":"user i like pottery a",'
+    '"efb9d9970fc8bee5f49f48b7a0567cc00498e52bce315daa0d2ab5869017bc3f":"user i like pottery a"},'
+    '"children":[9,11,12],"id":10,"meta":null,"text":"user i like pottery a"},'
+    '{"cache":{"0a5eb4307030124285fb145d35f09fdf6e532ec1cc6acdc985b3249fc5c8d92f":"assistant i like violin a",'
+    '"84593e9bd539960e06cc308019ad6547f43d6c500537b34a564e2f35ca99c272":"assistant i like violin a"},'
+    '"children":[14,17],"id":15,"meta":null,"text":"assistant i like violin a"}],'
+    '[{"cache":{},"children":[],"id":0,"meta":{"session":1,"speaker":"user","turn_index":0},'
+    '"text":"user: I like chess a lot"},{"cache":{},"children":[],"id":2,"meta":{"session":1,'
+    '"speaker":"assistant","turn_index":1},"text":"assistant: I like roses a lot"},'
+    '{"cache":{},"children":[],"id":3,"meta":{"session":1,"speaker":"user","turn_index":2},'
+    '"text":"user: I like sailing a lot"},{"cache":{},"children":[],"id":5,'
+    '"meta":{"session":1,"speaker":"assistant","turn_index":3},'
+    '"text":"assistant: I like jazz a lot"},{"cache":{},"children":[],"id":7,'
+    '"meta":{"session":1,"speaker":"user","turn_index":4},"text":"user: I like tea a lot"},'
+    '{"cache":{},"children":[],"id":8,"meta":{"session":1,"speaker":"assistant",'
+    '"turn_index":5},"text":"assistant: I like hiking a lot"},{"cache":{},"children":[],'
+    '"id":9,"meta":{"session":2,"speaker":"user","turn_index":0},'
+    '"text":"user: I like pottery a lot"},{"cache":{},"children":[],"id":11,'
+    '"meta":{"session":2,"speaker":"assistant","turn_index":1},'
+    '"text":"assistant: I like chess a lot"},{"cache":{},"children":[],"id":12,'
+    '"meta":{"session":2,"speaker":"user","turn_index":2},"text":"user: I like maps a lot"},'
+    '{"cache":{},"children":[],"id":14,"meta":{"session":2,"speaker":"assistant",'
+    '"turn_index":3},"text":"assistant: I like violin a lot"},{"cache":{},"children":[],'
+    '"id":17,"meta":{"session":2,"speaker":"user","turn_index":4},'
+    '"text":"user: I like bread a lot"}]],"leaf_count":11,"memory_length":3,"version":1}'
+)
+
+
+class TestVersionOneDocument:
+    def test_loads_with_texts_and_meta(self):
+        v1 = json.loads(V1_DOCUMENT)
+        tree = HatTree.deserialize(V1_DOCUMENT)
+        assert texts_by_position(tree) == [[entry["text"] for entry in row] for row in v1["layers"]]
+        assert [leaf.text for leaf in tree.leaves()] == V1_LEAVES
+        assert [leaf.meta for leaf in tree.leaves()] == [entry["meta"] for entry in v1["layers"][-1]]
+        assert tree.agg_call_count == 0
+
+    def test_reserializes_as_version_two(self):
+        doc = json.loads(HatTree.deserialize(V1_DOCUMENT).serialize())
+        assert doc["version"] == 2
+        assert set(doc) == {"format", "version", "memory_length", "aggregator", "layers"}
+        assert all(set(entry) == {"text", "meta"} for row in doc["layers"] for entry in row)
+
+    def test_next_insert_costs_what_it_cost_in_version_one(self):
+        tree = HatTree.deserialize(V1_DOCUMENT)
+        tree.insert_leaf("user: one more turn here")
+        assert tree.agg_call_count == 1
+        rebuilt = HatTree(3, TruncateAggregator(5))
+        for text, leaf in zip(V1_LEAVES, tree.leaves()):
+            rebuilt.insert_leaf(text, meta=leaf.meta)
+        rebuilt.insert_leaf("user: one more turn here")
+        assert tree.serialize() == rebuilt.serialize()
+
+
+class TestFlushMatchesFullRecompute:
+    def test_random_interleavings(self, rng):
+        words = ["alpha", "bravo", "charlie", "delta"]
+        kinds = [lambda: ConcatAggregator(" | "), lambda: TruncateAggregator(4),
+                 lambda: LlmPersonaAggregator(mock_client())]
+        for _ in range(60):
+            M = rng.choice([2, 3, 5])
+            make = rng.choice(kinds)
+            tree = HatTree(M, make())
+            aggregate = _memoized(make().aggregate)
+            leaves: list[str] = []
+            previous: dict = {}
+            for i in range(rng.randint(1, 40)):
+                op = rng.random()
+                if op < 0.8:
+                    leaves.append(f"w{i} {rng.choice(words)}")
+                if op < 0.6:
+                    tree.append_leaf(leaves[-1])
+                    continue
+                calls = tree.agg_call_count
+                if op < 0.8:
+                    tree.insert_leaf(leaves[-1])
+                else:
+                    tree.flush()
+                expected = full_recompute(leaves, M, aggregate)
+                children = child_text_lists(expected, M)
+                changed = sum(previous.get(key) != kids for key, kids in children.items())
+                assert tree.agg_call_count - calls == changed
+                assert texts_by_position(tree) == expected
+                previous = children
+
+
+def _memoized(aggregate):
+    results = {}
+
+    def call(children_texts):
+        key = tuple(children_texts)
+        if key not in results:
+            results[key] = aggregate(children_texts)
+        return results[key]
+    return call
 
 
 def _integer_fields(doc: dict) -> list:
-    """Version, memory length, leaf count, and every node id and child id."""
-    values = [doc["version"], doc["memory_length"], doc["leaf_count"]]
-    for row in doc["layers"]:
-        for entry in row:
-            values.append(entry["id"])
-            values.extend(entry["children"])
-    return values
+    """The integer fields of a version-2 document: version and memory length."""
+    return [doc["version"], doc["memory_length"]]
 
 
 def _random_field(doc, rng: random.Random):
