@@ -67,8 +67,6 @@ from .traversal import (
     LlmAgent,
     LlmOracle,
     Outcome,
-    ScriptedAgent,
-    SubstringOracle,
     TraversalAction,
     TraversalConfig,
     TraversalResult,

@@ -19,7 +19,7 @@ from .errors import (
 )
 from .llm import ChatRequest
 from .metrics import tokenize
-from .prompts import render_messages
+from .prompts import render_messages, template_names
 
 DEFAULT_TRUNCATE_BUDGET = 256
 
@@ -88,16 +88,17 @@ class LlmPersonaAggregator(Aggregator):
 
     A client is optional so that serialized trees can be loaded for
     inspection without one; aggregation then fails until a client is bound.
-    The other parameters are checked here, so that a spec or tree document
-    carrying a bad one fails to load rather than at its first aggregation.
+    The other parameters, the template name among them, are checked here, so
+    that a bad spec or tree document fails to load, not at its first call.
     """
 
     kind = "llm_persona"
 
     def __init__(self, client=None, template: str = "persona_v1", temperature: float = 0.0,
                  max_tokens: Optional[int] = None):
-        if not isinstance(template, str):
-            raise InvalidParameterError(f"persona template must be a string, got {template!r}")
+        if not isinstance(template, str) or template not in template_names():
+            raise InvalidParameterError(f"persona template must be one of {sorted(template_names())}, "
+                                        f"got {template!r}")
         if isinstance(temperature, bool) or not isinstance(temperature, (int, float)) \
                 or not temperature >= 0:
             raise InvalidParameterError(f"persona temperature must be a number >= 0, got {temperature!r}")

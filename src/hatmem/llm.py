@@ -20,6 +20,7 @@ import os
 import re
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -31,6 +32,8 @@ from .metrics import tokenize
 ENV_ENDPOINT = "HATMEM_ENDPOINT"
 ENV_API_KEY = "HATMEM_API_KEY"
 ENV_MODEL = "HATMEM_MODEL"
+# Most chat calls one batch has in flight at once.
+MAX_CONCURRENT_CALLS = 8
 
 _ROLES = ("system", "user", "assistant")
 
@@ -102,7 +105,8 @@ class HttpTransport:
 class MockTransport:
     """Offline backend; see `heuristic_reply` for the fallback behavior.
 
-    Safe to share across threads: a tree flush calls it from several at once.
+    Safe to share across threads: a tree flush or a BFS/DFS scan calls it
+    from several at once.
     """
 
     def __init__(self, fixtures: Optional[dict] = None):
@@ -177,6 +181,19 @@ class LlmClient:
             usage = body.get("usage") if isinstance(body.get("usage"), dict) else {}
             return ChatReply(content=content, usage=usage, attempts=attempt)
         raise RemoteUnavailableError(f"gave up after {self.max_attempts} attempts ({failure})")
+
+
+def call_concurrently(call: Callable, items: list) -> list:
+    """`[call(item) for item in items]`, with up to MAX_CONCURRENT_CALLS calls in flight.
+
+    A batch of one runs on the calling thread; a larger one runs on a pool
+    that lives only for this batch. The first failure in item order raises,
+    after every call that had started has returned.
+    """
+    if len(items) < 2:
+        return [call(item) for item in items]
+    with ThreadPoolExecutor(max_workers=min(len(items), MAX_CONCURRENT_CALLS)) as pool:
+        return list(pool.map(call, items))
 
 
 def live_client(endpoint: Optional[str] = None, api_key: Optional[str] = None,

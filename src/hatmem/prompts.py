@@ -15,16 +15,22 @@ from importlib import resources
 from .errors import DocumentParseError, NotFoundError
 
 _ROLE_MARKERS = {"[system]": "system", "[user]": "user", "[assistant]": "assistant"}
+_TEMPLATES = resources.files(__package__).joinpath("prompts")
+
+
+@lru_cache(maxsize=None)
+def template_names() -> frozenset[str]:
+    """Stems of the files in prompts/: the only names `load_template` accepts."""
+    return frozenset(ref.name.removesuffix(".txt") for ref in _TEMPLATES.iterdir()
+                     if ref.name.endswith(".txt"))
 
 
 @lru_cache(maxsize=None)
 def load_template(name: str) -> str:
-    """Raw text of prompts/<name>.txt, byte for byte."""
-    ref = resources.files(__package__).joinpath("prompts").joinpath(name + ".txt")
-    try:
-        return ref.read_text(encoding="utf-8")
-    except (FileNotFoundError, NotADirectoryError):
-        raise NotFoundError(f"no prompt template named {name!r}") from None
+    """Raw text of prompts/<name>.txt, byte for byte; a path is no template name."""
+    if name not in template_names():
+        raise NotFoundError(f"no prompt template named {name!r}")
+    return _TEMPLATES.joinpath(name + ".txt").read_text(encoding="utf-8")
 
 
 def split_messages(template_text: str) -> list[dict]:

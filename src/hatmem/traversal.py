@@ -7,8 +7,11 @@ never crash a walk, and a no-op move ends the walk as INSUFFICIENT: the agent
 would be shown the same node for the same query again. Besides the
 agent-driven walk there are breadth-first and depth-first scans that judge
 every node with a sufficiency oracle, asking it once per distinct node text.
-Each visited node costs one step, and all walks stop after `step_budget`
-steps.
+A scan's order is fixed in advance, so it asks the oracle about several
+upcoming texts at once, in waves of 1, 2, 4, then 8, and reads the verdicts
+in order; its result is that of asking one node at a time. The oracle must
+therefore be safe to call from several threads, as `LlmOracle` is. Each
+visited node costs one step, and all walks stop after `step_budget` steps.
 """
 
 from __future__ import annotations
@@ -16,16 +19,16 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from typing import Optional
 
 from .errors import (
     ActionParseError,
-    ContractViolationError,
     InvalidParameterError,
     RemoteUnavailableError,
     TraversalUnavailableError,
 )
-from .llm import ChatRequest
+from .llm import MAX_CONCURRENT_CALLS, ChatRequest, call_concurrently
 from .prompts import render_messages
 from .tree import HatTree
 
@@ -133,32 +136,44 @@ def _scan(tree: HatTree, oracle, query: str, config: Optional[TraversalConfig], 
 
     The oracle is asked once per distinct text: a node whose text it already
     rejected in this scan (a clipped parent often repeats its first child) is
-    rejected again without a call.
+    rejected again without a call. Questions go out in waves: a wave asks
+    about the next 1, 2, 4, then 8 (MAX_CONCURRENT_CALLS) distinct, unasked
+    texts within the step budget, in scan order and all at once; the scan
+    then reads the verdicts in order and stops at the first YES. `outcome`,
+    `text`, `path` and `steps` are those of asking one node at a time. Only
+    texts behind that YES in its wave are extra, so where a one-at-a-time
+    scan asks n texts this one asks at most min(2n - 1, n + 7); a root that
+    suffices costs one call. A failed call raises once its wave has returned.
     """
     config = config or TraversalConfig()
     if not tree.layers:
         raise InvalidParameterError("cannot search an empty tree")
+    budget = config.step_budget
+    # One node past the budget tells running out of budget from running out of nodes.
+    visits = list(islice(order, budget + 1))
+    texts = [tree.node_at(cursor.layer, cursor.index).text for cursor in visits[:budget]]
+    verdicts: dict[str, bool] = {}
+    wave_size = 1
     path: list[tuple[Cursor, TraversalAction]] = []
-    rejected: set[str] = set()
-    steps = 0
-    for cursor in order:
-        if steps >= config.step_budget:
-            return TraversalResult(Outcome.BUDGET_EXHAUSTED, None, path, steps)
-        node = tree.node_at(cursor.layer, cursor.index)
-        steps += 1
-        if node.text not in rejected:
-            if oracle.sufficient(node.text, query):
-                path.append((cursor, TraversalAction.ACCEPT))
-                return TraversalResult(Outcome.SUFFICIENT, node.text, path, steps)
-            rejected.add(node.text)
+    for steps, (cursor, text) in enumerate(zip(visits, texts), start=1):
+        if text not in verdicts:
+            unasked = dict.fromkeys(t for t in texts[steps - 1:] if t not in verdicts)
+            wave = list(islice(unasked, wave_size))
+            verdicts.update(zip(wave, call_concurrently(lambda t: oracle.sufficient(t, query), wave)))
+            wave_size = min(2 * wave_size, MAX_CONCURRENT_CALLS)
+        if verdicts[text]:
+            path.append((cursor, TraversalAction.ACCEPT))
+            return TraversalResult(Outcome.SUFFICIENT, text, path, steps)
         path.append((cursor, TraversalAction.REJECT))
-    return TraversalResult(Outcome.INSUFFICIENT, None, path, steps)
+    outcome = Outcome.BUDGET_EXHAUSTED if len(visits) > budget else Outcome.INSUFFICIENT
+    return TraversalResult(outcome, None, path, len(path))
 
 
 def bfs_search(tree: HatTree, oracle, query: str, config: Optional[TraversalConfig] = None) -> TraversalResult:
     """Layer by layer, left to right; finds the (layer, index)-minimal sufficient node.
 
-    Asks the oracle once per distinct node text, see `_scan`.
+    Asks a thread-safe oracle once per distinct node text, in concurrent
+    waves, at most min(2n - 1, n + 7) times; see `_scan`.
     """
     def order():
         for layer in range(len(tree.layers)):
@@ -170,7 +185,8 @@ def bfs_search(tree: HatTree, oracle, query: str, config: Optional[TraversalConf
 def dfs_search(tree: HatTree, oracle, query: str, config: Optional[TraversalConfig] = None) -> TraversalResult:
     """Pre-order, children left to right; finds the pre-order-first sufficient node.
 
-    Asks the oracle once per distinct node text, see `_scan`.
+    The order does not depend on any verdict, so this too asks a thread-safe
+    oracle once per distinct text, in concurrent waves; see `_scan`.
     """
     def order():
         if not tree.layers:
@@ -196,26 +212,6 @@ def fallback_context(tree: HatTree) -> str:
 
 
 # ------------------------------------------------------------------- agents
-
-class ScriptedAgent:
-    """Replays a fixed action list; with cycle=True the list repeats forever."""
-
-    def __init__(self, actions: list[TraversalAction], cycle: bool = False):
-        if not actions:
-            raise InvalidParameterError("ScriptedAgent needs at least one action")
-        self.actions = list(actions)
-        self.cycle = cycle
-        self._next = 0
-
-    def propose_action(self, node_text: str, query: str, visited_path) -> TraversalAction:
-        if self._next >= len(self.actions):
-            if not self.cycle:
-                raise ContractViolationError("scripted actions exhausted")
-            self._next = 0
-        action = self.actions[self._next]
-        self._next += 1
-        return action
-
 
 _ACTION_TOKEN = re.compile(r"\b(up|down|left|right|start|accept|reject)\b", re.IGNORECASE)
 
@@ -276,23 +272,11 @@ class LlmAgent:
 
 # ------------------------------------------------------------------- oracles
 
-class SubstringOracle:
-    """True iff a fixed phrase occurs in the node text; test and demo use."""
-
-    def __init__(self, phrase: str, case_sensitive: bool = False):
-        if not phrase:
-            raise InvalidParameterError("phrase must be nonempty")
-        self.phrase = phrase
-        self.case_sensitive = case_sensitive
-
-    def sufficient(self, node_text: str, query: str) -> bool:
-        if self.case_sensitive:
-            return self.phrase in node_text
-        return self.phrase.lower() in node_text.lower()
-
-
 class LlmOracle:
-    """YES/NO sufficiency judgment from the chat model; unparseable means NO."""
+    """YES/NO sufficiency judgment from the chat model; unparseable means NO.
+
+    Safe to call from several threads when its client is, as `LlmClient` is.
+    """
 
     def __init__(self, client, template: str = "sufficiency_v1", temperature: float = 0.0):
         self.client = client

@@ -16,7 +16,8 @@ from its old one. A node whose children did not change is not aggregated
 again, and the flush stops at the first layer where nothing changed. Every
 public read of internal text flushes first, and `insert_leaf` is an append
 plus a flush. A flush sends one layer's chat (`llm_persona`) aggregations
-concurrently, at most 8 at a time; other kinds run on the calling thread.
+concurrently, at most MAX_CONCURRENT_CALLS (8) at a time; other kinds run
+on the calling thread.
 
 A document (version 2) holds the format marker, the version, the memory
 length, the aggregator spec and, per layer, each node's text and meta.
@@ -28,11 +29,11 @@ those keys.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Optional
 
 from .errors import DocumentParseError, InvalidParameterError, NotFoundError
+from .llm import call_concurrently
 
 DOC_FORMAT = "hat-tree"
 DOC_VERSION = 2
@@ -41,8 +42,6 @@ DOC_VERSION = 2
 # Python computation, which threads cannot overlap, so they run on the
 # calling thread.
 REMOTE_AGGREGATOR_KIND = "llm_persona"
-# Most chat calls one flush has in flight at once.
-MAX_CONCURRENT_AGGREGATIONS = 8
 
 
 @dataclass
@@ -68,9 +67,9 @@ class HatTree:
     Writers must be exclusive: one append, flush or insert at a time. A read
     of internal text flushes first, so while leaves are unflushed a read is
     a write too. Any number of readers may query a flushed tree. A flush
-    calls a chat aggregator from up to MAX_CONCURRENT_AGGREGATIONS (8)
-    threads at once, so its client must be safe to share across threads, as
-    `LlmClient` is.
+    calls a chat aggregator from up to MAX_CONCURRENT_CALLS (8) threads at
+    once, so its client must be safe to share across threads, as `LlmClient`
+    is.
     """
 
     def __init__(self, memory_length: int, aggregator):
@@ -169,8 +168,8 @@ class HatTree:
         changed when it is new or its text differs from the one it had, and
         the flush ends at the first layer with no changed node. When a layer
         has several aggregations and the aggregator waits on a chat
-        endpoint, their calls run concurrently on a pool of at most
-        MAX_CONCURRENT_AGGREGATIONS threads that lives only for this flush.
+        endpoint, their calls run concurrently, at most MAX_CONCURRENT_CALLS
+        at once on a pool that lives only for that layer (`call_concurrently`).
         Nothing is assigned until every aggregate call has returned, so a
         failed flush leaves texts and agg_call_count as they were, and its
         leaves stay unflushed.
@@ -186,21 +185,16 @@ class HatTree:
             inputs = [[texts.get((k + 1, j), below[j].text)
                        for j in range(i * M, min((i + 1) * M, len(below)))]
                       for i in parents]
-            aggregated = self._aggregate_layer(inputs)
+            if self.aggregator.kind == REMOTE_AGGREGATOR_KIND:
+                aggregated = call_concurrently(self.aggregator.aggregate, inputs)
+            else:
+                aggregated = [self.aggregator.aggregate(child_texts) for child_texts in inputs]
             texts.update(((k, i), text) for i, text in zip(parents, aggregated))
             changed = [i for i, text in zip(parents, aggregated) if text != self.layers[k][i].text]
         for (k, i), text in texts.items():
             self.layers[k][i].text = text
         self.agg_call_count += len(texts)
         self.flushed_leaves = self.leaf_count
-
-    def _aggregate_layer(self, inputs: list[list[str]]) -> list[str]:
-        """One aggregate per input list, in order; the first failure raises."""
-        if len(inputs) < 2 or self.aggregator.kind != REMOTE_AGGREGATOR_KIND:
-            return [self.aggregator.aggregate(child_texts) for child_texts in inputs]
-        workers = min(len(inputs), MAX_CONCURRENT_AGGREGATIONS)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(self.aggregator.aggregate, inputs))
 
     # ------------------------------------------------------------ persistence
 

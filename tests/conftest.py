@@ -10,7 +10,7 @@ import pytest
 import requests
 
 from hatmem import ChatReply, ConcatAggregator, HatTree, MockTransport, TraversalAction
-from hatmem.errors import AggregationUnavailableError
+from hatmem.errors import AggregationUnavailableError, ContractViolationError, InvalidParameterError
 
 
 def build_tree(n: int, memory_length: int = 2, separator: str = " | ",
@@ -55,22 +55,24 @@ class ThreadLoggingAggregator:
 
 
 class BarrierTransport:
-    """Mock replies; the first `parties` calls each wait until all have started.
+    """Mock replies; after the first `skip` calls, the next `parties` calls
+    each wait until all of them have started.
 
     Calls sent one at a time break the barrier when its timeout expires, and
     the waiting call raises `threading.BrokenBarrierError`.
     """
 
-    def __init__(self, parties: int = 2, timeout: float = 5.0):
+    def __init__(self, parties: int = 2, timeout: float = 5.0, skip: int = 0):
         self._mock = MockTransport()
         self._barrier = threading.Barrier(parties, timeout=timeout)
         self._lock = threading.Lock()
-        self._to_hold = parties
+        self._held = range(skip + 1, skip + parties + 1)
+        self._calls = 0
 
     def send(self, payload):
         with self._lock:
-            hold = self._to_hold > 0
-            self._to_hold -= 1
+            self._calls += 1
+            hold = self._calls in self._held
         if hold:
             self._barrier.wait()
         return self._mock.send(payload)
@@ -112,14 +114,19 @@ class LoggingTransport:
 
 
 class TextSetOracle:
-    """Sufficient exactly when the node text is in a fixed set."""
+    """Sufficient exactly when the node text is in a fixed set.
+
+    Scans call it from several threads, so calls are counted under a lock.
+    """
 
     def __init__(self, texts):
         self.texts = set(texts)
         self.calls = 0
+        self._lock = threading.Lock()
 
     def sufficient(self, node_text, query):
-        self.calls += 1
+        with self._lock:
+            self.calls += 1
         return node_text in self.texts
 
 
@@ -152,13 +159,52 @@ class CountingAgent:
 
 
 class ConstOracle:
+    """Always the same verdict; calls are counted under a lock, as in TextSetOracle."""
+
     def __init__(self, value: bool):
         self.value = value
         self.calls = 0
+        self._lock = threading.Lock()
 
     def sufficient(self, node_text, query):
-        self.calls += 1
+        with self._lock:
+            self.calls += 1
         return self.value
+
+
+class SubstringOracle:
+    """True iff a fixed phrase occurs in the node text."""
+
+    def __init__(self, phrase: str, case_sensitive: bool = False):
+        if not phrase:
+            raise InvalidParameterError("phrase must be nonempty")
+        self.phrase = phrase
+        self.case_sensitive = case_sensitive
+
+    def sufficient(self, node_text, query):
+        if self.case_sensitive:
+            return self.phrase in node_text
+        return self.phrase.lower() in node_text.lower()
+
+
+class ScriptedAgent:
+    """Replays a fixed action list; with cycle=True the list repeats forever."""
+
+    def __init__(self, actions, cycle: bool = False):
+        if not actions:
+            raise InvalidParameterError("ScriptedAgent needs at least one action")
+        self.actions = list(actions)
+        self.cycle = cycle
+        self._next = 0
+
+    def propose_action(self, node_text, query, visited_path):
+        if self._next >= len(self.actions):
+            if not self.cycle:
+                raise ContractViolationError("scripted actions exhausted")
+            self._next = 0
+        action = self.actions[self._next]
+        self._next += 1
+        return action
 
 
 class ScriptedClient:

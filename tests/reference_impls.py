@@ -175,3 +175,22 @@ def plain_scan(order: list[tuple[int, int]], text_at, is_sufficient, budget: int
         path.append((coord, "reject"))
     return {"outcome": "insufficient", "text": None, "path": path,
             "steps": len(path), "consulted": consulted}
+
+
+def wave_scan(order: list[tuple[int, int]], text_at, is_sufficient, budget: int) -> list[str]:
+    """The texts a scan asks in waves of 1, 2, 4, then 8, in asking order.
+
+    The distinct texts of the first `budget` visits, in first-seen order, are
+    cut into consecutive waves of those sizes; every wave up to and including
+    the first one that holds a sufficient text is asked.
+    """
+    distinct = list(dict.fromkeys(text_at(coord) for coord in order[:budget]))
+    asked: list[str] = []
+    size = 1
+    while len(asked) < len(distinct):
+        wave = distinct[len(asked):len(asked) + size]
+        asked.extend(wave)
+        if any(is_sufficient(text) for text in wave):
+            break
+        size = min(2 * size, 8)
+    return asked

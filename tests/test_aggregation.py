@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+from importlib import resources
 
 import pytest
 
@@ -18,14 +20,17 @@ from hatmem import (
     persona_prompt,
     request_digest,
 )
+from hatmem.config import aggregator_from_config
 from hatmem.errors import (
     AggregationUnavailableError,
+    ConfigurationError,
     ContractViolationError,
     DocumentParseError,
     InvalidParameterError,
+    NotFoundError,
 )
 from hatmem.metrics import tokenize
-from hatmem.prompts import load_template, split_messages
+from hatmem.prompts import load_template, split_messages, template_names
 
 
 class TestConcat:
@@ -95,6 +100,32 @@ class TestPersonaPrompt:
     def test_empty_rejected(self):
         with pytest.raises(ContractViolationError):
             persona_prompt([])
+
+    def test_shipped_template_names(self):
+        assert template_names() == {"persona_v1", "response_v1", "sufficiency_v1",
+                                    "traversal_agent_v1"}
+
+    @pytest.mark.parametrize("kind", ["relative_path", "absolute_path", "unknown", "empty"])
+    def test_only_shipped_templates_accepted(self, kind, tmp_path):
+        # The path names point at a real template-shaped file outside the package.
+        outside = tmp_path / "x"
+        (tmp_path / "x.txt").write_text("[user]\nleaked {children_block}\n", encoding="utf-8")
+        prompts_dir = str(resources.files("hatmem").joinpath("prompts"))
+        name = {"relative_path": os.path.relpath(outside, prompts_dir),
+                "absolute_path": str(outside), "unknown": "no_such_template", "empty": ""}[kind]
+        with pytest.raises(NotFoundError):
+            load_template(name)
+        with pytest.raises(InvalidParameterError):
+            LlmPersonaAggregator(mock_client(), template=name)
+        spec = {"kind": "llm_persona", "params": {"template": name}}
+        with pytest.raises(ConfigurationError):
+            aggregator_from_config(None, {"aggregator": spec})
+        tree = HatTree(2, LlmPersonaAggregator(mock_client()))
+        tree.insert_leaf("he plays chess")
+        doc = json.loads(tree.serialize())
+        doc["aggregator"]["params"]["template"] = name
+        with pytest.raises(DocumentParseError):
+            HatTree.deserialize(json.dumps(doc))
 
 
 class TestLlmPersona:

@@ -4,15 +4,20 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import FailingAggregator, ScriptedClient, TextSetOracle, ThreadLoggingAggregator
+from conftest import (
+    FailingAggregator,
+    ScriptedAgent,
+    ScriptedClient,
+    SubstringOracle,
+    TextSetOracle,
+    ThreadLoggingAggregator,
+)
 
 from hatmem import (
     ChatReply,
     ConcatAggregator,
     DialogueTurn,
     LlmPersonaAggregator,
-    ScriptedAgent,
-    SubstringOracle,
     TraversalAction as A,
     TraversalConfig,
     build_context,

@@ -3,26 +3,29 @@
 from __future__ import annotations
 
 import random
+import threading
 
 import pytest
 
 from conftest import (
+    BarrierTransport,
     ConstOracle,
     CountingAgent,
+    LoggingTransport,
     OracleAgent,
+    ScriptedAgent,
     ScriptedClient,
+    SubstringOracle,
     TextSetOracle,
     build_tree,
 )
-from reference_impls import bfs_visit_order, dfs_visit_order, plain_scan
+from reference_impls import bfs_visit_order, dfs_visit_order, plain_scan, wave_scan
 
 from hatmem import (
     Cursor,
     LlmAgent,
     LlmOracle,
     Outcome,
-    ScriptedAgent,
-    SubstringOracle,
     TraversalAction as A,
     TraversalConfig,
     apply_action,
@@ -31,7 +34,7 @@ from hatmem import (
     fallback_context,
     traverse,
 )
-from hatmem import ConcatAggregator, HatTree, TruncateAggregator
+from hatmem import ConcatAggregator, HatTree, LlmClient, TruncateAggregator
 from hatmem.errors import (
     ActionParseError,
     ContractViolationError,
@@ -242,17 +245,74 @@ class TestSearches:
             config = TraversalConfig(step_budget=budget)
             for search, order in ((bfs_search, bfs_visit_order(sizes)),
                                   (dfs_search, dfs_visit_order(sizes, M))):
-                expected = plain_scan(order, lambda c: tree.node_at(*c).text,
-                                      lambda text: text in targets, budget)
+                text_at = lambda c: tree.node_at(*c).text  # noqa: E731
+                is_sufficient = lambda text: text in targets  # noqa: E731
+                expected = plain_scan(order, text_at, is_sufficient, budget)
                 oracle = TextSetOracle(targets)
                 result = search(tree, oracle, "q", config)
                 assert result.outcome.value == expected["outcome"]
                 assert result.text == expected["text"]
                 assert result.steps == expected["steps"]
                 assert [((c.layer, c.index), a.value) for c, a in result.path] == expected["path"]
-                assert oracle.calls == len(set(expected["consulted"]))
-                reused += len(expected["consulted"]) - oracle.calls
+                assert oracle.calls == len(wave_scan(order, text_at, is_sufficient, budget))
+                reused += len(expected["consulted"]) - len(set(expected["consulted"]))
         assert reused > 0  # the trees do repeat texts, so the reuse path ran
+
+    def test_wave_calls_stay_within_bound(self):
+        # n = texts a one-at-a-time scan asks; a wave scan asks at most
+        # min(2n - 1, n + 7), and exactly n when no text suffices.
+        rng = random.Random(20240611)
+        extra = 0
+        for _ in range(300):
+            M = rng.choice([2, 3, 4])
+            leaves = rng.randint(1, 60)
+            texts = [f"n{i} w{rng.randrange(6)}" for i in range(leaves)]
+            tree = build_tree(leaves, memory_length=M, texts=texts)
+            sizes = [tree.layer_size(k) for k in range(len(tree.layers))]
+            node_texts = [tree.node_at(k, i).text for k, i in bfs_visit_order(sizes)]
+            targets = set(rng.sample(node_texts, rng.randint(0, 2)))
+            config = TraversalConfig(step_budget=rng.randint(1, len(node_texts) + 2))
+            for search, order in ((bfs_search, bfs_visit_order(sizes)),
+                                  (dfs_search, dfs_visit_order(sizes, M))):
+                expected = plain_scan(order, lambda c: tree.node_at(*c).text,
+                                      lambda text: text in targets, config.step_budget)
+                n = len(set(expected["consulted"]))
+                oracle = TextSetOracle(targets)
+                result = search(tree, oracle, "q", config)
+                assert n <= oracle.calls <= min(2 * n - 1, n + 7)
+                if result.outcome is not Outcome.SUFFICIENT:
+                    assert oracle.calls == n
+                if result.steps == 1 and result.outcome is Outcome.SUFFICIENT:
+                    assert oracle.calls == 1
+                extra += oracle.calls - n
+        assert extra > 0  # some scans did ask behind their first YES
+
+    def test_wave_asks_are_in_flight_together(self):
+        # Wave 1 asks the root alone; the barrier then holds the two asks of
+        # wave 2, which pass only when both have started.
+        tree = build_tree(4)
+        for search in (bfs_search, dfs_search):
+            transport = BarrierTransport(parties=2, skip=1)
+            oracle = LlmOracle(LlmClient(transport, model="m", sleep=lambda _s: None))
+            result = search(tree, oracle, "zebra", TraversalConfig(step_budget=100))
+            assert result.outcome is Outcome.INSUFFICIENT
+            assert transport._mock.calls == 7
+
+    def test_failed_ask_in_a_wave_raises_and_leaves_no_thread(self):
+        # Truncate(2) gives BFS texts "a0 x", "a0 x", "a2 boom", then leaves,
+        # so the failing text is asked in wave 2, on the pool.
+        tree = HatTree(2, TruncateAggregator(budget=2))
+        for text in ("a0 x", "a1 x", "a2 boom", "a3 x"):
+            tree.insert_leaf(text)
+        assert tree.node_at(1, 1).text == "a2 boom"
+        transport = LoggingTransport(delay_s=0.001)
+        transport.fail_on = "boom"
+        oracle = LlmOracle(LlmClient(transport, model="m", sleep=lambda _s: None))
+        threads_before = threading.active_count()
+        for search in (bfs_search, dfs_search):
+            with pytest.raises(TraversalUnavailableError):
+                search(tree, oracle, "zebra", TraversalConfig(step_budget=100))
+            assert threading.active_count() == threads_before
 
     def test_empty_tree_rejected(self):
         tree = HatTree(2, ConcatAggregator())

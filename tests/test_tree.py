@@ -563,7 +563,7 @@ class TestPersistence:
                    HatTree(3, TruncateAggregator(5)).serialize(), V1_DOCUMENT]
         docs = [json.loads(source) for source in sources]
         pool = [None, True, 0, 1, -1, 2, 7, 0.0, 1.0, 2.5, "", "x", [], [1, 2], [[]], {},
-                {"a": 1}]
+                {"a": 1}, "../../../../tmp/x", "/tmp/x", "no_such_template"]
         rng = random.Random(20240610)
         for _ in range(3000):
             doc = json.loads(json.dumps(rng.choice(docs)))
