@@ -28,17 +28,14 @@ from .episodes import (
 )
 from .errors import (
     ActionParseError,
-    AggregationUnavailableError,
     ConfigurationError,
     ContractViolationError,
     DocumentParseError,
-    GenerationUnavailableError,
     HatError,
     InvalidParameterError,
     NotFoundError,
     ProtocolError,
     RemoteUnavailableError,
-    TraversalUnavailableError,
 )
 from .fixtures import planted_fact_episode, planted_fact_episodes
 from .llm import (

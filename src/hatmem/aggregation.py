@@ -11,12 +11,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from .errors import (
-    AggregationUnavailableError,
-    ContractViolationError,
-    InvalidParameterError,
-    RemoteUnavailableError,
-)
+from .errors import ContractViolationError, InvalidParameterError
 from .llm import ChatRequest
 from .metrics import tokenize
 from .prompts import render_messages, template_names
@@ -87,7 +82,8 @@ class LlmPersonaAggregator(Aggregator):
     """Summarizes children into persona notes via the chat client.
 
     A client is optional so that serialized trees can be loaded for
-    inspection without one; aggregation then fails until a client is bound.
+    inspection without one; aggregating without one is a
+    `ContractViolationError`, a caller's mistake rather than a remote failure.
     The other parameters, the template name among them, are checked here, so
     that a bad spec or tree document fails to load, not at its first call.
     """
@@ -121,18 +117,15 @@ class LlmPersonaAggregator(Aggregator):
     def aggregate(self, children_texts: list[str]) -> str:
         self._check(children_texts)
         if self.client is None:
-            raise AggregationUnavailableError("llm_persona aggregator has no chat client bound")
+            raise ContractViolationError("llm_persona aggregator has no chat client bound")
         request = ChatRequest(
             model=self.client.model,
             messages=persona_prompt(children_texts, self.template),
             temperature=self.temperature,
             max_tokens=self.max_tokens,
+            stage="aggregate",
         )
-        try:
-            reply = self.client.complete(request)
-        except RemoteUnavailableError as exc:
-            raise AggregationUnavailableError(f"persona aggregation failed: {exc}") from exc
-        return reply.content.strip()
+        return self.client.complete(request).content.strip()
 
 
 def aggregator_from_spec(kind: str, params: Optional[dict] = None, client=None) -> Aggregator:

@@ -41,7 +41,6 @@ class BenchOptions:
     memory_length: int = 3
     strategies: list[str] = field(default_factory=lambda: list(STRATEGIES))
     step_budget: int = 32
-    response_template: str = "response_v1"
 
     def __post_init__(self):
         unknown = [s for s in self.strategies if s not in STRATEGIES]
@@ -93,8 +92,7 @@ def run_bench(episodes: list[Episode], aggregator: Aggregator, client: LlmClient
         for name in options.strategies:
             context = build_context(state, query.text, name, gold=gold,
                                     oracle=oracle, agent=agent, config=config)
-            response = generate_response(context, query.text, client,
-                                         template=options.response_template)
+            response = generate_response(context, query.text, client)
             strategy_rows[name].append({
                 "episode_id": episode.episode_id,
                 "context": context,

@@ -3,7 +3,9 @@
 Subcommands: ingest (episodes file -> persisted trees and snapshots), bench
 (strategy comparison with metric tables), chat (line-oriented REPL), inspect
 (tree structure dump), metrics (score candidate/reference pairs). Exit
-codes: 0 success, 1 usage error, 2 data or config error, 3 remote error.
+codes: 0 success, 1 usage error, 2 data or config error, 3 remote error: a
+`RemoteUnavailableError` (retries exhausted; its message names the stage) or
+a `ProtocolError` (a reply the client cannot use).
 """
 
 from __future__ import annotations
@@ -17,16 +19,13 @@ from . import bench as bench_mod
 from .config import aggregator_from_config, load_config_file, setting
 from .episodes import DialogueTurn, load_episodes
 from .errors import (
-    AggregationUnavailableError,
     ConfigurationError,
     ContractViolationError,
     DocumentParseError,
-    GenerationUnavailableError,
     InvalidParameterError,
     NotFoundError,
     ProtocolError,
     RemoteUnavailableError,
-    TraversalUnavailableError,
 )
 from .llm import ENV_MODEL, live_client, mock_client
 from .metrics import score_pairs
@@ -41,8 +40,7 @@ EXIT_REMOTE = 3
 
 _DATA_ERRORS = (DocumentParseError, NotFoundError, InvalidParameterError,
                 ContractViolationError, ConfigurationError, OSError, ValueError)
-_REMOTE_ERRORS = (RemoteUnavailableError, ProtocolError, AggregationUnavailableError,
-                  TraversalUnavailableError, GenerationUnavailableError)
+_REMOTE_ERRORS = (RemoteUnavailableError, ProtocolError)
 
 
 class UsageError(Exception):

@@ -1,5 +1,9 @@
 """Exception types shared across the package."""
 
+from __future__ import annotations
+
+from typing import Optional
+
 
 class HatError(Exception):
     """Base class for every error raised by hatmem."""
@@ -26,23 +30,19 @@ class ConfigurationError(HatError):
 
 
 class RemoteUnavailableError(HatError):
-    """The chat endpoint kept failing after all retries."""
+    """The chat endpoint kept failing after all retries.
+
+    `stage` names the kind of call that failed (aggregate, agent, oracle or
+    generate) when the request said so, and is None otherwise.
+    """
+
+    def __init__(self, message: str, stage: Optional[str] = None):
+        super().__init__(message)
+        self.stage = stage
 
 
 class ProtocolError(HatError):
     """The chat endpoint replied with a body we cannot interpret."""
-
-
-class AggregationUnavailableError(HatError):
-    """Aggregation needed a remote reply that never arrived."""
-
-
-class TraversalUnavailableError(HatError):
-    """The traversal agent or oracle needed a remote reply that never arrived."""
-
-
-class GenerationUnavailableError(HatError):
-    """Response generation needed a remote reply that never arrived."""
 
 
 class ActionParseError(HatError):

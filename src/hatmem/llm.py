@@ -1,10 +1,14 @@
-"""Chat-completion client with retries plus a fully offline mock transport.
+"""Chat-completion client with retries, an HTTP transport on the standard
+library, and a fully offline mock transport.
 
 The wire shape is the common JSON one: POST {model, messages, temperature}
 and read choices[0].message.content back. The transport is injectable so
-every caller (aggregation, traversal agent, response generation) runs
-against either a live HTTP endpoint or the in-memory mock; nothing else in
-the package knows which.
+every caller (aggregation, traversal agent and oracle, response generation)
+runs against either a live HTTP endpoint or the in-memory mock; nothing else
+in the package knows which. A transport that gets no answer raises
+`OSError`; `LlmClient` retries that, 429 and 5xx (MAX_ATTEMPTS in all,
+backing off from BACKOFF_S), then raises one `RemoteUnavailableError` that
+names the request's stage.
 
 The mock is deterministic. It answers from an explicit fixture table keyed
 by a digest of the request messages, and falls back to a small heuristic
@@ -15,16 +19,18 @@ offline without canned transcripts.
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import os
 import re
 import threading
 import time
+import urllib.error
+import urllib.parse
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
-
-import requests
 
 from .errors import ConfigurationError, InvalidParameterError, ProtocolError, RemoteUnavailableError
 from .metrics import tokenize
@@ -34,6 +40,8 @@ ENV_API_KEY = "HATMEM_API_KEY"
 ENV_MODEL = "HATMEM_MODEL"
 # Most chat calls one batch has in flight at once.
 MAX_CONCURRENT_CALLS = 8
+MAX_ATTEMPTS = 3
+BACKOFF_S = 1.0
 
 _ROLES = ("system", "user", "assistant")
 
@@ -44,6 +52,7 @@ class ChatRequest:
     messages: list[dict]
     temperature: float = 0.0
     max_tokens: Optional[int] = None
+    stage: Optional[str] = None  # aggregate, agent, oracle or generate; never sent
 
     def validate(self) -> None:
         if not self.messages:
@@ -81,25 +90,42 @@ def request_digest(messages: list[dict]) -> str:
 
 
 class HttpTransport:
-    """Live JSON-over-HTTP backend."""
+    """Live JSON-over-HTTP backend on `urllib.request`, for http(s) URLs only.
+
+    Returns (status, body) for every status, the body parsed as JSON when it
+    is JSON and as text otherwise. No answer at all raises `OSError`: a
+    `URLError`, a timeout, or `ConnectionError` for a malformed response.
+    """
 
     def __init__(self, endpoint: str, api_key: str, timeout: float = 30.0):
+        parts = urllib.parse.urlsplit(endpoint)
+        if parts.scheme not in ("http", "https") or not parts.hostname:
+            raise ConfigurationError(f"endpoint must be an http:// or https:// URL, got {endpoint!r}")
         self.endpoint = endpoint
         self.api_key = api_key
         self.timeout = timeout
 
     def send(self, payload: dict):
-        response = requests.post(
+        request = urllib.request.Request(
             self.endpoint,
-            json=payload,
-            headers={"Authorization": f"Bearer {self.api_key}"},
-            timeout=self.timeout,
+            data=json.dumps(payload).encode("utf-8"),
+            headers={"Authorization": f"Bearer {self.api_key}",
+                     "Content-Type": "application/json"},
+            method="POST",
         )
         try:
-            body = response.json()
+            try:
+                with urllib.request.urlopen(request, timeout=self.timeout) as response:
+                    status, raw = response.status, response.read()
+            except urllib.error.HTTPError as error:
+                with error:
+                    status, raw = error.code, error.read()
+        except http.client.HTTPException as exc:
+            raise ConnectionError(f"malformed HTTP response: {exc!r}") from exc
+        try:
+            return status, json.loads(raw)
         except ValueError:
-            body = response.text
-        return response.status_code, body
+            return status, raw.decode("utf-8", errors="replace")
 
 
 class MockTransport:
@@ -135,34 +161,30 @@ class MockTransport:
 class LlmClient:
     """Retrying chat-completion client over an injectable transport.
 
-    Retries transport failures, 5xx, and 429 with exponential backoff
-    (1s base, doubling, 3 attempts total); other statuses and malformed
-    bodies fail immediately as protocol errors. Instances are shareable
-    across threads; retries are independent per request.
+    A transport failure (any `OSError`), 429 or 5xx is retried, MAX_ATTEMPTS
+    attempts in all, sleeping BACKOFF_S and then twice as long before each
+    further attempt; when the last one fails, `RemoteUnavailableError`
+    carries the request's stage. Other statuses and malformed bodies fail at
+    once as `ProtocolError`. Instances are shareable across threads; retries
+    are independent per request. `sleep` is injectable so that tests and
+    benchmarks need not wait out the backoff.
     """
 
-    def __init__(self, transport, model: str, max_attempts: int = 3,
-                 backoff_base: float = 1.0, backoff_factor: float = 2.0,
-                 sleep: Callable[[float], None] = time.sleep):
-        if max_attempts < 1:
-            raise InvalidParameterError("max_attempts must be >= 1")
+    def __init__(self, transport, model: str, sleep: Callable[[float], None] = time.sleep):
         self.transport = transport
         self.model = model
-        self.max_attempts = max_attempts
-        self.backoff_base = backoff_base
-        self.backoff_factor = backoff_factor
         self._sleep = sleep
 
     def complete(self, request: ChatRequest) -> ChatReply:
         request.validate()
         payload = request.payload()
         failure = "no attempt made"
-        for attempt in range(1, self.max_attempts + 1):
+        for attempt in range(1, MAX_ATTEMPTS + 1):
             if attempt > 1:
-                self._sleep(self.backoff_base * self.backoff_factor ** (attempt - 2))
+                self._sleep(BACKOFF_S * 2 ** (attempt - 2))
             try:
                 status, body = self.transport.send(payload)
-            except requests.RequestException as exc:
+            except OSError as exc:
                 failure = f"transport failure: {exc}"
                 continue
             if status == 429 or status >= 500:
@@ -180,7 +202,9 @@ class LlmClient:
                 raise ProtocolError("reply content is not a string")
             usage = body.get("usage") if isinstance(body.get("usage"), dict) else {}
             return ChatReply(content=content, usage=usage, attempts=attempt)
-        raise RemoteUnavailableError(f"gave up after {self.max_attempts} attempts ({failure})")
+        raise RemoteUnavailableError(
+            f"{request.stage or 'chat'} call gave up after {MAX_ATTEMPTS} attempts ({failure})",
+            stage=request.stage)
 
 
 def call_concurrently(call: Callable, items: list) -> list:

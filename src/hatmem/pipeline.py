@@ -7,12 +7,12 @@ it covers everything up to and including the session because the root
 aggregates all prior leaves.
 
 Ingesting a turn only appends its leaf. The tree aggregates the changed
-ancestors at the next read of internal text, so the aggregation cost, and an
-`AggregationUnavailableError` when the aggregator's endpoint fails, come from
-`end_session`, `build_context` with a hat_* strategy, and `serialize`. The
-tree sends one layer's chat aggregations at once, so with `llm_persona` an
-`end_session` costs about one endpoint round trip per tree layer, not one per
-aggregated node.
+ancestors at the next read of internal text, so the aggregation cost, and a
+`RemoteUnavailableError` with stage "aggregate" when the aggregator's endpoint
+fails, come from `end_session`, `build_context` with a hat_* strategy, and
+`serialize`. The tree sends one layer's chat aggregations at once, so with
+`llm_persona` an `end_session` costs about one endpoint round trip per tree
+layer, not one per aggregated node.
 """
 
 from __future__ import annotations
@@ -21,13 +21,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .episodes import DialogueTurn, Episode, SPEAKERS
-from .errors import (
-    ConfigurationError,
-    GenerationUnavailableError,
-    InvalidParameterError,
-    NotFoundError,
-    RemoteUnavailableError,
-)
+from .errors import ConfigurationError, InvalidParameterError, NotFoundError
 from .llm import ChatRequest
 from .prompts import render_messages
 from .traversal import (
@@ -127,14 +121,9 @@ def build_context(state: MemoryState, query: str, strategy: str, *,
     return fallback_context(tree)
 
 
-def generate_response(context: str, query: str, client, template: str = "response_v1",
-                      temperature: float = 0.0) -> str:
+def generate_response(context: str, query: str, client) -> str:
     """One assistant reply for the query, grounded in the context when present."""
     memory_block = f"MEMORY:\n{context}\n\n" if context else ""
-    messages = render_messages(template, memory_block=memory_block, query=query)
-    request = ChatRequest(model=client.model, messages=messages, temperature=temperature)
-    try:
-        reply = client.complete(request)
-    except RemoteUnavailableError as exc:
-        raise GenerationUnavailableError(f"response generation failed: {exc}") from exc
-    return reply.content.strip()
+    messages = render_messages("response_v1", memory_block=memory_block, query=query)
+    request = ChatRequest(model=client.model, messages=messages, stage="generate")
+    return client.complete(request).content.strip()

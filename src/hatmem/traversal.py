@@ -22,12 +22,7 @@ from enum import Enum
 from itertools import islice
 from typing import Optional
 
-from .errors import (
-    ActionParseError,
-    InvalidParameterError,
-    RemoteUnavailableError,
-    TraversalUnavailableError,
-)
+from .errors import ActionParseError, InvalidParameterError
 from .llm import MAX_CONCURRENT_CALLS, ChatRequest, call_concurrently
 from .prompts import render_messages
 from .tree import HatTree
@@ -217,15 +212,16 @@ _ACTION_TOKEN = re.compile(r"\b(up|down|left|right|start|accept|reject)\b", re.I
 
 _CLARIFY = ("That was not a valid action. Reply with exactly one of: "
             "UP, DOWN, LEFT, RIGHT, START, ACCEPT, REJECT.")
+MAX_PARSE_RETRIES = 2
 
 
-def llm_agent_prompt(node_text: str, query: str, path,
-                     template: str = "traversal_agent_v1") -> list[dict]:
+def llm_agent_prompt(node_text: str, query: str, path) -> list[dict]:
     if path:
         summary = "; ".join(f"({c.layer},{c.index}) {a.name}" for c, a in path)
     else:
         summary = "none yet"
-    return render_messages(template, query=query, node_text=node_text, path_summary=summary)
+    return render_messages("traversal_agent_v1", query=query, node_text=node_text,
+                           path_summary=summary)
 
 
 def parse_action(reply: str) -> TraversalAction:
@@ -240,26 +236,18 @@ class LlmAgent:
     """Chat-model traversal policy.
 
     Unparseable replies are retried with a clarifying turn up to
-    `max_parse_retries` times, then treated as Accept so the walk
+    MAX_PARSE_RETRIES times, then treated as Accept so the walk
     ends with whatever context the cursor is on.
     """
 
-    def __init__(self, client, template: str = "traversal_agent_v1",
-                 temperature: float = 0.0, max_parse_retries: int = 2):
+    def __init__(self, client):
         self.client = client
-        self.template = template
-        self.temperature = temperature
-        self.max_parse_retries = max_parse_retries
 
     def propose_action(self, node_text: str, query: str, visited_path) -> TraversalAction:
-        messages = llm_agent_prompt(node_text, query, visited_path, self.template)
-        for _ in range(self.max_parse_retries + 1):
-            request = ChatRequest(model=self.client.model, messages=messages,
-                                  temperature=self.temperature)
-            try:
-                reply = self.client.complete(request)
-            except RemoteUnavailableError as exc:
-                raise TraversalUnavailableError(f"traversal agent call failed: {exc}") from exc
+        messages = llm_agent_prompt(node_text, query, visited_path)
+        for _ in range(MAX_PARSE_RETRIES + 1):
+            request = ChatRequest(model=self.client.model, messages=messages, stage="agent")
+            reply = self.client.complete(request)
             try:
                 return parse_action(reply.content)
             except ActionParseError:
@@ -278,18 +266,12 @@ class LlmOracle:
     Safe to call from several threads when its client is, as `LlmClient` is.
     """
 
-    def __init__(self, client, template: str = "sufficiency_v1", temperature: float = 0.0):
+    def __init__(self, client):
         self.client = client
-        self.template = template
-        self.temperature = temperature
 
     def sufficient(self, node_text: str, query: str) -> bool:
-        messages = render_messages(self.template, query=query, passage=node_text)
-        request = ChatRequest(model=self.client.model, messages=messages,
-                              temperature=self.temperature)
-        try:
-            reply = self.client.complete(request)
-        except RemoteUnavailableError as exc:
-            raise TraversalUnavailableError(f"sufficiency call failed: {exc}") from exc
+        messages = render_messages("sufficiency_v1", query=query, passage=node_text)
+        request = ChatRequest(model=self.client.model, messages=messages, stage="oracle")
+        reply = self.client.complete(request)
         match = re.search(r"\b(yes|no)\b", reply.content, re.IGNORECASE)
         return bool(match) and match.group(1).lower() == "yes"

@@ -2,15 +2,16 @@
 
 from __future__ import annotations
 
+import json
 import random
 import threading
 import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
-import requests
 
 from hatmem import ChatReply, ConcatAggregator, HatTree, MockTransport, TraversalAction
-from hatmem.errors import AggregationUnavailableError, ContractViolationError, InvalidParameterError
+from hatmem.errors import ContractViolationError, InvalidParameterError, RemoteUnavailableError
 
 
 def build_tree(n: int, memory_length: int = 2, separator: str = " | ",
@@ -34,7 +35,7 @@ class FailingAggregator(ConcatAggregator):
         if self.armed:
             self.calls += 1
             if self.calls > self.fail_after:
-                raise AggregationUnavailableError("injected aggregation failure")
+                raise RemoteUnavailableError("injected aggregation failure")
         return super().aggregate(children_texts)
 
 
@@ -104,7 +105,7 @@ class LoggingTransport:
         start = self._tick()
         time.sleep(self.delay_s)
         if self.fail_on is not None and self.fail_on in prompt:
-            raise requests.ConnectionError("injected connection failure")
+            raise ConnectionError("injected connection failure")
         status, body = self._mock.send(payload)
         reply = body["choices"][0]["message"]["content"]
         record = {"prompt": prompt, "reply": reply, "start": start, "end": self._tick()}
@@ -220,6 +221,70 @@ class ScriptedClient:
         if not self.replies:
             raise AssertionError("ScriptedClient ran out of replies")
         return ChatReply(content=self.replies.pop(0))
+
+
+class DownTransport:
+    """Every call is refused with HTTP 503, so a real client gives up."""
+
+    def send(self, payload):
+        return 503, "unavailable"
+
+
+class _ChatHandler(BaseHTTPRequestHandler):
+    def do_POST(self):
+        server = self.server
+        payload = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        with server.lock:
+            server.seen.append((dict(self.headers), payload))
+            status, body = server.script.pop(0) if server.script else server.fallback(payload)
+        time.sleep(server.delay_s)
+        data = (body if isinstance(body, str) else json.dumps(body)).encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, format, *args):
+        pass
+
+
+class ChatServer(ThreadingHTTPServer):
+    """A chat endpoint on a loopback port.
+
+    Requests get the `script` replies in order, (status, body) each with a
+    str body sent as is and anything else as JSON; after that `fallback`
+    answers, by default with the mock transport's replies. Every reply waits
+    `delay_s` first. `seen` holds the headers and JSON payload of each
+    request. Closing the server waits for every request it has taken.
+    """
+
+    daemon_threads = False
+
+    def __init__(self):
+        super().__init__(("127.0.0.1", 0), _ChatHandler)
+        self.url = f"http://127.0.0.1:{self.server_port}/v1/chat/completions"
+        self.script = []
+        self.fallback = MockTransport().send
+        self.delay_s = 0.0
+        self.seen = []
+        self.lock = threading.Lock()
+
+    def handle_error(self, request, client_address):
+        pass  # a client that timed out has closed its socket
+
+
+@pytest.fixture
+def chat_server():
+    server = ChatServer()
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01})
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
 
 
 @pytest.fixture

@@ -22,12 +22,12 @@ from hatmem import (
 )
 from hatmem.config import aggregator_from_config
 from hatmem.errors import (
-    AggregationUnavailableError,
     ConfigurationError,
     ContractViolationError,
     DocumentParseError,
     InvalidParameterError,
     NotFoundError,
+    RemoteUnavailableError,
 )
 from hatmem.metrics import tokenize
 from hatmem.prompts import load_template, split_messages, template_names
@@ -144,18 +144,18 @@ class TestLlmPersona:
         client = ScriptedClient([])
 
         def failing_complete(request):
-            from hatmem.errors import RemoteUnavailableError
             raise RemoteUnavailableError("endpoint down")
 
         client.complete = failing_complete
         tree = HatTree(2, LlmPersonaAggregator(client))
-        with pytest.raises(AggregationUnavailableError):
+        with pytest.raises(RemoteUnavailableError):
             tree.insert_leaf("first turn")
         assert tree.leaf_count == 0
         assert tree.layers == []
 
     def test_no_client_bound(self):
-        with pytest.raises(AggregationUnavailableError):
+        # A caller's mistake, not a remote failure: no endpoint was asked.
+        with pytest.raises(ContractViolationError):
             LlmPersonaAggregator().aggregate(["text"])
 
 

@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import os
+import socket
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import pytest
-import requests
 
-from hatmem import ChatRequest, LlmClient, MockTransport, mock_client, request_digest
+import hatmem
+from hatmem import ChatRequest, HttpTransport, LlmClient, MockTransport, mock_client, request_digest
 from hatmem.errors import (
     ConfigurationError,
     InvalidParameterError,
@@ -65,7 +69,7 @@ class TestValidation:
 
     def test_payload_wire_shape(self):
         request = ChatRequest(model="m", messages=[{"role": "user", "content": "hi"}],
-                              temperature=0.25)
+                              temperature=0.25, stage="oracle")
         assert request.payload() == {
             "model": "m",
             "messages": [{"role": "user", "content": "hi"}],
@@ -89,14 +93,24 @@ class TestRetries:
         assert sleeps == [1.0]
 
     def test_transport_error_then_success(self):
-        client, _ = make_client([requests.ConnectionError("refused"), (200, ok_body("ok"))])
+        client, _ = make_client([ConnectionError("refused"), (200, ok_body("ok"))])
         assert client.complete(simple_request()).content == "ok"
 
     def test_exhausted_retries(self):
         client, sleeps = make_client([(500, {}), (500, {}), (500, {})])
-        with pytest.raises(RemoteUnavailableError):
+        with pytest.raises(RemoteUnavailableError) as failure:
             client.complete(simple_request())
         assert sleeps == [1.0, 2.0]
+        assert failure.value.stage is None
+
+    def test_exhausted_retries_name_the_stage(self):
+        client, _ = make_client([(500, {}), OSError("reset"), (503, {})])
+        request = simple_request()
+        request.stage = "generate"
+        with pytest.raises(RemoteUnavailableError, match="generate call gave up") as failure:
+            client.complete(request)
+        assert failure.value.stage == "generate"
+        assert RemoteUnavailableError("no stage given").stage is None
 
     def test_non_retryable_rejection(self):
         client, sleeps = make_client([(400, {"error": "bad"})])
@@ -128,6 +142,94 @@ class TestLiveConfig:
         client = live_client(env=env)
         assert client.model == "gpt-test"
         assert client.transport.endpoint == "http://x/v1/chat"
+
+
+class TestHttpTransport:
+    """`LlmClient` over the real transport, against a loopback server."""
+
+    def client(self, url, timeout=5.0):
+        sleeps = []
+        client = LlmClient(HttpTransport(url, "secret-key", timeout=timeout), model="m",
+                           sleep=sleeps.append)
+        return client, sleeps
+
+    def test_ok_sends_bearer_key_and_json_payload(self, chat_server):
+        chat_server.script = [(200, ok_body("hello back"))]
+        client, sleeps = self.client(chat_server.url)
+        request = simple_request()
+        request.stage = "generate"
+        reply = client.complete(request)
+        assert (reply.content, reply.attempts, reply.usage) == ("hello back", 1, {"total_tokens": 5})
+        ((headers, payload),) = chat_server.seen
+        assert headers["Authorization"] == "Bearer secret-key"
+        assert headers["Content-Type"] == "application/json"
+        assert payload == request.payload()
+        assert sleeps == []
+
+    def test_429_then_503_then_ok(self, chat_server):
+        chat_server.script = [(429, {"error": "slow down"}), (503, "busy"), (200, ok_body("ok"))]
+        client, sleeps = self.client(chat_server.url)
+        reply = client.complete(simple_request())
+        assert (reply.content, reply.attempts) == ("ok", 3)
+        assert sleeps == [1.0, 2.0]
+        assert len(chat_server.seen) == 3
+
+    def test_400_is_protocol_error_after_one_request(self, chat_server):
+        chat_server.script = [(400, {"error": "bad"}), (400, {"error": "bad"})]
+        client, sleeps = self.client(chat_server.url)
+        assert client.transport.send({"x": 1}) == (400, {"error": "bad"})
+        with pytest.raises(ProtocolError, match="HTTP 400"):
+            client.complete(simple_request())
+        assert len(chat_server.seen) == 2 and sleeps == []
+
+    def test_non_json_body(self, chat_server):
+        chat_server.script = [(200, "<html>oops</html>")]
+        client, _ = self.client(chat_server.url)
+        assert client.transport.send({}) == (200, "<html>oops</html>")
+        chat_server.script = [(200, "<html>oops</html>")]
+        with pytest.raises(ProtocolError, match="not JSON"):
+            client.complete(simple_request())
+
+    def test_missing_choices(self, chat_server):
+        chat_server.script = [(200, {"usage": {}})]
+        client, _ = self.client(chat_server.url)
+        with pytest.raises(ProtocolError, match="choices"):
+            client.complete(simple_request())
+        assert len(chat_server.seen) == 1
+
+    def test_read_timeout_is_retried_then_unavailable(self, chat_server):
+        chat_server.delay_s = 0.3
+        client, sleeps = self.client(chat_server.url, timeout=0.2)
+        request = simple_request()
+        request.stage = "oracle"
+        with pytest.raises(RemoteUnavailableError, match="transport failure") as failure:
+            client.complete(request)
+        assert failure.value.stage == "oracle"
+        assert len(chat_server.seen) == 3 and sleeps == [1.0, 2.0]
+
+    def test_refused_port(self):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        client, sleeps = self.client(f"http://127.0.0.1:{port}/v1/chat", timeout=1.0)
+        with pytest.raises(RemoteUnavailableError, match="transport failure"):
+            client.complete(simple_request())
+        assert sleeps == [1.0, 2.0]
+
+    def test_only_http_and_https_endpoints(self):
+        for endpoint in ("file:///tmp/reply.json", "ftp://example.com/chat", "notaurl", "",
+                         "http://", "https:///v1/chat"):
+            with pytest.raises(ConfigurationError):
+                HttpTransport(endpoint, "k")
+        HttpTransport("https://example.com/v1/chat", "k")
+
+
+def test_importing_the_package_leaves_requests_unloaded():
+    code = "import sys, hatmem, hatmem.cli; print('requests' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(hatmem.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    assert result.stdout.strip() == "False"
 
 
 class TestMock:

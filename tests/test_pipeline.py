@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from conftest import (
+    DownTransport,
     FailingAggregator,
     ScriptedAgent,
     ScriptedClient,
@@ -17,6 +18,7 @@ from hatmem import (
     ChatReply,
     ConcatAggregator,
     DialogueTurn,
+    LlmClient,
     LlmPersonaAggregator,
     TraversalAction as A,
     TraversalConfig,
@@ -31,9 +33,7 @@ from hatmem import (
     run_bench,
 )
 from hatmem.errors import (
-    AggregationUnavailableError,
     ConfigurationError,
-    GenerationUnavailableError,
     InvalidParameterError,
     NotFoundError,
     RemoteUnavailableError,
@@ -119,7 +119,7 @@ class TestEndSession:
         state = new_memory(2, agg)
         for i in range(3):
             ingest_turn(state, turn("user", f"turn {i}", index=i))
-        with pytest.raises(AggregationUnavailableError):
+        with pytest.raises(RemoteUnavailableError):
             end_session(state, 1)
         assert state.session_snapshots == {}
         agg.armed = False
@@ -248,8 +248,14 @@ class TestGenerateResponse:
             def complete(self, request):
                 raise RemoteUnavailableError("dead")
 
-        with pytest.raises(GenerationUnavailableError):
+        with pytest.raises(RemoteUnavailableError):
             generate_response("ctx", "q", DownClient())
+
+    def test_exhausted_retries_name_the_generate_stage(self):
+        client = LlmClient(DownTransport(), model="m", sleep=lambda _s: None)
+        with pytest.raises(RemoteUnavailableError, match="generate call") as failure:
+            generate_response("ctx", "q", client)
+        assert failure.value.stage == "generate"
 
 
 class TestRunBench:

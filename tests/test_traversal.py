@@ -11,6 +11,7 @@ from conftest import (
     BarrierTransport,
     ConstOracle,
     CountingAgent,
+    DownTransport,
     LoggingTransport,
     OracleAgent,
     ScriptedAgent,
@@ -40,7 +41,6 @@ from hatmem.errors import (
     ContractViolationError,
     InvalidParameterError,
     RemoteUnavailableError,
-    TraversalUnavailableError,
 )
 from hatmem.traversal import llm_agent_prompt, parse_action
 
@@ -310,8 +310,9 @@ class TestSearches:
         oracle = LlmOracle(LlmClient(transport, model="m", sleep=lambda _s: None))
         threads_before = threading.active_count()
         for search in (bfs_search, dfs_search):
-            with pytest.raises(TraversalUnavailableError):
+            with pytest.raises(RemoteUnavailableError) as failure:
                 search(tree, oracle, "zebra", TraversalConfig(step_budget=100))
+            assert failure.value.stage == "oracle"
             assert threading.active_count() == threads_before
 
     def test_empty_tree_rejected(self):
@@ -383,8 +384,14 @@ class TestLlmAgent:
             def complete(self, request):
                 raise RemoteUnavailableError("gone")
 
-        with pytest.raises(TraversalUnavailableError):
+        with pytest.raises(RemoteUnavailableError):
             LlmAgent(DownClient()).propose_action("text", "query", [])
+
+    def test_exhausted_retries_name_the_agent_stage(self):
+        client = LlmClient(DownTransport(), model="m", sleep=lambda _s: None)
+        with pytest.raises(RemoteUnavailableError, match="agent call") as failure:
+            LlmAgent(client).propose_action("text", "query", [])
+        assert failure.value.stage == "agent"
 
 
 class TestLlmOracle:
@@ -405,7 +412,7 @@ class TestLlmOracle:
             def complete(self, request):
                 raise RemoteUnavailableError("gone")
 
-        with pytest.raises(TraversalUnavailableError):
+        with pytest.raises(RemoteUnavailableError):
             LlmOracle(DownClient()).sufficient("text", "query")
 
 

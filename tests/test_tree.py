@@ -32,10 +32,10 @@ from hatmem import (
     mock_client,
 )
 from hatmem.errors import (
-    AggregationUnavailableError,
     DocumentParseError,
     InvalidParameterError,
     NotFoundError,
+    RemoteUnavailableError,
 )
 
 
@@ -283,7 +283,7 @@ class TestFailedFlush:
                 assert tree.layers[2][4].text is None
                 before = raw_state(tree)
                 agg.fail_after = agg.calls + fail_at
-                with pytest.raises(AggregationUnavailableError):
+                with pytest.raises(RemoteUnavailableError):
                     getattr(tree, read)()
                 assert raw_state(tree) == before
                 agg.armed = False
@@ -298,7 +298,7 @@ class TestFailedFlush:
         before = raw_state(tree)
         layers = [list(row) for row in tree.layers]
         agg.fail_after = agg.calls
-        with pytest.raises(AggregationUnavailableError):
+        with pytest.raises(RemoteUnavailableError):
             tree.insert_leaf("boom")
         assert raw_state(tree) == before
         assert tree.layers == layers and tree.leaf_count == 14
@@ -347,8 +347,9 @@ class TestLayerParallelFlush:
                 tree.append_leaf(text)
             before = raw_state(tree)
             transport.fail_on = fail_on
-            with pytest.raises(AggregationUnavailableError):
+            with pytest.raises(RemoteUnavailableError) as failure:
                 tree.flush()
+            assert failure.value.stage == "aggregate"
             assert raw_state(tree) == before
             transport.fail_on = None
             returned = len(transport.calls)
@@ -401,7 +402,7 @@ class TestAtomicity:
         snapshot = tree.serialize()
         count = tree.agg_call_count
         agg.fail_after = agg.calls  # next aggregation fails
-        with pytest.raises(AggregationUnavailableError):
+        with pytest.raises(RemoteUnavailableError):
             tree.insert_leaf("boom")
         assert tree.serialize() == snapshot
         assert tree.agg_call_count == count
@@ -414,7 +415,7 @@ class TestAtomicity:
         assert tree.leaf_count == tree.memory_length ** tree.depth()
         snapshot = tree.serialize()
         agg.fail_after = agg.calls
-        with pytest.raises(AggregationUnavailableError):
+        with pytest.raises(RemoteUnavailableError):
             tree.insert_leaf("boom")
         assert tree.serialize() == snapshot
         assert tree.depth() == 2
@@ -428,7 +429,7 @@ class TestAtomicity:
             tree.insert_leaf(f"t{i}")
         snapshot = tree.serialize()
         agg.fail_after = agg.calls + 1
-        with pytest.raises(AggregationUnavailableError):
+        with pytest.raises(RemoteUnavailableError):
             tree.insert_leaf("boom")
         assert tree.serialize() == snapshot
 
@@ -438,7 +439,7 @@ class TestAtomicity:
         for i in range(3):
             tree.insert_leaf(f"t{i}")
         agg.fail_after = agg.calls
-        with pytest.raises(AggregationUnavailableError):
+        with pytest.raises(RemoteUnavailableError):
             tree.insert_leaf("t3")
         agg.armed = False
         tree.insert_leaf("t3")
