@@ -74,7 +74,8 @@ def run_bench(episodes: list[Episode], aggregator: Aggregator, client: LlmClient
     if not episodes:
         raise InvalidParameterError("no episodes to benchmark")
     config = TraversalConfig(step_budget=options.step_budget)
-    oracle = LlmOracle(client)
+    # One oracle per strategy: no strategy is scored on another's remembered verdicts.
+    oracles = {name: LlmOracle(client) for name in options.strategies}
     agent = LlmAgent(client)
 
     episode_rows = []
@@ -91,7 +92,7 @@ def run_bench(episodes: list[Episode], aggregator: Aggregator, client: LlmClient
         })
         for name in options.strategies:
             context = build_context(state, query.text, name, gold=gold,
-                                    oracle=oracle, agent=agent, config=config)
+                                    oracle=oracles[name], agent=agent, config=config)
             response = generate_response(context, query.text, client)
             strategy_rows[name].append({
                 "episode_id": episode.episode_id,

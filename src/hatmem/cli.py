@@ -4,8 +4,8 @@ Subcommands: ingest (episodes file -> persisted trees and snapshots), bench
 (strategy comparison with metric tables), chat (line-oriented REPL), inspect
 (tree structure dump), metrics (score candidate/reference pairs). Exit
 codes: 0 success, 1 usage error, 2 data or config error, 3 remote error: a
-`RemoteUnavailableError` (retries exhausted; its message names the stage) or
-a `ProtocolError` (a reply the client cannot use).
+`RemoteUnavailableError` (retries exhausted) or a `ProtocolError` (a reply
+the client cannot use); either message names the stage of the failed call.
 """
 
 from __future__ import annotations
@@ -84,8 +84,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("input", help="episodes file, one JSON episode per line")
     run.add_argument("--strategy", action="append", default=None, choices=list(STRATEGIES),
                      help="strategy to run (repeatable; default all)")
-    run.add_argument("--agent", choices=["llm"], default="llm",
-                     help="traversal agent for hat_agent")
     run.add_argument("--budget", type=int, default=None, help="traversal step budget")
     run.add_argument("--require-session", type=int, default=None,
                      help="drop episodes that never reach this session number")

@@ -29,19 +29,20 @@ class ConfigurationError(HatError):
     """Required configuration (credentials, gold data, ...) is missing."""
 
 
-class RemoteUnavailableError(HatError):
-    """The chat endpoint kept failing after all retries.
-
-    `stage` names the kind of call that failed (aggregate, agent, oracle or
-    generate) when the request said so, and is None otherwise.
-    """
+class _StagedError(HatError):
+    """A failed chat call; `stage` names the kind of call (aggregate, agent,
+    oracle or generate) when the request said so, and is None otherwise."""
 
     def __init__(self, message: str, stage: Optional[str] = None):
         super().__init__(message)
         self.stage = stage
 
 
-class ProtocolError(HatError):
+class RemoteUnavailableError(_StagedError):
+    """The chat endpoint kept failing after all retries."""
+
+
+class ProtocolError(_StagedError):
     """The chat endpoint replied with a body we cannot interpret."""
 
 

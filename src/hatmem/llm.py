@@ -165,9 +165,9 @@ class LlmClient:
     attempts in all, sleeping BACKOFF_S and then twice as long before each
     further attempt; when the last one fails, `RemoteUnavailableError`
     carries the request's stage. Other statuses and malformed bodies fail at
-    once as `ProtocolError`. Instances are shareable across threads; retries
-    are independent per request. `sleep` is injectable so that tests and
-    benchmarks need not wait out the backoff.
+    once as `ProtocolError`, which carries the stage too. Instances are
+    shareable across threads; retries are independent per request. `sleep`
+    is injectable so that tests and benchmarks need not wait out the backoff.
     """
 
     def __init__(self, transport, model: str, sleep: Callable[[float], None] = time.sleep):
@@ -178,6 +178,7 @@ class LlmClient:
     def complete(self, request: ChatRequest) -> ChatReply:
         request.validate()
         payload = request.payload()
+        stage = request.stage or "chat"
         failure = "no attempt made"
         for attempt in range(1, MAX_ATTEMPTS + 1):
             if attempt > 1:
@@ -191,20 +192,20 @@ class LlmClient:
                 failure = f"HTTP {status}"
                 continue
             if status != 200:
-                raise ProtocolError(f"request rejected with HTTP {status}")
+                raise ProtocolError(f"{stage} request rejected with HTTP {status}", stage=request.stage)
             if not isinstance(body, dict):
-                raise ProtocolError("response body is not JSON")
+                raise ProtocolError(f"{stage} response body is not JSON", stage=request.stage)
             try:
                 content = body["choices"][0]["message"]["content"]
             except (KeyError, IndexError, TypeError):
-                raise ProtocolError("response body missing choices[0].message.content") from None
+                raise ProtocolError(f"{stage} response body missing choices[0].message.content",
+                                    stage=request.stage) from None
             if not isinstance(content, str):
-                raise ProtocolError("reply content is not a string")
+                raise ProtocolError(f"{stage} reply content is not a string", stage=request.stage)
             usage = body.get("usage") if isinstance(body.get("usage"), dict) else {}
             return ChatReply(content=content, usage=usage, attempts=attempt)
         raise RemoteUnavailableError(
-            f"{request.stage or 'chat'} call gave up after {MAX_ATTEMPTS} attempts ({failure})",
-            stage=request.stage)
+            f"{stage} call gave up after {MAX_ATTEMPTS} attempts ({failure})", stage=request.stage)
 
 
 def call_concurrently(call: Callable, items: list) -> list:

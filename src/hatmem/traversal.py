@@ -12,11 +12,21 @@ upcoming texts at once, in waves of 1, 2, 4, then 8, and reads the verdicts
 in order; its result is that of asking one node at a time. The oracle must
 therefore be safe to call from several threads, as `LlmOracle` is. Each
 visited node costs one step, and all walks stop after `step_budget` steps.
+
+`LlmOracle` and `LlmAgent` each remember their last MEMO_ENTRIES decisions
+across walks, so a question one of them has already answered costs no chat
+call. A decision is filed under a fixed-size digest of its question, so the
+memo's size does not grow with the texts it has seen. The memo assumes that
+the endpoint answers an identical temperature-0 request the same way every
+time.
 """
 
 from __future__ import annotations
 
+import hashlib
 import re
+import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
@@ -206,6 +216,49 @@ def fallback_context(tree: HatTree) -> str:
     return tree.root_text() + "\n" + leaves[-1].text
 
 
+# ------------------------------------------------------------------- memo
+
+# Decisions each LlmAgent and LlmOracle remembers, least recently used first out.
+MEMO_ENTRIES = 4096
+
+
+class _DecisionMemo:
+    """Thread-safe least-recently-used map from a question to its decision.
+
+    A question is a tuple of strings, filed under their SHA-256 digest, so
+    an entry costs the same whatever the length of the texts. A call that
+    raises stores nothing. Two threads that miss on the same question at once
+    both ask it.
+    """
+
+    def __init__(self):
+        self._decisions: OrderedDict[bytes, object] = OrderedDict()
+        self._lock = threading.Lock()
+
+    def __len__(self) -> int:
+        return len(self._decisions)
+
+    def decide(self, question: tuple[str, ...], ask):
+        """The remembered decision on `question`, or `ask()`'s, remembered."""
+        digest = hashlib.sha256()
+        for part in question:
+            data = part.encode()
+            digest.update(len(data).to_bytes(8, "little"))
+            digest.update(data)
+        key = digest.digest()
+        with self._lock:
+            if key in self._decisions:
+                self._decisions.move_to_end(key)
+                return self._decisions[key]
+        decision = ask()
+        with self._lock:
+            self._decisions[key] = decision
+            self._decisions.move_to_end(key)
+            while len(self._decisions) > MEMO_ENTRIES:
+                self._decisions.popitem(last=False)
+        return decision
+
+
 # ------------------------------------------------------------------- agents
 
 _ACTION_TOKEN = re.compile(r"\b(up|down|left|right|start|accept|reject)\b", re.IGNORECASE)
@@ -215,13 +268,15 @@ _CLARIFY = ("That was not a valid action. Reply with exactly one of: "
 MAX_PARSE_RETRIES = 2
 
 
+def _path_summary(path) -> str:
+    if not path:
+        return "none yet"
+    return "; ".join(f"({c.layer},{c.index}) {a.name}" for c, a in path)
+
+
 def llm_agent_prompt(node_text: str, query: str, path) -> list[dict]:
-    if path:
-        summary = "; ".join(f"({c.layer},{c.index}) {a.name}" for c, a in path)
-    else:
-        summary = "none yet"
     return render_messages("traversal_agent_v1", query=query, node_text=node_text,
-                           path_summary=summary)
+                           path_summary=_path_summary(path))
 
 
 def parse_action(reply: str) -> TraversalAction:
@@ -238,13 +293,26 @@ class LlmAgent:
     Unparseable replies are retried with a clarifying turn up to
     MAX_PARSE_RETRIES times, then treated as Accept so the walk
     ends with whatever context the cursor is on.
+
+    The agent remembers the action it chose for its last MEMO_ENTRIES
+    (node text, query, path) questions and answers a repeat without a
+    request. This assumes that the endpoint answers an identical
+    temperature-0 request the same way every time. A call that raised is
+    not remembered, so the next walk asks again.
     """
 
     def __init__(self, client):
         self.client = client
+        self._memo = _DecisionMemo()
 
     def propose_action(self, node_text: str, query: str, visited_path) -> TraversalAction:
-        messages = llm_agent_prompt(node_text, query, visited_path)
+        summary = _path_summary(visited_path)
+        return self._memo.decide((node_text, query, summary),
+                                 lambda: self._ask(node_text, query, summary))
+
+    def _ask(self, node_text: str, query: str, path_summary: str) -> TraversalAction:
+        messages = render_messages("traversal_agent_v1", query=query, node_text=node_text,
+                                   path_summary=path_summary)
         for _ in range(MAX_PARSE_RETRIES + 1):
             request = ChatRequest(model=self.client.model, messages=messages, stage="agent")
             reply = self.client.complete(request)
@@ -264,12 +332,21 @@ class LlmOracle:
     """YES/NO sufficiency judgment from the chat model; unparseable means NO.
 
     Safe to call from several threads when its client is, as `LlmClient` is.
+    The oracle remembers the verdicts on its last MEMO_ENTRIES (passage,
+    query) questions and answers a repeat without a request. This assumes
+    that the endpoint answers an identical temperature-0 request the same way
+    every time. A call that raised is not remembered, so the next walk asks
+    again.
     """
 
     def __init__(self, client):
         self.client = client
+        self._memo = _DecisionMemo()
 
     def sufficient(self, node_text: str, query: str) -> bool:
+        return self._memo.decide((node_text, query), lambda: self._ask(node_text, query))
+
+    def _ask(self, node_text: str, query: str) -> bool:
         messages = render_messages("sufficiency_v1", query=query, passage=node_text)
         request = ChatRequest(model=self.client.model, messages=messages, stage="oracle")
         reply = self.client.complete(request)

@@ -224,10 +224,20 @@ class ScriptedClient:
 
 
 class DownTransport:
-    """Every call is refused with HTTP 503, so a real client gives up."""
+    """Every call is refused with HTTP 503 while `down` is set, so a real
+    client gives up; once `down` is cleared it answers as the mock. `calls`
+    counts every request, refused or answered."""
+
+    def __init__(self):
+        self._mock = MockTransport()
+        self.down = True
+        self.calls = 0
 
     def send(self, payload):
-        return 503, "unavailable"
+        self.calls += 1
+        if self.down:
+            return 503, "unavailable"
+        return self._mock.send(payload)
 
 
 class _ChatHandler(BaseHTTPRequestHandler):

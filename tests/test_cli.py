@@ -52,6 +52,13 @@ class TestExitCodes:
         assert "agent call gave up after 3 attempts" in capsys.readouterr().err
         assert len(chat_server.seen) == 6
 
+    def test_rejected_request_exits_3_and_names_the_stage(self, chat_server, episodes_file, capsys):
+        chat_server.fallback = lambda payload: (400, {"error": "bad request"})
+        assert main(["bench", episodes_file, "--strategy", "hat_bfs",
+                     *live_flags(chat_server)]) == EXIT_REMOTE
+        assert "oracle request rejected with HTTP 400" in capsys.readouterr().err
+        assert len(chat_server.seen) == 1
+
     def test_bad_data_and_config_exit_2(self, tmp_path, episodes_file, capsys):
         not_json = tmp_path / "config.json"
         not_json.write_text("{endpoint: nowhere", encoding="utf-8")
@@ -72,6 +79,7 @@ class TestExitCodes:
 
     def test_unknown_flag_exits_1(self, episodes_file):
         assert main(["bench", episodes_file, "--mock", "--no-such-flag"]) == EXIT_USAGE
+        assert main(["bench", episodes_file, "--mock", "--agent", "llm"]) == EXIT_USAGE
 
 
 class TestInspect:

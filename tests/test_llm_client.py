@@ -125,8 +125,9 @@ class TestRetries:
 
     def test_missing_choices(self):
         client, _ = make_client([(200, {"usage": {}})])
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ProtocolError, match="chat response") as failure:
             client.complete(simple_request())
+        assert failure.value.stage is None
 
 
 class TestLiveConfig:
@@ -178,8 +179,12 @@ class TestHttpTransport:
         chat_server.script = [(400, {"error": "bad"}), (400, {"error": "bad"})]
         client, sleeps = self.client(chat_server.url)
         assert client.transport.send({"x": 1}) == (400, {"error": "bad"})
-        with pytest.raises(ProtocolError, match="HTTP 400"):
-            client.complete(simple_request())
+        request = simple_request()
+        request.stage = "aggregate"
+        with pytest.raises(ProtocolError, match="HTTP 400") as failure:
+            client.complete(request)
+        assert failure.value.stage == "aggregate"
+        assert "aggregate request" in str(failure.value)
         assert len(chat_server.seen) == 2 and sleeps == []
 
     def test_non_json_body(self, chat_server):
@@ -187,14 +192,22 @@ class TestHttpTransport:
         client, _ = self.client(chat_server.url)
         assert client.transport.send({}) == (200, "<html>oops</html>")
         chat_server.script = [(200, "<html>oops</html>")]
-        with pytest.raises(ProtocolError, match="not JSON"):
-            client.complete(simple_request())
+        request = simple_request()
+        request.stage = "generate"
+        with pytest.raises(ProtocolError, match="not JSON") as failure:
+            client.complete(request)
+        assert failure.value.stage == "generate"
+        assert "generate response" in str(failure.value)
 
     def test_missing_choices(self, chat_server):
         chat_server.script = [(200, {"usage": {}})]
         client, _ = self.client(chat_server.url)
-        with pytest.raises(ProtocolError, match="choices"):
-            client.complete(simple_request())
+        request = simple_request()
+        request.stage = "oracle"
+        with pytest.raises(ProtocolError, match="choices") as failure:
+            client.complete(request)
+        assert failure.value.stage == "oracle"
+        assert "oracle response" in str(failure.value)
         assert len(chat_server.seen) == 1
 
     def test_read_timeout_is_retried_then_unavailable(self, chat_server):

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import gc
 import random
+import sys
 import threading
+import tracemalloc
+import weakref
 
 import pytest
 
@@ -35,7 +39,15 @@ from hatmem import (
     fallback_context,
     traverse,
 )
-from hatmem import ConcatAggregator, HatTree, LlmClient, TruncateAggregator
+from hatmem import (
+    ConcatAggregator,
+    HatTree,
+    LlmClient,
+    LlmPersonaAggregator,
+    MockTransport,
+    TruncateAggregator,
+    mock_client,
+)
 from hatmem.errors import (
     ActionParseError,
     ContractViolationError,
@@ -414,6 +426,192 @@ class TestLlmOracle:
 
         with pytest.raises(RemoteUnavailableError):
             LlmOracle(DownClient()).sufficient("text", "query")
+
+
+class ClippingTransport:
+    """Mock replies cut to the request's `max_tokens` words, as a model's would be."""
+
+    def __init__(self):
+        self._mock = MockTransport()
+
+    def send(self, payload):
+        status, body = self._mock.send(payload)
+        if payload.get("max_tokens") is not None:
+            message = body["choices"][0]["message"]
+            message["content"] = " ".join(message["content"].split()[:payload["max_tokens"]])
+        return status, body
+
+
+class KeyRecorder:
+    """Passes asks to a decider and adds each ask's memo key to `keys`."""
+
+    def __init__(self, decider, keys: set):
+        self.decider = decider
+        self.keys = keys
+
+    def sufficient(self, node_text, query):
+        self.keys.add(("oracle", node_text, query))
+        return self.decider.sufficient(node_text, query)
+
+    def propose_action(self, node_text, query, visited_path):
+        self.keys.add(("agent", node_text, query, tuple(visited_path)))
+        return self.decider.propose_action(node_text, query, visited_path)
+
+
+class TestDecisionMemo:
+    def test_long_lived_deciders_match_fresh_ones(self):
+        # A conversation that grows between walks and asks the same
+        # questions again: one long-lived oracle and agent give the results
+        # of a fresh decider per walk, for one request per distinct key.
+        rng = random.Random(20240612)
+        words = [f"w{i}" for i in range(6)]
+        repeats = 0
+        for trial in range(60):
+            if trial % 2:
+                aggregator = TruncateAggregator(budget=rng.choice([1, 2, 3]))
+            else:
+                aggregator = LlmPersonaAggregator(LlmClient(ClippingTransport(), model="m"),
+                                                  max_tokens=rng.choice([2, 4, 6]))
+            tree = HatTree(rng.choice([2, 3]), aggregator)
+            questions = [" ".join(rng.sample(words, rng.randint(1, 2))) for _ in range(3)]
+            oracle, agent = LlmOracle(mock_client()), LlmAgent(mock_client())
+            keys: set = set()
+            fresh_calls = 0
+            for _ in range(rng.randint(4, 12)):
+                for _ in range(rng.randint(1, 3)):
+                    tree.insert_leaf(" ".join(rng.choice(words) for _ in range(rng.randint(1, 3))))
+                query = rng.choice(questions)
+                config = TraversalConfig(step_budget=rng.randint(1, 20))
+                for walk, fresh, kept in ((bfs_search, LlmOracle, oracle),
+                                          (dfs_search, LlmOracle, oracle),
+                                          (traverse, LlmAgent, agent)):
+                    client = mock_client()
+                    expected = walk(tree, KeyRecorder(fresh(client), keys), query, config)
+                    fresh_calls += client.transport.calls
+                    assert walk(tree, kept, query, config) == expected
+            kept_calls = oracle.client.transport.calls + agent.client.transport.calls
+            assert kept_calls == len(keys)
+            repeats += fresh_calls - kept_calls
+        assert repeats > 0  # the questions did repeat, so the memo answered some
+
+    def test_memo_keeps_the_newest_entries(self, monkeypatch):
+        monkeypatch.setattr("hatmem.traversal.MEMO_ENTRIES", 3)
+        oracle, agent = LlmOracle(mock_client()), LlmAgent(mock_client())
+        for client, ask in ((oracle.client, lambda i: oracle.sufficient(f"passage {i}", "q")),
+                            (agent.client, lambda i: agent.propose_action(f"node {i}", "q", []))):
+            for i in range(4):
+                ask(i)
+            assert client.transport.calls == 4
+            ask(3)
+            assert client.transport.calls == 4
+            ask(0)
+            assert client.transport.calls == 5
+
+    def test_failed_ask_is_not_remembered(self):
+        transport = DownTransport()
+        client = LlmClient(transport, model="m", sleep=lambda _s: None)
+        oracle, agent = LlmOracle(client), LlmAgent(client)
+        for ask, answer in ((lambda: oracle.sufficient("w1 w2", "w1"), True),
+                            (lambda: agent.propose_action("w1 w2", "w3", []), A.DOWN)):
+            transport.down = True
+            before = transport.calls
+            with pytest.raises(RemoteUnavailableError):
+                ask()
+            assert transport.calls == before + 3
+            transport.down = False
+            assert ask() == answer
+            assert transport.calls == before + 4
+            assert ask() == answer
+            assert transport.calls == before + 4
+
+    def test_wave_asks_are_in_flight_together_behind_a_memo_hit(self):
+        # The oracle already judged the root, so wave 1 sends nothing; the
+        # barrier then holds the two asks of wave 2 until both have started.
+        tree = build_tree(4)
+        for search in (bfs_search, dfs_search):
+            client = mock_client()
+            oracle = LlmOracle(client)
+            assert oracle.sufficient(tree.root_text(), "zebra") is False
+            client.transport = BarrierTransport(parties=2)
+            result = search(tree, oracle, "zebra", TraversalConfig(step_budget=100))
+            assert result.outcome is Outcome.INSUFFICIENT
+            assert client.transport._mock.calls == 6
+
+    def test_dropped_decider_frees_its_memo_without_a_collection(self):
+        # A chat loop makes new deciders per conversation; a memo that kept
+        # its decider in a reference cycle would live until a full collection.
+        client = mock_client()
+        oracle, agent = LlmOracle(client), LlmAgent(client)
+        oracle.sufficient("w1", "w1")
+        agent.propose_action("w1", "w1", [])
+        refs = [weakref.ref(oracle), weakref.ref(agent),
+                weakref.ref(oracle._memo), weakref.ref(agent._memo)]
+        gc.disable()
+        try:
+            del oracle, agent
+            assert [ref() for ref in refs] == [None] * 4
+        finally:
+            gc.enable()
+
+    def test_memo_size_does_not_grow_with_node_texts(self):
+        # Under concat the upper nodes' texts grow with the conversation and
+        # change every turn, so a memo that kept the texts it was asked about
+        # would grow with the square of the turn count. Each entry must cost
+        # the same whatever the length of its texts.
+        tree = HatTree(3, ConcatAggregator())
+        LlmOracle(mock_client()).sufficient("warm", "up")
+        LlmAgent(mock_client()).propose_action("warm", "up", [])
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            oracle, agent = LlmOracle(mock_client()), LlmAgent(mock_client())
+            config = TraversalConfig(step_budget=8)
+            seen = 0
+            for turn in range(40):
+                tree.insert_leaf(f"turn {turn} " + "filler words " * 80)
+                query = f"w{turn % 3}"
+                for walk, decider in ((bfs_search, oracle), (dfs_search, oracle),
+                                      (traverse, agent)):
+                    walk(tree, decider, query, config)
+                seen += len(tree.root_text())
+            del tree
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        entries = len(oracle._memo) + len(agent._memo)
+        assert entries > 40
+        assert seen > 500_000
+        assert retained < 64 * 1024 + 256 * entries
+
+    def test_memo_stays_coherent_under_concurrent_asks(self, monkeypatch):
+        # More threads than cores asking overlapping questions through a
+        # small memo, so that entries are evicted while others are read.
+        monkeypatch.setattr("hatmem.traversal.MEMO_ENTRIES", 8)
+        oracle = LlmOracle(mock_client())
+        passages = [f"w{i} w{i + 1}" for i in range(32)]
+        wrong = []
+
+        def ask_many(seed):
+            rng = random.Random(seed)
+            for _ in range(300):
+                passage = rng.choice(passages)
+                if oracle.sufficient(passage, "w5") != ("w5" in passage.split()):
+                    wrong.append(passage)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=ask_many, args=(seed,)) for seed in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert oracle.client.transport.calls < 8 * 300
 
 
 class TestConfig:
