@@ -46,7 +46,6 @@ from .llm import (
     MockTransport,
     live_client,
     mock_client,
-    request_digest,
 )
 from .metrics import MetricReport, bleu_n, distinct_n, f1, score_pairs, tokenize
 from .pipeline import (

@@ -179,15 +179,15 @@ def cmd_chat(args) -> int:
         text = line.strip()
         if not text:
             continue
-        ingest_turn(state, DialogueTurn(speaker="user", text=text, session=1, turn_index=turn_index))
-        turn_index += 1
-        context = build_context(state, text, args.strategy,
-                                oracle=oracle, agent=agent, config=config)
+        # Retrieve before storing, so that a walk never finds the message itself.
+        context = build_context(state, text, args.strategy, oracle=oracle, agent=agent,
+                                config=config) if state.tree.layers else ""
         reply = generate_response(context, text, client)
         print(f"assistant: {reply}")
-        ingest_turn(state, DialogueTurn(speaker="assistant", text=reply,
-                                        session=1, turn_index=turn_index))
-        turn_index += 1
+        for speaker, said in (("user", text), ("assistant", reply)):
+            ingest_turn(state, DialogueTurn(speaker=speaker, text=said,
+                                            session=1, turn_index=turn_index))
+            turn_index += 1
     return EXIT_OK
 
 

@@ -10,24 +10,21 @@ in the package knows which. A transport that gets no answer raises
 backing off from BACKOFF_S), then raises one `RemoteUnavailableError` that
 names the request's stage.
 
-The mock is deterministic. It answers from an explicit fixture table keyed
-by a digest of the request messages, and falls back to a small heuristic
-that understands this package's own prompt layouts, so end-to-end runs work
-offline without canned transcripts.
+The mock is deterministic: a small heuristic that understands this
+package's own prompt layouts answers every request, so end-to-end runs work
+offline without canned transcripts. Only `HttpTransport.send` loads the
+HTTP stack (`http.client`, `urllib.request`, and through them `ssl` and
+`email`), so importing the package or building a client does not.
 """
 
 from __future__ import annotations
 
-import hashlib
-import http.client
 import json
 import os
 import re
 import threading
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -83,12 +80,6 @@ class ChatReply:
     attempts: int = 1
 
 
-def request_digest(messages: list[dict]) -> str:
-    """Stable digest of a message list; the mock fixture table keys on this."""
-    canonical = json.dumps(messages, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
-
-
 class HttpTransport:
     """Live JSON-over-HTTP backend on `urllib.request`, for http(s) URLs only.
 
@@ -106,6 +97,10 @@ class HttpTransport:
         self.timeout = timeout
 
     def send(self, payload: dict):
+        import http.client
+        import urllib.error
+        import urllib.request
+
         request = urllib.request.Request(
             self.endpoint,
             data=json.dumps(payload).encode("utf-8"),
@@ -129,14 +124,13 @@ class HttpTransport:
 
 
 class MockTransport:
-    """Offline backend; see `heuristic_reply` for the fallback behavior.
+    """Offline backend answering with `heuristic_reply`.
 
     Safe to share across threads: a tree flush or a BFS/DFS scan calls it
     from several at once.
     """
 
-    def __init__(self, fixtures: Optional[dict] = None):
-        self.fixtures = dict(fixtures or {})
+    def __init__(self):
         self.calls = 0
         self._calls_lock = threading.Lock()
 
@@ -144,9 +138,7 @@ class MockTransport:
         with self._calls_lock:
             self.calls += 1
         messages = payload.get("messages") or []
-        content = self.fixtures.get(request_digest(messages))
-        if content is None:
-            content = heuristic_reply(messages)
+        content = heuristic_reply(messages)
         prompt_tokens = sum(len(tokenize(m.get("content", ""))) for m in messages)
         body = {
             "choices": [{"message": {"role": "assistant", "content": content}}],
@@ -237,8 +229,8 @@ def live_client(endpoint: Optional[str] = None, api_key: Optional[str] = None,
     return LlmClient(HttpTransport(endpoint, api_key, timeout), model=model)
 
 
-def mock_client(fixtures: Optional[dict] = None, model: str = "mock-chat") -> LlmClient:
-    return LlmClient(MockTransport(fixtures), model=model, sleep=lambda _s: None)
+def mock_client(model: str = "mock-chat") -> LlmClient:
+    return LlmClient(MockTransport(), model=model, sleep=lambda _s: None)
 
 
 # --------------------------------------------------------------- mock replies

@@ -199,9 +199,11 @@ class HatTree:
     # ------------------------------------------------------------ persistence
 
     def serialize(self) -> str:
-        """Stable JSON document; identical trees serialize byte-identically.
+        """Stable compact JSON document; identical trees serialize byte-identically.
 
         Flushes first, so a document never holds a stale internal text.
+        Keys are sorted and nothing is indented, which lets CPython's C
+        encoder do the work; `deserialize` also reads indented documents.
         """
         self.flush()
         doc = {
@@ -212,7 +214,7 @@ class HatTree:
             "layers": [[{"text": node.text, "meta": node.meta} for node in row]
                        for row in self.layers],
         }
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
     @classmethod
     def deserialize(cls, document: str, aggregator=None) -> "HatTree":

@@ -18,7 +18,6 @@ from hatmem import (
     aggregator_from_spec,
     mock_client,
     persona_prompt,
-    request_digest,
 )
 from hatmem.config import aggregator_from_config
 from hatmem.errors import (
@@ -129,11 +128,12 @@ class TestPersonaPrompt:
 
 
 class TestLlmPersona:
-    def test_mock_fixture_keyed_by_digest(self):
-        messages = persona_prompt(["fact one", "fact two"])
-        fixtures = {request_digest(messages): "  merged persona  "}
-        agg = LlmPersonaAggregator(mock_client(fixtures))
+    def test_scripted_reply_is_stripped(self):
+        client = ScriptedClient(["  merged persona  "])
+        agg = LlmPersonaAggregator(client)
         assert agg.aggregate(["fact one", "fact two"]) == "merged persona"
+        (request,) = client.requests
+        assert request.messages == persona_prompt(["fact one", "fact two"])
 
     def test_mock_heuristic_preserves_text(self):
         agg = LlmPersonaAggregator(mock_client())

@@ -47,10 +47,21 @@ class TestExitCodes:
         assert main(["bench", episodes_file, "--strategy", "hat_bfs",
                      *live_flags(chat_server)]) == EXIT_REMOTE
         assert "oracle call gave up after 3 attempts" in capsys.readouterr().err
+        # A first message has no memory to walk, so its first call is the reply.
         monkeypatch.setattr("sys.stdin", io.StringIO("hello\n"))
         assert main(["chat", *live_flags(chat_server)]) == EXIT_REMOTE
-        assert "agent call gave up after 3 attempts" in capsys.readouterr().err
+        assert "generate call gave up after 3 attempts" in capsys.readouterr().err
         assert len(chat_server.seen) == 6
+        mock = llm.MockTransport()
+        chat_server.fallback = lambda payload: (
+            (503, "busy") if "Reply with exactly one action token." in
+            payload["messages"][-1]["content"] else mock.send(payload))
+        monkeypatch.setattr("sys.stdin", io.StringIO("hello\nhello again\n"))
+        assert main(["chat", *live_flags(chat_server)]) == EXIT_REMOTE
+        captured = capsys.readouterr()
+        assert "agent call gave up after 3 attempts" in captured.err
+        assert captured.out.count("assistant: ") == 1
+        assert len(chat_server.seen) == 10
 
     def test_rejected_request_exits_3_and_names_the_stage(self, chat_server, episodes_file, capsys):
         chat_server.fallback = lambda payload: (400, {"error": "bad request"})
@@ -80,6 +91,21 @@ class TestExitCodes:
     def test_unknown_flag_exits_1(self, episodes_file):
         assert main(["bench", episodes_file, "--mock", "--no-such-flag"]) == EXIT_USAGE
         assert main(["bench", episodes_file, "--mock", "--agent", "llm"]) == EXIT_USAGE
+
+
+class TestChat:
+    @pytest.mark.parametrize("strategy", ["all_context", "part_context", "hat_bfs", "hat_dfs",
+                                          "hat_agent"])
+    def test_walk_never_finds_the_message_it_answers(self, strategy, monkeypatch, capsys):
+        messages = ["My cat nickname is zorimu.", "What is my dog nickname?",
+                    "What is my cat nickname?"]
+        monkeypatch.setattr("sys.stdin", io.StringIO("".join(m + "\n" for m in messages)))
+        assert main(["chat", "--mock", "--strategy", strategy]) == EXIT_OK
+        replies = [line.removeprefix("assistant: ") for line in capsys.readouterr().out.splitlines()]
+        assert len(replies) == len(messages)
+        assert replies[0] == "I do not have that in my notes."
+        assert all(reply != message for reply, message in zip(replies, messages))
+        assert "zorimu" in replies[2]
 
 
 class TestInspect:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import hatmem
-from hatmem import ChatRequest, HttpTransport, LlmClient, MockTransport, mock_client, request_digest
+from hatmem import ChatRequest, HttpTransport, LlmClient, MockTransport, mock_client
 from hatmem.errors import (
     ConfigurationError,
     InvalidParameterError,
@@ -80,6 +80,11 @@ class TestValidation:
 
 
 class TestRetries:
+    def test_success_on_first_attempt(self):
+        client, sleeps = make_client([(200, ok_body("fixed"))])
+        reply = client.complete(simple_request())
+        assert (reply.content, reply.attempts, sleeps) == ("fixed", 1, [])
+
     def test_two_429s_then_success(self):
         client, sleeps = make_client([(429, {}), (429, {}), (200, ok_body("done"))])
         reply = client.complete(simple_request())
@@ -245,13 +250,17 @@ def test_importing_the_package_leaves_requests_unloaded():
     assert result.stdout.strip() == "False"
 
 
+def test_importing_and_building_a_live_client_leave_the_http_stack_unloaded():
+    code = ("import sys, hatmem, hatmem.cli\n"
+            "hatmem.live_client('https://example.com/v1/chat', 'k', 'm')\n"
+            "print(sorted({'http.client', 'urllib.request', 'ssl', 'email'} & set(sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(hatmem.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    assert result.stdout.strip() == "[]"
+
+
 class TestMock:
-    def test_fixture_reply_by_digest(self):
-        messages = [{"role": "user", "content": "anything"}]
-        client = mock_client({request_digest(messages): "fixed"})
-        reply = client.complete(ChatRequest(model="mock-chat", messages=messages))
-        assert reply.content == "fixed"
-        assert reply.attempts == 1
 
     def test_deterministic_replies(self):
         messages = [{"role": "user", "content": "tell me something"}]

@@ -561,7 +561,8 @@ class TestPersistence:
         for i in range(5):
             persona.insert_leaf(f"persona turn {i}", meta={"session": 1})
         sources = [build_tree(7).serialize(), persona.serialize(),
-                   HatTree(3, TruncateAggregator(5)).serialize(), V1_DOCUMENT]
+                   HatTree(3, TruncateAggregator(5)).serialize(), V1_DOCUMENT,
+                   INDENTED_V2_DOCUMENT]
         docs = [json.loads(source) for source in sources]
         pool = [None, True, 0, 1, -1, 2, 7, 0.0, 1.0, 2.5, "", "x", [], [1, 2], [[]], {},
                 {"a": 1}, "../../../../tmp/x", "/tmp/x", "no_such_template"]
@@ -581,6 +582,19 @@ class TestPersistence:
             assert json.loads(document)["version"] == 2
             assert all(type(v) is int for v in _integer_fields(json.loads(document)))
             assert HatTree.deserialize(document).serialize() == document
+
+    def test_document_is_compact_sorted_json(self, rng):
+        persona = HatTree(3, LlmPersonaAggregator(mock_client(), max_tokens=8))
+        for i in range(4):
+            persona.append_leaf(f"persona turn {i}", meta={"session": 1, "turn_index": i})
+        trees = [HatTree(2, ConcatAggregator()), persona,
+                 HatTree.deserialize(INDENTED_V2_DOCUMENT), HatTree.deserialize(V1_DOCUMENT)]
+        trees += [build_tree(rng.randint(1, 30), memory_length=rng.choice([2, 3, 5]))
+                  for _ in range(5)]
+        for tree in trees:
+            document = tree.serialize()
+            assert document == json.dumps(json.loads(document), sort_keys=True,
+                                          separators=(",", ":")) + "\n"
 
     def test_insertion_resumes_after_roundtrip(self):
         for M, n in ((2, 5), (3, 13)):
@@ -672,6 +686,103 @@ class TestVersionOneDocument:
             rebuilt.insert_leaf(text, meta=leaf.meta)
         rebuilt.insert_leaf("user: one more turn here")
         assert tree.serialize() == rebuilt.serialize()
+
+
+# Written by the indented version-2 format: M=3, concat(" | "), 5 leaves
+# with meta, one of them with non-ASCII text.
+INDENTED_V2_DOCUMENT = r"""{
+  "aggregator": {
+    "kind": "concat",
+    "params": {
+      "separator": " | "
+    }
+  },
+  "format": "hat-tree",
+  "layers": [
+    [
+      {
+        "meta": null,
+        "text": "user: I bake rye bread | assistant: Rye needs a long proof | user: My oven is a cr\u00e8me br\u00fbl\u00e9e torch | assistant: That sounds risky | user: I live in Z\u00fcrich"
+      }
+    ],
+    [
+      {
+        "meta": null,
+        "text": "user: I bake rye bread | assistant: Rye needs a long proof | user: My oven is a cr\u00e8me br\u00fbl\u00e9e torch"
+      },
+      {
+        "meta": null,
+        "text": "assistant: That sounds risky | user: I live in Z\u00fcrich"
+      }
+    ],
+    [
+      {
+        "meta": {
+          "session": 1,
+          "speaker": "user",
+          "turn_index": 0
+        },
+        "text": "user: I bake rye bread"
+      },
+      {
+        "meta": {
+          "session": 1,
+          "speaker": "assistant",
+          "turn_index": 1
+        },
+        "text": "assistant: Rye needs a long proof"
+      },
+      {
+        "meta": {
+          "session": 1,
+          "speaker": "user",
+          "turn_index": 2
+        },
+        "text": "user: My oven is a cr\u00e8me br\u00fbl\u00e9e torch"
+      },
+      {
+        "meta": {
+          "session": 2,
+          "speaker": "assistant",
+          "turn_index": 0
+        },
+        "text": "assistant: That sounds risky"
+      },
+      {
+        "meta": {
+          "session": 2,
+          "speaker": "user",
+          "turn_index": 1
+        },
+        "text": "user: I live in Z\u00fcrich"
+      }
+    ]
+  ],
+  "memory_length": 3,
+  "version": 2
+}
+"""
+
+
+class TestIndentedVersionTwoDocument:
+    def test_loads_with_texts_and_meta(self):
+        doc = json.loads(INDENTED_V2_DOCUMENT)
+        tree = HatTree.deserialize(INDENTED_V2_DOCUMENT)
+        assert (tree.memory_length, tree.aggregator.spec()) == (3, doc["aggregator"])
+        assert texts_by_position(tree) == [[entry["text"] for entry in row] for row in doc["layers"]]
+        assert [node.meta for row in tree.layers for node in row] == \
+            [entry["meta"] for row in doc["layers"] for entry in row]
+        assert tree.agg_call_count == 0
+
+    def test_reserializes_compact_as_a_rebuilt_tree(self):
+        tree = HatTree.deserialize(INDENTED_V2_DOCUMENT)
+        rebuilt = HatTree(3, ConcatAggregator(" | "))
+        for leaf in json.loads(INDENTED_V2_DOCUMENT)["layers"][-1]:
+            rebuilt.append_leaf(leaf["text"], meta=leaf["meta"])
+        document = tree.serialize()
+        assert document == rebuilt.serialize()
+        assert document == json.dumps(json.loads(INDENTED_V2_DOCUMENT), sort_keys=True,
+                                      separators=(",", ":")) + "\n"
 
 
 class TestFlushMatchesFullRecompute:
