@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from . import bench as bench_mod
-from .config import aggregator_from_config, load_config_file, setting
+from .config import aggregator_from_config, int_setting, load_config_file, setting
 from .episodes import DialogueTurn, load_episodes
 from .errors import (
     ConfigurationError,
@@ -117,9 +117,12 @@ def _client(args, file_config):
     )
 
 
-def _tree_options(args, file_config):
-    memory_length = setting(args.memory_length, None, file_config, "memory_length", 3)
-    return int(memory_length)
+def _memory_length(args, file_config) -> int:
+    return int_setting(args.memory_length, file_config, "memory_length", 3)
+
+
+def _step_budget(args, file_config) -> int:
+    return int_setting(args.budget, file_config, "budget", 32)
 
 
 def cmd_ingest(args) -> int:
@@ -129,11 +132,12 @@ def cmd_ingest(args) -> int:
     kind = spec.get("kind") if isinstance(spec, dict) else spec
     client = _client(args, file_config) if kind == "llm_persona" else None
     aggregator = aggregator_from_config(args.aggregator, file_config, client=client)
+    memory_length = _memory_length(args, file_config)
     episodes = load_episodes(args.input, require_session=args.require_session)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for episode in sorted(episodes, key=lambda e: e.episode_id):
-        state = ingest_episode(episode, _tree_options(args, file_config), aggregator)
+        state = ingest_episode(episode, memory_length, aggregator)
         (out_dir / f"{episode.episode_id}.tree.json").write_text(
             state.tree.serialize(), encoding="utf-8")
         snapshots = {
@@ -154,9 +158,9 @@ def cmd_bench(args) -> int:
     aggregator = aggregator_from_config(args.aggregator, file_config, client=client)
     episodes = load_episodes(args.input, require_session=args.require_session)
     options = bench_mod.BenchOptions(
-        memory_length=_tree_options(args, file_config),
+        memory_length=_memory_length(args, file_config),
         strategies=args.strategy or list(STRATEGIES),
-        step_budget=int(setting(args.budget, None, file_config, "budget", 32)),
+        step_budget=_step_budget(args, file_config),
     )
     report = bench_mod.run_bench(episodes, aggregator, client, options)
     sys.stdout.write(bench_mod.render_table(report))
@@ -170,8 +174,8 @@ def cmd_chat(args) -> int:
     file_config = load_config_file(args.config)
     client = _client(args, file_config)
     aggregator = aggregator_from_config(args.aggregator, file_config, client=client)
-    state = new_memory(_tree_options(args, file_config), aggregator)
-    config = TraversalConfig(step_budget=int(setting(args.budget, None, file_config, "budget", 32)))
+    state = new_memory(_memory_length(args, file_config), aggregator)
+    config = TraversalConfig(step_budget=_step_budget(args, file_config))
     oracle = LlmOracle(client)
     agent = LlmAgent(client)
     turn_index = 0

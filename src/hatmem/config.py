@@ -2,8 +2,10 @@
 
 Settings resolve as CLI flag > environment variable > config file > default.
 The config file is JSON with flat keys: endpoint, api_key, model,
-memory_length, aggregator (kind string or {kind, params}), budget, strategy,
-separator, truncate_budget.
+memory_length, aggregator (kind string or {kind, params}), budget, strategy.
+Aggregator parameters go only in the nested form, for example
+{"aggregator": {"kind": "truncate", "params": {"budget": 16}}}; a file that
+still holds the removed flat keys separator or truncate_budget is refused.
 """
 
 from __future__ import annotations
@@ -14,6 +16,9 @@ from typing import Optional
 
 from .aggregation import Aggregator, aggregator_from_spec
 from .errors import ConfigurationError, InvalidParameterError
+
+# Removed flat keys: each one's aggregator kind and parameter name.
+_REMOVED_KEYS = {"separator": ("concat", "separator"), "truncate_budget": ("truncate", "budget")}
 
 
 def load_config_file(path: Optional[str]) -> dict:
@@ -28,6 +33,11 @@ def load_config_file(path: Optional[str]) -> dict:
         raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigurationError(f"config file {path} must hold a JSON object")
+    for key, (kind, param) in _REMOVED_KEYS.items():
+        if key in config:
+            nested = json.dumps({"aggregator": {"kind": kind, "params": {param: config[key]}}})
+            raise ConfigurationError(f"config file {path}: the key {key!r} is no longer read; "
+                                     f"write {nested} instead")
     return config
 
 
@@ -42,6 +52,14 @@ def setting(cli_value, env_key: Optional[str], file_config: dict, file_key: str,
     return default
 
 
+def int_setting(cli_value, file_config: dict, file_key: str, default: int) -> int:
+    """A whole-number setting; a config file value must be a JSON integer, not a bool."""
+    value = setting(cli_value, None, file_config, file_key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigurationError(f"config key {file_key!r} must be an integer, got {json.dumps(value)}")
+    return value
+
+
 def aggregator_from_config(kind: Optional[str], file_config: dict, client=None) -> Aggregator:
     """Aggregator from the resolved kind plus kind-specific file settings."""
     spec = setting(kind, None, file_config, "aggregator", "concat")
@@ -51,10 +69,6 @@ def aggregator_from_config(kind: Optional[str], file_config: dict, client=None) 
     else:
         resolved_kind = spec
         params = {}
-        if resolved_kind == "concat" and "separator" in file_config:
-            params["separator"] = file_config["separator"]
-        if resolved_kind == "truncate" and "truncate_budget" in file_config:
-            params["budget"] = file_config["truncate_budget"]
     try:
         return aggregator_from_spec(resolved_kind, params, client=client)
     except InvalidParameterError as exc:

@@ -126,8 +126,8 @@ class HttpTransport:
 class MockTransport:
     """Offline backend answering with `heuristic_reply`.
 
-    Safe to share across threads: a tree flush or a BFS/DFS scan calls it
-    from several at once.
+    Safe to share across threads: a tree flush, a BFS/DFS scan and an agent
+    walk's descent call it from several at once.
     """
 
     def __init__(self):

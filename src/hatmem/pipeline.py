@@ -13,6 +13,13 @@ fails, come from `end_session`, `build_context` with a hat_* strategy, and
 `serialize`. The tree sends one layer's chat aggregations at once, so with
 `llm_persona` an `end_session` costs about one endpoint round trip per tree
 layer, not one per aggregated node.
+
+A hat_* walk asks its first question alone and then asks ahead, so it costs
+fewer round trips than steps: a BFS/DFS scan asks the root, then waves of up
+to 8 texts; an agent walk whose root answer is DOWN asks the whole DOWN chain
+below the root, up to 8 nodes, in one round trip. A walk that the root's
+answer ends costs one call, and no walk asks more than 7 questions beyond
+those of asking one node at a time.
 """
 
 from __future__ import annotations

@@ -7,11 +7,16 @@ never crash a walk, and a no-op move ends the walk as INSUFFICIENT: the agent
 would be shown the same node for the same query again. Besides the
 agent-driven walk there are breadth-first and depth-first scans that judge
 every node with a sufficiency oracle, asking it once per distinct node text.
-A scan's order is fixed in advance, so it asks the oracle about several
-upcoming texts at once, in waves of 1, 2, 4, then 8, and reads the verdicts
-in order; its result is that of asking one node at a time. The oracle must
-therefore be safe to call from several threads, as `LlmOracle` is. Each
-visited node costs one step, and all walks stop after `step_budget` steps.
+Each visited node costs one step, and all walks stop after `step_budget` steps.
+
+Every walk asks its first question alone and then asks ahead: a scan asks
+about the next MAX_CONCURRENT_CALLS upcoming texts at once, and an agent walk
+whose root answer is DOWN asks about every node of the DOWN chain below the
+root at once. A walk reads those answers in order and drops the ones it does
+not reach, errors included, so its result is that of asking one node at a
+time, for at most MAX_CONCURRENT_CALLS - 1 (7) questions more. The oracle and
+the agent must therefore be safe to call from several threads, as
+`LlmOracle` and `LlmAgent` are.
 
 `LlmOracle` and `LlmAgent` each remember their last MEMO_ENTRIES decisions
 across walks, so a question one of them has already answered costs no chat
@@ -108,21 +113,58 @@ def apply_action(tree: HatTree, cursor: Cursor, action: TraversalAction) -> Curs
     return Cursor(cursor.layer, cursor.index + 1)
 
 
+def _ask_ahead(ask, items) -> list:
+    """`[ask(item) for item in items]`, concurrently, with each failure kept as
+    its exception in the item's place, so that only a walk that reads it raises.
+
+    Returns once every call has returned, retries included.
+    """
+    def attempt(item):
+        try:
+            return ask(item)
+        except Exception as error:
+            return error
+    return call_concurrently(attempt, items)
+
+
+def _read(answer):
+    if isinstance(answer, Exception):
+        raise answer
+    return answer
+
+
 def traverse(tree: HatTree, agent, query: str, config: Optional[TraversalConfig] = None) -> TraversalResult:
     """Agent-driven walk from the root; every agent consultation costs one step.
 
     A move that leaves the cursor where it is ends the walk as INSUFFICIENT,
     with that move as the last entry of the path.
+
+    The root is asked alone. When its answer is DOWN, the walk asks at once
+    about the DOWN chain below it: the nodes (1, 0), (2, 0), ... toward the
+    leftmost leaf, at most MAX_CONCURRENT_CALLS of them and no more than the
+    remaining budget, each with the path the walk will have if every earlier
+    answer is DOWN. The walk reads those answers in order while they are
+    DOWN, keeps the first other one, drops the rest and goes on one node at a
+    time. `outcome`, `text`, `path` and `steps` are those of asking one node
+    at a time; a walk that its first answer ends asks once, and no walk asks
+    more than 7 questions beyond the one-at-a-time walk, nor any (cursor,
+    path) twice. The agent is thus asked ahead and from several threads.
+    A failed ask raises only when the walk reads it, after every ask of the
+    chain has returned, retries included.
     """
     config = config or TraversalConfig()
     if not tree.layers:
         raise InvalidParameterError("cannot traverse an empty tree")
     cursor = Cursor(0, 0)
     path: list[tuple[Cursor, TraversalAction]] = []
+    ahead: list = []  # the chain's answers not yet read, nearest node last
     steps = 0
     while steps < config.step_budget:
         node = tree.node_at(cursor.layer, cursor.index)
-        action = agent.propose_action(node.text, query, path)
+        if ahead:
+            action = _read(ahead.pop())
+        else:
+            action = agent.propose_action(node.text, query, path)
         steps += 1
         path.append((cursor, action))
         if action is TraversalAction.ACCEPT:
@@ -133,6 +175,14 @@ def traverse(tree: HatTree, agent, query: str, config: Optional[TraversalConfig]
         if moved == cursor:
             return TraversalResult(Outcome.INSUFFICIENT, None, path, steps)
         cursor = moved
+        if action is not TraversalAction.DOWN:
+            ahead = []
+        elif steps == 1:
+            end = min(len(tree.layers), MAX_CONCURRENT_CALLS + 1, config.step_budget)
+            chain = [(tree.node_at(layer, 0).text,
+                      [(Cursor(above, 0), TraversalAction.DOWN) for above in range(layer)])
+                     for layer in range(1, end)]
+            ahead = _ask_ahead(lambda ask: agent.propose_action(ask[0], query, ask[1]), chain)[::-1]
     return TraversalResult(Outcome.BUDGET_EXHAUSTED, None, path, steps)
 
 
@@ -141,14 +191,16 @@ def _scan(tree: HatTree, oracle, query: str, config: Optional[TraversalConfig], 
 
     The oracle is asked once per distinct text: a node whose text it already
     rejected in this scan (a clipped parent often repeats its first child) is
-    rejected again without a call. Questions go out in waves: a wave asks
-    about the next 1, 2, 4, then 8 (MAX_CONCURRENT_CALLS) distinct, unasked
-    texts within the step budget, in scan order and all at once; the scan
-    then reads the verdicts in order and stops at the first YES. `outcome`,
+    rejected again without a call. The first node's text is asked alone; after
+    that each wave asks about the next MAX_CONCURRENT_CALLS (8) distinct,
+    unasked texts within the step budget, in scan order and all at once. The
+    scan reads the verdicts in order and stops at the first YES. `outcome`,
     `text`, `path` and `steps` are those of asking one node at a time. Only
     texts behind that YES in its wave are extra, so where a one-at-a-time
-    scan asks n texts this one asks at most min(2n - 1, n + 7); a root that
-    suffices costs one call. A failed call raises once its wave has returned.
+    scan asks n texts this one asks n when n = 1 and at most n + 7 otherwise;
+    a root that suffices costs one call. A failed ask raises only when the
+    scan reads its verdict, after its whole wave has returned, retries
+    included; a failure behind the first YES is dropped.
     """
     config = config or TraversalConfig()
     if not tree.layers:
@@ -157,16 +209,16 @@ def _scan(tree: HatTree, oracle, query: str, config: Optional[TraversalConfig], 
     # One node past the budget tells running out of budget from running out of nodes.
     visits = list(islice(order, budget + 1))
     texts = [tree.node_at(cursor.layer, cursor.index).text for cursor in visits[:budget]]
-    verdicts: dict[str, bool] = {}
+    verdicts: dict[str, object] = {}
     wave_size = 1
     path: list[tuple[Cursor, TraversalAction]] = []
     for steps, (cursor, text) in enumerate(zip(visits, texts), start=1):
         if text not in verdicts:
             unasked = dict.fromkeys(t for t in texts[steps - 1:] if t not in verdicts)
             wave = list(islice(unasked, wave_size))
-            verdicts.update(zip(wave, call_concurrently(lambda t: oracle.sufficient(t, query), wave)))
-            wave_size = min(2 * wave_size, MAX_CONCURRENT_CALLS)
-        if verdicts[text]:
+            verdicts.update(zip(wave, _ask_ahead(lambda t: oracle.sufficient(t, query), wave)))
+            wave_size = MAX_CONCURRENT_CALLS
+        if _read(verdicts[text]):
             path.append((cursor, TraversalAction.ACCEPT))
             return TraversalResult(Outcome.SUFFICIENT, text, path, steps)
         path.append((cursor, TraversalAction.REJECT))
@@ -177,8 +229,9 @@ def _scan(tree: HatTree, oracle, query: str, config: Optional[TraversalConfig], 
 def bfs_search(tree: HatTree, oracle, query: str, config: Optional[TraversalConfig] = None) -> TraversalResult:
     """Layer by layer, left to right; finds the (layer, index)-minimal sufficient node.
 
-    Asks a thread-safe oracle once per distinct node text, in concurrent
-    waves, at most min(2n - 1, n + 7) times; see `_scan`.
+    Asks a thread-safe oracle once per distinct node text: the root alone,
+    then concurrent waves of 8, at most 7 times beyond a one-at-a-time scan;
+    see `_scan`.
     """
     def order():
         for layer in range(len(tree.layers)):
@@ -191,7 +244,8 @@ def dfs_search(tree: HatTree, oracle, query: str, config: Optional[TraversalConf
     """Pre-order, children left to right; finds the pre-order-first sufficient node.
 
     The order does not depend on any verdict, so this too asks a thread-safe
-    oracle once per distinct text, in concurrent waves; see `_scan`.
+    oracle once per distinct text, the root alone and then in concurrent waves
+    of 8, at most 7 times beyond a one-at-a-time scan; see `_scan`.
     """
     def order():
         if not tree.layers:
@@ -293,6 +347,11 @@ class LlmAgent:
     Unparseable replies are retried with a clarifying turn up to
     MAX_PARSE_RETRIES times, then treated as Accept so the walk
     ends with whatever context the cursor is on.
+
+    `traverse` asks it ahead and from several threads, about the DOWN chain
+    below the root; it is safe for that when its client is, as `LlmClient`
+    is. The walk keeps the chain's answers itself and does not rely on this
+    agent's memo to avoid asking twice.
 
     The agent remembers the action it chose for its last MEMO_ENTRIES
     (node text, query, path) questions and answers a repeat without a

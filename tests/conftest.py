@@ -84,13 +84,15 @@ class LoggingTransport:
 
     `calls` holds one record per returned call: its prompt, its reply, and
     the positions of its start and end on one clock shared by all threads.
-    A call whose prompt contains `fail_on` raises a connection error.
+    A call whose prompt contains `fail_on` raises a connection error;
+    `failed` counts those.
     """
 
     def __init__(self, delay_s: float = 0.005):
         self._mock = MockTransport()
         self.delay_s = delay_s
         self.fail_on = None
+        self.failed = 0
         self.calls = []
         self._clock = 0
         self._lock = threading.Lock()
@@ -105,6 +107,8 @@ class LoggingTransport:
         start = self._tick()
         time.sleep(self.delay_s)
         if self.fail_on is not None and self.fail_on in prompt:
+            with self._lock:
+                self.failed += 1
             raise ConnectionError("injected connection failure")
         status, body = self._mock.send(payload)
         reply = body["choices"][0]["message"]["content"]
@@ -132,30 +136,33 @@ class TextSetOracle:
 
 
 class OracleAgent:
-    """Accepts when the oracle is satisfied, else cycles a fixed move list."""
+    """Accepts when the oracle is satisfied, else cycles a fixed move list.
+
+    The move depends only on the length of the visited path, not on call
+    order, because a walk may ask ahead.
+    """
 
     def __init__(self, oracle, moves=None):
         self.oracle = oracle
         self.moves = list(moves) if moves else [TraversalAction.DOWN, TraversalAction.RIGHT]
-        self._next = 0
 
     def propose_action(self, node_text, query, visited_path):
         if self.oracle.sufficient(node_text, query):
             return TraversalAction.ACCEPT
-        action = self.moves[self._next % len(self.moves)]
-        self._next += 1
-        return action
+        return self.moves[len(visited_path) % len(self.moves)]
 
 
 class CountingAgent:
-    """Wraps an agent and counts how often the walk consults it."""
+    """Wraps an agent and counts how often the walk consults it, under a lock."""
 
     def __init__(self, agent):
         self.agent = agent
         self.calls = 0
+        self._lock = threading.Lock()
 
     def propose_action(self, node_text, query, visited_path):
-        self.calls += 1
+        with self._lock:
+            self.calls += 1
         return self.agent.propose_action(node_text, query, visited_path)
 
 
@@ -189,23 +196,24 @@ class SubstringOracle:
 
 
 class ScriptedAgent:
-    """Replays a fixed action list; with cycle=True the list repeats forever."""
+    """Answers the n-th step of a walk, counted by the length of the visited
+    path, with the n-th action of a fixed list; with cycle=True the list
+    repeats forever. A walk that asks ahead gets the same answers as one
+    that asks one node at a time."""
 
     def __init__(self, actions, cycle: bool = False):
         if not actions:
             raise InvalidParameterError("ScriptedAgent needs at least one action")
         self.actions = list(actions)
         self.cycle = cycle
-        self._next = 0
 
     def propose_action(self, node_text, query, visited_path):
-        if self._next >= len(self.actions):
+        step = len(visited_path)
+        if step >= len(self.actions):
             if not self.cycle:
                 raise ContractViolationError("scripted actions exhausted")
-            self._next = 0
-        action = self.actions[self._next]
-        self._next += 1
-        return action
+            step %= len(self.actions)
+        return self.actions[step]
 
 
 class ScriptedClient:

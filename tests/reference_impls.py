@@ -177,8 +177,41 @@ def plain_scan(order: list[tuple[int, int]], text_at, is_sufficient, budget: int
             "steps": len(path), "consulted": consulted}
 
 
+def plain_walk(layer_sizes: list[int], M: int, decide, budget: int) -> dict:
+    """A budgeted agent walk that asks about one node at a time, from the root.
+
+    `decide(coord, path)` names the action ("up", "down", "left", "right",
+    "start", "accept" or "reject") at `coord`, given the (coordinate, action)
+    pairs of the steps before. A move off the structure leaves the cursor
+    where it is and ends the walk as insufficient. Returns the outcome name,
+    the coordinate accepted, the path and the steps taken; a walk asks once
+    per step.
+    """
+    coord = (0, 0)
+    path: list = []
+    while len(path) < budget:
+        action = decide(coord, list(path))
+        path.append((coord, action))
+        if action in ("accept", "reject"):
+            outcome = "sufficient" if action == "accept" else "insufficient"
+            return {"outcome": outcome, "coord": coord if action == "accept" else None,
+                    "path": path, "steps": len(path)}
+        k, i = coord
+        moves = {
+            "start": (0, 0),
+            "up": (k - 1, i // M) if k > 0 else coord,
+            "down": (k + 1, i * M) if k + 1 < len(layer_sizes) and i * M < layer_sizes[k + 1] else coord,
+            "left": (k, i - 1) if i > 0 else coord,
+            "right": (k, i + 1) if i + 1 < layer_sizes[k] else coord,
+        }
+        if moves[action] == coord:
+            return {"outcome": "insufficient", "coord": None, "path": path, "steps": len(path)}
+        coord = moves[action]
+    return {"outcome": "budget_exhausted", "coord": None, "path": path, "steps": len(path)}
+
+
 def wave_scan(order: list[tuple[int, int]], text_at, is_sufficient, budget: int) -> list[str]:
-    """The texts a scan asks in waves of 1, 2, 4, then 8, in asking order.
+    """The texts a scan asks in a wave of 1, then waves of 8, in asking order.
 
     The distinct texts of the first `budget` visits, in first-seen order, are
     cut into consecutive waves of those sizes; every wave up to and including
@@ -192,5 +225,5 @@ def wave_scan(order: list[tuple[int, int]], text_at, is_sufficient, budget: int)
         asked.extend(wave)
         if any(is_sufficient(text) for text in wave):
             break
-        size = min(2 * size, 8)
+        size = 8
     return asked

@@ -93,6 +93,57 @@ class TestExitCodes:
         assert main(["bench", episodes_file, "--mock", "--agent", "llm"]) == EXIT_USAGE
 
 
+class TestConfigFile:
+    @pytest.mark.parametrize("command", ["ingest", "bench"])
+    def test_memory_length_must_be_a_json_integer(self, command, tmp_path, episodes_file, capsys):
+        out = tmp_path / "out"
+        argv = {"ingest": ["ingest", episodes_file, "--out", str(out), "--mock"],
+                "bench": ["bench", episodes_file, "--mock", "--strategy", "all_context"]}[command]
+        for value, written in ((2.9, "2.9"), (True, "true"), ("3", '"3"')):
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps({"memory_length": value}), encoding="utf-8")
+            assert main([*argv, "--config", str(config)]) == EXIT_DATA
+            assert f"config key 'memory_length' must be an integer, got {written}" \
+                in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_budget_must_be_a_json_integer(self, tmp_path, episodes_file, monkeypatch, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"budget": 0.5}), encoding="utf-8")
+        assert main(["bench", episodes_file, "--mock", "--strategy", "hat_bfs",
+                     "--config", str(config)]) == EXIT_DATA
+        assert "config key 'budget' must be an integer, got 0.5" in capsys.readouterr().err
+        monkeypatch.setattr("sys.stdin", io.StringIO("hello\n"))
+        assert main(["chat", "--mock", "--config", str(config)]) == EXIT_DATA
+        assert "config key 'budget' must be an integer, got 0.5" in capsys.readouterr().err
+
+    def test_integer_settings_from_the_file_are_used(self, tmp_path, episodes_file, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"memory_length": 2, "budget": 1}), encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["ingest", episodes_file, "--out", str(out), "--mock",
+                     "--config", str(config)]) == EXIT_OK
+        (tree_file,) = out.glob("*.tree.json")
+        assert HatTree.deserialize(tree_file.read_text(encoding="utf-8")).memory_length == 2
+        report = tmp_path / "report.json"
+        assert main(["bench", episodes_file, "--mock", "--strategy", "hat_bfs",
+                     "--config", str(config), "--out", str(report)]) == EXIT_OK
+        assert json.loads(report.read_text(encoding="utf-8"))["config"]["step_budget"] == 1
+
+    @pytest.mark.parametrize("key, value, nested", [
+        ("separator", " / ", '{"aggregator": {"kind": "concat", "params": {"separator": " / "}}}'),
+        ("truncate_budget", 16, '{"aggregator": {"kind": "truncate", "params": {"budget": 16}}}'),
+    ])
+    def test_removed_flat_aggregator_keys_are_refused(self, key, value, nested, tmp_path,
+                                                      episodes_file, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"aggregator": "concat", key: value}), encoding="utf-8")
+        assert main(["bench", episodes_file, "--mock", "--config", str(config)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert f"the key {key!r} is no longer read" in err
+        assert f"write {nested} instead" in err
+
+
 class TestChat:
     @pytest.mark.parametrize("strategy", ["all_context", "part_context", "hat_bfs", "hat_dfs",
                                           "hat_agent"])

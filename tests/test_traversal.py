@@ -24,7 +24,7 @@ from conftest import (
     TextSetOracle,
     build_tree,
 )
-from reference_impls import bfs_visit_order, dfs_visit_order, plain_scan, wave_scan
+from reference_impls import bfs_visit_order, dfs_visit_order, plain_scan, plain_walk, wave_scan
 
 from hatmem import (
     Cursor,
@@ -55,6 +55,20 @@ from hatmem.errors import (
     RemoteUnavailableError,
 )
 from hatmem.traversal import llm_agent_prompt, parse_action
+
+
+class FailingAgent:
+    """Wraps an agent; every step whose visited path has `fail_at_step` or
+    more entries raises `RemoteUnavailableError` instead of answering."""
+
+    def __init__(self, agent, fail_at_step: int):
+        self.agent = agent
+        self.fail_at_step = fail_at_step
+
+    def propose_action(self, node_text, query, visited_path):
+        if len(visited_path) >= self.fail_at_step:
+            raise RemoteUnavailableError("injected agent failure", stage="agent")
+        return self.agent.propose_action(node_text, query, visited_path)
 
 
 class TestApplyAction:
@@ -146,20 +160,108 @@ class TestTraverse:
         with pytest.raises(ContractViolationError):
             traverse(tree, ScriptedAgent([A.DOWN]), "q", TraversalConfig(step_budget=3))
 
-    @pytest.mark.parametrize("script, stuck_at", [
-        ([A.UP], Cursor(0, 0)),
-        ([A.START], Cursor(0, 0)),
-        ([A.DOWN, A.DOWN, A.DOWN], Cursor(2, 0)),
-        ([A.DOWN, A.LEFT], Cursor(1, 0)),
-        ([A.DOWN, A.RIGHT, A.RIGHT], Cursor(1, 1)),
-    ])
-    def test_noop_move_ends_walk_insufficient(self, script, stuck_at):
+    # asks = steps plus unread asks ahead: after the root's DOWN the walk
+    # asks about (1, 0) and (2, 0) at once, and reads (2, 0) only when the
+    # answer at (1, 0) is DOWN too.
+    @pytest.mark.parametrize("script, stuck_at, asks", [
+        ([A.UP], Cursor(0, 0), 1),
+        ([A.START], Cursor(0, 0), 1),
+        ([A.DOWN, A.DOWN, A.DOWN], Cursor(2, 0), 3),
+        ([A.DOWN, A.LEFT], Cursor(1, 0), 3),
+        ([A.DOWN, A.RIGHT, A.RIGHT], Cursor(1, 1), 4),
+    ], ids=[f"script{i}-stuck_at{i}" for i in range(5)])
+    def test_noop_move_ends_walk_insufficient(self, script, stuck_at, asks):
         agent = CountingAgent(ScriptedAgent(script, cycle=True))
         result = traverse(build_tree(4), agent, "q", TraversalConfig(step_budget=16))
         assert result.outcome is Outcome.INSUFFICIENT
         assert result.text is None
-        assert result.steps == agent.calls == len(script)
+        assert result.steps == len(script)
+        assert agent.calls == asks
         assert result.path[-1] == (stuck_at, script[-1])
+
+    def test_walks_match_plain_reference(self):
+        # Pure random agents, whose answer depends only on the node text and
+        # the path, give every walk the result of asking one node at a time.
+        rng = random.Random(20240613)
+        actions = list(A)
+        ahead = 0
+        for trial in range(300):
+            M = rng.randint(2, 4)
+            tree = HatTree(M, TruncateAggregator(budget=rng.choice([1, 2, 3])))
+            for _ in range(rng.randint(1, 40)):
+                tree.insert_leaf(" ".join(f"w{rng.randrange(4)}" for _ in range(rng.randint(1, 3))))
+            sizes = [tree.layer_size(k) for k in range(len(tree.layers))]
+            down_share = rng.random()
+            budget = rng.randint(1, 20)
+
+            def choose(text, path):
+                pick = random.Random(f"{trial}|{text}|{path}")
+                if pick.random() < down_share:
+                    return A.DOWN
+                return pick.choice(actions)
+
+            asks = []
+            asks_lock = threading.Lock()
+
+            class PureAgent:
+                def propose_action(self, node_text, query, visited_path):
+                    path = tuple(((c.layer, c.index), a.value) for c, a in visited_path)
+                    with asks_lock:
+                        asks.append(path)
+                    return choose(node_text, path)
+
+            expected = plain_walk(
+                sizes, M,
+                lambda coord, path: choose(tree.node_at(*coord).text, tuple(path)).value, budget)
+            result = traverse(tree, PureAgent(), "q", TraversalConfig(step_budget=budget))
+            assert result.outcome.value == expected["outcome"]
+            assert result.text == (tree.node_at(*expected["coord"]).text
+                                   if expected["coord"] else None)
+            assert result.steps == expected["steps"]
+            assert [((c.layer, c.index), a.value) for c, a in result.path] == expected["path"]
+            assert len(set(asks)) == len(asks)
+            assert expected["steps"] <= len(asks) <= expected["steps"] + 7
+            if expected["steps"] == 1:
+                assert len(asks) == 1
+            ahead += len(asks) - expected["steps"]
+        assert ahead > 0  # some walks did ask ahead of what they read
+
+    def test_descent_wave_asks_are_in_flight_together(self):
+        # The root is asked alone; the barrier then holds the three asks of
+        # the DOWN chain below it, which pass only when all have started.
+        tree = build_tree(8)
+        transport = BarrierTransport(parties=3, skip=1)
+        agent = LlmAgent(LlmClient(transport, model="m", sleep=lambda _s: None))
+        result = traverse(tree, agent, "zebra", TraversalConfig(step_budget=100))
+        assert result.outcome is Outcome.INSUFFICIENT
+        assert [cursor for cursor, _ in result.path] == [Cursor(k, 0) for k in range(4)]
+        assert transport._mock.calls == 4
+
+    def test_failed_ask_the_walk_never_reads_is_dropped(self):
+        # The answer at (1, 0) is ACCEPT, so the failed asks at (2, 0) and
+        # (3, 0) below it, made in the same wave, are never read.
+        tree = build_tree(8)
+        agent = CountingAgent(FailingAgent(ScriptedAgent([A.DOWN, A.ACCEPT]), fail_at_step=2))
+        result = traverse(tree, agent, "q", TraversalConfig(step_budget=100))
+        assert result.outcome is Outcome.SUFFICIENT
+        assert result.text == tree.node_at(1, 0).text
+        assert result.steps == 2
+        assert agent.calls == 4
+
+    def test_failed_ask_the_walk_reads_raises_and_leaves_no_thread(self):
+        # Every ask below (1, 0) carries "(1,0) DOWN" in its path and fails;
+        # the walk reads the answer at (2, 0) after the DOWN at (1, 0).
+        tree = build_tree(8)
+        transport = LoggingTransport(delay_s=0.001)
+        transport.fail_on = "(1,0) DOWN"
+        agent = LlmAgent(LlmClient(transport, model="m", sleep=lambda _s: None))
+        threads_before = threading.active_count()
+        with pytest.raises(RemoteUnavailableError) as failure:
+            traverse(tree, agent, "zebra", TraversalConfig(step_budget=100))
+        assert failure.value.stage == "agent"
+        assert threading.active_count() == threads_before
+        assert len(transport.calls) == 2  # the root and (1, 0) answered
+        assert transport.failed == 2 * 3  # (2, 0) and (3, 0), three attempts each
 
     def test_oracle_agent_accepts_at_match(self):
         tree = build_tree(4)
@@ -271,8 +373,8 @@ class TestSearches:
         assert reused > 0  # the trees do repeat texts, so the reuse path ran
 
     def test_wave_calls_stay_within_bound(self):
-        # n = texts a one-at-a-time scan asks; a wave scan asks at most
-        # min(2n - 1, n + 7), and exactly n when no text suffices.
+        # n = texts a one-at-a-time scan asks; a wave scan asks 1 when n = 1,
+        # at most n + 7 otherwise, and exactly n when no text suffices.
         rng = random.Random(20240611)
         extra = 0
         for _ in range(300):
@@ -291,7 +393,7 @@ class TestSearches:
                 n = len(set(expected["consulted"]))
                 oracle = TextSetOracle(targets)
                 result = search(tree, oracle, "q", config)
-                assert n <= oracle.calls <= min(2 * n - 1, n + 7)
+                assert n <= oracle.calls <= (1 if n == 1 else n + 7)
                 if result.outcome is not Outcome.SUFFICIENT:
                     assert oracle.calls == n
                 if result.steps == 1 and result.outcome is Outcome.SUFFICIENT:
@@ -326,6 +428,22 @@ class TestSearches:
                 search(tree, oracle, "zebra", TraversalConfig(step_budget=100))
             assert failure.value.stage == "oracle"
             assert threading.active_count() == threads_before
+
+    def test_failed_ask_behind_the_first_yes_is_dropped(self):
+        # Truncate(2) texts: the root and (1, 0) are "a0 x", (1, 1) is
+        # "a2 x". After the root, one wave asks "a1 zebra" and "a3 boom"
+        # with "a2 x", and the YES at "a1 zebra" comes first in both orders.
+        tree = HatTree(2, TruncateAggregator(budget=2))
+        for text in ("a0 x", "a1 zebra", "a2 x", "a3 boom"):
+            tree.insert_leaf(text)
+        for search in (bfs_search, dfs_search):
+            transport = LoggingTransport(delay_s=0.001)
+            transport.fail_on = "boom"
+            oracle = LlmOracle(LlmClient(transport, model="m", sleep=lambda _s: None))
+            result = search(tree, oracle, "zebra", TraversalConfig(step_budget=100))
+            assert result.outcome is Outcome.SUFFICIENT
+            assert result.text == "a1 zebra"
+            assert transport.failed == 3
 
     def test_empty_tree_rejected(self):
         tree = HatTree(2, ConcatAggregator())
