@@ -15,6 +15,12 @@ package's own prompt layouts answers every request, so end-to-end runs work
 offline without canned transcripts. Only `HttpTransport.send` loads the
 HTTP stack (`http.client`, `urllib.request`, and through them `ssl` and
 `email`), so importing the package or building a client does not.
+
+`call_concurrently` runs every batch of two or more calls on one thread pool
+of MAX_CONCURRENT_CALLS workers, shared by all batches and kept for the life
+of the process. The first such batch creates it, and only then is
+`concurrent.futures` (and through it `logging`) imported, so a run that
+never sends two calls at once loads neither.
 """
 
 from __future__ import annotations
@@ -25,7 +31,6 @@ import re
 import threading
 import time
 import urllib.parse
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -35,7 +40,9 @@ from .metrics import tokenize
 ENV_ENDPOINT = "HATMEM_ENDPOINT"
 ENV_API_KEY = "HATMEM_API_KEY"
 ENV_MODEL = "HATMEM_MODEL"
-# Most chat calls one batch has in flight at once.
+# Workers of the one shared call pool, and so the most calls that all
+# concurrent batches of the process together have in flight at once: one cap
+# on what a single endpoint sees, however many threads start batches.
 MAX_CONCURRENT_CALLS = 8
 MAX_ATTEMPTS = 3
 BACKOFF_S = 1.0
@@ -200,17 +207,71 @@ class LlmClient:
             f"{stage} call gave up after {MAX_ATTEMPTS} attempts ({failure})", stage=request.stage)
 
 
-def call_concurrently(call: Callable, items: list) -> list:
-    """`[call(item) for item in items]`, with up to MAX_CONCURRENT_CALLS calls in flight.
+_on_pool = threading.local()
+_pool = None
+_pool_lock = threading.Lock()
 
-    A batch of one runs on the calling thread; a larger one runs on a pool
-    that lives only for this batch. The first failure in item order raises,
-    after every call that had started has returned.
+
+def _mark_worker():
+    _on_pool.worker = True
+
+
+def _shared_pool():
+    """The process's one call pool; its idle workers exit at interpreter exit."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _pool = ThreadPoolExecutor(max_workers=MAX_CONCURRENT_CALLS,
+                                       thread_name_prefix="hatmem-call",
+                                       initializer=_mark_worker)
+        return _pool
+
+
+def _forget_pool():
+    # A forked child has none of its parent's worker threads, and a full pool
+    # starts no new ones, so the child's first batch would wait forever.
+    global _pool, _pool_lock
+    _pool, _pool_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def call_concurrently(call: Callable, items: list) -> list:
+    """`[call(item) for item in items]`, with the calls run on the shared pool.
+
+    A batch of one runs on the calling thread. A larger one runs on the
+    process's one pool of MAX_CONCURRENT_CALLS workers, created at the first
+    such batch and kept until the interpreter exits, so the cap holds for all
+    batches in flight together, not for each. A batch started from inside a
+    pooled call runs on that worker, item by item: waiting there for other
+    workers could deadlock a full pool. Results come back in item order.
+
+    Once a call has raised, the batch starts none of its calls that have not
+    started yet. When every started call has returned, the first failure in
+    item order among them is raised.
     """
-    if len(items) < 2:
+    if len(items) < 2 or getattr(_on_pool, "worker", False):
         return [call(item) for item in items]
-    with ThreadPoolExecutor(max_workers=min(len(items), MAX_CONCURRENT_CALLS)) as pool:
-        return list(pool.map(call, items))
+    failed = threading.Event()
+
+    def run(item):
+        if failed.is_set():
+            return None  # skipped; an earlier or later item's failure raises below
+        try:
+            return call(item)
+        except BaseException:
+            failed.set()
+            raise
+
+    from concurrent.futures import wait
+
+    futures = [_shared_pool().submit(run, item) for item in items]
+    wait(futures)
+    return [future.result() for future in futures]
 
 
 def live_client(endpoint: Optional[str] = None, api_key: Optional[str] = None,

@@ -46,9 +46,21 @@ STRATEGIES = ("all_context", "part_context", "gold_memory", "hat_bfs", "hat_dfs"
 
 @dataclass
 class MemoryState:
+    """A tree plus its session records.
+
+    A state built around a tree that already has leaves, such as one loaded
+    with `HatTree.deserialize`, and given no `sessions` takes them from the
+    leaves' `meta["session"]`.
+    """
+
     tree: HatTree
     session_snapshots: dict[int, str] = field(default_factory=dict)
     sessions: set[int] = field(default_factory=set)  # sessions with an ingested turn
+
+    def __post_init__(self):
+        if not self.sessions:
+            named = (leaf.meta.get("session") for leaf in self.tree.leaves() if leaf.meta)
+            self.sessions = {s for s in named if isinstance(s, int) and not isinstance(s, bool)}
 
 
 def new_memory(memory_length: int, aggregator) -> MemoryState:
@@ -105,9 +117,11 @@ def build_context(state: MemoryState, query: str, strategy: str, *,
     if strategy == "all_context":
         return "\n".join(leaf.text for leaf in tree.leaves())
     if strategy == "part_context":
+        if not state.sessions:
+            raise InvalidParameterError("part_context needs turns that name their session")
         current = max(state.sessions)
         return "\n".join(leaf.text for leaf in tree.leaves()
-                         if leaf.meta and leaf.meta["session"] == current)
+                         if leaf.meta and leaf.meta.get("session") == current)
     if strategy == "gold_memory":
         if not gold:
             raise ConfigurationError("gold_memory strategy requested but no gold memory provided")

@@ -20,15 +20,16 @@ the agent must therefore be safe to call from several threads, as
 
 `LlmOracle` and `LlmAgent` each remember their last MEMO_ENTRIES decisions
 across walks, so a question one of them has already answered costs no chat
-call. A decision is filed under a fixed-size digest of its question, so the
-memo's size does not grow with the texts it has seen. The memo assumes that
+call. A decision is filed under the SHA-256 digest of its question, so the
+memo's size does not grow with the texts it has seen. `hashlib` is imported
+at a memo's first lookup, not with this module, so a run that never walks
+does not load it (nor OpenSSL's libcrypto behind it). The memo assumes that
 the endpoint answers an identical temperature-0 request the same way every
 time.
 """
 
 from __future__ import annotations
 
-import hashlib
 import re
 import threading
 from collections import OrderedDict
@@ -280,9 +281,10 @@ class _DecisionMemo:
     """Thread-safe least-recently-used map from a question to its decision.
 
     A question is a tuple of strings, filed under their SHA-256 digest, so
-    an entry costs the same whatever the length of the texts. A call that
-    raises stores nothing. Two threads that miss on the same question at once
-    both ask it.
+    an entry costs the same whatever the length of the texts. `hashlib` is
+    imported at the first lookup rather than at module load, which keeps it
+    out of runs that never walk. A call that raises stores nothing. Two
+    threads that miss on the same question at once both ask it.
     """
 
     def __init__(self):
@@ -294,6 +296,8 @@ class _DecisionMemo:
 
     def decide(self, question: tuple[str, ...], ask):
         """The remembered decision on `question`, or `ask()`'s, remembered."""
+        import hashlib
+
         digest = hashlib.sha256()
         for part in question:
             data = part.encode()

@@ -16,8 +16,9 @@ from its old one. A node whose children did not change is not aggregated
 again, and the flush stops at the first layer where nothing changed. Every
 public read of internal text flushes first, and `insert_leaf` is an append
 plus a flush. A flush sends one layer's chat (`llm_persona`) aggregations
-concurrently, at most MAX_CONCURRENT_CALLS (8) at a time; other kinds run
-on the calling thread.
+concurrently on the process's one long-lived call pool, so at most
+MAX_CONCURRENT_CALLS (8) are in flight at a time across all flushes and
+walks; other kinds run on the calling thread.
 
 A document (version 2) holds the format marker, the version, the memory
 length, the aggregator spec and, per layer, each node's text and meta.
@@ -168,11 +169,13 @@ class HatTree:
         changed when it is new or its text differs from the one it had, and
         the flush ends at the first layer with no changed node. When a layer
         has several aggregations and the aggregator waits on a chat
-        endpoint, their calls run concurrently, at most MAX_CONCURRENT_CALLS
-        at once on a pool that lives only for that layer (`call_concurrently`).
-        Nothing is assigned until every aggregate call has returned, so a
-        failed flush leaves texts and agg_call_count as they were, and its
-        leaves stay unflushed.
+        endpoint, their calls run concurrently on the process's shared call
+        pool, which keeps at most MAX_CONCURRENT_CALLS in flight
+        (`call_concurrently`). Once one of a layer's calls has raised, the
+        layer's calls that have not started are skipped. Nothing is assigned
+        until every started aggregate call has returned, so a failed flush
+        leaves texts and agg_call_count as they were, and its leaves stay
+        unflushed.
         """
         M = self.memory_length
         changed = range(self.flushed_leaves, self.leaf_count)

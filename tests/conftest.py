@@ -12,6 +12,7 @@ import pytest
 
 from hatmem import ChatReply, ConcatAggregator, HatTree, MockTransport, TraversalAction
 from hatmem.errors import ContractViolationError, InvalidParameterError, RemoteUnavailableError
+from hatmem.llm import MAX_CONCURRENT_CALLS, call_concurrently
 
 
 def build_tree(n: int, memory_length: int = 2, separator: str = " | ",
@@ -85,7 +86,8 @@ class LoggingTransport:
     `calls` holds one record per returned call: its prompt, its reply, and
     the positions of its start and end on one clock shared by all threads.
     A call whose prompt contains `fail_on` raises a connection error;
-    `failed` counts those.
+    `failed` counts those. `sent` counts every call begun and `in_flight`
+    those not yet returned or raised.
     """
 
     def __init__(self, delay_s: float = 0.005):
@@ -93,6 +95,8 @@ class LoggingTransport:
         self.delay_s = delay_s
         self.fail_on = None
         self.failed = 0
+        self.sent = 0
+        self.in_flight = 0
         self.calls = []
         self._clock = 0
         self._lock = threading.Lock()
@@ -103,6 +107,16 @@ class LoggingTransport:
             return self._clock
 
     def send(self, payload):
+        with self._lock:
+            self.sent += 1
+            self.in_flight += 1
+        try:
+            return self._send(payload)
+        finally:
+            with self._lock:
+                self.in_flight -= 1
+
+    def _send(self, payload):
         prompt = payload["messages"][-1]["content"]
         start = self._tick()
         time.sleep(self.delay_s)
@@ -116,6 +130,29 @@ class LoggingTransport:
         with self._lock:
             self.calls.append(record)
         return status, body
+
+
+def assert_no_call_running(transport: LoggingTransport, settle_s: float = 0.05):
+    """Nothing the returned or raising caller started still talks to the transport."""
+    assert transport.in_flight == 0
+    sent = transport.sent
+    time.sleep(settle_s)
+    assert transport.sent == sent
+
+
+def every_pool_worker() -> set:
+    """The shared call pool's worker threads, starting any it lacks.
+
+    Runs one batch of MAX_CONCURRENT_CALLS calls that wait for each other,
+    so each must run on a worker of its own.
+    """
+    barrier = threading.Barrier(MAX_CONCURRENT_CALLS, timeout=10)
+
+    def hold(_):
+        barrier.wait()
+        return threading.current_thread()
+
+    return set(call_concurrently(hold, list(range(MAX_CONCURRENT_CALLS))))
 
 
 class TextSetOracle:
@@ -234,15 +271,17 @@ class ScriptedClient:
 class DownTransport:
     """Every call is refused with HTTP 503 while `down` is set, so a real
     client gives up; once `down` is cleared it answers as the mock. `calls`
-    counts every request, refused or answered."""
+    counts every request, refused or answered, under a lock."""
 
     def __init__(self):
         self._mock = MockTransport()
         self.down = True
         self.calls = 0
+        self._lock = threading.Lock()
 
     def send(self, payload):
-        self.calls += 1
+        with self._lock:
+            self.calls += 1
         if self.down:
             return 503, "unavailable"
         return self._mock.send(payload)

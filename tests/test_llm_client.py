@@ -11,15 +11,31 @@ from pathlib import Path
 
 import pytest
 
+from conftest import ThreadLoggingAggregator, every_pool_worker
+
 import hatmem
-from hatmem import ChatRequest, HttpTransport, LlmClient, MockTransport, mock_client
+from hatmem import (
+    ChatRequest,
+    HatTree,
+    HttpTransport,
+    LlmAgent,
+    LlmClient,
+    LlmOracle,
+    LlmPersonaAggregator,
+    MockTransport,
+    TraversalConfig,
+    bfs_search,
+    dfs_search,
+    mock_client,
+    traverse,
+)
 from hatmem.errors import (
     ConfigurationError,
     InvalidParameterError,
     ProtocolError,
     RemoteUnavailableError,
 )
-from hatmem.llm import heuristic_reply, live_client
+from hatmem.llm import MAX_CONCURRENT_CALLS, call_concurrently, heuristic_reply, live_client
 
 
 def ok_body(content: str) -> dict:
@@ -258,6 +274,105 @@ def test_importing_and_building_a_live_client_leave_the_http_stack_unloaded():
     result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                             text=True, timeout=60, check=True)
     assert result.stdout.strip() == "[]"
+
+
+def test_a_run_loads_hashlib_only_to_walk_and_the_call_pool_only_for_a_chat_batch():
+    # hashlib maps OpenSSL's libcrypto and concurrent.futures imports logging:
+    # a local tree must load neither, a chat flush only the pool, and only a
+    # walk's decision memo hashes anything.
+    code = """
+import sys, hatmem, hatmem.cli
+from hatmem import ConcatAggregator, HatTree, LlmOracle, LlmPersonaAggregator, mock_client
+
+def loaded():
+    print([m for m in ("hashlib", "_hashlib", "concurrent.futures", "logging") if m in sys.modules])
+
+tree = HatTree(3, ConcatAggregator())
+for i in range(30):
+    tree.append_leaf(f"t{i}")
+tree.flush()
+copy = HatTree.deserialize(tree.serialize())
+for k, row in enumerate(copy.layers):
+    for i in range(len(row)):
+        copy.node_at(k, i)
+loaded()
+persona = HatTree(3, LlmPersonaAggregator(mock_client()))
+for i in range(30):
+    persona.append_leaf(f"t{i}")
+persona.flush()
+loaded()
+LlmOracle(mock_client()).sufficient("a passage", "a question")
+loaded()
+"""
+    env = dict(os.environ, PYTHONPATH=str(Path(hatmem.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    assert result.stdout.splitlines() == [
+        "[]",
+        "['concurrent.futures', 'logging']",
+        "['hashlib', '_hashlib', 'concurrent.futures', 'logging']",
+    ]
+
+
+class TestCallPool:
+    def test_batches_share_one_pool_of_workers(self):
+        threads_before = threading.active_count()
+        first = every_pool_worker()
+        assert len(first) == MAX_CONCURRENT_CALLS
+        agg = ThreadLoggingAggregator(LlmPersonaAggregator(mock_client()))
+        tree = HatTree(3, agg)
+        oracle, agent = LlmOracle(mock_client()), LlmAgent(mock_client())
+        config = TraversalConfig(step_budget=16)
+        for i in range(50):
+            for j in range(4):
+                tree.append_leaf(f"t{i}.{j}")
+            tree.flush()  # layer 1 aggregates two parents at once
+            for search in (bfs_search, dfs_search):
+                search(tree, oracle, f"zebra {i}", config)  # NO everywhere: waves of 8
+            traverse(tree, agent, f"zebra {i}", config)  # DOWN everywhere: one chain
+        assert threading.active_count() - threads_before <= MAX_CONCURRENT_CALLS
+        assert set(agg.threads) - {threading.get_ident()} <= {thread.ident for thread in first}
+        assert every_pool_worker() == first
+
+    def test_batch_started_inside_a_pooled_call_completes(self):
+        # Twice as many outer calls as workers, each starting a batch of its
+        # own: on the shared pool those batches would wait behind calls that
+        # wait for them.
+        def outer(i):
+            return call_concurrently(lambda j: (i, j, threading.get_ident()), [0, 1, 2])
+
+        results = []
+        runner = threading.Thread(target=lambda: results.append(
+            call_concurrently(outer, list(range(2 * MAX_CONCURRENT_CALLS)))))
+        runner.start()
+        runner.join(timeout=30)
+        assert not runner.is_alive()
+        (batches,) = results
+        assert [[(i, j) for i, j, _ in batch] for batch in batches] == \
+            [[(i, j) for j in range(3)] for i in range(2 * MAX_CONCURRENT_CALLS)]
+        assert all(len({thread for *_, thread in batch}) == 1 for batch in batches)
+
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_starts_its_own_pool(self):
+        # The parent's pool is full and idle when it forks; a child that kept
+        # it would queue its batch for workers it does not have.
+        code = """
+import os, signal, sys, time
+from hatmem.llm import MAX_CONCURRENT_CALLS, call_concurrently
+items = list(range(MAX_CONCURRENT_CALLS))
+call_concurrently(lambda _: time.sleep(0.01), items)
+time.sleep(0.1)
+pid = os.fork()
+if pid == 0:
+    signal.alarm(10)
+    os._exit(0 if call_concurrently(lambda x: x * 3, items) == [x * 3 for x in items] else 1)
+print(os.waitpid(pid, 0)[1])
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(hatmem.__file__).parents[1]))
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, timeout=60, check=True)
+        assert result.stdout.strip() == "0"
 
 
 class TestMock:

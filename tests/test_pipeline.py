@@ -18,8 +18,10 @@ from hatmem import (
     ChatReply,
     ConcatAggregator,
     DialogueTurn,
+    HatTree,
     LlmClient,
     LlmPersonaAggregator,
+    MemoryState,
     TraversalAction as A,
     TraversalConfig,
     build_context,
@@ -213,6 +215,30 @@ class TestBuildContext:
         found = build_context(state, query.text, "hat_bfs",
                               oracle=SubstringOracle(PLANTED_TOKEN))
         assert PLANTED_TOKEN in found
+
+
+class TestStateAroundLoadedTree:
+    def test_part_context_and_end_session_match_the_original_state(self):
+        state = filled_state()
+        loaded = MemoryState(tree=HatTree.deserialize(state.tree.serialize()))
+        assert loaded.sessions == {1, 2}
+        assert build_context(loaded, "q", "part_context") == build_context(state, "q", "part_context")
+        for session in (1, 2):
+            assert end_session(loaded, session) == end_session(state, session)
+        assert loaded.session_snapshots == state.session_snapshots
+        with pytest.raises(NotFoundError):
+            end_session(loaded, 3)
+
+    def test_part_context_needs_a_leaf_that_names_its_session(self):
+        tree = HatTree(2, ConcatAggregator())
+        tree.append_leaf("user: hi", meta={"speaker": "user"})
+        for i in range(4):
+            tree.append_leaf(f"t{i}")
+        state = MemoryState(tree=HatTree.deserialize(tree.serialize()))
+        assert state.sessions == set()
+        with pytest.raises(InvalidParameterError):
+            build_context(state, "q", "part_context")
+        assert build_context(state, "q", "all_context") == "user: hi\nt0\nt1\nt2\nt3"
 
 
 class TestGenerateResponse:

@@ -22,7 +22,9 @@ from conftest import (
     ScriptedClient,
     SubstringOracle,
     TextSetOracle,
+    assert_no_call_running,
     build_tree,
+    every_pool_worker,
 )
 from reference_impls import bfs_visit_order, dfs_visit_order, plain_scan, plain_walk, wave_scan
 
@@ -255,11 +257,10 @@ class TestTraverse:
         transport = LoggingTransport(delay_s=0.001)
         transport.fail_on = "(1,0) DOWN"
         agent = LlmAgent(LlmClient(transport, model="m", sleep=lambda _s: None))
-        threads_before = threading.active_count()
         with pytest.raises(RemoteUnavailableError) as failure:
             traverse(tree, agent, "zebra", TraversalConfig(step_budget=100))
         assert failure.value.stage == "agent"
-        assert threading.active_count() == threads_before
+        assert_no_call_running(transport)
         assert len(transport.calls) == 2  # the root and (1, 0) answered
         assert transport.failed == 2 * 3  # (2, 0) and (3, 0), three attempts each
 
@@ -422,12 +423,11 @@ class TestSearches:
         transport = LoggingTransport(delay_s=0.001)
         transport.fail_on = "boom"
         oracle = LlmOracle(LlmClient(transport, model="m", sleep=lambda _s: None))
-        threads_before = threading.active_count()
         for search in (bfs_search, dfs_search):
             with pytest.raises(RemoteUnavailableError) as failure:
                 search(tree, oracle, "zebra", TraversalConfig(step_budget=100))
             assert failure.value.stage == "oracle"
-            assert threading.active_count() == threads_before
+            assert_no_call_running(transport)
 
     def test_failed_ask_behind_the_first_yes_is_dropped(self):
         # Truncate(2) texts: the root and (1, 0) are "a0 x", (1, 1) is
@@ -677,6 +677,9 @@ class TestDecisionMemo:
         # would grow with the square of the turn count. Each entry must cost
         # the same whatever the length of its texts.
         tree = HatTree(3, ConcatAggregator())
+        # Walks ask ahead on the shared call pool; start it and all of its
+        # workers first, so that the bound below measures only the memo.
+        every_pool_worker()
         LlmOracle(mock_client()).sufficient("warm", "up")
         LlmAgent(mock_client()).propose_action("warm", "up", [])
         tracemalloc.start()

@@ -10,9 +10,11 @@ import pytest
 
 from conftest import (
     BarrierTransport,
+    DownTransport,
     FailingAggregator,
     LoggingTransport,
     ThreadLoggingAggregator,
+    assert_no_call_running,
     build_tree,
 )
 from reference_impls import (
@@ -37,6 +39,7 @@ from hatmem.errors import (
     NotFoundError,
     RemoteUnavailableError,
 )
+from hatmem.llm import MAX_CONCURRENT_CALLS
 
 
 def check_against_reference(tree: HatTree, leaves: list[str], separator: str):
@@ -383,14 +386,35 @@ class TestLayerParallelFlush:
             assert set(agg.threads) == {threading.get_ident()}
 
     def test_flush_leaves_no_thread_behind(self):
-        agg = ThreadLoggingAggregator(LlmPersonaAggregator(mock_client()))
+        # No call keeps running once the flush returns; the pool's workers
+        # stay, idle, for the next batch.
+        transport = LoggingTransport(delay_s=0.001)
+        client = LlmClient(transport, model="mock-chat", sleep=lambda _s: None)
+        agg = ThreadLoggingAggregator(LlmPersonaAggregator(client))
         tree = HatTree(3, agg)
         for i in range(27):
             tree.append_leaf(f"t{i}")
-        threads_before = threading.active_count()
         tree.flush()
-        assert threading.active_count() == threads_before
+        assert_no_call_running(transport)
+        assert transport.sent == tree.agg_call_count == 13
         assert set(agg.threads) - {threading.get_ident()}  # the pool did run
+
+    def test_flush_against_a_dead_endpoint_stops_starting_calls(self):
+        # Layer 1 of a 60-leaf tree at M=3 has 20 nodes. Once one call has
+        # given up, the layer starts no more, so at most the pool's width of
+        # calls, three attempts each, reach the endpoint.
+        transport = DownTransport()
+        tree = persona_tree(3, transport)
+        for i in range(60):
+            tree.append_leaf(f"t{i}")
+        before = raw_state(tree)
+        with pytest.raises(RemoteUnavailableError) as failure:
+            tree.root_text()
+        assert failure.value.stage == "aggregate"
+        assert 3 <= transport.calls <= MAX_CONCURRENT_CALLS * 3
+        assert raw_state(tree) == before
+        transport.down = False
+        assert tree.root_text() == " ".join(f"t{i}" for i in range(60))
 
 
 class TestAtomicity:
