@@ -84,17 +84,18 @@ class LlmPersonaAggregator(Aggregator):
     A client is optional so that serialized trees can be loaded for
     inspection without one; aggregating without one is a
     `ContractViolationError`, a caller's mistake rather than a remote failure.
-    The other parameters, the template name among them, are checked here, so
-    that a bad spec or tree document fails to load, not at its first call.
+    The other parameters, the template name among them (a shipped persona_*
+    template), are checked here, so that a bad spec or tree document fails to
+    load, not at its first call.
     """
 
     kind = "llm_persona"
 
     def __init__(self, client=None, template: str = "persona_v1", temperature: float = 0.0,
                  max_tokens: Optional[int] = None):
-        if not isinstance(template, str) or template not in template_names():
-            raise InvalidParameterError(f"persona template must be one of {sorted(template_names())}, "
-                                        f"got {template!r}")
+        personas = sorted(name for name in template_names() if name.startswith("persona_"))
+        if template not in personas:
+            raise InvalidParameterError(f"persona template must be one of {personas}, got {template!r}")
         if isinstance(temperature, bool) or not isinstance(temperature, (int, float)) \
                 or not temperature >= 0:
             raise InvalidParameterError(f"persona temperature must be a number >= 0, got {temperature!r}")

@@ -18,7 +18,7 @@ from typing import Optional
 
 from .aggregation import Aggregator
 from .episodes import Episode, final_exchange
-from .errors import DocumentParseError, InvalidParameterError
+from .errors import InvalidParameterError
 from .llm import LlmClient
 from .metrics import score_pairs
 from .pipeline import (
@@ -129,19 +129,6 @@ def run_bench(episodes: list[Episode], aggregator: Aggregator, client: LlmClient
 
 def dump_report(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
-
-
-def parse_report(text: str) -> dict:
-    """Inverse of dump_report, with format checking."""
-    try:
-        report = json.loads(text)
-    except ValueError as exc:
-        raise DocumentParseError(f"report is not valid JSON: {exc}") from exc
-    if not isinstance(report, dict) or report.get("format") != REPORT_FORMAT:
-        raise DocumentParseError("missing or wrong report format marker")
-    if report.get("version") != REPORT_VERSION:
-        raise DocumentParseError(f"unsupported report version {report.get('version')!r}")
-    return report
 
 
 def render_table(report: dict) -> str:

@@ -27,7 +27,7 @@ from .errors import (
     ProtocolError,
     RemoteUnavailableError,
 )
-from .llm import ENV_MODEL, live_client, mock_client
+from .llm import ENV_API_KEY, ENV_ENDPOINT, ENV_MODEL, live_client, mock_client
 from .metrics import score_pairs
 from .pipeline import STRATEGIES, build_context, generate_response, ingest_episode, ingest_turn, new_memory
 from .traversal import LlmAgent, LlmOracle, TraversalConfig
@@ -111,9 +111,9 @@ def _client(args, file_config):
         model = setting(args.model, ENV_MODEL, file_config, "model", "mock-chat")
         return mock_client(model=model)
     return live_client(
-        endpoint=setting(args.endpoint, None, file_config, "endpoint"),
-        api_key=setting(args.api_key, None, file_config, "api_key"),
-        model=setting(args.model, None, file_config, "model"),
+        endpoint=setting(args.endpoint, ENV_ENDPOINT, file_config, "endpoint"),
+        api_key=setting(args.api_key, ENV_API_KEY, file_config, "api_key"),
+        model=setting(args.model, ENV_MODEL, file_config, "model"),
     )
 
 
@@ -127,11 +127,10 @@ def _step_budget(args, file_config) -> int:
 
 def cmd_ingest(args) -> int:
     file_config = load_config_file(args.config)
-    # A chat client is only needed when the resolved aggregator is llm_persona.
-    spec = setting(args.aggregator, None, file_config, "aggregator", "concat")
-    kind = spec.get("kind") if isinstance(spec, dict) else spec
-    client = _client(args, file_config) if kind == "llm_persona" else None
-    aggregator = aggregator_from_config(args.aggregator, file_config, client=client)
+    aggregator = aggregator_from_config(args.aggregator, file_config)
+    # A chat client is only needed when the aggregator is llm_persona.
+    if aggregator.kind == "llm_persona":
+        aggregator.client = _client(args, file_config)
     memory_length = _memory_length(args, file_config)
     episodes = load_episodes(args.input, require_session=args.require_session)
     out_dir = Path(args.out)

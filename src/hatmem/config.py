@@ -1,11 +1,12 @@
 """Config file loading and flag/env/file precedence.
 
 Settings resolve as CLI flag > environment variable > config file > default.
-The config file is JSON with flat keys: endpoint, api_key, model,
-memory_length, aggregator (kind string or {kind, params}), budget, strategy.
-Aggregator parameters go only in the nested form, for example
-{"aggregator": {"kind": "truncate", "params": {"budget": 16}}}; a file that
-still holds the removed flat keys separator or truncate_budget is refused.
+The config file is a JSON object with the keys endpoint, api_key, model,
+memory_length, aggregator (kind string or {kind, params}) and budget; a file
+with any other key is refused. Aggregator parameters go only in the nested
+form, for example {"aggregator": {"kind": "truncate", "params": {"budget": 16}}};
+a file that still holds the removed flat keys separator or truncate_budget is
+told so.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Optional
 from .aggregation import Aggregator, aggregator_from_spec
 from .errors import ConfigurationError, InvalidParameterError
 
+_FILE_KEYS = ("endpoint", "api_key", "model", "memory_length", "aggregator", "budget")
 # Removed flat keys: each one's aggregator kind and parameter name.
 _REMOVED_KEYS = {"separator": ("concat", "separator"), "truncate_budget": ("truncate", "budget")}
 
@@ -38,6 +40,10 @@ def load_config_file(path: Optional[str]) -> dict:
             nested = json.dumps({"aggregator": {"kind": kind, "params": {param: config[key]}}})
             raise ConfigurationError(f"config file {path}: the key {key!r} is no longer read; "
                                      f"write {nested} instead")
+    for key in config:
+        if key not in _FILE_KEYS:
+            raise ConfigurationError(f"config file {path}: unknown key {key!r}; "
+                                     f"the keys read are {', '.join(_FILE_KEYS)}")
     return config
 
 

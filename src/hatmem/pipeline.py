@@ -14,12 +14,9 @@ fails, come from `end_session`, `build_context` with a hat_* strategy, and
 `llm_persona` an `end_session` costs about one endpoint round trip per tree
 layer, not one per aggregated node.
 
-A hat_* walk asks its first question alone and then asks ahead, so it costs
-fewer round trips than steps: a BFS/DFS scan asks the root, then waves of up
-to 8 texts; an agent walk whose root answer is DOWN asks the whole DOWN chain
-below the root, up to 8 nodes, in one round trip. A walk that the root's
-answer ends costs one call, and no walk asks more than 7 questions beyond
-those of asking one node at a time.
+A hat_* walk asks ahead (see `traversal._ask_ahead`), so it costs fewer
+round trips than steps, and it asks at most 7 questions beyond those of
+asking one node at a time.
 """
 
 from __future__ import annotations

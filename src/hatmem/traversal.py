@@ -9,13 +9,10 @@ agent-driven walk there are breadth-first and depth-first scans that judge
 every node with a sufficiency oracle, asking it once per distinct node text.
 Each visited node costs one step, and all walks stop after `step_budget` steps.
 
-Every walk asks its first question alone and then asks ahead: a scan asks
-about the next MAX_CONCURRENT_CALLS upcoming texts at once, and an agent walk
-whose root answer is DOWN asks about every node of the DOWN chain below the
-root at once. A walk reads those answers in order and drops the ones it does
-not reach, errors included, so its result is that of asking one node at a
-time, for at most MAX_CONCURRENT_CALLS - 1 (7) questions more. The oracle and
-the agent must therefore be safe to call from several threads, as
+Every walk asks ahead (see `_ask_ahead`): a scan about the distinct texts it
+may visit, an agent walk about the DOWN chain below the root. Its result is
+that of asking one node at a time, for at most 7 questions more, and the
+oracle and the agent must be safe to call from several threads, as
 `LlmOracle` and `LlmAgent` are.
 
 `LlmOracle` and `LlmAgent` each remember their last MEMO_ENTRIES decisions
@@ -41,7 +38,7 @@ from typing import Optional
 from .errors import ActionParseError, InvalidParameterError
 from .llm import MAX_CONCURRENT_CALLS, ChatRequest, call_concurrently
 from .prompts import render_messages
-from .tree import HatTree
+from .tree import HatTree, _is_int
 
 
 class TraversalAction(Enum):
@@ -68,7 +65,7 @@ class TraversalConfig:
     step_budget: int = 32
 
     def __post_init__(self):
-        if not isinstance(self.step_budget, int) or self.step_budget < 1:
+        if not _is_int(self.step_budget) or self.step_budget < 1:
             raise InvalidParameterError(f"step_budget must be a positive integer, got {self.step_budget!r}")
 
 
@@ -83,7 +80,11 @@ class TraversalResult:
     outcome: Outcome
     text: Optional[str]
     path: list[tuple[Cursor, TraversalAction]]
-    steps: int  # one per visited node: an agent consultation, or a scanned node
+
+    @property
+    def steps(self) -> int:
+        """One per visited node: an agent consultation, or a scanned node."""
+        return len(self.path)
 
 
 def apply_action(tree: HatTree, cursor: Cursor, action: TraversalAction) -> Cursor:
@@ -114,24 +115,29 @@ def apply_action(tree: HatTree, cursor: Cursor, action: TraversalAction) -> Curs
     return Cursor(cursor.layer, cursor.index + 1)
 
 
-def _ask_ahead(ask, items) -> list:
-    """`[ask(item) for item in items]`, concurrently, with each failure kept as
-    its exception in the item's place, so that only a walk that reads it raises.
+def _ask_ahead(ask, questions):
+    """Yield `ask(question)` for each question in order, asking ahead.
 
-    Returns once every call has returned, retries included.
+    The first question is asked alone; the rest go in waves of
+    MAX_CONCURRENT_CALLS (8) concurrent asks, a wave being sent only when
+    its first answer is read. A failed ask raises when its answer is read,
+    after its whole wave has returned, retries included; the answers a walk
+    never reads, failures included, are dropped. A walk that reads answers
+    in order thus gets those of asking one question at a time, for at most
+    7 asks more, and `ask` must be safe to call from several threads.
     """
-    def attempt(item):
+    def attempt(question):
         try:
-            return ask(item)
+            return ask(question)
         except Exception as error:
             return error
-    return call_concurrently(attempt, items)
-
-
-def _read(answer):
-    if isinstance(answer, Exception):
-        raise answer
-    return answer
+    start, size = 0, 1
+    while start < len(questions):
+        for answer in call_concurrently(attempt, questions[start:start + size]):
+            if isinstance(answer, Exception):
+                raise answer
+            yield answer
+        start, size = start + size, MAX_CONCURRENT_CALLS
 
 
 def traverse(tree: HatTree, agent, query: str, config: Optional[TraversalConfig] = None) -> TraversalResult:
@@ -140,68 +146,47 @@ def traverse(tree: HatTree, agent, query: str, config: Optional[TraversalConfig]
     A move that leaves the cursor where it is ends the walk as INSUFFICIENT,
     with that move as the last entry of the path.
 
-    The root is asked alone. When its answer is DOWN, the walk asks at once
-    about the DOWN chain below it: the nodes (1, 0), (2, 0), ... toward the
-    leftmost leaf, at most MAX_CONCURRENT_CALLS of them and no more than the
-    remaining budget, each with the path the walk will have if every earlier
-    answer is DOWN. The walk reads those answers in order while they are
-    DOWN, keeps the first other one, drops the rest and goes on one node at a
-    time. `outcome`, `text`, `path` and `steps` are those of asking one node
-    at a time; a walk that its first answer ends asks once, and no walk asks
-    more than 7 questions beyond the one-at-a-time walk, nor any (cursor,
-    path) twice. The agent is thus asked ahead and from several threads.
-    A failed ask raises only when the walk reads it, after every ask of the
-    chain has returned, retries included.
+    The agent is asked ahead (see `_ask_ahead`) about the root and the DOWN
+    chain below it, the nodes (1, 0), (2, 0), ... toward the leftmost leaf,
+    within the budget; each question carries the path the walk has if every
+    earlier answer is DOWN. The walk reads those answers while they are DOWN
+    and then asks one node at a time, so no (cursor, path) is asked twice.
     """
     config = config or TraversalConfig()
     if not tree.layers:
         raise InvalidParameterError("cannot traverse an empty tree")
+    end = min(len(tree.layers), MAX_CONCURRENT_CALLS + 1, config.step_budget)
+    chain = [(tree.node_at(layer, 0).text, [(Cursor(above, 0), TraversalAction.DOWN) for above in range(layer)])
+             for layer in range(end)]
+    answers = _ask_ahead(lambda question: agent.propose_action(question[0], query, question[1]), chain)
     cursor = Cursor(0, 0)
     path: list[tuple[Cursor, TraversalAction]] = []
-    ahead: list = []  # the chain's answers not yet read, nearest node last
-    steps = 0
-    while steps < config.step_budget:
+    while len(path) < config.step_budget:
         node = tree.node_at(cursor.layer, cursor.index)
-        if ahead:
-            action = _read(ahead.pop())
-        else:
+        action = next(answers, None)
+        if action is None:
             action = agent.propose_action(node.text, query, path)
-        steps += 1
         path.append((cursor, action))
         if action is TraversalAction.ACCEPT:
-            return TraversalResult(Outcome.SUFFICIENT, node.text, path, steps)
+            return TraversalResult(Outcome.SUFFICIENT, node.text, path)
         if action is TraversalAction.REJECT:
-            return TraversalResult(Outcome.INSUFFICIENT, None, path, steps)
+            return TraversalResult(Outcome.INSUFFICIENT, None, path)
         moved = apply_action(tree, cursor, action)
         if moved == cursor:
-            return TraversalResult(Outcome.INSUFFICIENT, None, path, steps)
+            return TraversalResult(Outcome.INSUFFICIENT, None, path)
         cursor = moved
         if action is not TraversalAction.DOWN:
-            ahead = []
-        elif steps == 1:
-            end = min(len(tree.layers), MAX_CONCURRENT_CALLS + 1, config.step_budget)
-            chain = [(tree.node_at(layer, 0).text,
-                      [(Cursor(above, 0), TraversalAction.DOWN) for above in range(layer)])
-                     for layer in range(1, end)]
-            ahead = _ask_ahead(lambda ask: agent.propose_action(ask[0], query, ask[1]), chain)[::-1]
-    return TraversalResult(Outcome.BUDGET_EXHAUSTED, None, path, steps)
+            answers = iter(())
+    return TraversalResult(Outcome.BUDGET_EXHAUSTED, None, path)
 
 
 def _scan(tree: HatTree, oracle, query: str, config: Optional[TraversalConfig], order) -> TraversalResult:
     """Judge nodes in `order` until one suffices; each visit costs one step.
 
-    The oracle is asked once per distinct text: a node whose text it already
-    rejected in this scan (a clipped parent often repeats its first child) is
-    rejected again without a call. The first node's text is asked alone; after
-    that each wave asks about the next MAX_CONCURRENT_CALLS (8) distinct,
-    unasked texts within the step budget, in scan order and all at once. The
-    scan reads the verdicts in order and stops at the first YES. `outcome`,
-    `text`, `path` and `steps` are those of asking one node at a time. Only
-    texts behind that YES in its wave are extra, so where a one-at-a-time
-    scan asks n texts this one asks n when n = 1 and at most n + 7 otherwise;
-    a root that suffices costs one call. A failed ask raises only when the
-    scan reads its verdict, after its whole wave has returned, retries
-    included; a failure behind the first YES is dropped.
+    The oracle is asked ahead (see `_ask_ahead`) about each distinct text
+    within the budget, once: a node whose text it already rejected in this
+    scan (a clipped parent often repeats its first child) is rejected again
+    without a call.
     """
     config = config or TraversalConfig()
     if not tree.layers:
@@ -210,29 +195,24 @@ def _scan(tree: HatTree, oracle, query: str, config: Optional[TraversalConfig], 
     # One node past the budget tells running out of budget from running out of nodes.
     visits = list(islice(order, budget + 1))
     texts = [tree.node_at(cursor.layer, cursor.index).text for cursor in visits[:budget]]
+    answers = _ask_ahead(lambda text: oracle.sufficient(text, query), list(dict.fromkeys(texts)))
     verdicts: dict[str, object] = {}
-    wave_size = 1
     path: list[tuple[Cursor, TraversalAction]] = []
-    for steps, (cursor, text) in enumerate(zip(visits, texts), start=1):
+    for cursor, text in zip(visits, texts):
         if text not in verdicts:
-            unasked = dict.fromkeys(t for t in texts[steps - 1:] if t not in verdicts)
-            wave = list(islice(unasked, wave_size))
-            verdicts.update(zip(wave, _ask_ahead(lambda t: oracle.sufficient(t, query), wave)))
-            wave_size = MAX_CONCURRENT_CALLS
-        if _read(verdicts[text]):
+            verdicts[text] = next(answers)
+        if verdicts[text]:
             path.append((cursor, TraversalAction.ACCEPT))
-            return TraversalResult(Outcome.SUFFICIENT, text, path, steps)
+            return TraversalResult(Outcome.SUFFICIENT, text, path)
         path.append((cursor, TraversalAction.REJECT))
     outcome = Outcome.BUDGET_EXHAUSTED if len(visits) > budget else Outcome.INSUFFICIENT
-    return TraversalResult(outcome, None, path, len(path))
+    return TraversalResult(outcome, None, path)
 
 
 def bfs_search(tree: HatTree, oracle, query: str, config: Optional[TraversalConfig] = None) -> TraversalResult:
     """Layer by layer, left to right; finds the (layer, index)-minimal sufficient node.
 
-    Asks a thread-safe oracle once per distinct node text: the root alone,
-    then concurrent waves of 8, at most 7 times beyond a one-at-a-time scan;
-    see `_scan`.
+    Asks a thread-safe oracle once per distinct node text; see `_scan`.
     """
     def order():
         for layer in range(len(tree.layers)):
@@ -245,12 +225,9 @@ def dfs_search(tree: HatTree, oracle, query: str, config: Optional[TraversalConf
     """Pre-order, children left to right; finds the pre-order-first sufficient node.
 
     The order does not depend on any verdict, so this too asks a thread-safe
-    oracle once per distinct text, the root alone and then in concurrent waves
-    of 8, at most 7 times beyond a one-at-a-time scan; see `_scan`.
+    oracle once per distinct text; see `_scan`.
     """
     def order():
-        if not tree.layers:
-            return
         stack = [Cursor(0, 0)]
         while stack:
             cursor = stack.pop()
@@ -352,10 +329,9 @@ class LlmAgent:
     MAX_PARSE_RETRIES times, then treated as Accept so the walk
     ends with whatever context the cursor is on.
 
-    `traverse` asks it ahead and from several threads, about the DOWN chain
-    below the root; it is safe for that when its client is, as `LlmClient`
-    is. The walk keeps the chain's answers itself and does not rely on this
-    agent's memo to avoid asking twice.
+    `traverse` asks it from several threads about the DOWN chain below the
+    root; it is safe for that when its client is, as `LlmClient` is. The walk
+    does not rely on this agent's memo to avoid asking twice.
 
     The agent remembers the action it chose for its last MEMO_ENTRIES
     (node text, query, path) questions and answers a repeat without a
@@ -369,13 +345,10 @@ class LlmAgent:
         self._memo = _DecisionMemo()
 
     def propose_action(self, node_text: str, query: str, visited_path) -> TraversalAction:
-        summary = _path_summary(visited_path)
-        return self._memo.decide((node_text, query, summary),
-                                 lambda: self._ask(node_text, query, summary))
+        return self._memo.decide((node_text, query, _path_summary(visited_path)),
+                                 lambda: self._ask(llm_agent_prompt(node_text, query, visited_path)))
 
-    def _ask(self, node_text: str, query: str, path_summary: str) -> TraversalAction:
-        messages = render_messages("traversal_agent_v1", query=query, node_text=node_text,
-                                   path_summary=path_summary)
+    def _ask(self, messages: list[dict]) -> TraversalAction:
         for _ in range(MAX_PARSE_RETRIES + 1):
             request = ChatRequest(model=self.client.model, messages=messages, stage="agent")
             reply = self.client.complete(request)

@@ -126,6 +126,21 @@ class TestPersonaPrompt:
         with pytest.raises(DocumentParseError):
             HatTree.deserialize(json.dumps(doc))
 
+    @pytest.mark.parametrize("name", ["response_v1", "sufficiency_v1"])
+    def test_only_persona_templates_build_a_persona_aggregator(self, name):
+        # Shipped templates, but their placeholders are not the persona prompt's.
+        with pytest.raises(InvalidParameterError, match=r"\['persona_v1'\]"):
+            LlmPersonaAggregator(mock_client(), template=name)
+        spec = {"kind": "llm_persona", "params": {"template": name}}
+        with pytest.raises(ConfigurationError):
+            aggregator_from_config(None, {"aggregator": spec})
+        tree = HatTree(2, LlmPersonaAggregator(mock_client()))
+        tree.insert_leaf("he plays chess")
+        doc = json.loads(tree.serialize())
+        doc["aggregator"]["params"]["template"] = name
+        with pytest.raises(DocumentParseError):
+            HatTree.deserialize(json.dumps(doc))
+
 
 class TestLlmPersona:
     def test_scripted_reply_is_stripped(self):

@@ -9,7 +9,7 @@ import re
 import pytest
 
 from hatmem import HatTree, llm
-from hatmem.cli import EXIT_DATA, EXIT_OK, EXIT_REMOTE, EXIT_USAGE, main
+from hatmem.cli import EXIT_DATA, EXIT_OK, EXIT_REMOTE, EXIT_USAGE, _client, build_parser, main
 from hatmem.episodes import save_episodes
 from hatmem.fixtures import planted_fact_episodes
 
@@ -76,11 +76,23 @@ class TestExitCodes:
         bad_spec = tmp_path / "spec.json"
         bad_spec.write_text(json.dumps({"aggregator": {"kind": "truncate", "params": {"budget": 0}}}),
                             encoding="utf-8")
+        unknown_key = tmp_path / "unknown.json"
+        unknown_key.write_text(json.dumps({"strategy": "hat_bfs", "memory_lenght": 9}), encoding="utf-8")
+        not_persona = tmp_path / "persona.json"
+        not_persona.write_text(json.dumps({"aggregator": {"kind": "llm_persona",
+                                                          "params": {"template": "response_v1"}}}),
+                               encoding="utf-8")
         bad_tree = tmp_path / "bad.tree.json"
         bad_tree.write_text(json.dumps({"format": "hat-tree", "version": 2, "memory_length": 3,
                                         "layers": 7}), encoding="utf-8")
         cases = [(["bench", episodes_file, "--mock", "--config", str(not_json)], "not valid JSON"),
                  (["bench", episodes_file, "--mock", "--config", str(bad_spec)], "truncate budget"),
+                 (["bench", episodes_file, "--mock", "--config", str(unknown_key)],
+                  "unknown key 'strategy'; the keys read are endpoint, api_key, model, "
+                  "memory_length, aggregator, budget"),
+                 (["ingest", episodes_file, "--out", str(tmp_path / "out"), "--mock",
+                   "--config", str(not_persona)],
+                  "persona template must be one of ['persona_v1'], got 'response_v1'"),
                  (["inspect", str(bad_tree)], "layers must be"),
                  (["bench", episodes_file, "--endpoint", "file:///x", "--api-key", "k",
                    "--model", "m"], "http:// or https://")]
@@ -142,6 +154,36 @@ class TestConfigFile:
         err = capsys.readouterr().err
         assert f"the key {key!r} is no longer read" in err
         assert f"write {nested} instead" in err
+
+
+class TestClientSettings:
+    """Endpoint, API key and model resolve as flag > environment > file."""
+
+    SETTINGS = [("endpoint", "--endpoint", "HATMEM_ENDPOINT", "http://{}.invalid/v1"),
+                ("api_key", "--api-key", "HATMEM_API_KEY", "{}-key"),
+                ("model", "--model", "HATMEM_MODEL", "{}-model")]
+
+    @staticmethod
+    def resolved(client, key):
+        return client.model if key == "model" else getattr(client.transport, key)
+
+    @pytest.mark.parametrize("key, flag, env_key, shape", SETTINGS, ids=[row[0] for row in SETTINGS])
+    def test_environment_beats_file_and_flag_beats_both(self, key, flag, env_key, shape,
+                                                        monkeypatch):
+        file_config = {k: s.format("file") for k, _, _, s in self.SETTINGS}
+        for _, _, other, _ in self.SETTINGS:
+            monkeypatch.delenv(other, raising=False)
+        monkeypatch.setenv(env_key, shape.format("env"))
+        parser = build_parser()
+        args = parser.parse_args(["bench", "episodes.jsonl"])
+        assert self.resolved(_client(args, file_config), key) == shape.format("env")
+        args = parser.parse_args(["bench", "episodes.jsonl", flag, shape.format("flag")])
+        assert self.resolved(_client(args, file_config), key) == shape.format("flag")
+
+    def test_mock_model_from_environment_beats_file(self, monkeypatch):
+        monkeypatch.setenv("HATMEM_MODEL", "env-model")
+        args = build_parser().parse_args(["bench", "episodes.jsonl", "--mock"])
+        assert _client(args, {"model": "file-model"}).model == "env-model"
 
 
 class TestChat:

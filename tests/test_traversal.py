@@ -141,6 +141,11 @@ class TestTraverse:
         assert result.outcome is Outcome.BUDGET_EXHAUSTED
         assert result.steps == 5
         assert len(result.path) == 5
+        # The DOWN chain asked ahead of a 7-layer tree stops at the budget too.
+        agent = CountingAgent(ScriptedAgent([A.DOWN], cycle=True))
+        result = traverse(build_tree(64), agent, "q", TraversalConfig(step_budget=3))
+        assert result.outcome is Outcome.BUDGET_EXHAUSTED
+        assert agent.calls == 3
 
     def test_path_replay_reproduces_cursors(self):
         tree = build_tree(7)
@@ -741,5 +746,6 @@ class TestConfig:
         assert config.step_budget == 32
 
     def test_validation(self):
-        with pytest.raises(InvalidParameterError):
-            TraversalConfig(step_budget=0)
+        for budget in (0, True):
+            with pytest.raises(InvalidParameterError):
+                TraversalConfig(step_budget=budget)
