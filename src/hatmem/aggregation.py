@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import ContractViolationError, InvalidParameterError
-from .llm import ChatRequest
+from .llm import ChatRequest, is_temperature
 from .metrics import tokenize
 from .prompts import render_messages, template_names
 
@@ -51,6 +51,8 @@ class ConcatAggregator(Aggregator):
     kind = "concat"
 
     def __init__(self, separator: str = "\n"):
+        if not isinstance(separator, str):
+            raise InvalidParameterError(f"concat separator must be a string, got {separator!r}")
         self.separator = separator
 
     def params(self) -> dict:
@@ -96,9 +98,9 @@ class LlmPersonaAggregator(Aggregator):
         personas = sorted(name for name in template_names() if name.startswith("persona_"))
         if template not in personas:
             raise InvalidParameterError(f"persona template must be one of {personas}, got {template!r}")
-        if isinstance(temperature, bool) or not isinstance(temperature, (int, float)) \
-                or not temperature >= 0:
-            raise InvalidParameterError(f"persona temperature must be a number >= 0, got {temperature!r}")
+        if not is_temperature(temperature):
+            raise InvalidParameterError(
+                f"persona temperature must be a finite number >= 0, got {temperature!r}")
         if max_tokens is not None and (isinstance(max_tokens, bool) or not isinstance(max_tokens, int)
                                        or max_tokens < 1):
             raise InvalidParameterError(

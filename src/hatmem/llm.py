@@ -26,6 +26,7 @@ never sends two calls at once loads neither.
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import threading
@@ -50,6 +51,12 @@ BACKOFF_S = 1.0
 _ROLES = ("system", "user", "assistant")
 
 
+def is_temperature(value) -> bool:
+    """A finite number >= 0 and not a bool, so that it is valid JSON on the wire."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value) and value >= 0)
+
+
 @dataclass
 class ChatRequest:
     model: str
@@ -66,8 +73,8 @@ class ChatRequest:
                 raise InvalidParameterError(f"bad message role {message.get('role')!r}")
             if not isinstance(message.get("content"), str):
                 raise InvalidParameterError("message content must be a string")
-        if self.temperature < 0:
-            raise InvalidParameterError("temperature must be >= 0")
+        if not is_temperature(self.temperature):
+            raise InvalidParameterError(f"temperature must be a finite number >= 0, got {self.temperature!r}")
 
     def payload(self) -> dict:
         body = {

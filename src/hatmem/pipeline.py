@@ -17,10 +17,17 @@ layer, not one per aggregated node.
 A hat_* walk asks ahead (see `traversal._ask_ahead`), so it costs fewer
 round trips than steps, and it asks at most 7 questions beyond those of
 asking one node at a time.
+
+`generate_response` remembers the replies each client gave, in a memo that
+lives as long as that client, so a repeated (context, query) costs no chat
+call. Like the walks' decision memo, it assumes that the endpoint answers an
+identical temperature-0 request the same way every time.
 """
 
 from __future__ import annotations
 
+import threading
+import weakref
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -31,6 +38,7 @@ from .prompts import render_messages
 from .traversal import (
     Outcome,
     TraversalConfig,
+    _DecisionMemo,
     bfs_search,
     dfs_search,
     fallback_context,
@@ -139,9 +147,31 @@ def build_context(state: MemoryState, query: str, strategy: str, *,
     return fallback_context(tree)
 
 
+# One reply memo per client object, dropped with its client.
+_REPLY_MEMOS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_REPLY_MEMOS_LOCK = threading.Lock()
+
+
 def generate_response(context: str, query: str, client) -> str:
-    """One assistant reply for the query, grounded in the context when present."""
-    memory_block = f"MEMORY:\n{context}\n\n" if context else ""
-    messages = render_messages("response_v1", memory_block=memory_block, query=query)
-    request = ChatRequest(model=client.model, messages=messages, stage="generate")
-    return client.complete(request).content.strip()
+    """One assistant reply for the query, grounded in the context when present.
+
+    The client remembers its last MEMO_ENTRIES replies (see
+    `traversal._DecisionMemo`) and answers a repeated (context, query) without
+    a request. This assumes that the endpoint answers an identical
+    temperature-0 request the same way every time. A call that raised is not
+    remembered. A client that cannot be weakly referenced gets no memo.
+    """
+    def ask() -> str:
+        memory_block = f"MEMORY:\n{context}\n\n" if context else ""
+        messages = render_messages("response_v1", memory_block=memory_block, query=query)
+        request = ChatRequest(model=client.model, messages=messages, stage="generate")
+        return client.complete(request).content.strip()
+
+    try:
+        with _REPLY_MEMOS_LOCK:
+            memo = _REPLY_MEMOS.get(client)
+            if memo is None:
+                memo = _REPLY_MEMOS[client] = _DecisionMemo()
+    except TypeError:
+        return ask()
+    return memo.decide((context, query), ask)

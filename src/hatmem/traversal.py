@@ -17,16 +17,21 @@ oracle and the agent must be safe to call from several threads, as
 
 `LlmOracle` and `LlmAgent` each remember their last MEMO_ENTRIES decisions
 across walks, so a question one of them has already answered costs no chat
-call. A decision is filed under the SHA-256 digest of its question, so the
-memo's size does not grow with the texts it has seen. `hashlib` is imported
-at a memo's first lookup, not with this module, so a run that never walks
-does not load it (nor OpenSSL's libcrypto behind it). The memo assumes that
-the endpoint answers an identical temperature-0 request the same way every
-time.
+call; `pipeline.generate_response` keeps the same kind of memo per client.
+A decision is filed under the SHA-256 digest of its question, so the memo's
+size does not grow with the texts it has seen. The digest comes from
+CPython's own SHA-256 module (`_sha2`, or `_sha256` before 3.12), as
+`random` takes its `sha512`, and from `hashlib` only where neither exists:
+importing `hashlib` maps OpenSSL's libcrypto, about 3.6 MB of resident
+memory for one hash. It is imported at a memo's first lookup, not with this
+module, so a run that never walks or replies loads nothing for it. The memo
+assumes that the endpoint answers an identical temperature-0 request the
+same way every time.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 import threading
 from collections import OrderedDict
@@ -250,18 +255,33 @@ def fallback_context(tree: HatTree) -> str:
 
 # ------------------------------------------------------------------- memo
 
-# Decisions each LlmAgent and LlmOracle remembers, least recently used first out.
+# Decisions each LlmAgent, LlmOracle and reply client remembers, least recently used first out.
 MEMO_ENTRIES = 4096
+
+@functools.cache
+def _sha256():
+    """The SHA-256 constructor, imported at the first memo lookup."""
+    try:
+        from _sha2 import sha256  # CPython 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256  # CPython 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256
 
 
 class _DecisionMemo:
     """Thread-safe least-recently-used map from a question to its decision.
 
-    A question is a tuple of strings, filed under their SHA-256 digest, so
-    an entry costs the same whatever the length of the texts. `hashlib` is
-    imported at the first lookup rather than at module load, which keeps it
-    out of runs that never walk. A call that raises stores nothing. Two
-    threads that miss on the same question at once both ask it.
+    A question is a tuple of strings, filed under the SHA-256 digest of
+    their length-prefixed UTF-8 bytes, so an entry costs the same whatever
+    the length of the texts. The digest is CPython's built-in SHA-256, not
+    OpenSSL's through `hashlib` (see the module docstring): the same bytes,
+    but slower. On CPython 3.10-3.13 (x86-64) a 400-byte question takes
+    3-6 µs instead of 1.4-3.4 µs, and a 108 KB text, a size that only concat
+    trees reach, 0.4-0.8 ms instead of 0.09 ms. A call that raises stores
+    nothing. Two threads that miss on the same question at once both ask it.
     """
 
     def __init__(self):
@@ -273,9 +293,7 @@ class _DecisionMemo:
 
     def decide(self, question: tuple[str, ...], ask):
         """The remembered decision on `question`, or `ask()`'s, remembered."""
-        import hashlib
-
-        digest = hashlib.sha256()
+        digest = _sha256()()
         for part in question:
             data = part.encode()
             digest.update(len(data).to_bytes(8, "little"))

@@ -194,6 +194,7 @@ class TestAggregatorSpecs:
 
     @pytest.mark.parametrize("params", [
         {"temperature": "x"}, {"temperature": -1}, {"temperature": True}, {"template": 3},
+        {"temperature": float("inf")}, {"temperature": float("-inf")}, {"temperature": float("nan")},
         {"max_tokens": "x"}, {"max_tokens": 0}, {"max_tokens": -5}, {"max_tokens": True},
     ], ids=lambda params: ",".join(f"{key}={value}" for key, value in params.items()))
     def test_bad_persona_params_rejected_on_load(self, params):
@@ -203,6 +204,21 @@ class TestAggregatorSpecs:
         tree.insert_leaf("he plays chess")
         doc = json.loads(tree.serialize())
         doc["aggregator"]["params"].update(params)
+        # json writes a non-finite float as Infinity or NaN, which it reads back.
+        with pytest.raises(DocumentParseError):
+            HatTree.deserialize(json.dumps(doc))
+
+    @pytest.mark.parametrize("separator", [5, None])
+    def test_concat_separator_must_be_a_string(self, separator):
+        with pytest.raises(InvalidParameterError, match="separator"):
+            ConcatAggregator(separator)
+        spec = {"kind": "concat", "params": {"separator": separator}}
+        with pytest.raises(ConfigurationError):
+            aggregator_from_config(None, {"aggregator": spec})
+        tree = HatTree(2, ConcatAggregator())
+        tree.insert_leaf("he plays chess")
+        doc = json.loads(tree.serialize())
+        doc["aggregator"]["params"]["separator"] = separator
         with pytest.raises(DocumentParseError):
             HatTree.deserialize(json.dumps(doc))
 

@@ -83,6 +83,12 @@ class TestValidation:
             ChatRequest(model="m", messages=[{"role": "user", "content": "x"}],
                         temperature=-0.5).validate()
 
+    @pytest.mark.parametrize("temperature", [float("inf"), float("-inf"), float("nan"), True, "x"])
+    def test_rejects_temperature_that_is_not_a_finite_number(self, temperature):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            ChatRequest(model="m", messages=[{"role": "user", "content": "x"}],
+                        temperature=temperature).validate()
+
     def test_payload_wire_shape(self):
         request = ChatRequest(model="m", messages=[{"role": "user", "content": "hi"}],
                               temperature=0.25, stage="oracle")
@@ -276,13 +282,14 @@ def test_importing_and_building_a_live_client_leave_the_http_stack_unloaded():
     assert result.stdout.strip() == "[]"
 
 
-def test_a_run_loads_hashlib_only_to_walk_and_the_call_pool_only_for_a_chat_batch():
+def test_a_run_never_loads_hashlib_and_loads_the_call_pool_only_for_a_chat_batch():
     # hashlib maps OpenSSL's libcrypto and concurrent.futures imports logging:
-    # a local tree must load neither, a chat flush only the pool, and only a
-    # walk's decision memo hashes anything.
+    # a local tree must load neither, a chat flush only the pool, and the
+    # memos of a walk and a reply hash with CPython's own SHA-256.
     code = """
 import sys, hatmem, hatmem.cli
-from hatmem import ConcatAggregator, HatTree, LlmOracle, LlmPersonaAggregator, mock_client
+from hatmem import (ConcatAggregator, HatTree, LlmAgent, LlmOracle, LlmPersonaAggregator,
+                    bfs_search, generate_response, mock_client, traverse)
 
 def loaded():
     print([m for m in ("hashlib", "_hashlib", "concurrent.futures", "logging") if m in sys.modules])
@@ -301,7 +308,9 @@ for i in range(30):
     persona.append_leaf(f"t{i}")
 persona.flush()
 loaded()
-LlmOracle(mock_client()).sufficient("a passage", "a question")
+bfs_search(persona, LlmOracle(mock_client()), "t7")
+traverse(persona, LlmAgent(mock_client()), "t7")
+generate_response("user: t7", "t7", mock_client())
 loaded()
 """
     env = dict(os.environ, PYTHONPATH=str(Path(hatmem.__file__).parents[1]))
@@ -310,7 +319,7 @@ loaded()
     assert result.stdout.splitlines() == [
         "[]",
         "['concurrent.futures', 'logging']",
-        "['hashlib', '_hashlib', 'concurrent.futures', 'logging']",
+        "['concurrent.futures', 'logging']",
     ]
 
 

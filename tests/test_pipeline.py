@@ -2,6 +2,12 @@
 
 from __future__ import annotations
 
+import gc
+import sys
+import threading
+import types
+import weakref
+
 import pytest
 
 from conftest import (
@@ -282,6 +288,123 @@ class TestGenerateResponse:
         with pytest.raises(RemoteUnavailableError, match="generate call") as failure:
             generate_response("ctx", "q", client)
         assert failure.value.stage == "generate"
+
+
+class TestReplyMemo:
+    def test_repeated_reply_sends_one_request(self):
+        client = ScriptedClient(["  first  ", "second"])
+        assert generate_response("ctx", "q", client) == "first"
+        assert generate_response("ctx", "q", client) == "first"
+        assert len(client.requests) == 1
+        assert generate_response("ctx", "another q", client) == "second"
+        assert len(client.requests) == 2
+
+    def test_second_client_asks_again(self):
+        first, second = ScriptedClient(["one"]), ScriptedClient(["two"])
+        assert generate_response("ctx", "q", first) == "one"
+        assert generate_response("ctx", "q", second) == "two"
+        assert len(first.requests) == len(second.requests) == 1
+
+    def test_failed_reply_is_not_remembered(self):
+        transport = DownTransport()
+        client = LlmClient(transport, model="m", sleep=lambda _s: None)
+        with pytest.raises(RemoteUnavailableError):
+            generate_response("user: my horse is grey", "what color is my horse?", client)
+        assert transport.calls == 3
+        transport.down = False
+        for _ in range(2):
+            assert generate_response("user: my horse is grey", "what color is my horse?",
+                                     client) == "my horse is grey"
+        assert transport.calls == 4
+
+    def test_client_with_only_model_and_complete(self):
+        class Client:
+            model = "m"
+            requests = 0
+
+            def complete(self, request):
+                Client.requests += 1
+                return ChatReply(content=f"reply {request.model}")
+
+        client = Client()
+        for _ in range(2):
+            assert generate_response("ctx", "q", client) == "reply m"
+        assert Client.requests == 1
+
+    def test_client_without_weak_references_replies_without_a_memo(self):
+        requests = []
+        client = types.SimpleNamespace(
+            model="m", complete=lambda request: requests.append(request) or ChatReply(content="r"))
+        for _ in range(2):
+            assert generate_response("ctx", "q", client) == "r"
+        assert len(requests) == 2
+
+    def test_memos_stay_whole_under_concurrent_replies(self):
+        # More threads than cores make the first replies of fresh clients at
+        # once, while short-lived clients come and go: a memo lost to a race
+        # between two threads that both made one for the same client would
+        # make the last pass ask again.
+        class CountingClient:
+            model = "m"
+
+            def __init__(self):
+                self.requests = 0
+                self._lock = threading.Lock()
+
+            def complete(self, request):
+                with self._lock:
+                    self.requests += 1
+                return ChatReply(content=request.messages[-1]["content"].split()[-1])
+
+        threads_n, questions = 16, [f"q{i}" for i in range(20)]
+        rounds = [[CountingClient() for _ in range(4)] for _ in range(60)]
+        barrier = threading.Barrier(threads_n, timeout=30)
+        wrong = []
+
+        def worker(seed):
+            # Each thread asks its 5 questions of every client; together
+            # they ask all 20 of every client.
+            for shared in rounds:
+                barrier.wait()
+                for i in range(5 * len(shared)):
+                    query = questions[(seed + i // len(shared)) % len(questions)]
+                    for client in (shared[(seed + i) % len(shared)], CountingClient()):
+                        if generate_response("", query, client) != query:
+                            wrong.append(query)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(threads_n)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        clients = [client for shared in rounds for client in shared]
+        before = [client.requests for client in clients]
+        for client in clients:
+            for query in questions:
+                generate_response("", query, client)
+        assert [client.requests for client in clients] == before
+
+    def test_dropped_client_frees_its_memo_without_a_collection(self):
+        # A chat loop may make a client per conversation; its replies must
+        # not outlive it, nor wait for a full collection to go.
+        from hatmem.pipeline import _REPLY_MEMOS
+
+        client = ScriptedClient(["one"])
+        generate_response("ctx", "q", client)
+        refs = [weakref.ref(client), weakref.ref(_REPLY_MEMOS[client])]
+        gc.disable()
+        try:
+            del client
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            gc.enable()
 
 
 class TestRunBench:

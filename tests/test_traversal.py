@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import gc
+import hashlib
+import json
+import os
 import random
+import subprocess
 import sys
 import threading
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import pytest
 
@@ -28,6 +33,7 @@ from conftest import (
 )
 from reference_impls import bfs_visit_order, dfs_visit_order, plain_scan, plain_walk, wave_scan
 
+import hatmem
 from hatmem import (
     Cursor,
     LlmAgent,
@@ -56,7 +62,7 @@ from hatmem.errors import (
     InvalidParameterError,
     RemoteUnavailableError,
 )
-from hatmem.traversal import llm_agent_prompt, parse_action
+from hatmem.traversal import _DecisionMemo, llm_agent_prompt, parse_action
 
 
 class FailingAgent:
@@ -738,6 +744,67 @@ class TestDecisionMemo:
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == []
         assert oracle.client.transport.calls < 8 * 300
+
+    def test_keys_are_sha256_of_length_prefixed_utf8(self):
+        def key(*parts):
+            data = b"".join(len(part.encode()).to_bytes(8, "little") + part.encode() for part in parts)
+            return hashlib.sha256(data).digest()
+
+        memo = _DecisionMemo()
+        memo.decide(("ab", "c"), lambda: 1)
+        memo.decide(("a", "bc"), lambda: 2)
+        memo.decide(("grün ✓", "", "x" * 100_000), lambda: 3)
+        assert list(memo._decisions) == [key("ab", "c"), key("a", "bc"),
+                                         key("grün ✓", "", "x" * 100_000)]
+        oracle = LlmOracle(mock_client())
+        oracle.sufficient("w1 w2", "w1")
+        assert list(oracle._memo._decisions) == [key("w1 w2", "w1")]
+
+    def test_hashlib_fallback_gives_the_same_walks(self):
+        # Where CPython's own SHA-256 module is missing the memo hashes with
+        # hashlib: the same keys, so the same results for the same calls.
+        code = """
+import json, sys
+from hatmem import (HatTree, LlmAgent, LlmOracle, TraversalConfig, TruncateAggregator,
+                    bfs_search, dfs_search, generate_response, mock_client, traverse)
+
+words = "apple banana cherry delta echo foxtrot golf".split()
+tree = HatTree(3, TruncateAggregator(budget=3))
+oracle, agent, replier = LlmOracle(mock_client()), LlmAgent(mock_client()), mock_client()
+config = TraversalConfig(step_budget=12)
+results = []
+for turn in range(30):
+    tree.append_leaf(f"user: {words[turn % 7]} {words[turn % 5]}")
+    query = f"{words[turn % 6]} {words[turn % 4]}?"
+    for walk, decider in ((bfs_search, oracle), (dfs_search, oracle), (traverse, agent)):
+        result = walk(tree, decider, query, config)
+        results.append([result.outcome.value, result.text, result.steps])
+    results.append(generate_response(results[-1][1] or "", query, replier))
+print(json.dumps({
+    "results": results,
+    "calls": [decider.client.transport.calls for decider in (oracle, agent)]
+             + [replier.transport.calls],
+    "keys": sorted(key.hex() for key in oracle._memo._decisions),
+    "hashlib": "hashlib" in sys.modules,
+}))
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(hatmem.__file__).parents[1]))
+        runs = {}
+        for blocked in (False, True):
+            prefix = 'import sys; sys.modules["_sha2"] = sys.modules["_sha256"] = None\n' if blocked else ""
+            done = subprocess.run([sys.executable, "-c", prefix + code], env=env, capture_output=True,
+                                  text=True, timeout=120, check=True)
+            runs[blocked] = json.loads(done.stdout)
+        assert runs[True].pop("hashlib") is True
+        assert runs[False].pop("hashlib") is False
+        assert runs[True] == runs[False]
+        # The memos answered some asks, so both backends were looked up.
+        oracle_calls, agent_calls, reply_calls = runs[True]["calls"]
+        steps = sum(result[2] for result in runs[True]["results"] if isinstance(result, list))
+        assert oracle_calls + agent_calls < steps
+        assert reply_calls < 30
+        assert {result[0] for result in runs[True]["results"] if isinstance(result, list)} == {
+            "sufficient", "insufficient", "budget_exhausted"}
 
 
 class TestConfig:
