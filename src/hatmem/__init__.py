@@ -15,7 +15,7 @@ from .aggregation import (
     aggregator_from_spec,
     persona_prompt,
 )
-from .bench import BenchOptions, dump_report, render_table, run_bench
+from .bench import dump_report, render_table, run_bench
 from .episodes import (
     DialogueTurn,
     Episode,

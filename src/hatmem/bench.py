@@ -13,12 +13,10 @@ so identical runs produce identical bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
-from typing import Optional
 
 from .aggregation import Aggregator
 from .episodes import Episode, final_exchange
-from .errors import InvalidParameterError
+from .errors import ConfigurationError, InvalidParameterError
 from .llm import LlmClient
 from .metrics import score_pairs
 from .pipeline import (
@@ -34,18 +32,6 @@ from .traversal import LlmAgent, LlmOracle, TraversalConfig
 
 REPORT_FORMAT = "hatmem-bench"
 REPORT_VERSION = 1
-
-
-@dataclass
-class BenchOptions:
-    memory_length: int = 3
-    strategies: list[str] = field(default_factory=lambda: list(STRATEGIES))
-    step_budget: int = 32
-
-    def __post_init__(self):
-        unknown = [s for s in self.strategies if s not in STRATEGIES]
-        if unknown:
-            raise InvalidParameterError(f"unknown strategies {unknown}; choose from {STRATEGIES}")
 
 
 def prepare_eval(episode: Episode, memory_length: int, aggregator: Aggregator):
@@ -67,32 +53,44 @@ def prepare_eval(episode: Episode, memory_length: int, aggregator: Aggregator):
     return state, query, reference, gold
 
 
-def run_bench(episodes: list[Episode], aggregator: Aggregator, client: LlmClient,
-              options: Optional[BenchOptions] = None) -> dict:
-    """Score every requested strategy over the episodes; returns the report."""
-    options = options or BenchOptions()
+def run_bench(episodes: list[Episode], aggregator: Aggregator, client: LlmClient, *,
+              memory_length: int = 3, strategies=STRATEGIES,
+              step_budget: int = TraversalConfig.step_budget) -> dict:
+    """Score every requested strategy over the episodes; returns the report.
+
+    memory_length is the tree's M; strategies names the strategies to score,
+    in report order (default all of `STRATEGIES`); step_budget caps each
+    tree walk. An episode that a strategy cannot evaluate, such as one whose
+    query opens its only session, is refused with an error that names it.
+    """
+    unknown = [s for s in strategies if s not in STRATEGIES]
+    if unknown:
+        raise InvalidParameterError(f"unknown strategies {unknown}; choose from {STRATEGIES}")
     if not episodes:
         raise InvalidParameterError("no episodes to benchmark")
-    config = TraversalConfig(step_budget=options.step_budget)
+    config = TraversalConfig(step_budget=step_budget)
     # One oracle per strategy: no strategy is scored on another's remembered verdicts.
-    oracles = {name: LlmOracle(client) for name in options.strategies}
+    oracles = {name: LlmOracle(client) for name in strategies}
     agent = LlmAgent(client)
 
     episode_rows = []
-    strategy_rows: dict[str, list[dict]] = {name: [] for name in options.strategies}
-    strategy_pairs: dict[str, list[tuple[str, str]]] = {name: [] for name in options.strategies}
+    strategy_rows: dict[str, list[dict]] = {name: [] for name in strategies}
+    strategy_pairs: dict[str, list[tuple[str, str]]] = {name: [] for name in strategies}
     fidelity_pairs: list[tuple[str, str]] = []
 
     for episode in sorted(episodes, key=lambda e: e.episode_id):
-        state, query, reference, gold = prepare_eval(episode, options.memory_length, aggregator)
+        state, query, reference, gold = prepare_eval(episode, memory_length, aggregator)
         episode_rows.append({
             "episode_id": episode.episode_id,
             "query": query.text,
             "reference": reference.text,
         })
-        for name in options.strategies:
-            context = build_context(state, query.text, name, gold=gold,
-                                    oracle=oracles[name], agent=agent, config=config)
+        for name in strategies:
+            try:
+                context = build_context(state, query.text, name, gold=gold,
+                                        oracle=oracles[name], agent=agent, config=config)
+            except (ConfigurationError, InvalidParameterError) as exc:
+                raise type(exc)(f"episode {episode.episode_id!r}: {exc}") from exc
             response = generate_response(context, query.text, client)
             strategy_rows[name].append({
                 "episode_id": episode.episode_id,
@@ -106,7 +104,7 @@ def run_bench(episodes: list[Episode], aggregator: Aggregator, client: LlmClient
                 fidelity_pairs.append((snapshot, "\n".join(session.gold_memory)))
 
     strategies_doc = {}
-    for name in options.strategies:
+    for name in strategies:
         strategies_doc[name] = {
             "metrics": score_pairs(strategy_pairs[name]).as_dict(),
             "rows": strategy_rows[name],
@@ -115,10 +113,10 @@ def run_bench(episodes: list[Episode], aggregator: Aggregator, client: LlmClient
         "format": REPORT_FORMAT,
         "version": REPORT_VERSION,
         "config": {
-            "memory_length": options.memory_length,
+            "memory_length": memory_length,
             "aggregator": aggregator.spec(),
-            "step_budget": options.step_budget,
-            "strategies": list(options.strategies),
+            "step_budget": step_budget,
+            "strategies": list(strategies),
             "model": client.model,
         },
         "episodes": episode_rows,

@@ -16,8 +16,8 @@ import sys
 from pathlib import Path
 
 from . import bench as bench_mod
-from .config import aggregator_from_config, int_setting, load_config_file, setting
-from .episodes import DialogueTurn, load_episodes
+from .config import aggregator_from_config, load_config_file, setting
+from .episodes import DialogueTurn, load_episodes, read_json_lines
 from .errors import (
     ConfigurationError,
     ContractViolationError,
@@ -54,19 +54,17 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _add_common(sub, *, tree_flags=True, client_flags=True):
+def _add_common(sub):
     sub.add_argument("--config", help="JSON config file")
-    if tree_flags:
-        sub.add_argument("--memory-length", type=int, default=None,
-                         help="max children per internal node (default 3)")
-        sub.add_argument("--aggregator", choices=["concat", "truncate", "llm_persona"],
-                         default=None, help="aggregate function (default concat)")
-    if client_flags:
-        sub.add_argument("--mock", action="store_true",
-                         help="use the offline deterministic chat backend")
-        sub.add_argument("--endpoint", default=None, help="chat endpoint URL")
-        sub.add_argument("--api-key", default=None, help="chat API key")
-        sub.add_argument("--model", default=None, help="chat model id")
+    sub.add_argument("--memory-length", type=int, default=None,
+                     help="max children per internal node (default 3)")
+    sub.add_argument("--aggregator", choices=["concat", "truncate", "llm_persona"],
+                     default=None, help="aggregate function (default concat)")
+    sub.add_argument("--mock", action="store_true",
+                     help="use the offline deterministic chat backend")
+    sub.add_argument("--endpoint", default=None, help="chat endpoint URL")
+    sub.add_argument("--api-key", default=None, help="chat API key")
+    sub.add_argument("--model", default=None, help="chat model id")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -118,11 +116,11 @@ def _client(args, file_config):
 
 
 def _memory_length(args, file_config) -> int:
-    return int_setting(args.memory_length, file_config, "memory_length", 3)
+    return setting(args.memory_length, None, file_config, "memory_length", 3)
 
 
 def _step_budget(args, file_config) -> int:
-    return int_setting(args.budget, file_config, "budget", 32)
+    return setting(args.budget, None, file_config, "budget", TraversalConfig.step_budget)
 
 
 def cmd_ingest(args) -> int:
@@ -156,12 +154,10 @@ def cmd_bench(args) -> int:
     client = _client(args, file_config)
     aggregator = aggregator_from_config(args.aggregator, file_config, client=client)
     episodes = load_episodes(args.input, require_session=args.require_session)
-    options = bench_mod.BenchOptions(
-        memory_length=_memory_length(args, file_config),
-        strategies=args.strategy or list(STRATEGIES),
-        step_budget=_step_budget(args, file_config),
-    )
-    report = bench_mod.run_bench(episodes, aggregator, client, options)
+    report = bench_mod.run_bench(episodes, aggregator, client,
+                                 memory_length=_memory_length(args, file_config),
+                                 strategies=args.strategy or STRATEGIES,
+                                 step_budget=_step_budget(args, file_config))
     sys.stdout.write(bench_mod.render_table(report))
     if args.out:
         Path(args.out).write_text(bench_mod.dump_report(report), encoding="utf-8")
@@ -211,19 +207,12 @@ def cmd_inspect(args) -> int:
 
 def cmd_metrics(args) -> int:
     pairs = []
-    with open(args.pairs, "r", encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except ValueError as exc:
-                raise DocumentParseError(f"line {line_no}: not valid JSON: {exc}") from exc
-            if not isinstance(obj, dict) or not isinstance(obj.get("candidate"), str) \
-                    or not isinstance(obj.get("reference"), str):
-                raise DocumentParseError(
-                    f"line {line_no}: need an object with string candidate and reference")
-            pairs.append((obj["candidate"], obj["reference"]))
+    for line_no, obj in read_json_lines(args.pairs):
+        if not isinstance(obj, dict) or not isinstance(obj.get("candidate"), str) \
+                or not isinstance(obj.get("reference"), str):
+            raise DocumentParseError(
+                f"line {line_no}: need an object with string candidate and reference")
+        pairs.append((obj["candidate"], obj["reference"]))
     if not pairs:
         raise DocumentParseError("no pairs to score")
     report = score_pairs(pairs)

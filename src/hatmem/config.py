@@ -1,12 +1,17 @@
 """Config file loading and flag/env/file precedence.
 
 Settings resolve as CLI flag > environment variable > config file > default.
-The config file is a JSON object with the keys endpoint, api_key, model,
-memory_length, aggregator (kind string or {kind, params}) and budget; a file
-with any other key is refused. Aggregator parameters go only in the nested
-form, for example {"aggregator": {"kind": "truncate", "params": {"budget": 16}}};
-a file that still holds the removed flat keys separator or truncate_budget is
-told so.
+The config file is a JSON object; each value is type-checked when the file is
+read, and a file with any other key is refused. The keys read are:
+
+* endpoint, api_key, model: strings;
+* memory_length, budget: integers (true and false do not count);
+* aggregator: a kind string, or an object whose only keys are kind and
+  params.
+
+Aggregator parameters go only in the nested form, for example
+{"aggregator": {"kind": "truncate", "params": {"budget": 16}}}; a file that
+still holds the removed flat keys separator or truncate_budget is told so.
 """
 
 from __future__ import annotations
@@ -18,7 +23,13 @@ from typing import Optional
 from .aggregation import Aggregator, aggregator_from_spec
 from .errors import ConfigurationError, InvalidParameterError
 
-_FILE_KEYS = ("endpoint", "api_key", "model", "memory_length", "aggregator", "budget")
+_STRING = ("a string", lambda v: isinstance(v, str))
+_INTEGER = ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+_AGGREGATOR = ("a kind string or an object with only the keys kind and params",
+               lambda v: isinstance(v, str) or isinstance(v, dict) and set(v) <= {"kind", "params"})
+# Each key the file may hold: what its value must be, and the test for it.
+_FILE_KEYS = {"endpoint": _STRING, "api_key": _STRING, "model": _STRING,
+              "memory_length": _INTEGER, "aggregator": _AGGREGATOR, "budget": _INTEGER}
 # Removed flat keys: each one's aggregator kind and parameter name.
 _REMOVED_KEYS = {"separator": ("concat", "separator"), "truncate_budget": ("truncate", "budget")}
 
@@ -40,42 +51,32 @@ def load_config_file(path: Optional[str]) -> dict:
             nested = json.dumps({"aggregator": {"kind": kind, "params": {param: config[key]}}})
             raise ConfigurationError(f"config file {path}: the key {key!r} is no longer read; "
                                      f"write {nested} instead")
-    for key in config:
+    for key, value in config.items():
         if key not in _FILE_KEYS:
             raise ConfigurationError(f"config file {path}: unknown key {key!r}; "
                                      f"the keys read are {', '.join(_FILE_KEYS)}")
+        expected, accepts = _FILE_KEYS[key]
+        if not accepts(value):
+            raise ConfigurationError(f"config key {key!r} must be {expected}, got {json.dumps(value)}")
     return config
 
 
-def setting(cli_value, env_key: Optional[str], file_config: dict, file_key: str,
-            default=None, env=os.environ):
+def setting(cli_value, env_key: Optional[str], file_config: dict, file_key: str, default=None):
     if cli_value is not None:
         return cli_value
-    if env_key is not None and env_key in env:
-        return env[env_key]
+    if env_key is not None and env_key in os.environ:
+        return os.environ[env_key]
     if file_key in file_config:
         return file_config[file_key]
     return default
 
 
-def int_setting(cli_value, file_config: dict, file_key: str, default: int) -> int:
-    """A whole-number setting; a config file value must be a JSON integer, not a bool."""
-    value = setting(cli_value, None, file_config, file_key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(f"config key {file_key!r} must be an integer, got {json.dumps(value)}")
-    return value
-
-
 def aggregator_from_config(kind: Optional[str], file_config: dict, client=None) -> Aggregator:
     """Aggregator from the resolved kind plus kind-specific file settings."""
     spec = setting(kind, None, file_config, "aggregator", "concat")
-    if isinstance(spec, dict):
-        resolved_kind = spec.get("kind")
-        params = spec.get("params") or {}
-    else:
-        resolved_kind = spec
-        params = {}
+    if isinstance(spec, str):
+        spec = {"kind": spec}
     try:
-        return aggregator_from_spec(resolved_kind, params, client=client)
+        return aggregator_from_spec(spec.get("kind"), spec.get("params"), client=client)
     except InvalidParameterError as exc:
         raise ConfigurationError(str(exc)) from exc

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterator, Optional
 
 from .errors import DocumentParseError
 
@@ -92,21 +92,25 @@ def episode_to_dict(episode: Episode) -> dict:
     }
 
 
-def load_episodes(path, require_session: Optional[int] = None) -> list[Episode]:
-    """Parse an episodes file; errors carry 1-based line numbers.
-
-    require_session keeps only episodes that reach that session number.
-    """
-    episodes = []
+def read_json_lines(path) -> Iterator[tuple[int, object]]:
+    """(1-based line number, parsed value) for each nonblank line of a JSON-lines file."""
     with open(path, "r", encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             try:
-                obj = json.loads(line)
+                value = json.loads(line)
             except ValueError as exc:
                 _fail(line_no, f"not valid JSON: {exc}")
-            episodes.append(parse_episode(obj, line_no))
+            yield line_no, value
+
+
+def load_episodes(path, require_session: Optional[int] = None) -> list[Episode]:
+    """Parse an episodes file; errors carry 1-based line numbers.
+
+    require_session keeps only episodes that reach that session number.
+    """
+    episodes = [parse_episode(obj, line_no) for line_no, obj in read_json_lines(path)]
     if require_session is not None:
         episodes = [e for e in episodes if len(e.sessions) >= require_session]
     return episodes

@@ -129,7 +129,8 @@ def score_pairs(pairs: list[tuple[str, str]]) -> MetricReport:
     if not pairs:
         raise InvalidParameterError("pairs must be nonempty")
     candidates = [candidate for candidate, _ in pairs]
-    mean_f1 = sum(f1(candidate, reference) for candidate, reference in pairs) / len(pairs)
+    # fsum rounds once, so the mean has the same bits on every Python version.
+    mean_f1 = math.fsum(f1(candidate, reference) for candidate, reference in pairs) / len(pairs)
     return MetricReport(
         bleu1=bleu_n(pairs, 1),
         bleu2=bleu_n(pairs, 2),

@@ -142,6 +142,21 @@ class TestConfigFile:
                      "--config", str(config), "--out", str(report)]) == EXIT_OK
         assert json.loads(report.read_text(encoding="utf-8"))["config"]["step_budget"] == 1
 
+    @pytest.mark.parametrize("contents, flags, message", [
+        ({"endpoint": 5, "api_key": "k", "model": "m"}, [],
+         "config key 'endpoint' must be a string, got 5"),
+        ({"model": 7}, ["--mock"], "config key 'model' must be a string, got 7"),
+        ({"aggregator": {"kind": "truncate", "param": {"budget": 4}}}, ["--mock"],
+         "config key 'aggregator' must be a kind string or an object with only the keys "
+         'kind and params, got {"kind": "truncate", "param": {"budget": 4}}'),
+    ], ids=["endpoint", "model", "aggregator"])
+    def test_values_are_type_checked_when_the_file_is_read(self, contents, flags, message,
+                                                           tmp_path, episodes_file, capsys):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(contents), encoding="utf-8")
+        assert main(["bench", episodes_file, *flags, "--config", str(config)]) == EXIT_DATA
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("key, value, nested", [
         ("separator", " / ", '{"aggregator": {"kind": "concat", "params": {"separator": " / "}}}'),
         ("truncate_budget", 16, '{"aggregator": {"kind": "truncate", "params": {"budget": 16}}}'),

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import gc
+import hashlib
 import sys
 import threading
 import types
@@ -24,12 +25,15 @@ from hatmem import (
     ChatReply,
     ConcatAggregator,
     DialogueTurn,
+    Episode,
     HatTree,
     LlmClient,
     LlmPersonaAggregator,
     MemoryState,
+    Session,
     TraversalAction as A,
     TraversalConfig,
+    TruncateAggregator,
     build_context,
     dump_report,
     end_session,
@@ -417,3 +421,39 @@ class TestRunBench:
             threads.update(agg.threads)
         assert reports[0] == reports[1]
         assert len(threads) > 1  # flushes sent layers concurrently
+
+    @pytest.mark.parametrize("make, digest", [
+        (lambda client: ConcatAggregator(),
+         "ba396f42af4dc8e02e56ac67e7838f1d690c48ab58a3adbbcb7cea4649b6f734"),
+        (lambda client: TruncateAggregator(16),
+         "e972068fff49ff845d8732ae8de938b5aa6ffa210983f2f5d210f23b2bc59d99"),
+        (lambda client: LlmPersonaAggregator(client, max_tokens=24),
+         "0b228254342f513e3e37b936ee91d49921c299a35ed28ed7bc48726e50ad3be9"),
+    ], ids=["concat", "truncate", "llm_persona"])
+    def test_report_bytes_are_pinned(self, make, digest):
+        # The same bytes on every supported Python: F1 means are summed exactly.
+        client = mock_client()
+        report = dump_report(run_bench(planted_fact_episodes(20), make(client), client))
+        assert hashlib.sha256(report.encode("utf-8")).hexdigest() == digest
+
+    def test_unknown_strategies_refused(self):
+        with pytest.raises(InvalidParameterError, match=r"unknown strategies \['hat_ranked'\]"):
+            run_bench(planted_fact_episodes(1), ConcatAggregator(), mock_client(),
+                      strategies=["hat_bfs", "hat_ranked"])
+
+    def test_episode_whose_query_opens_its_only_session_is_named(self):
+        lone = Episode("lone", [Session(1, [turn("user", "hi"), turn("assistant", "hello", index=1)])])
+        episodes = [*planted_fact_episodes(1), lone]
+        with pytest.raises(InvalidParameterError, match="^episode 'lone': no turns ingested yet$"):
+            run_bench(episodes, ConcatAggregator(), mock_client())
+
+    def test_episode_without_gold_is_named_under_gold_memory(self):
+        episode = planted_fact_episode(0, episode_id="no-gold")
+        for session in episode.sessions:
+            session.gold_memory = []
+        with pytest.raises(ConfigurationError, match="^episode 'no-gold-000': gold_memory strategy "
+                                                     "requested but no gold memory provided$"):
+            run_bench([episode], ConcatAggregator(), mock_client())
+        report = run_bench([episode], ConcatAggregator(), mock_client(),
+                           strategies=["all_context"])
+        assert report["memory_fidelity"] is None
