@@ -47,7 +47,7 @@ from .llm import (
     live_client,
     mock_client,
 )
-from .metrics import MetricReport, bleu_n, distinct_n, f1, score_pairs, tokenize
+from .metrics import bleu_n, distinct_n, f1, score_pairs, tokenize
 from .pipeline import (
     STRATEGIES,
     MemoryState,
@@ -56,6 +56,7 @@ from .pipeline import (
     generate_response,
     ingest_episode,
     ingest_turn,
+    ingest_turns,
     new_memory,
 )
 from .traversal import (

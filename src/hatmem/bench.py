@@ -19,15 +19,7 @@ from .episodes import Episode, final_exchange
 from .errors import ConfigurationError, InvalidParameterError
 from .llm import LlmClient
 from .metrics import score_pairs
-from .pipeline import (
-    STRATEGIES,
-    MemoryState,
-    build_context,
-    end_session,
-    generate_response,
-    ingest_turn,
-    new_memory,
-)
+from .pipeline import STRATEGIES, build_context, generate_response, ingest_turns, new_memory
 from .traversal import LlmAgent, LlmOracle, TraversalConfig
 
 REPORT_FORMAT = "hatmem-bench"
@@ -43,12 +35,7 @@ def prepare_eval(episode: Episode, memory_length: int, aggregator: Aggregator):
     """
     query, reference, history = final_exchange(episode)
     state = new_memory(memory_length, aggregator)
-    for position, turn in enumerate(history):
-        ingest_turn(state, turn)
-        is_last = position == len(history) - 1
-        next_session = query.session if is_last else history[position + 1].session
-        if next_session != turn.session:
-            end_session(state, turn.session)
+    ingest_turns(state, history, open_session=query.session)
     gold = [g for s in episode.sessions if s.number < query.session for g in s.gold_memory]
     return state, query, reference, gold
 
@@ -103,12 +90,8 @@ def run_bench(episodes: list[Episode], aggregator: Aggregator, client: LlmClient
             if snapshot and session.gold_memory:
                 fidelity_pairs.append((snapshot, "\n".join(session.gold_memory)))
 
-    strategies_doc = {}
-    for name in strategies:
-        strategies_doc[name] = {
-            "metrics": score_pairs(strategy_pairs[name]).as_dict(),
-            "rows": strategy_rows[name],
-        }
+    strategies_doc = {name: {"metrics": score_pairs(strategy_pairs[name]),
+                             "rows": strategy_rows[name]} for name in strategies}
     return {
         "format": REPORT_FORMAT,
         "version": REPORT_VERSION,
@@ -121,7 +104,7 @@ def run_bench(episodes: list[Episode], aggregator: Aggregator, client: LlmClient
         },
         "episodes": episode_rows,
         "strategies": strategies_doc,
-        "memory_fidelity": score_pairs(fidelity_pairs).as_dict() if fidelity_pairs else None,
+        "memory_fidelity": score_pairs(fidelity_pairs) if fidelity_pairs else None,
     }
 
 
@@ -131,16 +114,13 @@ def dump_report(report: dict) -> str:
 
 def render_table(report: dict) -> str:
     """Human-readable per-strategy metric table."""
+    def row(name: str, m: dict) -> str:
+        return (f"{name:<14} {m['bleu1']:>8.4f} {m['bleu2']:>8.4f} "
+                f"{m['distinct1']:>8.4f} {m['distinct2']:>8.4f} {m['f1']:>8.4f}")
+
     header = f"{'strategy':<14} {'BLEU-1':>8} {'BLEU-2':>8} {'DIST-1':>8} {'DIST-2':>8} {'F1':>8}"
     lines = [header, "-" * len(header)]
-    for name, entry in sorted(report["strategies"].items()):
-        m = entry["metrics"]
-        lines.append(f"{name:<14} {m['bleu1']:>8.4f} {m['bleu2']:>8.4f} "
-                     f"{m['distinct1']:>8.4f} {m['distinct2']:>8.4f} {m['f1']:>8.4f}")
-    fidelity = report.get("memory_fidelity")
-    if fidelity:
-        lines.append("")
-        lines.append(f"{'memory':<14} {fidelity['bleu1']:>8.4f} {fidelity['bleu2']:>8.4f} "
-                     f"{fidelity['distinct1']:>8.4f} {fidelity['distinct2']:>8.4f} "
-                     f"{fidelity['f1']:>8.4f}")
+    lines += [row(name, entry["metrics"]) for name, entry in sorted(report["strategies"].items())]
+    if report.get("memory_fidelity"):
+        lines += ["", row("memory", report["memory_fidelity"])]
     return "\n".join(lines) + "\n"

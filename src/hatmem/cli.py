@@ -11,7 +11,6 @@ the client cannot use); either message names the stage of the failed call.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -89,7 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(run)
 
     chat = commands.add_parser("chat", help="line-oriented REPL over a growing memory tree")
-    chat.add_argument("--strategy", choices=list(STRATEGIES), default="hat_agent")
+    # A chat has no dataset summaries to offer gold_memory.
+    chat.add_argument("--strategy", choices=[s for s in STRATEGIES if s != "gold_memory"],
+                      default="hat_agent")
     chat.add_argument("--budget", type=int, default=None, help="traversal step budget")
     _add_common(chat)
 
@@ -142,7 +143,7 @@ def cmd_ingest(args) -> int:
             "session_snapshots": {str(k): v for k, v in sorted(state.session_snapshots.items())},
         }
         (out_dir / f"{episode.episode_id}.memory.json").write_text(
-            json.dumps(snapshots, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+            bench_mod.dump_report(snapshots), encoding="utf-8")
         print(f"{episode.episode_id}: {state.tree.leaf_count} leaves, "
               f"depth {state.tree.depth()}, {state.tree.agg_call_count} aggregations")
     print(f"wrote {len(episodes)} tree(s) to {out_dir}")
@@ -215,8 +216,7 @@ def cmd_metrics(args) -> int:
         pairs.append((obj["candidate"], obj["reference"]))
     if not pairs:
         raise DocumentParseError("no pairs to score")
-    report = score_pairs(pairs)
-    payload = json.dumps(report.as_dict(), sort_keys=True, indent=2) + "\n"
+    payload = bench_mod.dump_report(score_pairs(pairs))
     sys.stdout.write(payload)
     if args.out:
         Path(args.out).write_text(payload, encoding="utf-8")

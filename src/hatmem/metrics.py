@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import string
 from collections import Counter
-from dataclasses import dataclass
 
 from .errors import InvalidParameterError
 
@@ -102,40 +101,21 @@ def f1(candidate: str, reference: str) -> float:
     return 2 * overlap / (sum(cand_counts.values()) + sum(ref_counts.values()))
 
 
-@dataclass
-class MetricReport:
-    """Scores for one batch of candidates; every score lies in [0, 1]."""
+def score_pairs(pairs: list[tuple[str, str]]) -> dict:
+    """Scores for (candidate, reference) pairs, each in [0, 1], plus their count.
 
-    bleu1: float
-    bleu2: float
-    distinct1: float
-    distinct2: float
-    f1: float
-    counts: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "bleu1": self.bleu1,
-            "bleu2": self.bleu2,
-            "distinct1": self.distinct1,
-            "distinct2": self.distinct2,
-            "f1": self.f1,
-            "counts": self.counts,
-        }
-
-
-def score_pairs(pairs: list[tuple[str, str]]) -> MetricReport:
-    """Full MetricReport for (candidate, reference) pairs; F1 is the per-pair mean."""
+    Keys: bleu1, bleu2, distinct1, distinct2, f1 (the per-pair mean) and counts.
+    """
     if not pairs:
         raise InvalidParameterError("pairs must be nonempty")
     candidates = [candidate for candidate, _ in pairs]
     # fsum rounds once, so the mean has the same bits on every Python version.
     mean_f1 = math.fsum(f1(candidate, reference) for candidate, reference in pairs) / len(pairs)
-    return MetricReport(
-        bleu1=bleu_n(pairs, 1),
-        bleu2=bleu_n(pairs, 2),
-        distinct1=distinct_n(candidates, 1),
-        distinct2=distinct_n(candidates, 2),
-        f1=mean_f1,
-        counts=len(pairs),
-    )
+    return {
+        "bleu1": bleu_n(pairs, 1),
+        "bleu2": bleu_n(pairs, 2),
+        "distinct1": distinct_n(candidates, 1),
+        "distinct2": distinct_n(candidates, 2),
+        "f1": mean_f1,
+        "counts": len(pairs),
+    }

@@ -53,19 +53,22 @@ STRATEGIES = ("all_context", "part_context", "gold_memory", "hat_bfs", "hat_dfs"
 class MemoryState:
     """A tree plus its session records.
 
-    A state built around a tree that already has leaves, such as one loaded
-    with `HatTree.deserialize`, and given no `sessions` takes them from the
-    leaves' `meta["session"]`.
+    A turn's session is stored once, in its leaf's `meta["session"]`, so a
+    loaded tree or a leaf appended straight to the tree counts as well.
     """
 
     tree: HatTree
     session_snapshots: dict[int, str] = field(default_factory=dict)
-    sessions: set[int] = field(default_factory=set)  # sessions with an ingested turn
 
-    def __post_init__(self):
-        if not self.sessions:
-            named = (leaf.meta.get("session") for leaf in self.tree.leaves() if leaf.meta)
-            self.sessions = {s for s in named if isinstance(s, int) and not isinstance(s, bool)}
+    @property
+    def sessions(self) -> set[int]:
+        return set(_leaf_sessions(self.tree))
+
+
+def _leaf_sessions(tree: HatTree):
+    """The integer `meta["session"]` of each leaf that has one, newest leaf first."""
+    named = (leaf.meta.get("session") for leaf in reversed(tree.leaves()) if leaf.meta)
+    return (s for s in named if isinstance(s, int) and not isinstance(s, bool))
 
 
 def new_memory(memory_length: int, aggregator) -> MemoryState:
@@ -78,9 +81,7 @@ def ingest_turn(state: MemoryState, turn: DialogueTurn) -> int:
     if not turn.text:
         raise InvalidParameterError("turn text must be nonempty")
     meta = {"speaker": turn.speaker, "session": turn.session, "turn_index": turn.turn_index}
-    index = state.tree.append_leaf(f"{turn.speaker}: {turn.text}", meta=meta)
-    state.sessions.add(turn.session)
-    return index
+    return state.tree.append_leaf(f"{turn.speaker}: {turn.text}", meta=meta)
 
 
 def end_session(state: MemoryState, session: int) -> str:
@@ -89,20 +90,28 @@ def end_session(state: MemoryState, session: int) -> str:
     Aggregates every turn appended since the last read first; if that fails,
     no snapshot is recorded.
     """
-    if session not in state.sessions:
+    if session not in _leaf_sessions(state.tree):
         raise NotFoundError(f"no turns ingested for session {session}")
     snapshot = state.tree.root_text()
     state.session_snapshots[session] = snapshot
     return snapshot
 
 
+def ingest_turns(state: MemoryState, turns: list[DialogueTurn],
+                 open_session: Optional[int] = None) -> None:
+    """Ingest turns in order; end each session that the next turn leaves, and the
+    last turn's session unless it is `open_session` (one still under way)."""
+    next_sessions = [turn.session for turn in turns[1:]] + [open_session]
+    for turn, next_session in zip(turns, next_sessions):
+        ingest_turn(state, turn)
+        if next_session != turn.session:
+            end_session(state, turn.session)
+
+
 def ingest_episode(episode: Episode, memory_length: int, aggregator) -> MemoryState:
     """Ingest every turn of every session, snapshotting at each session end."""
     state = new_memory(memory_length, aggregator)
-    for session in episode.sessions:
-        for turn in session.turns:
-            ingest_turn(state, turn)
-        end_session(state, session.number)
+    ingest_turns(state, [turn for session in episode.sessions for turn in session.turns])
     return state
 
 
@@ -122,9 +131,9 @@ def build_context(state: MemoryState, query: str, strategy: str, *,
     if strategy == "all_context":
         return "\n".join(leaf.text for leaf in tree.leaves())
     if strategy == "part_context":
-        if not state.sessions:
+        current = max(state.sessions, default=None)
+        if current is None:
             raise InvalidParameterError("part_context needs turns that name their session")
-        current = max(state.sessions)
         return "\n".join(leaf.text for leaf in tree.leaves()
                          if leaf.meta and leaf.meta.get("session") == current)
     if strategy == "gold_memory":

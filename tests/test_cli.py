@@ -215,6 +215,14 @@ class TestChat:
         assert all(reply != message for reply, message in zip(replies, messages))
         assert "zorimu" in replies[2]
 
+    def test_gold_memory_is_refused_up_front(self, monkeypatch, capsys):
+        # A chat has no dataset summaries, so gold_memory could never answer a second message.
+        monkeypatch.setattr("sys.stdin", io.StringIO("hello\nwhat did I say?\n"))
+        assert main(["chat", "--mock", "--strategy", "gold_memory"]) == EXIT_USAGE
+        captured = capsys.readouterr()
+        assert "invalid choice: 'gold_memory'" in captured.err
+        assert "assistant: " not in captured.out
+
 
 class TestInspect:
     def test_prints_one_line_per_node(self, tmp_path, capsys):

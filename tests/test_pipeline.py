@@ -40,8 +40,10 @@ from hatmem import (
     generate_response,
     ingest_episode,
     ingest_turn,
+    ingest_turns,
     mock_client,
     new_memory,
+    render_table,
     run_bench,
 )
 from hatmem.errors import (
@@ -154,6 +156,59 @@ class TestEndSession:
         b = ingest_episode(episode, 3, ConcatAggregator("\n"))
         assert a.session_snapshots == b.session_snapshots
         assert a.tree.serialize() == b.tree.serialize()
+
+    def test_leaf_appended_to_the_tree_is_seen(self):
+        state = new_memory(2, ConcatAggregator("\n"))
+        ingest_turn(state, turn("user", "early", session=1))
+        state.tree.append_leaf("user: later", meta={"speaker": "user", "session": 2,
+                                                    "turn_index": 0})
+        assert state.sessions == {1, 2}
+        assert build_context(state, "q", "part_context") == "user: later"
+        assert end_session(state, 2) == "user: early\nuser: later"
+        assert state.session_snapshots == {2: "user: early\nuser: later"}
+
+
+class TestIngestTurns:
+    SESSIONS = [1, 1, 2, 3, 3]
+
+    def turns(self):
+        return [turn("user", f"s{s} t{i}", session=s, index=i) for i, s in enumerate(self.SESSIONS)]
+
+    def test_ends_each_session_the_next_turn_leaves_and_the_last(self):
+        state = new_memory(2, ConcatAggregator("\n"))
+        ingest_turns(state, self.turns())
+        assert state.session_snapshots == {1: "user: s1 t0\nuser: s1 t1",
+                                           2: "user: s1 t0\nuser: s1 t1\nuser: s2 t2",
+                                           3: "\n".join(f"user: s{s} t{i}"
+                                                        for i, s in enumerate(self.SESSIONS))}
+
+    def test_open_session_is_not_ended(self):
+        state = new_memory(2, ConcatAggregator("\n"))
+        ingest_turns(state, self.turns(), open_session=3)
+        assert sorted(state.session_snapshots) == [1, 2]
+        assert state.tree.leaf_count == 5
+        state = new_memory(2, ConcatAggregator("\n"))
+        ingest_turns(state, [])
+        assert state.session_snapshots == {} and state.tree.leaf_count == 0
+
+    def test_prepare_eval_snapshots_every_session_before_the_query(self):
+        from hatmem.bench import prepare_eval
+        for seed in range(3):
+            episode = planted_fact_episode(seed)
+            state, query, _reference, _gold = prepare_eval(episode, 3, ConcatAggregator("\n"))
+            assert query.session == episode.sessions[-1].number > 1
+            assert sorted(state.session_snapshots) == list(range(1, query.session))
+
+    def test_ingest_episode_snapshots_every_session(self):
+        episode = planted_fact_episode(1)
+        state = ingest_episode(episode, 3, ConcatAggregator("\n"))
+        assert sorted(state.session_snapshots) == [s.number for s in episode.sessions]
+        assert state.session_snapshots[episode.sessions[-1].number] == state.tree.root_text()
+
+    def test_ingest_episode_skips_a_session_without_turns(self):
+        episode = Episode("gap", [Session(1, [turn("user", "hi")]), Session(2, [])])
+        state = ingest_episode(episode, 2, ConcatAggregator("\n"))
+        assert state.session_snapshots == {1: "user: hi"}
 
 
 class TestBuildContext:
@@ -435,6 +490,22 @@ class TestRunBench:
         client = mock_client()
         report = dump_report(run_bench(planted_fact_episodes(20), make(client), client))
         assert hashlib.sha256(report.encode("utf-8")).hexdigest() == digest
+
+    def test_table_text_is_pinned(self):
+        client = mock_client()
+        report = run_bench(planted_fact_episodes(3), LlmPersonaAggregator(client), client)
+        assert report["memory_fidelity"] is not None
+        assert render_table(report) == (
+            "strategy         BLEU-1   BLEU-2   DIST-1   DIST-2       F1\n"
+            "-----------------------------------------------------------\n"
+            "all_context      0.6364   0.5000   0.3333   0.3333   0.7000\n"
+            "gold_memory      0.5000   0.3636   0.3333   0.3333   0.5714\n"
+            "hat_agent        0.0435   0.0285   0.2420   0.3669   0.0828\n"
+            "hat_bfs          0.0435   0.0285   0.2420   0.3669   0.0828\n"
+            "hat_dfs          0.0435   0.0285   0.2420   0.3669   0.0828\n"
+            "part_context     0.0000   0.0000   0.3333   0.3333   0.0000\n"
+            "\n"
+            "memory           0.0654   0.0305   0.2097   0.3119   0.1461\n")
 
     def test_unknown_strategies_refused(self):
         with pytest.raises(InvalidParameterError, match=r"unknown strategies \['hat_ranked'\]"):
