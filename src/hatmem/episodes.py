@@ -156,16 +156,26 @@ def convert_msc_record(obj: dict, episode_id: Optional[str] = None) -> Episode:
     """
     if not isinstance(obj, dict):
         raise DocumentParseError("record must be a JSON object")
+
+    def expect(value, kind: type, what: str):
+        # A missing or empty value counts as empty; any other value of the
+        # wrong JSON type is refused here rather than failing on a lookup.
+        if not value:
+            return kind()
+        if not isinstance(value, kind):
+            raise DocumentParseError(f"{what} must be a JSON {'object' if kind is dict else 'array'}")
+        return value
+
     if episode_id is None:
-        episode_id = str((obj.get("metadata") or {}).get("initial_data_id") or "episode")
+        episode_id = str(expect(obj.get("metadata"), dict, "metadata").get("initial_data_id") or "episode")
 
     def convert_session(number: int, dialog, personas) -> dict:
         turns = []
-        for pos, entry in enumerate(dialog or []):
-            text = (entry or {}).get("text")
+        where = f"episode {episode_id!r}: session {number}"
+        for pos, entry in enumerate(expect(dialog, list, f"{where} dialog")):
+            text = expect(entry, dict, f"{where} turn {pos}").get("text")
             if not isinstance(text, str) or not text:
-                raise DocumentParseError(
-                    f"episode {episode_id!r}: session {number} turn {pos} has no text")
+                raise DocumentParseError(f"{where} turn {pos} has no text")
             speaker_id = str(entry.get("id", ""))
             if speaker_id.endswith("1"):
                 speaker = "user"
@@ -175,7 +185,7 @@ def convert_msc_record(obj: dict, episode_id: Optional[str] = None) -> Episode:
                 speaker = SPEAKERS[pos % 2]
             turns.append({"speaker": speaker, "text": text})
         gold = []
-        for group in personas or []:
+        for group in expect(personas, list, f"{where} personas"):
             if isinstance(group, str):
                 gold.append(group)
             elif isinstance(group, list):
@@ -183,8 +193,8 @@ def convert_msc_record(obj: dict, episode_id: Optional[str] = None) -> Episode:
         return {"turns": turns, "gold_memory": gold}
 
     sessions = []
-    for k, prev in enumerate(obj.get("previous_dialogs") or [], start=1):
-        prev = prev or {}
+    for k, prev in enumerate(expect(obj.get("previous_dialogs"), list, "previous_dialogs"), start=1):
+        prev = expect(prev, dict, f"episode {episode_id!r}: previous_dialogs entry {k - 1}")
         sessions.append(convert_session(k, prev.get("dialog"), prev.get("personas")))
     sessions.append(convert_session(len(sessions) + 1, obj.get("dialog"), obj.get("personas")))
     return parse_episode({"episode_id": episode_id, "sessions": sessions})

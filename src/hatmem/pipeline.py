@@ -18,6 +18,15 @@ A hat_* walk asks ahead (see `traversal._ask_ahead`), so it costs fewer
 round trips than steps, and it asks at most 7 questions beyond those of
 asking one node at a time.
 
+`build_context` runs a hat_* walk while the pending aggregation runs
+(`HatTree.read_while_flushing`), so the aggregation overlaps the walk, and a
+query's round trips are about the larger of flush and walk instead of their
+sum. The walk is kept when every text it read came through the flush
+unchanged; otherwise it walks again on the flushed tree, where the decision
+memos answer every unchanged text, so the second walk adds asks only for the
+texts the flush changed. The context is always the one a walk after the
+flush would give.
+
 `generate_response` remembers the replies each client gave, in a memo that
 lives as long as that client, so a repeated (context, query) costs no chat
 call. Like the walks' decision memo, it assumes that the endpoint answers an
@@ -144,11 +153,11 @@ def build_context(state: MemoryState, query: str, strategy: str, *,
         if oracle is None:
             raise ConfigurationError(f"{strategy} strategy needs a sufficiency oracle")
         search = bfs_search if strategy == "hat_bfs" else dfs_search
-        result = search(tree, oracle, query, config)
+        result = tree.read_while_flushing(lambda view: search(view, oracle, query, config))
     elif strategy == "hat_agent":
         if agent is None:
             raise ConfigurationError("hat_agent strategy needs a traversal agent")
-        result = traverse(tree, agent, query, config)
+        result = tree.read_while_flushing(lambda view: traverse(view, agent, query, config))
     else:
         raise InvalidParameterError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
     if result.outcome is Outcome.SUFFICIENT:

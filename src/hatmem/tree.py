@@ -20,6 +20,12 @@ concurrently on the process's one long-lived call pool, so at most
 MAX_CONCURRENT_CALLS (8) are in flight at a time across all flushes and
 walks; other kinds run on the calling thread.
 
+One read may run during a pending flush (`read_while_flushing`): the flush
+computes on a thread of its own while the read sees the texts as they stood
+before it. The flush commits only after that read has returned, and the read
+runs again on the flushed tree unless every text it used came through the
+flush unchanged.
+
 A document (version 2) holds the format marker, the version, the memory
 length, the aggregator spec and, per layer, each node's text and meta.
 Version-1 documents, which also carried node ids, child ids, a leaf count
@@ -30,6 +36,7 @@ those keys.
 from __future__ import annotations
 
 import json
+import threading
 from dataclasses import dataclass
 from typing import Optional
 
@@ -67,10 +74,12 @@ class HatTree:
 
     Writers must be exclusive: one append, flush or insert at a time. A read
     of internal text flushes first, so while leaves are unflushed a read is
-    a write too. Any number of readers may query a flushed tree. A flush
-    calls a chat aggregator from up to MAX_CONCURRENT_CALLS (8) threads at
-    once, so its client must be safe to share across threads, as `LlmClient`
-    is.
+    a write too. So is `read_while_flushing`: its one read runs during the
+    pending flush, against the pre-flush texts, and the flush commits after
+    that read has returned. Any number of readers may query a flushed tree.
+    A flush calls a chat aggregator from up to MAX_CONCURRENT_CALLS (8)
+    threads at once, so its client must be safe to share across threads, as
+    `LlmClient` is.
     """
 
     def __init__(self, memory_length: int, aggregator):
@@ -101,10 +110,14 @@ class HatTree:
         return len(self.layers[layer])
 
     def node_at(self, layer: int, index: int) -> Node:
+        node = self._node(layer, index)
+        self.flush()
+        return node
+
+    def _node(self, layer: int, index: int) -> Node:
         size = self.layer_size(layer)
         if index < 0 or index >= size:
             raise NotFoundError(f"index {index} out of range in layer {layer} (size {size})")
-        self.flush()
         return self.layers[layer][index]
 
     def root(self) -> Node:
@@ -177,6 +190,10 @@ class HatTree:
         leaves texts and agg_call_count as they were, and its leaves stay
         unflushed.
         """
+        self._commit(self._pending_texts())
+
+    def _pending_texts(self) -> dict[tuple[int, int], str]:
+        """The text `flush` gives each node it aggregates; changes nothing."""
         M = self.memory_length
         changed = range(self.flushed_leaves, self.leaf_count)
         texts: dict[tuple[int, int], str] = {}
@@ -194,10 +211,64 @@ class HatTree:
                 aggregated = [self.aggregator.aggregate(child_texts) for child_texts in inputs]
             texts.update(((k, i), text) for i, text in zip(parents, aggregated))
             changed = [i for i, text in zip(parents, aggregated) if text != self.layers[k][i].text]
+        return texts
+
+    def _commit(self, texts: dict[tuple[int, int], str]) -> None:
         for (k, i), text in texts.items():
             self.layers[k][i].text = text
         self.agg_call_count += len(texts)
         self.flushed_leaves = self.leaf_count
+
+    def read_while_flushing(self, read):
+        """`read(self)` after a flush, with the pending flush run during the read.
+
+        With nothing pending this is `read(self)`. Otherwise the flush
+        computes on a new thread (not a call-pool worker, where
+        `call_concurrently` would run a layer's aggregations one by one)
+        while `read` runs here on a view of the pre-flush tree: `node_at`,
+        `layer_size`, `layers` and `memory_length`, never flushing. Reaching
+        a node the flush creates, which has no text yet, stops the read.
+        After the join a flush error is raised and nothing commits, as with
+        `flush`. Otherwise the flush commits. If the read ran to its end on
+        texts the flush left unchanged, its result is returned or its
+        exception raised; if not, `read(self)` runs again.
+
+        `read` must depend only on the texts it is served, so a walk's calls
+        depend on the tree, never on timing. A second walk's memos answer
+        every unchanged text again; it costs the asks about texts that the
+        flush changed.
+        """
+        if self.flushed_leaves == self.leaf_count:
+            return read(self)
+        flushed: dict = {}
+
+        def compute():
+            try:
+                flushed["texts"] = self._pending_texts()
+            except BaseException as error:  # raised on the calling thread
+                flushed["error"] = error
+
+        worker = threading.Thread(target=compute, name="hatmem-flush")
+        worker.start()
+        view = _PreFlushView(self)
+        stopped, failure = False, None
+        try:
+            try:
+                value = read(view)
+            except _Unflushed:
+                stopped = True
+            except Exception as error:
+                failure = error
+        finally:
+            worker.join()
+        if "error" in flushed:
+            raise flushed["error"]
+        self._commit(flushed["texts"])
+        if stopped or any(self.layers[k][i].text != text for (k, i), text in view.served.items()):
+            return read(self)
+        if failure is not None:
+            raise failure
+        return value
 
     # ------------------------------------------------------------ persistence
 
@@ -276,6 +347,32 @@ class HatTree:
                 tree.layers[k].append(Node(text, meta))
         tree.flushed_leaves = tree.leaf_count
         return tree
+
+
+class _Unflushed(BaseException):
+    """A read reached a node the pending flush creates; it runs again after the flush.
+
+    A BaseException, so that a read's own `except Exception` lets it through.
+    """
+
+
+class _PreFlushView:
+    """The tree as one `read_while_flushing` read sees it; see there."""
+
+    def __init__(self, tree: HatTree):
+        self.layers = tree.layers
+        self.memory_length = tree.memory_length
+        self.layer_size = tree.layer_size
+        self._tree = tree
+        # (layer, index) -> the pre-flush text served for it.
+        self.served: dict[tuple[int, int], str] = {}
+
+    def node_at(self, layer: int, index: int) -> Node:
+        node = self._tree._node(layer, index)
+        if node.text is None:
+            raise _Unflushed
+        self.served[layer, index] = node.text
+        return node
 
 
 def _layer_sizes(leaf_count: int, memory_length: int) -> list[int]:

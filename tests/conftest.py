@@ -158,17 +158,20 @@ def every_pool_worker() -> set:
 class TextSetOracle:
     """Sufficient exactly when the node text is in a fixed set.
 
-    Scans call it from several threads, so calls are counted under a lock.
+    Scans call it from several threads, so calls are counted, and the texts
+    asked about recorded in `asked`, under a lock.
     """
 
-    def __init__(self, texts):
+    def __init__(self, texts=()):
         self.texts = set(texts)
         self.calls = 0
+        self.asked = []
         self._lock = threading.Lock()
 
     def sufficient(self, node_text, query):
         with self._lock:
             self.calls += 1
+            self.asked.append(node_text)
         return node_text in self.texts
 
 

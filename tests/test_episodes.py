@@ -146,3 +146,18 @@ class TestConverter:
     def test_rejects_missing_text(self):
         with pytest.raises(DocumentParseError):
             convert_msc_record({"dialog": [{"id": "Speaker 1"}]}, episode_id="x")
+
+    @pytest.mark.parametrize("record, message", [
+        ({"dialog": ["hi"]}, "session 1 turn 0 must be a JSON object"),
+        ({"metadata": ["msc-42"], "dialog": [{"text": "hi"}]}, "metadata must be a JSON object"),
+        ({"previous_dialogs": ["hi"], "dialog": [{"text": "hi"}]},
+         "previous_dialogs entry 0 must be a JSON object"),
+        ({"dialog": "hi"}, "session 1 dialog must be a JSON array"),
+    ], ids=["string_turn", "list_metadata", "string_previous_dialog", "string_dialog"])
+    def test_rejects_wrong_json_types(self, record, message):
+        with pytest.raises(DocumentParseError, match=message):
+            convert_msc_record(record)
+
+    def test_rejects_personas_that_are_not_a_list(self):
+        with pytest.raises(DocumentParseError, match="personas must be a JSON array"):
+            convert_msc_record({"dialog": [{"text": "hi"}], "personas": 5}, episode_id="x")

@@ -4,21 +4,27 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import random
 import sys
 import threading
+import time
 import types
 import weakref
+from collections import Counter
 
 import pytest
 
 from conftest import (
     DownTransport,
     FailingAggregator,
+    LoggingTransport,
+    OracleAgent,
     ScriptedAgent,
     ScriptedClient,
     SubstringOracle,
     TextSetOracle,
     ThreadLoggingAggregator,
+    assert_no_call_running,
 )
 
 from hatmem import (
@@ -27,9 +33,12 @@ from hatmem import (
     DialogueTurn,
     Episode,
     HatTree,
+    LlmAgent,
     LlmClient,
+    LlmOracle,
     LlmPersonaAggregator,
     MemoryState,
+    MockTransport,
     Session,
     TraversalAction as A,
     TraversalConfig,
@@ -52,6 +61,7 @@ from hatmem.errors import (
     NotFoundError,
     RemoteUnavailableError,
 )
+from hatmem import llm, tree as tree_module
 from hatmem.fixtures import PLANTED_TOKEN, planted_fact_episode, planted_fact_episodes
 
 
@@ -528,3 +538,236 @@ class TestRunBench:
         report = run_bench([episode], ConcatAggregator(), mock_client(),
                            strategies=["all_context"])
         assert report["memory_fidelity"] is None
+
+
+class ClippingTransport(MockTransport):
+    """The mock endpoint, stopping a reply at the request's `max_tokens`
+    whitespace tokens as a real endpoint does. Each call waits 0.5 ms, so
+    that a flush and a walk overlap as they do against a remote endpoint."""
+
+    def send(self, payload):
+        time.sleep(0.0005)
+        status, body = super().send(payload)
+        if payload.get("max_tokens") is not None:
+            message = body["choices"][0]["message"]
+            message["content"] = " ".join(message["content"].split()[:payload["max_tokens"]])
+        return status, body
+
+
+class StageCountingClient:
+    """Forwards to a client and counts its calls by stage, under a lock."""
+
+    def __init__(self, client):
+        self._client = client
+        self.model = client.model
+        self.calls = Counter()
+        self._lock = threading.Lock()
+
+    def complete(self, request):
+        with self._lock:
+            self.calls[request.stage] += 1
+        return self._client.complete(request)
+
+
+class FailingJudge:
+    """An oracle and an agent whose every call raises; calls are counted under a lock."""
+
+    def __init__(self):
+        self.asked = []
+        self._lock = threading.Lock()
+
+    def sufficient(self, node_text, query):
+        with self._lock:
+            self.asked.append(node_text)
+        raise RemoteUnavailableError("judge down", stage="oracle")
+
+    def propose_action(self, node_text, query, visited_path):
+        return self.sufficient(node_text, query)
+
+
+_NOUNS = ("cat", "boat", "violin", "garden", "bicycle", "teapot", "kite", "lamp")
+_FILLER = ("the weather turned cold again", "work was long today", "I made soup for dinner",
+           "we watched a film last night", "my neighbour is painting the fence",
+           "traffic was slow this morning", "I finally fixed the squeaky door")
+WALKS = ("hat_bfs", "hat_dfs", "hat_agent")
+
+
+def chat_stream(seed: int, count: int = 30) -> list[str]:
+    """Seeded user messages: a planted fact, a question about one, or filler."""
+    rng = random.Random(seed)
+    planted, messages = [], []
+    for _ in range(count):
+        roll = rng.random()
+        if roll < 0.25 and len(planted) < len(_NOUNS):
+            noun = _NOUNS[len(planted)]
+            planted.append(noun)
+            messages.append(f"My {noun} nickname is {noun}{rng.randrange(1000, 10000)}")
+        elif roll < 0.55 and planted:
+            messages.append(f"What is my {rng.choice(planted)} nickname?")
+        else:
+            messages.append(rng.choice(_FILLER))
+    return messages
+
+
+def converse(strategy: str, messages: list[str], flush_first: bool = False):
+    """Contexts and per-stage calls of one conversation: each message is
+    walked for, replied to, and both turns are appended (llm_persona, M=3)."""
+    client = StageCountingClient(LlmClient(ClippingTransport(), "mock-chat"))
+    state = new_memory(3, LlmPersonaAggregator(client, max_tokens=12))
+    ingest_turn(state, turn("assistant", "Hello again, what is on your mind today?"))
+    oracle, agent = LlmOracle(client), LlmAgent(client)
+    config = TraversalConfig(step_budget=16)
+    contexts = []
+    for i, message in enumerate(messages):
+        if flush_first:
+            state.tree.flush()
+        context = build_context(state, message, strategy, oracle=oracle, agent=agent, config=config)
+        reply = generate_response(context, message, client)
+        ingest_turn(state, turn("user", message, index=2 * i + 1))
+        ingest_turn(state, turn("assistant", reply, index=2 * i + 2))
+        contexts.append(context)
+    return contexts, client.calls
+
+
+def concat_state(texts, flushed: int) -> MemoryState:
+    """Concat (M=3) memory over `texts`, flushed after the first `flushed` of them."""
+    state = new_memory(3, ConcatAggregator(" | "))
+    for i, text in enumerate(texts):
+        if i == flushed:
+            state.tree.flush()
+        ingest_turn(state, turn(("user", "assistant")[i % 2], text, index=i))
+    return state
+
+
+@pytest.fixture
+def fast_switching():
+    """Switch threads every 10 µs, so that rare interleavings of flush and walk occur."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.fixture
+def flush_threads(monkeypatch):
+    """The threads `read_while_flushing` starts, in start order."""
+    started = []
+
+    class SpyThread(threading.Thread):
+        def start(self):
+            started.append(self)
+            super().start()
+
+    monkeypatch.setattr(tree_module, "threading", types.SimpleNamespace(Thread=SpyThread))
+    return started
+
+
+class TestWalkWhileFlushing:
+    """A hat_* walk runs during the pending flush and keeps its result only
+    when every text it read survived the flush."""
+
+    @pytest.mark.parametrize("strategy", WALKS)
+    def test_contexts_equal_those_of_flushing_first(self, strategy, flush_threads, fast_switching):
+        messages = chat_stream(seed=23)
+        contexts, calls = converse(strategy, messages)
+        assert len(flush_threads) == len(messages)
+        expected, expected_calls = converse(strategy, messages, flush_first=True)
+        assert contexts == expected
+        assert calls["aggregate"] == expected_calls["aggregate"]
+        assert calls["generate"] == expected_calls["generate"]
+        # A walk may ask about a text the flush then changes, never skip one.
+        assert calls["oracle"] + calls["agent"] >= expected_calls["oracle"] + expected_calls["agent"]
+
+    @pytest.mark.parametrize("strategy", WALKS)
+    def test_two_runs_make_the_same_calls(self, strategy, fast_switching):
+        messages = chat_stream(seed=19)
+        assert converse(strategy, messages) == converse(strategy, messages)
+
+    @pytest.mark.parametrize("strategy", WALKS)
+    def test_a_flush_that_changes_the_root_walks_again(self, strategy):
+        state = concat_state(["a", "b", "c"], flushed=2)
+        old_root = "user: a | assistant: b"
+        new_root = old_root + " | user: c"
+        oracle = TextSetOracle({new_root})
+        context = build_context(state, "q", strategy, oracle=oracle, agent=OracleAgent(oracle))
+        assert context == new_root
+        assert oracle.asked[0] == old_root  # the first walk, before the flush committed
+        assert oracle.asked[-1] == new_root  # the second walk, on the flushed tree
+
+    @pytest.mark.parametrize("strategy", WALKS)
+    def test_a_new_root_layer_is_never_asked_about(self, strategy, flush_threads):
+        state = concat_state(["a", "b", "c", "d"], flushed=3)
+        assert state.tree.layers[0][0].text is None
+        oracle = TextSetOracle()
+        context = build_context(state, "q", strategy, oracle=oracle,
+                                agent=OracleAgent(oracle, [A.DOWN, A.RIGHT, A.RIGHT]))
+        assert len(flush_threads) == 1
+        assert oracle.asked and all(isinstance(text, str) for text in oracle.asked)
+        reference = TextSetOracle()
+        flushed = concat_state(["a", "b", "c", "d"], flushed=4)
+        flushed.tree.flush()
+        assert context == build_context(flushed, "q", strategy, oracle=reference,
+                                        agent=OracleAgent(reference, [A.DOWN, A.RIGHT, A.RIGHT]))
+        assert sorted(oracle.asked) == sorted(reference.asked)  # a wave asks in any order
+
+    @pytest.mark.parametrize("strategy", WALKS)
+    def test_nothing_pending_starts_no_thread(self, strategy, flush_threads):
+        state = concat_state(["a", "b", "c", "d"], flushed=4)
+        state.tree.flush()
+        oracle = TextSetOracle()
+        build_context(state, "q", strategy, oracle=oracle, agent=OracleAgent(oracle))
+        assert flush_threads == []
+        ingest_turn(state, turn("user", "e", index=4))
+        build_context(state, "q", strategy, oracle=oracle, agent=OracleAgent(oracle))
+        assert len(flush_threads) == 1 and not flush_threads[0].is_alive()
+
+    @pytest.mark.parametrize("strategy", WALKS)
+    def test_failed_flush_raises_and_commits_nothing(self, strategy, flush_threads, monkeypatch):
+        monkeypatch.setattr(llm, "BACKOFF_S", 0.0)
+        transport = LoggingTransport(delay_s=0.001)
+        client = LlmClient(transport, "mock-chat")
+        state = new_memory(3, LlmPersonaAggregator(client, max_tokens=12))
+        for i, text in enumerate(["my kite is red", "nice", "it flies well", "good", "windy today"]):
+            if i == 4:
+                state.tree.flush()
+            ingest_turn(state, turn(("user", "assistant")[i % 2], text, index=i))
+
+        def record():
+            tree = state.tree
+            texts = [[node.text for node in row] for row in tree.layers]
+            return texts, tree.agg_call_count, tree.flushed_leaves
+
+        before = record()
+        transport.fail_on = "Passages to merge:"
+        with pytest.raises(RemoteUnavailableError, match="aggregate call gave up") as caught:
+            build_context(state, "What colour is my kite?", strategy,
+                          oracle=LlmOracle(client), agent=LlmAgent(client))
+        assert caught.value.stage == "aggregate"
+        assert record() == before
+        assert len(flush_threads) == 1 and not flush_threads[0].is_alive()
+        assert_no_call_running(transport)
+
+    @pytest.mark.parametrize("strategy", WALKS)
+    def test_walk_error_on_unchanged_texts_is_raised_once(self, strategy):
+        # Truncate(2) keeps the first two tokens, so the fifth leaf changes no text.
+        state = new_memory(3, TruncateAggregator(2))
+        for i, text in enumerate(["one two", "three four", "five six", "seven eight", "nine ten"]):
+            if i == 4:
+                state.tree.flush()
+            ingest_turn(state, turn(("user", "assistant")[i % 2], text, index=i))
+        judge = FailingJudge()
+        with pytest.raises(RemoteUnavailableError, match="judge down"):
+            build_context(state, "q", strategy, oracle=judge, agent=judge)
+        assert judge.asked == ["user one"]
+        # Three aggregations for the first four leaves, one for the fifth's parent.
+        assert state.tree.flushed_leaves == 5 and state.tree.agg_call_count == 3 + 1
+
+    @pytest.mark.parametrize("strategy", WALKS)
+    def test_walk_error_on_a_changed_text_walks_again(self, strategy):
+        state = concat_state(["a", "b", "c"], flushed=2)
+        judge = FailingJudge()
+        with pytest.raises(RemoteUnavailableError, match="judge down"):
+            build_context(state, "q", strategy, oracle=judge, agent=judge)
+        assert judge.asked == ["user: a | assistant: b", "user: a | assistant: b | user: c"]
