@@ -5,6 +5,11 @@ B tokens), and `llm_persona` (persona-note summarization through the chat
 client). Deterministic kinds are pure functions of the input list; the
 persona kind is pure given a fixed mock transcript. Inputs always arrive
 oldest to newest.
+
+The persona kind sends `persona_prompt`: a system message asking for one
+short note that keeps every concrete fact, then the children as numbered
+passages under "Passages to merge:". Its reply, stripped of surrounding
+whitespace, is the parent text.
 """
 
 from __future__ import annotations
@@ -14,17 +19,27 @@ from typing import Optional
 from .errors import ContractViolationError, InvalidParameterError
 from .llm import ChatRequest, is_temperature
 from .metrics import tokenize
-from .prompts import render_messages, template_names
 
 DEFAULT_TRUNCATE_BUDGET = 256
 
+# The name of the one persona prompt, kept in every llm_persona spec.
+PERSONA_TEMPLATE = "persona_v1"
 
-def persona_prompt(children_texts: list[str], template: str = "persona_v1") -> list[dict]:
+_PERSONA_SYSTEM = """\
+You keep condensed memory notes for a two-person conversation. Merge the
+numbered passages into one short plain-text note that preserves every
+concrete fact about either speaker: names, preferences, events, plans,
+dates. Never invent a fact that is not in the passages. When passages
+disagree, prefer the later one."""
+
+
+def persona_prompt(children_texts: list[str]) -> list[dict]:
     """Two-message persona-merge conversation with numbered child blocks."""
     if not children_texts:
         raise ContractViolationError("persona_prompt needs at least one text")
     block = "\n".join(f"{i}. {text}" for i, text in enumerate(children_texts, start=1))
-    return render_messages(template, children_block=block)
+    return [{"role": "system", "content": _PERSONA_SYSTEM},
+            {"role": "user", "content": f"Passages to merge:\n{block}"}]
 
 
 class Aggregator:
@@ -86,18 +101,18 @@ class LlmPersonaAggregator(Aggregator):
     A client is optional so that serialized trees can be loaded for
     inspection without one; aggregating without one is a
     `ContractViolationError`, a caller's mistake rather than a remote failure.
-    The other parameters, the template name among them (a shipped persona_*
-    template), are checked here, so that a bad spec or tree document fails to
-    load, not at its first call.
+    The other parameters, the template name among them (only `persona_v1`,
+    the name of `persona_prompt`), are checked here, so that a bad spec or
+    tree document fails to load, not at its first call.
     """
 
     kind = "llm_persona"
 
-    def __init__(self, client=None, template: str = "persona_v1", temperature: float = 0.0,
+    def __init__(self, client=None, template: str = PERSONA_TEMPLATE, temperature: float = 0.0,
                  max_tokens: Optional[int] = None):
-        personas = sorted(name for name in template_names() if name.startswith("persona_"))
-        if template not in personas:
-            raise InvalidParameterError(f"persona template must be one of {personas}, got {template!r}")
+        if template != PERSONA_TEMPLATE:
+            raise InvalidParameterError(
+                f"persona template must be one of {[PERSONA_TEMPLATE]}, got {template!r}")
         if not is_temperature(temperature):
             raise InvalidParameterError(
                 f"persona temperature must be a finite number >= 0, got {temperature!r}")
@@ -123,7 +138,7 @@ class LlmPersonaAggregator(Aggregator):
             raise ContractViolationError("llm_persona aggregator has no chat client bound")
         request = ChatRequest(
             model=self.client.model,
-            messages=persona_prompt(children_texts, self.template),
+            messages=persona_prompt(children_texts),
             temperature=self.temperature,
             max_tokens=self.max_tokens,
             stage="aggregate",
@@ -143,7 +158,7 @@ def aggregator_from_spec(kind: str, params: Optional[dict] = None, client=None) 
     elif kind == "llm_persona":
         agg = LlmPersonaAggregator(
             client=client,
-            template=params.pop("template", "persona_v1"),
+            template=params.pop("template", PERSONA_TEMPLATE),
             temperature=params.pop("temperature", 0.0),
             max_tokens=params.pop("max_tokens", None),
         )

@@ -1,6 +1,7 @@
 """Command-line surface.
 
-Subcommands: ingest (episodes file -> persisted trees and snapshots), bench
+Subcommands: ingest (episodes file -> persisted trees and snapshots, named
+after the episode ids, which must be unique, plain file names), bench
 (strategy comparison with metric tables), chat (line-oriented REPL), inspect
 (tree structure dump), metrics (score candidate/reference pairs). Exit
 codes: 0 success, 1 usage error, 2 data or config error, 3 remote error: a
@@ -71,7 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     ingest = commands.add_parser("ingest", help="build and persist one tree per episode")
-    ingest.add_argument("input", help="episodes file, one JSON episode per line")
+    ingest.add_argument("input", help="episodes file, one JSON episode per line; each "
+                                      "episode_id must be unique and a plain file name")
     ingest.add_argument("--out", required=True, help="output directory")
     ingest.add_argument("--require-session", type=int, default=None,
                         help="drop episodes that never reach this session number")
@@ -132,6 +134,10 @@ def cmd_ingest(args) -> int:
         aggregator.client = _client(args, file_config)
     memory_length = _memory_length(args, file_config)
     episodes = load_episodes(args.input, require_session=args.require_session)
+    # Each id names two files in --out, so it must not name a path elsewhere.
+    for episode in episodes:
+        if episode.episode_id in (".", "..") or set("/\\\0") & set(episode.episode_id):
+            raise DocumentParseError(f"episode_id {episode.episode_id!r} is not a plain file name")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     for episode in sorted(episodes, key=lambda e: e.episode_id):

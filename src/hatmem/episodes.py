@@ -108,9 +108,18 @@ def read_json_lines(path) -> Iterator[tuple[int, object]]:
 def load_episodes(path, require_session: Optional[int] = None) -> list[Episode]:
     """Parse an episodes file; errors carry 1-based line numbers.
 
-    require_session keeps only episodes that reach that session number.
+    An episode_id may appear on one line only. require_session keeps only
+    episodes that reach that session number.
     """
-    episodes = [parse_episode(obj, line_no) for line_no, obj in read_json_lines(path)]
+    episodes = []
+    first_line: dict[str, int] = {}
+    for line_no, obj in read_json_lines(path):
+        episode = parse_episode(obj, line_no)
+        if episode.episode_id in first_line:
+            _fail(line_no, f"episode_id {episode.episode_id!r} repeats line "
+                           f"{first_line[episode.episode_id]}")
+        first_line[episode.episode_id] = line_no
+        episodes.append(episode)
     if require_session is not None:
         episodes = [e for e in episodes if len(e.sessions) >= require_session]
     return episodes

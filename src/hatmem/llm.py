@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 from .errors import ConfigurationError, InvalidParameterError, ProtocolError, RemoteUnavailableError
-from .metrics import tokenize
+from .metrics import informative_tokens, tokenize
 
 ENV_ENDPOINT = "HATMEM_ENDPOINT"
 ENV_API_KEY = "HATMEM_API_KEY"
@@ -302,25 +302,6 @@ def mock_client(model: str = "mock-chat") -> LlmClient:
 
 
 # --------------------------------------------------------------- mock replies
-
-# Function words ignored when checking whether a passage covers a question.
-_STOPWORDS = frozenset("""
-a an the this that these those some any each
-i you he she it we they me him her us them
-my your his its our their mine yours
-am is are was were be been being do does did doing have has had having
-will would can could shall should may might must
-what which who whom whose where when how why whether
-and or but nor so yet if then else because while since as than
-of on in at to for with about into over under from by up down out off
-no not never ever always really just also too only quite
-tell say says said ask asks asked please thanks
-""".split())
-
-
-def informative_tokens(text: str) -> list[str]:
-    return [token for token in tokenize(text) if token not in _STOPWORDS]
-
 
 def _covers(passage: str, query: str) -> bool:
     wanted = informative_tokens(query)

@@ -34,6 +34,26 @@ def tokenize(text: str) -> list[str]:
     return tokens
 
 
+# Function words: they say little about what a text is about.
+_STOPWORDS = frozenset("""
+a an the this that these those some any each
+i you he she it we they me him her us them
+my your his its our their mine yours
+am is are was were be been being do does did doing have has had having
+will would can could shall should may might must
+what which who whom whose where when how why whether
+and or but nor so yet if then else because while since as than
+of on in at to for with about into over under from by up down out off
+no not never ever always really just also too only quite
+tell say says said ask asks asked please thanks
+""".split())
+
+
+def informative_tokens(text: str) -> list[str]:
+    """`tokenize(text)` without the stopwords."""
+    return [token for token in tokenize(text) if token not in _STOPWORDS]
+
+
 def _ngram_counts(tokens: list[str], n: int) -> Counter:
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 

@@ -27,10 +27,13 @@ memos answer every unchanged text, so the second walk adds asks only for the
 texts the flush changed. The context is always the one a walk after the
 flush would give.
 
-`generate_response` remembers the replies each client gave, in a memo that
-lives as long as that client, so a repeated (context, query) costs no chat
-call. Like the walks' decision memo, it assumes that the endpoint answers an
-identical temperature-0 request the same way every time.
+`generate_response` sends the context under "MEMORY:" (left out when the
+context is empty) and the user's message under "USER MESSAGE:". The reply,
+stripped of surrounding whitespace, is the answer. It remembers the replies
+each client gave, in a memo that lives as long as that client, so a repeated
+(context, query) costs no chat call. Like the walks' decision memo, it
+assumes that the endpoint answers an identical temperature-0 request the
+same way every time.
 """
 
 from __future__ import annotations
@@ -43,7 +46,6 @@ from typing import Optional
 from .episodes import DialogueTurn, Episode, SPEAKERS
 from .errors import ConfigurationError, InvalidParameterError, NotFoundError
 from .llm import ChatRequest
-from .prompts import render_messages
 from .traversal import (
     Outcome,
     TraversalConfig,
@@ -165,6 +167,12 @@ def build_context(state: MemoryState, query: str, strategy: str, *,
     return fallback_context(tree)
 
 
+_REPLY_SYSTEM = """\
+You are the assistant in a long-running conversation. Use the memory notes,
+when present, to answer the user's message, restating the relevant fact
+plainly. If the notes do not cover the answer, say so briefly instead of
+guessing."""
+
 # One reply memo per client object, dropped with its client.
 _REPLY_MEMOS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 _REPLY_MEMOS_LOCK = threading.Lock()
@@ -181,7 +189,8 @@ def generate_response(context: str, query: str, client) -> str:
     """
     def ask() -> str:
         memory_block = f"MEMORY:\n{context}\n\n" if context else ""
-        messages = render_messages("response_v1", memory_block=memory_block, query=query)
+        messages = [{"role": "system", "content": _REPLY_SYSTEM},
+                    {"role": "user", "content": f"{memory_block}USER MESSAGE: {query}"}]
         request = ChatRequest(model=client.model, messages=messages, stage="generate")
         return client.complete(request).content.strip()
 

@@ -15,6 +15,14 @@ that of asking one node at a time, for at most 7 questions more, and the
 oracle and the agent must be safe to call from several threads, as
 `LlmOracle` and `LlmAgent` are.
 
+`LlmAgent` sends `llm_agent_prompt`: the action list as the system message,
+then the question, the current node's text and the moves so far.
+`parse_action` takes the first action word in the reply. A reply without one
+is asked again with a clarifying turn, up to MAX_PARSE_RETRIES times, and
+then counts as ACCEPT. `LlmOracle` sends the question and the node's text as
+a passage and asks for YES or NO. The first whole word "yes" or "no" in the
+reply decides, and a reply with neither counts as NO.
+
 `LlmOracle` and `LlmAgent` each remember their last MEMO_ENTRIES decisions
 across walks, so a question one of them has already answered costs no chat
 call; `pipeline.generate_response` keeps the same kind of memo per client.
@@ -42,7 +50,6 @@ from typing import Optional
 
 from .errors import ActionParseError, InvalidParameterError
 from .llm import MAX_CONCURRENT_CALLS, ChatRequest, call_concurrently
-from .prompts import render_messages
 from .tree import HatTree, _is_int
 
 
@@ -327,9 +334,25 @@ def _path_summary(path) -> str:
     return "; ".join(f"({c.layer},{c.index}) {a.name}" for c, a in path)
 
 
+_AGENT_SYSTEM = """\
+You steer a cursor over a memory tree to find context that answers a
+question. Upper layers hold broad summaries, lower layers hold raw detail,
+and moving right means more recent. The actions are:
+UP - move to the parent, a broader summary
+DOWN - move to the leftmost child, more detail
+LEFT - move to the older neighbor in this layer
+RIGHT - move to the newer neighbor in this layer
+START - jump back to the root
+ACCEPT - stop, the current node text answers the question
+REJECT - stop, this tree does not contain the answer
+Reply with exactly one action token."""
+
+
 def llm_agent_prompt(node_text: str, query: str, path) -> list[dict]:
-    return render_messages("traversal_agent_v1", query=query, node_text=node_text,
-                           path_summary=_path_summary(path))
+    return [{"role": "system", "content": _AGENT_SYSTEM},
+            {"role": "user", "content": f"QUESTION: {query}\nCURRENT NODE:\n{node_text}\n"
+                                        f"MOVES SO FAR: {_path_summary(path)}\n"
+                                        "Reply with exactly one action token."}]
 
 
 def parse_action(reply: str) -> TraversalAction:
@@ -382,6 +405,11 @@ class LlmAgent:
 
 # ------------------------------------------------------------------- oracles
 
+_ORACLE_SYSTEM = """\
+You judge whether a passage contains enough information to answer a
+question. Reply YES or NO and nothing else."""
+
+
 class LlmOracle:
     """YES/NO sufficiency judgment from the chat model; unparseable means NO.
 
@@ -401,7 +429,10 @@ class LlmOracle:
         return self._memo.decide((node_text, query), lambda: self._ask(node_text, query))
 
     def _ask(self, node_text: str, query: str) -> bool:
-        messages = render_messages("sufficiency_v1", query=query, passage=node_text)
+        messages = [{"role": "system", "content": _ORACLE_SYSTEM},
+                    {"role": "user", "content": f"QUESTION: {query}\nPASSAGE:\n{node_text}\n"
+                                                "Does the passage contain enough information to "
+                                                "answer the question? Reply YES or NO."}]
         request = ChatRequest(model=self.client.model, messages=messages, stage="oracle")
         reply = self.client.complete(request)
         match = re.search(r"\b(yes|no)\b", reply.content, re.IGNORECASE)

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import json
 import os
-from importlib import resources
 
 import pytest
 
@@ -25,11 +24,9 @@ from hatmem.errors import (
     ContractViolationError,
     DocumentParseError,
     InvalidParameterError,
-    NotFoundError,
     RemoteUnavailableError,
 )
 from hatmem.metrics import tokenize
-from hatmem.prompts import load_template, split_messages, template_names
 
 
 class TestConcat:
@@ -90,30 +87,17 @@ class TestPersonaPrompt:
         body = messages[1]["content"]
         assert body.index("1. one") < body.index("2. two") < body.index("3. three")
 
-    def test_template_loads_unchanged(self):
-        raw = load_template("persona_v1")
-        assert raw == load_template("persona_v1")
-        roles = [m["role"] for m in split_messages(raw)]
-        assert roles == ["system", "user"]
-
     def test_empty_rejected(self):
         with pytest.raises(ContractViolationError):
             persona_prompt([])
 
-    def test_shipped_template_names(self):
-        assert template_names() == {"persona_v1", "response_v1", "sufficiency_v1",
-                                    "traversal_agent_v1"}
-
     @pytest.mark.parametrize("kind", ["relative_path", "absolute_path", "unknown", "empty"])
     def test_only_shipped_templates_accepted(self, kind, tmp_path):
-        # The path names point at a real template-shaped file outside the package.
+        # A name that is a path, even to a template-shaped file, names no prompt.
         outside = tmp_path / "x"
         (tmp_path / "x.txt").write_text("[user]\nleaked {children_block}\n", encoding="utf-8")
-        prompts_dir = str(resources.files("hatmem").joinpath("prompts"))
-        name = {"relative_path": os.path.relpath(outside, prompts_dir),
+        name = {"relative_path": os.path.relpath(outside),
                 "absolute_path": str(outside), "unknown": "no_such_template", "empty": ""}[kind]
-        with pytest.raises(NotFoundError):
-            load_template(name)
         with pytest.raises(InvalidParameterError):
             LlmPersonaAggregator(mock_client(), template=name)
         spec = {"kind": "llm_persona", "params": {"template": name}}
@@ -128,7 +112,8 @@ class TestPersonaPrompt:
 
     @pytest.mark.parametrize("name", ["response_v1", "sufficiency_v1"])
     def test_only_persona_templates_build_a_persona_aggregator(self, name):
-        # Shipped templates, but their placeholders are not the persona prompt's.
+        # The other prompts' names from when they were template files build no
+        # persona aggregator.
         with pytest.raises(InvalidParameterError, match=r"\['persona_v1'\]"):
             LlmPersonaAggregator(mock_client(), template=name)
         spec = {"kind": "llm_persona", "params": {"template": name}}

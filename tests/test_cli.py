@@ -82,6 +82,8 @@ class TestExitCodes:
         not_persona.write_text(json.dumps({"aggregator": {"kind": "llm_persona",
                                                           "params": {"template": "response_v1"}}}),
                                encoding="utf-8")
+        repeated = tmp_path / "repeated.jsonl"
+        save_episodes(repeated, planted_fact_episodes(1) * 2)
         bad_tree = tmp_path / "bad.tree.json"
         bad_tree.write_text(json.dumps({"format": "hat-tree", "version": 2, "memory_length": 3,
                                         "layers": 7}), encoding="utf-8")
@@ -93,12 +95,19 @@ class TestExitCodes:
                  (["ingest", episodes_file, "--out", str(tmp_path / "out"), "--mock",
                    "--config", str(not_persona)],
                   "persona template must be one of ['persona_v1'], got 'response_v1'"),
+                 (["ingest", str(repeated), "--out", str(tmp_path / "out"), "--mock"],
+                  "line 2: episode_id 'planted-fact-000' repeats line 1"),
+                 (["bench", str(repeated), "--mock"],
+                  "line 2: episode_id 'planted-fact-000' repeats line 1"),
+                 (["bench", episodes_file, "--mock", "--strategy", "hat_bfs", "--strategy", "hat_bfs"],
+                  "strategies repeat a name"),
                  (["inspect", str(bad_tree)], "layers must be"),
                  (["bench", episodes_file, "--endpoint", "file:///x", "--api-key", "k",
                    "--model", "m"], "http:// or https://")]
         for argv, message in cases:
             assert main(argv) == EXIT_DATA, argv
             assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_flag_exits_1(self, episodes_file):
         assert main(["bench", episodes_file, "--mock", "--no-such-flag"]) == EXIT_USAGE
@@ -222,6 +231,20 @@ class TestChat:
         captured = capsys.readouterr()
         assert "invalid choice: 'gold_memory'" in captured.err
         assert "assistant: " not in captured.out
+
+
+class TestIngest:
+    @pytest.mark.parametrize("bad_id", ["../escaped", "sub/id", "sub\\id", ".", ".."])
+    def test_id_that_is_no_plain_file_name_is_refused_before_any_write(self, bad_id, tmp_path,
+                                                                         capsys):
+        good, bad = planted_fact_episodes(2)
+        good.episode_id, bad.episode_id = "-", bad_id  # the good one is ingested first
+        episodes = tmp_path / "episodes.jsonl"
+        save_episodes(episodes, [bad, good])
+        out = tmp_path / "trav" / "out"
+        assert main(["ingest", str(episodes), "--out", str(out), "--mock"]) == EXIT_DATA
+        assert f"episode_id {bad_id!r} is not a plain file name" in capsys.readouterr().err
+        assert not (tmp_path / "trav").exists()
 
 
 class TestInspect:

@@ -80,6 +80,14 @@ class TestFiles:
         save_episodes(path, episodes)
         assert load_episodes(path) == episodes
 
+    def test_repeated_episode_id_refused_with_both_lines(self, tmp_path):
+        path = tmp_path / "episodes.jsonl"
+        record = json.dumps(minimal_record())
+        other = json.dumps(minimal_record(episode_id="ep-2"))
+        path.write_text(f"{record}\n\n{other}\n{record}\n", encoding="utf-8")
+        with pytest.raises(DocumentParseError, match="^line 4: episode_id 'ep-1' repeats line 1$"):
+            load_episodes(path)
+
     def test_require_session_filter(self, tmp_path):
         path = tmp_path / "episodes.jsonl"
         short = parse_episode(minimal_record(episode_id="short"))

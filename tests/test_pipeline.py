@@ -522,6 +522,12 @@ class TestRunBench:
             run_bench(planted_fact_episodes(1), ConcatAggregator(), mock_client(),
                       strategies=["hat_bfs", "hat_ranked"])
 
+    def test_repeated_strategies_refused(self):
+        # Scored twice, a strategy's DISTINCT would count its replies twice.
+        with pytest.raises(InvalidParameterError, match="repeat"):
+            run_bench(planted_fact_episodes(1), ConcatAggregator(), mock_client(),
+                      strategies=["hat_bfs", "hat_bfs"])
+
     def test_episode_whose_query_opens_its_only_session_is_named(self):
         lone = Episode("lone", [Session(1, [turn("user", "hi"), turn("assistant", "hello", index=1)])])
         episodes = [*planted_fact_episodes(1), lone]
