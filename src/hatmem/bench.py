@@ -59,9 +59,7 @@ def run_bench(episodes: list[Episode], aggregator: Aggregator, client: LlmClient
     if not episodes:
         raise InvalidParameterError("no episodes to benchmark")
     config = TraversalConfig(step_budget=step_budget)
-    # One oracle per strategy: no strategy is scored on another's remembered verdicts.
-    oracles = {name: LlmOracle(client) for name in strategies}
-    agent = LlmAgent(client)
+    oracle, agent = LlmOracle(client), LlmAgent(client)
 
     episode_rows = []
     strategy_rows: dict[str, list[dict]] = {name: [] for name in strategies}
@@ -78,7 +76,7 @@ def run_bench(episodes: list[Episode], aggregator: Aggregator, client: LlmClient
         for name in strategies:
             try:
                 context = build_context(state, query.text, name, gold=gold,
-                                        oracle=oracles[name], agent=agent, config=config)
+                                        oracle=oracle, agent=agent, config=config)
             except (ConfigurationError, InvalidParameterError) as exc:
                 raise type(exc)(f"episode {episode.episode_id!r}: {exc}") from exc
             response = generate_response(context, query.text, client)

@@ -1,7 +1,8 @@
 """Command-line surface.
 
 Subcommands: ingest (episodes file -> persisted trees and snapshots, named
-after the episode ids, which must be unique, plain file names), bench
+after the episode ids, which must be unique, plain file names; a run that
+fails moves none of its files into --out), bench
 (strategy comparison with metric tables), chat (line-oriented REPL), inspect
 (tree structure dump), metrics (score candidate/reference pairs). Exit
 codes: 0 success, 1 usage error, 2 data or config error, 3 remote error: a
@@ -12,7 +13,10 @@ the client cannot use); either message names the stage of the failed call.
 from __future__ import annotations
 
 import argparse
+import os
+import shutil
 import sys
+import tempfile
 from pathlib import Path
 
 from . import bench as bench_mod
@@ -140,18 +144,26 @@ def cmd_ingest(args) -> int:
             raise DocumentParseError(f"episode_id {episode.episode_id!r} is not a plain file name")
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for episode in sorted(episodes, key=lambda e: e.episode_id):
-        state = ingest_episode(episode, memory_length, aggregator)
-        (out_dir / f"{episode.episode_id}.tree.json").write_text(
-            state.tree.serialize(), encoding="utf-8")
-        snapshots = {
-            "episode_id": episode.episode_id,
-            "session_snapshots": {str(k): v for k, v in sorted(state.session_snapshots.items())},
-        }
-        (out_dir / f"{episode.episode_id}.memory.json").write_text(
-            bench_mod.dump_report(snapshots), encoding="utf-8")
-        print(f"{episode.episode_id}: {state.tree.leaf_count} leaves, "
-              f"depth {state.tree.depth()}, {state.tree.agg_call_count} aggregations")
+    # Every file is written beside --out first and moved in only once all
+    # are written, so a run that fails part way leaves --out as it was.
+    staging = Path(tempfile.mkdtemp(prefix=f".{out_dir.name}-", dir=out_dir.parent))
+    try:
+        for episode in sorted(episodes, key=lambda e: e.episode_id):
+            state = ingest_episode(episode, memory_length, aggregator)
+            (staging / f"{episode.episode_id}.tree.json").write_text(
+                state.tree.serialize(), encoding="utf-8")
+            snapshots = {
+                "episode_id": episode.episode_id,
+                "session_snapshots": {str(k): v for k, v in sorted(state.session_snapshots.items())},
+            }
+            (staging / f"{episode.episode_id}.memory.json").write_text(
+                bench_mod.dump_report(snapshots), encoding="utf-8")
+            print(f"{episode.episode_id}: {state.tree.leaf_count} leaves, "
+                  f"depth {state.tree.depth()}, {state.tree.agg_call_count} aggregations")
+        for written in sorted(staging.iterdir()):
+            os.replace(written, out_dir / written.name)
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
     print(f"wrote {len(episodes)} tree(s) to {out_dir}")
     return EXIT_OK
 

@@ -21,10 +21,32 @@ of MAX_CONCURRENT_CALLS workers, shared by all batches and kept for the life
 of the process. The first such batch creates it, and only then is
 `concurrent.futures` (and through it `logging`) imported, so a run that
 never sends two calls at once loads neither.
+
+`remembered(client, request)` is the one reply memo of the package: the
+walks' agent and oracle and the reply step send through it, each client
+object keeps its last MEMO_ENTRIES replies, and a request it has already
+answered costs no call. Aggregation sends through `complete` alone, so that
+the tree counts every aggregation it makes. A reply is filed under the
+SHA-256 digest of the request as sent (model, temperature, max_tokens, and
+each message's role and content, each part length-prefixed), so an entry
+costs the same whatever the length of its texts; only the reply's content is
+kept. The key is the digest's first 64 bits as an int, which takes about
+half the memory of the whole digest's bytes; against at most MEMO_ENTRIES
+keys, a lookup finds another request's reply with probability below 2^-52.
+The digest comes from CPython's own SHA-256 module (`_sha2`, or
+`_sha256` before 3.12), as `random` takes its `sha512`, and from `hashlib`
+only where neither exists: importing `hashlib` maps OpenSSL's libcrypto,
+about 3.6 MB of resident memory for one hash. It is imported at the first
+lookup, so a run that never walks or replies loads nothing for it. A memo
+lives as long as its client; a client that cannot be weakly referenced gets
+none. A call that raises stores nothing, and two threads that miss on the
+same request at once both send it. The memo assumes that the endpoint
+answers an identical temperature-0 request the same way every time.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -32,6 +54,7 @@ import re
 import threading
 import time
 import urllib.parse
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -279,6 +302,63 @@ def call_concurrently(call: Callable, items: list) -> list:
     futures = [_shared_pool().submit(run, item) for item in items]
     wait(futures)
     return [future.result() for future in futures]
+
+
+# Replies each client remembers, least recently used first out.
+MEMO_ENTRIES = 4096
+
+# Client -> {request key: reply content}, oldest first, all under one lock.
+# A plain dict keeps that order in less memory per entry than an OrderedDict.
+_memos: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+_memos_lock = threading.Lock()
+
+
+@functools.cache
+def _sha256():
+    """The SHA-256 constructor, imported at the first memo lookup."""
+    try:
+        from _sha2 import sha256  # CPython 3.12 and later
+    except ImportError:
+        try:
+            from _sha256 import sha256  # CPython 3.10 and 3.11
+        except ImportError:
+            from hashlib import sha256
+    return sha256
+
+
+def _request_key(request: ChatRequest) -> int:
+    digest = _sha256()()
+    parts = [request.model, repr(request.temperature), repr(request.max_tokens)]
+    for message in request.messages:
+        parts += (message["role"], message["content"])
+    for part in parts:
+        data = part.encode()
+        digest.update(len(data).to_bytes(8, "little"))
+        digest.update(data)
+    return int.from_bytes(digest.digest()[:8], "little")
+
+
+def remembered(client, request: ChatRequest) -> str:
+    """`client.complete(request).content`, from the client's memo when the
+    same request was answered before (see the module docstring)."""
+    key = _request_key(request)
+    try:
+        with _memos_lock:
+            memo = _memos.get(client)
+            if memo is None:
+                memo = _memos[client] = {}
+            elif key in memo:
+                content = memo[key] = memo.pop(key)  # now the newest
+                return content
+    except TypeError:  # no weak reference to the client, so no memo
+        return client.complete(request).content
+    content = client.complete(request).content
+    with _memos_lock:
+        memo.pop(key, None)
+        memo[key] = content
+        while len(memo) > MEMO_ENTRIES:
+            del memo[next(iter(memo))]
+    return content
 
 
 def live_client(endpoint: Optional[str] = None, api_key: Optional[str] = None,

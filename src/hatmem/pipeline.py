@@ -22,34 +22,29 @@ asking one node at a time.
 (`HatTree.read_while_flushing`), so the aggregation overlaps the walk, and a
 query's round trips are about the larger of flush and walk instead of their
 sum. The walk is kept when every text it read came through the flush
-unchanged; otherwise it walks again on the flushed tree, where the decision
-memos answer every unchanged text, so the second walk adds asks only for the
-texts the flush changed. The context is always the one a walk after the
-flush would give.
+unchanged; otherwise it walks again on the flushed tree, where the client's
+memo (`llm.remembered`) answers every unchanged text, so the second walk
+adds asks only for the texts the flush changed. The context is always the
+one a walk after the flush would give.
 
 `generate_response` sends the context under "MEMORY:" (left out when the
 context is empty) and the user's message under "USER MESSAGE:". The reply,
-stripped of surrounding whitespace, is the answer. It remembers the replies
-each client gave, in a memo that lives as long as that client, so a repeated
-(context, query) costs no chat call. Like the walks' decision memo, it
-assumes that the endpoint answers an identical temperature-0 request the
-same way every time.
+stripped of surrounding whitespace, is the answer. It asks through the
+client's reply memo (`llm.remembered`), so a repeated (context, query) costs
+no chat call.
 """
 
 from __future__ import annotations
 
-import threading
-import weakref
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .episodes import DialogueTurn, Episode, SPEAKERS
 from .errors import ConfigurationError, InvalidParameterError, NotFoundError
-from .llm import ChatRequest
+from .llm import ChatRequest, remembered
 from .traversal import (
     Outcome,
     TraversalConfig,
-    _DecisionMemo,
     bfs_search,
     dfs_search,
     fallback_context,
@@ -91,8 +86,7 @@ def ingest_turn(state: MemoryState, turn: DialogueTurn) -> int:
         raise InvalidParameterError(f"speaker must be one of {SPEAKERS}, got {turn.speaker!r}")
     if not turn.text:
         raise InvalidParameterError("turn text must be nonempty")
-    meta = {"speaker": turn.speaker, "session": turn.session, "turn_index": turn.turn_index}
-    return state.tree.append_leaf(f"{turn.speaker}: {turn.text}", meta=meta)
+    return state.tree.append_leaf(f"{turn.speaker}: {turn.text}", meta={"session": turn.session})
 
 
 def end_session(state: MemoryState, session: int) -> str:
@@ -173,32 +167,15 @@ when present, to answer the user's message, restating the relevant fact
 plainly. If the notes do not cover the answer, say so briefly instead of
 guessing."""
 
-# One reply memo per client object, dropped with its client.
-_REPLY_MEMOS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-_REPLY_MEMOS_LOCK = threading.Lock()
-
 
 def generate_response(context: str, query: str, client) -> str:
     """One assistant reply for the query, grounded in the context when present.
 
-    The client remembers its last MEMO_ENTRIES replies (see
-    `traversal._DecisionMemo`) and answers a repeated (context, query) without
-    a request. This assumes that the endpoint answers an identical
-    temperature-0 request the same way every time. A call that raised is not
-    remembered. A client that cannot be weakly referenced gets no memo.
+    A repeated (context, query) is answered from the client's reply memo
+    (`llm.remembered`) without a request.
     """
-    def ask() -> str:
-        memory_block = f"MEMORY:\n{context}\n\n" if context else ""
-        messages = [{"role": "system", "content": _REPLY_SYSTEM},
-                    {"role": "user", "content": f"{memory_block}USER MESSAGE: {query}"}]
-        request = ChatRequest(model=client.model, messages=messages, stage="generate")
-        return client.complete(request).content.strip()
-
-    try:
-        with _REPLY_MEMOS_LOCK:
-            memo = _REPLY_MEMOS.get(client)
-            if memo is None:
-                memo = _REPLY_MEMOS[client] = _DecisionMemo()
-    except TypeError:
-        return ask()
-    return memo.decide((context, query), ask)
+    memory_block = f"MEMORY:\n{context}\n\n" if context else ""
+    messages = [{"role": "system", "content": _REPLY_SYSTEM},
+                {"role": "user", "content": f"{memory_block}USER MESSAGE: {query}"}]
+    return remembered(client, ChatRequest(model=client.model, messages=messages,
+                                          stage="generate")).strip()

@@ -23,33 +23,21 @@ then counts as ACCEPT. `LlmOracle` sends the question and the node's text as
 a passage and asks for YES or NO. The first whole word "yes" or "no" in the
 reply decides, and a reply with neither counts as NO.
 
-`LlmOracle` and `LlmAgent` each remember their last MEMO_ENTRIES decisions
-across walks, so a question one of them has already answered costs no chat
-call; `pipeline.generate_response` keeps the same kind of memo per client.
-A decision is filed under the SHA-256 digest of its question, so the memo's
-size does not grow with the texts it has seen. The digest comes from
-CPython's own SHA-256 module (`_sha2`, or `_sha256` before 3.12), as
-`random` takes its `sha512`, and from `hashlib` only where neither exists:
-importing `hashlib` maps OpenSSL's libcrypto, about 3.6 MB of resident
-memory for one hash. It is imported at a memo's first lookup, not with this
-module, so a run that never walks or replies loads nothing for it. The memo
-assumes that the endpoint answers an identical temperature-0 request the
-same way every time.
+`LlmOracle` and `LlmAgent` send through their client's reply memo
+(`llm.remembered`), so a question that client has already answered, in
+this walk or an earlier one, costs no chat call.
 """
 
 from __future__ import annotations
 
-import functools
 import re
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from itertools import islice
 from typing import Optional
 
 from .errors import ActionParseError, InvalidParameterError
-from .llm import MAX_CONCURRENT_CALLS, ChatRequest, call_concurrently
+from .llm import MAX_CONCURRENT_CALLS, ChatRequest, call_concurrently, remembered
 from .tree import HatTree, _is_int
 
 
@@ -260,65 +248,6 @@ def fallback_context(tree: HatTree) -> str:
     return tree.root_text() + "\n" + leaves[-1].text
 
 
-# ------------------------------------------------------------------- memo
-
-# Decisions each LlmAgent, LlmOracle and reply client remembers, least recently used first out.
-MEMO_ENTRIES = 4096
-
-@functools.cache
-def _sha256():
-    """The SHA-256 constructor, imported at the first memo lookup."""
-    try:
-        from _sha2 import sha256  # CPython 3.12 and later
-    except ImportError:
-        try:
-            from _sha256 import sha256  # CPython 3.10 and 3.11
-        except ImportError:
-            from hashlib import sha256
-    return sha256
-
-
-class _DecisionMemo:
-    """Thread-safe least-recently-used map from a question to its decision.
-
-    A question is a tuple of strings, filed under the SHA-256 digest of
-    their length-prefixed UTF-8 bytes, so an entry costs the same whatever
-    the length of the texts. The digest is CPython's built-in SHA-256, not
-    OpenSSL's through `hashlib` (see the module docstring): the same bytes,
-    but slower. On CPython 3.10-3.13 (x86-64) a 400-byte question takes
-    3-6 µs instead of 1.4-3.4 µs, and a 108 KB text, a size that only concat
-    trees reach, 0.4-0.8 ms instead of 0.09 ms. A call that raises stores
-    nothing. Two threads that miss on the same question at once both ask it.
-    """
-
-    def __init__(self):
-        self._decisions: OrderedDict[bytes, object] = OrderedDict()
-        self._lock = threading.Lock()
-
-    def __len__(self) -> int:
-        return len(self._decisions)
-
-    def decide(self, question: tuple[str, ...], ask):
-        """The remembered decision on `question`, or `ask()`'s, remembered."""
-        digest = _sha256()()
-        for part in question:
-            data = part.encode()
-            digest.update(len(data).to_bytes(8, "little"))
-            digest.update(data)
-        key = digest.digest()
-        with self._lock:
-            if key in self._decisions:
-                self._decisions.move_to_end(key)
-                return self._decisions[key]
-        decision = ask()
-        with self._lock:
-            self._decisions[key] = decision
-            self._decisions.move_to_end(key)
-            while len(self._decisions) > MEMO_ENTRIES:
-                self._decisions.popitem(last=False)
-        return decision
-
-
 # ------------------------------------------------------------------- agents
 
 _ACTION_TOKEN = re.compile(r"\b(up|down|left|right|start|accept|reject)\b", re.IGNORECASE)
@@ -372,32 +301,25 @@ class LlmAgent:
 
     `traverse` asks it from several threads about the DOWN chain below the
     root; it is safe for that when its client is, as `LlmClient` is. The walk
-    does not rely on this agent's memo to avoid asking twice.
+    does not rely on the client's memo to avoid asking twice.
 
-    The agent remembers the action it chose for its last MEMO_ENTRIES
-    (node text, query, path) questions and answers a repeat without a
-    request. This assumes that the endpoint answers an identical
-    temperature-0 request the same way every time. A call that raised is
-    not remembered, so the next walk asks again.
+    Every request goes through the client's reply memo (`llm.remembered`),
+    clarifying turns included, so a repeated question costs no call.
     """
 
     def __init__(self, client):
         self.client = client
-        self._memo = _DecisionMemo()
 
     def propose_action(self, node_text: str, query: str, visited_path) -> TraversalAction:
-        return self._memo.decide((node_text, query, _path_summary(visited_path)),
-                                 lambda: self._ask(llm_agent_prompt(node_text, query, visited_path)))
-
-    def _ask(self, messages: list[dict]) -> TraversalAction:
+        messages = llm_agent_prompt(node_text, query, visited_path)
         for _ in range(MAX_PARSE_RETRIES + 1):
-            request = ChatRequest(model=self.client.model, messages=messages, stage="agent")
-            reply = self.client.complete(request)
+            content = remembered(self.client, ChatRequest(model=self.client.model,
+                                                          messages=messages, stage="agent"))
             try:
-                return parse_action(reply.content)
+                return parse_action(content)
             except ActionParseError:
                 messages = messages + [
-                    {"role": "assistant", "content": reply.content},
+                    {"role": "assistant", "content": content},
                     {"role": "user", "content": _CLARIFY},
                 ]
         return TraversalAction.ACCEPT
@@ -414,26 +336,19 @@ class LlmOracle:
     """YES/NO sufficiency judgment from the chat model; unparseable means NO.
 
     Safe to call from several threads when its client is, as `LlmClient` is.
-    The oracle remembers the verdicts on its last MEMO_ENTRIES (passage,
-    query) questions and answers a repeat without a request. This assumes
-    that the endpoint answers an identical temperature-0 request the same way
-    every time. A call that raised is not remembered, so the next walk asks
-    again.
+    It asks through the client's reply memo (`llm.remembered`), so a
+    repeated question costs no call.
     """
 
     def __init__(self, client):
         self.client = client
-        self._memo = _DecisionMemo()
 
     def sufficient(self, node_text: str, query: str) -> bool:
-        return self._memo.decide((node_text, query), lambda: self._ask(node_text, query))
-
-    def _ask(self, node_text: str, query: str) -> bool:
         messages = [{"role": "system", "content": _ORACLE_SYSTEM},
                     {"role": "user", "content": f"QUESTION: {query}\nPASSAGE:\n{node_text}\n"
                                                 "Does the passage contain enough information to "
                                                 "answer the question? Reply YES or NO."}]
-        request = ChatRequest(model=self.client.model, messages=messages, stage="oracle")
-        reply = self.client.complete(request)
-        match = re.search(r"\b(yes|no)\b", reply.content, re.IGNORECASE)
+        reply = remembered(self.client, ChatRequest(model=self.client.model, messages=messages,
+                                                    stage="oracle"))
+        match = re.search(r"\b(yes|no)\b", reply, re.IGNORECASE)
         return bool(match) and match.group(1).lower() == "yes"

@@ -234,9 +234,9 @@ class HatTree:
         exception raised; if not, `read(self)` runs again.
 
         `read` must depend only on the texts it is served, so a walk's calls
-        depend on the tree, never on timing. A second walk's memos answer
-        every unchanged text again; it costs the asks about texts that the
-        flush changed.
+        depend on the tree, never on timing. The client's memo
+        (`llm.remembered`) answers a second walk's asks about every unchanged
+        text; it costs the asks about texts that the flush changed.
         """
         if self.flushed_leaves == self.leaf_count:
             return read(self)

@@ -153,6 +153,19 @@ class TestLlmPersona:
         assert tree.leaf_count == 0
         assert tree.layers == []
 
+    def test_a_repeated_aggregation_is_sent_again(self):
+        # The second parent's request is the first parent's, sent after it.
+        # The tree counts every aggregation, so none may come from the
+        # client's reply memo.
+        client = mock_client()
+        tree = HatTree(2, LlmPersonaAggregator(client))
+        for text in ("a", "b", "a", "b"):
+            tree.append_leaf(text)
+            if tree.leaf_count == 2:
+                tree.flush()
+        assert tree.root_text() == "a b a b"
+        assert client.transport.calls == tree.agg_call_count == 3
+
     def test_no_client_bound(self):
         # A caller's mistake, not a remote failure: no endpoint was asked.
         with pytest.raises(ContractViolationError):

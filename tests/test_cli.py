@@ -246,6 +246,19 @@ class TestIngest:
         assert f"episode_id {bad_id!r} is not a plain file name" in capsys.readouterr().err
         assert not (tmp_path / "trav").exists()
 
+    def test_a_failed_run_writes_nothing(self, tmp_path, capsys):
+        # The long id passes the plain-name check, but no file system takes
+        # its file names; the episode sorted before it is ingested first.
+        good, bad = planted_fact_episodes(2)
+        bad.episode_id = "x" * 300
+        episodes = tmp_path / "episodes.jsonl"
+        save_episodes(episodes, [good, bad])
+        out = tmp_path / "out"
+        assert main(["ingest", str(episodes), "--out", str(out), "--mock"]) == EXIT_DATA
+        assert "File name too long" in capsys.readouterr().err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["episodes.jsonl", "out"]
+        assert list(out.iterdir()) == []
+
 
 class TestInspect:
     def test_prints_one_line_per_node(self, tmp_path, capsys):

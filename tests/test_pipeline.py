@@ -93,7 +93,7 @@ class TestIngest:
         ingest_turn(state, turn("user", "hello", session=3, index=7))
         leaf = state.tree.leaves()[0]
         assert leaf.text == "user: hello"
-        assert leaf.meta == {"speaker": "user", "session": 3, "turn_index": 7}
+        assert leaf.meta == {"session": 3}
 
     def test_first_turn_depth_one(self):
         state = new_memory(2, ConcatAggregator())
@@ -463,15 +463,14 @@ class TestReplyMemo:
     def test_dropped_client_frees_its_memo_without_a_collection(self):
         # A chat loop may make a client per conversation; its replies must
         # not outlive it, nor wait for a full collection to go.
-        from hatmem.pipeline import _REPLY_MEMOS
-
         client = ScriptedClient(["one"])
         generate_response("ctx", "q", client)
-        refs = [weakref.ref(client), weakref.ref(_REPLY_MEMOS[client])]
+        ref, memos = weakref.ref(client), len(llm._memos)
         gc.disable()
         try:
             del client
-            assert [ref() for ref in refs] == [None, None]
+            assert ref() is None
+            assert len(llm._memos) == memos - 1
         finally:
             gc.enable()
 
@@ -516,6 +515,26 @@ class TestRunBench:
             "part_context     0.0000   0.0000   0.3333   0.3333   0.0000\n"
             "\n"
             "memory           0.0654   0.0305   0.2097   0.3119   0.1461\n")
+
+    @pytest.mark.parametrize("make", [lambda client: LlmPersonaAggregator(client, max_tokens=24),
+                                      lambda client: TruncateAggregator(16)],
+                             ids=["llm_persona", "truncate"])
+    def test_one_memo_serves_every_strategy(self, make):
+        # hat_dfs reads hat_bfs's verdicts from the client's memo: each
+        # strategy's rows are those it gets alone, for fewer requests.
+        def bench(strategies):
+            client = StageCountingClient(mock_client())
+            report = run_bench(planted_fact_episodes(6), make(client), client, strategies=strategies)
+            return report, client.calls
+
+        both, calls = bench(["hat_bfs", "hat_dfs"])
+        alone_oracle_calls = 0
+        for name in ("hat_bfs", "hat_dfs"):
+            alone, alone_calls = bench([name])
+            assert dump_report(both["strategies"][name]) == dump_report(alone["strategies"][name])
+            assert calls["aggregate"] == alone_calls["aggregate"]
+            alone_oracle_calls += alone_calls["oracle"]
+        assert calls["oracle"] < alone_oracle_calls
 
     def test_unknown_strategies_refused(self):
         with pytest.raises(InvalidParameterError, match=r"unknown strategies \['hat_ranked'\]"):

@@ -62,7 +62,9 @@ from hatmem.errors import (
     InvalidParameterError,
     RemoteUnavailableError,
 )
-from hatmem.traversal import _DecisionMemo, llm_agent_prompt, parse_action
+from hatmem import llm
+from hatmem.llm import ChatRequest, remembered
+from hatmem.traversal import llm_agent_prompt, parse_action
 
 
 class FailingAgent:
@@ -624,7 +626,7 @@ class TestDecisionMemo:
         assert repeats > 0  # the questions did repeat, so the memo answered some
 
     def test_memo_keeps_the_newest_entries(self, monkeypatch):
-        monkeypatch.setattr("hatmem.traversal.MEMO_ENTRIES", 3)
+        monkeypatch.setattr(llm, "MEMO_ENTRIES", 3)
         oracle, agent = LlmOracle(mock_client()), LlmAgent(mock_client())
         for client, ask in ((oracle.client, lambda i: oracle.sufficient(f"passage {i}", "q")),
                             (agent.client, lambda i: agent.propose_action(f"node {i}", "q", []))):
@@ -667,18 +669,20 @@ class TestDecisionMemo:
             assert client.transport._mock.calls == 6
 
     def test_dropped_decider_frees_its_memo_without_a_collection(self):
-        # A chat loop makes new deciders per conversation; a memo that kept
-        # its decider in a reference cycle would live until a full collection.
+        # A chat loop makes new deciders and clients per conversation; a memo
+        # that kept its client in a reference cycle would live until a full
+        # collection.
         client = mock_client()
         oracle, agent = LlmOracle(client), LlmAgent(client)
         oracle.sufficient("w1", "w1")
         agent.propose_action("w1", "w1", [])
-        refs = [weakref.ref(oracle), weakref.ref(agent),
-                weakref.ref(oracle._memo), weakref.ref(agent._memo)]
+        refs = [weakref.ref(oracle), weakref.ref(agent), weakref.ref(client)]
+        memos = len(llm._memos)
         gc.disable()
         try:
-            del oracle, agent
-            assert [ref() for ref in refs] == [None] * 4
+            del oracle, agent, client
+            assert [ref() for ref in refs] == [None] * 3
+            assert len(llm._memos) == memos - 1
         finally:
             gc.enable()
 
@@ -711,24 +715,32 @@ class TestDecisionMemo:
             retained = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
-        entries = len(oracle._memo) + len(agent._memo)
+        entries = len(llm._memos[oracle.client]) + len(llm._memos[agent.client])
         assert entries > 40
         assert seen > 500_000
         assert retained < 64 * 1024 + 256 * entries
 
     def test_memo_stays_coherent_under_concurrent_asks(self, monkeypatch):
-        # More threads than cores asking overlapping questions through a
-        # small memo, so that entries are evicted while others are read.
-        monkeypatch.setattr("hatmem.traversal.MEMO_ENTRIES", 8)
-        oracle = LlmOracle(mock_client())
+        # More threads than cores asking overlapping questions of one
+        # client's small memo, as oracle, agent and reply, so that entries
+        # are evicted while others are read.
+        monkeypatch.setattr(llm, "MEMO_ENTRIES", 8)
+        client = mock_client()
+        oracle, agent = LlmOracle(client), LlmAgent(client)
         passages = [f"w{i} w{i + 1}" for i in range(32)]
+        asks = [(oracle.sufficient, lambda covered, _passage: covered),
+                (lambda passage, query: agent.propose_action(passage, query, []),
+                 lambda covered, _passage: A.ACCEPT if covered else A.DOWN),
+                (lambda passage, query: hatmem.generate_response(passage, query, client),
+                 lambda covered, passage: passage if covered else "I do not have that in my notes.")]
         wrong = []
 
         def ask_many(seed):
             rng = random.Random(seed)
             for _ in range(300):
                 passage = rng.choice(passages)
-                if oracle.sufficient(passage, "w5") != ("w5" in passage.split()):
+                ask, expected = rng.choice(asks)
+                if ask(passage, "w5") != expected("w5" in passage.split(), passage):
                     wrong.append(passage)
 
         interval = sys.getswitchinterval()
@@ -743,28 +755,40 @@ class TestDecisionMemo:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == []
-        assert oracle.client.transport.calls < 8 * 300
+        assert 8 < client.transport.calls < 8 * 300
 
     def test_keys_are_sha256_of_length_prefixed_utf8(self):
-        def key(*parts):
+        # The key is the request as sent: model, temperature, max_tokens, then
+        # each message's role and content; the first 8 bytes of its digest.
+        def key(request):
+            parts = [request.model, repr(request.temperature), repr(request.max_tokens)]
+            parts += [part for m in request.messages for part in (m["role"], m["content"])]
             data = b"".join(len(part.encode()).to_bytes(8, "little") + part.encode() for part in parts)
-            return hashlib.sha256(data).digest()
+            return int.from_bytes(hashlib.sha256(data).digest()[:8], "little")
 
-        memo = _DecisionMemo()
-        memo.decide(("ab", "c"), lambda: 1)
-        memo.decide(("a", "bc"), lambda: 2)
-        memo.decide(("grün ✓", "", "x" * 100_000), lambda: 3)
-        assert list(memo._decisions) == [key("ab", "c"), key("a", "bc"),
-                                         key("grün ✓", "", "x" * 100_000)]
-        oracle = LlmOracle(mock_client())
-        oracle.sufficient("w1 w2", "w1")
-        assert list(oracle._memo._decisions) == [key("w1 w2", "w1")]
+        def user(*contents):
+            return [{"role": "user", "content": content} for content in contents]
+
+        requests = [ChatRequest("m", user("ab", "c")),
+                    ChatRequest("m", user("a", "bc")),
+                    ChatRequest("m", [{"role": "system", "content": "grün ✓"},
+                                      {"role": "assistant", "content": ""}, *user("x" * 100_000)]),
+                    ChatRequest("m", user("ab", "c"), temperature=0.5),
+                    ChatRequest("m", user("ab", "c"), max_tokens=4),
+                    ChatRequest("n", user("ab", "c"))]
+        client = ScriptedClient([str(i) for i in range(len(requests))], model="m")
+        assert [remembered(client, r) for r in requests] == [str(i) for i in range(len(requests))]
+        assert list(llm._memos[client]) == [key(request) for request in requests]
+        client = ScriptedClient(["YES", "ACCEPT"])
+        LlmOracle(client).sufficient("w1 w2", "w1")
+        LlmAgent(client).propose_action("w1 w2", "w1", [])
+        assert list(llm._memos[client]) == [key(request) for request in client.requests]
 
     def test_hashlib_fallback_gives_the_same_walks(self):
         # Where CPython's own SHA-256 module is missing the memo hashes with
         # hashlib: the same keys, so the same results for the same calls.
         code = """
-import json, sys
+import json, sys, hatmem.llm
 from hatmem import (HatTree, LlmAgent, LlmOracle, TraversalConfig, TruncateAggregator,
                     bfs_search, dfs_search, generate_response, mock_client, traverse)
 
@@ -784,7 +808,7 @@ print(json.dumps({
     "results": results,
     "calls": [decider.client.transport.calls for decider in (oracle, agent)]
              + [replier.transport.calls],
-    "keys": sorted(key.hex() for key in oracle._memo._decisions),
+    "keys": sorted(hatmem.llm._memos[oracle.client]),
     "hashlib": "hashlib" in sys.modules,
 }))
 """
