@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import ContractViolationError, InvalidParameterError
-from .llm import ChatRequest, is_temperature
+from .llm import ChatRequest, is_max_tokens, is_temperature
 from .metrics import tokenize
 
 DEFAULT_TRUNCATE_BUDGET = 256
@@ -116,8 +116,7 @@ class LlmPersonaAggregator(Aggregator):
         if not is_temperature(temperature):
             raise InvalidParameterError(
                 f"persona temperature must be a finite number >= 0, got {temperature!r}")
-        if max_tokens is not None and (isinstance(max_tokens, bool) or not isinstance(max_tokens, int)
-                                       or max_tokens < 1):
+        if not is_max_tokens(max_tokens):
             raise InvalidParameterError(
                 f"persona max_tokens must be a positive integer or null, got {max_tokens!r}")
         self.client = client

@@ -27,26 +27,25 @@ walks' agent and oracle and the reply step send through it, each client
 object keeps its last MEMO_ENTRIES replies, and a request it has already
 answered costs no call. Aggregation sends through `complete` alone, so that
 the tree counts every aggregation it makes. A reply is filed under the
-SHA-256 digest of the request as sent (model, temperature, max_tokens, and
-each message's role and content, each part length-prefixed), so an entry
-costs the same whatever the length of its texts; only the reply's content is
-kept. The key is the digest's first 64 bits as an int, which takes about
-half the memory of the whole digest's bytes; against at most MEMO_ENTRIES
-keys, a lookup finds another request's reply with probability below 2^-52.
-The digest comes from CPython's own SHA-256 module (`_sha2`, or
-`_sha256` before 3.12), as `random` takes its `sha512`, and from `hashlib`
-only where neither exists: importing `hashlib` maps OpenSSL's libcrypto,
-about 3.6 MB of resident memory for one hash. It is imported at the first
-lookup, so a run that never walks or replies loads nothing for it. A memo
+built-in `hash` of the request as sent, a tuple of the model, the reprs of
+temperature and max_tokens, and each message's (role, content), so the
+parts stay apart; only the int key and the reply's content are kept, so an
+entry costs the same whatever the length of its texts. CPython hashes
+strings with keyed SipHash, seeded per process, into `sys.hash_info.width`
+bits (64 on a 64-bit build): against at most MEMO_ENTRIES keys, a lookup
+finds another request's reply with probability below 2^-52 there. A memo
 lives as long as its client; a client that cannot be weakly referenced gets
 none. A call that raises stores nothing, and two threads that miss on the
 same request at once both send it. The memo assumes that the endpoint
 answers an identical temperature-0 request the same way every time.
+
+The call pool and the memos are the module's only process-wide state, and
+both sit behind one lock, which a forked child replaces along with the pool:
+a thread of the parent that held it at the fork does not exist in the child.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -80,6 +79,11 @@ def is_temperature(value) -> bool:
             and math.isfinite(value) and value >= 0)
 
 
+def is_max_tokens(value) -> bool:
+    """None (no cap) or an int >= 1 that is not a bool."""
+    return value is None or (isinstance(value, int) and not isinstance(value, bool) and value >= 1)
+
+
 @dataclass
 class ChatRequest:
     model: str
@@ -89,15 +93,21 @@ class ChatRequest:
     stage: Optional[str] = None  # aggregate, agent, oracle or generate; never sent
 
     def validate(self) -> None:
+        if not isinstance(self.model, str):
+            raise InvalidParameterError(f"model must be a string, got {self.model!r}")
         if not self.messages:
             raise InvalidParameterError("request needs at least one message")
         for message in self.messages:
+            if not isinstance(message, dict):
+                raise InvalidParameterError(f"message must be a dict, got {message!r}")
             if message.get("role") not in _ROLES:
                 raise InvalidParameterError(f"bad message role {message.get('role')!r}")
             if not isinstance(message.get("content"), str):
                 raise InvalidParameterError("message content must be a string")
         if not is_temperature(self.temperature):
             raise InvalidParameterError(f"temperature must be a finite number >= 0, got {self.temperature!r}")
+        if not is_max_tokens(self.max_tokens):
+            raise InvalidParameterError(f"max_tokens must be a positive integer or None, got {self.max_tokens!r}")
 
     def payload(self) -> dict:
         body = {
@@ -239,7 +249,7 @@ class LlmClient:
 
 _on_pool = threading.local()
 _pool = None
-_pool_lock = threading.Lock()
+_lock = threading.Lock()  # guards `_pool` and `_memos`
 
 
 def _mark_worker():
@@ -249,7 +259,7 @@ def _mark_worker():
 def _shared_pool():
     """The process's one call pool; its idle workers exit at interpreter exit."""
     global _pool
-    with _pool_lock:
+    with _lock:
         if _pool is None:
             from concurrent.futures import ThreadPoolExecutor
 
@@ -261,9 +271,10 @@ def _shared_pool():
 
 def _forget_pool():
     # A forked child has none of its parent's worker threads, and a full pool
-    # starts no new ones, so the child's first batch would wait forever.
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
+    # starts no new ones, so the child's first batch would wait forever; nor
+    # has it the thread that may have held the lock at the fork.
+    global _pool, _lock
+    _pool, _lock = None, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
@@ -307,43 +318,19 @@ def call_concurrently(call: Callable, items: list) -> list:
 # Replies each client remembers, least recently used first out.
 MEMO_ENTRIES = 4096
 
-# Client -> {request key: reply content}, oldest first, all under one lock.
+# Client -> {request key: reply content}, oldest first, under `_lock`.
 # A plain dict keeps that order in less memory per entry than an OrderedDict.
 _memos: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-_memos_lock = threading.Lock()
-
-
-@functools.cache
-def _sha256():
-    """The SHA-256 constructor, imported at the first memo lookup."""
-    try:
-        from _sha2 import sha256  # CPython 3.12 and later
-    except ImportError:
-        try:
-            from _sha256 import sha256  # CPython 3.10 and 3.11
-        except ImportError:
-            from hashlib import sha256
-    return sha256
-
-
-def _request_key(request: ChatRequest) -> int:
-    digest = _sha256()()
-    parts = [request.model, repr(request.temperature), repr(request.max_tokens)]
-    for message in request.messages:
-        parts += (message["role"], message["content"])
-    for part in parts:
-        data = part.encode()
-        digest.update(len(data).to_bytes(8, "little"))
-        digest.update(data)
-    return int.from_bytes(digest.digest()[:8], "little")
 
 
 def remembered(client, request: ChatRequest) -> str:
     """`client.complete(request).content`, from the client's memo when the
     same request was answered before (see the module docstring)."""
-    key = _request_key(request)
+    request.validate()
+    key = hash((request.model, repr(request.temperature), repr(request.max_tokens),
+                *((m["role"], m["content"]) for m in request.messages)))
     try:
-        with _memos_lock:
+        with _lock:
             memo = _memos.get(client)
             if memo is None:
                 memo = _memos[client] = {}
@@ -353,7 +340,7 @@ def remembered(client, request: ChatRequest) -> str:
     except TypeError:  # no weak reference to the client, so no memo
         return client.complete(request).content
     content = client.complete(request).content
-    with _memos_lock:
+    with _lock:
         memo.pop(key, None)
         memo[key] = content
         while len(memo) > MEMO_ENTRIES:

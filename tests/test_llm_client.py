@@ -35,7 +35,7 @@ from hatmem.errors import (
     ProtocolError,
     RemoteUnavailableError,
 )
-from hatmem.llm import MAX_CONCURRENT_CALLS, call_concurrently, heuristic_reply, live_client
+from hatmem.llm import MAX_CONCURRENT_CALLS, call_concurrently, heuristic_reply, live_client, remembered
 
 
 def ok_body(content: str) -> dict:
@@ -99,6 +99,20 @@ class TestValidation:
         }
         request.max_tokens = 64
         assert request.payload()["max_tokens"] == 64
+
+    @pytest.mark.parametrize("request_", [
+        ChatRequest("m", ["hi"]),
+        ChatRequest(None, [{"role": "user", "content": "hi"}]),
+        ChatRequest("m", [{"role": "user", "content": "hi"}], max_tokens="5"),
+        ChatRequest("m", [{"role": "user", "content": "hi"}], max_tokens=True),
+        ChatRequest("m", [{"role": "user", "content": "hi"}], max_tokens=0),
+    ], ids=["message-not-a-dict", "model-none", "max-tokens-str", "max-tokens-bool", "max-tokens-0"])
+    def test_malformed_request_is_refused_before_it_is_sent(self, request_):
+        client, _ = make_client([])
+        for send in (client.complete, lambda request: remembered(client, request)):
+            with pytest.raises(InvalidParameterError):
+                send(request_)
+        assert client.transport.sent == []
 
 
 class TestRetries:
@@ -285,14 +299,15 @@ def test_importing_and_building_a_live_client_leave_the_http_stack_unloaded():
 def test_a_run_never_loads_hashlib_and_loads_the_call_pool_only_for_a_chat_batch():
     # hashlib maps OpenSSL's libcrypto and concurrent.futures imports logging:
     # a local tree must load neither, a chat flush only the pool, and the
-    # memos of a walk and a reply hash with CPython's own SHA-256.
+    # memo of a walk and a reply keys with the built-in hash, no SHA-256.
     code = """
 import sys, hatmem, hatmem.cli
 from hatmem import (ConcatAggregator, HatTree, LlmAgent, LlmOracle, LlmPersonaAggregator,
                     bfs_search, generate_response, mock_client, traverse)
 
 def loaded():
-    print([m for m in ("hashlib", "_hashlib", "concurrent.futures", "logging") if m in sys.modules])
+    print([m for m in ("hashlib", "_hashlib", "_sha2", "_sha256", "concurrent.futures", "logging")
+           if m in sys.modules])
 
 tree = HatTree(3, ConcatAggregator())
 for i in range(30):
@@ -376,6 +391,38 @@ pid = os.fork()
 if pid == 0:
     signal.alarm(10)
     os._exit(0 if call_concurrently(lambda x: x * 3, items) == [x * 3 for x in items] else 1)
+print(os.waitpid(pid, 0)[1])
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(hatmem.__file__).parents[1]))
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, timeout=60, check=True)
+        assert result.stdout.strip() == "0"
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_child_forked_while_the_lock_is_held_can_remember(self):
+        # The memos share the pool's lock, which the child replaces: the
+        # thread that holds it in the parent does not exist in the child.
+        code = """
+import os, signal, threading
+from hatmem import llm
+from hatmem.llm import ChatRequest, mock_client, remembered
+held, release = threading.Event(), threading.Event()
+
+def hold():
+    with llm._lock:
+        held.set()
+        release.wait()
+
+holder = threading.Thread(target=hold)
+holder.start()
+held.wait()
+pid = os.fork()
+if pid == 0:
+    signal.alarm(10)
+    request = ChatRequest("m", [{"role": "user", "content": "hi"}])
+    os._exit(0 if remembered(mock_client(), request) == "OK." else 1)
+release.set()
+holder.join()
 print(os.waitpid(pid, 0)[1])
 """
         env = dict(os.environ, PYTHONPATH=str(Path(hatmem.__file__).parents[1]))
