@@ -42,7 +42,7 @@ def load_config_file(path: Optional[str]) -> dict:
             config = json.load(handle)
     except OSError as exc:
         raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigurationError(f"config file {path} must hold a JSON object")

@@ -100,7 +100,7 @@ def read_json_lines(path) -> Iterator[tuple[int, object]]:
                 continue
             try:
                 value = json.loads(line)
-            except ValueError as exc:
+            except (ValueError, RecursionError) as exc:
                 _fail(line_no, f"not valid JSON: {exc}")
             yield line_no, value
 

@@ -131,7 +131,8 @@ class HttpTransport:
     """Live JSON-over-HTTP backend on `urllib.request`, for http(s) URLs only.
 
     Returns (status, body) for every status, the body parsed as JSON when it
-    is JSON and as text otherwise. No answer at all raises `OSError`: a
+    parses and as text otherwise, as when it is nested too deep for the
+    parser. No answer at all raises `OSError`: a
     `URLError`, a timeout, or `ConnectionError` for a malformed response.
     """
 
@@ -166,7 +167,7 @@ class HttpTransport:
             raise ConnectionError(f"malformed HTTP response: {exc!r}") from exc
         try:
             return status, json.loads(raw)
-        except ValueError:
+        except (ValueError, RecursionError):
             return status, raw.decode("utf-8", errors="replace")
 
 

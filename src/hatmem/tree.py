@@ -26,11 +26,16 @@ before it. The flush commits only after that read has returned, and the read
 runs again on the flushed tree unless every text it used came through the
 flush unchanged.
 
-A document (version 2) holds the format marker, the version, the memory
-length, the aggregator spec and, per layer, each node's text and meta.
-Version-1 documents, which also carried node ids, child ids, a leaf count
-and per-node aggregation caches, load through the same reader, which ignores
-those keys.
+A document (version 3) holds the format marker, the version, the memory
+length, the aggregator spec, each layer's texts (`layers`, root first) and
+each layer's node metas (`meta`) as runs. A run `[count, meta]` stands for
+`count` adjacent nodes whose metas are identical as JSON, so the leaves of
+one session, or the internal nodes of a layer, write their meta once.
+`{"session": 1}`, `{"session": true}` and `{"session": 1.0}` are equal in
+Python but not as JSON, so they never share a run. Versions 2 and 1, which
+wrote each node as a `{"text", "meta"}` object, load through the same reader;
+it ignores the node ids, child ids, leaf count and per-node aggregation
+caches that version 1 also carried. Every tree is written as version 3.
 """
 
 from __future__ import annotations
@@ -38,13 +43,14 @@ from __future__ import annotations
 import json
 import threading
 from dataclasses import dataclass
+from itertools import groupby, repeat
 from typing import Optional
 
 from .errors import DocumentParseError, InvalidParameterError, NotFoundError
 from .llm import call_concurrently
 
 DOC_FORMAT = "hat-tree"
-DOC_VERSION = 2
+DOC_VERSION = 3
 
 # The one aggregator kind that waits on a chat endpoint. The others are
 # Python computation, which threads cannot overlap, so they run on the
@@ -70,7 +76,9 @@ class HatTree:
     current leaf count. A node is its text and meta: no id, no links and no
     cache, since its position fixes its parent and children, and a flush
     re-aggregates only nodes whose children changed. `serialize` writes
-    document version 2; `deserialize` also reads version 1.
+    document version 3, each layer's metas as runs of metas identical as
+    JSON; `deserialize` reads versions 3, 2 and 1, and gives every node a
+    meta of its own.
 
     Writers must be exclusive: one append, flush or insert at a time. A read
     of internal text flushes first, so while leaves are unflushed a read is
@@ -285,30 +293,32 @@ class HatTree:
             "version": DOC_VERSION,
             "memory_length": self.memory_length,
             "aggregator": self.aggregator.spec(),
-            "layers": [[{"text": node.text, "meta": node.meta} for node in row]
-                       for row in self.layers],
+            "layers": [[node.text for node in row] for row in self.layers],
+            "meta": [_meta_runs([node.meta for node in row]) for row in self.layers],
         }
         return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
     @classmethod
     def deserialize(cls, document: str, aggregator=None) -> "HatTree":
-        """Rebuild a tree from `serialize` output, version 2 or 1.
+        """Rebuild a tree from `serialize` output, version 3, 2 or 1.
 
-        Texts and meta round-trip; agg_call_count resets to 0 and every leaf
-        counts as flushed. With aggregator=None the aggregator is rebuilt
-        from the document's recorded kind and params.
+        Texts and meta round-trip, and no two nodes share a meta object;
+        agg_call_count resets to 0 and every leaf counts as flushed. With
+        aggregator=None the aggregator is rebuilt from the document's
+        recorded kind and params. JSON nested too deep to parse is a
+        `DocumentParseError` too.
         """
         from .aggregation import aggregator_from_spec
 
         try:
             doc = json.loads(document)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, RecursionError) as exc:
             raise DocumentParseError(f"not valid JSON: {exc}") from exc
         if not isinstance(doc, dict) or doc.get("format") != DOC_FORMAT:
             raise DocumentParseError("missing or wrong format marker")
         # A bool or a float equal to an int would pass the comparisons below
         # and then be written back as loaded, so integer fields must be ints.
-        if not _is_int(doc.get("version")) or doc["version"] not in (1, DOC_VERSION):
+        if not _is_int(doc.get("version")) or doc["version"] not in (1, 2, DOC_VERSION):
             raise DocumentParseError(f"unsupported document version {doc.get('version')!r}")
         memory_length = doc.get("memory_length")
         if not _is_int(memory_length) or memory_length < 2:
@@ -334,17 +344,10 @@ class HatTree:
                 f"aggregator mismatch: document has {agg_spec!r}, caller bound {aggregator.spec()!r}")
 
         tree = cls(memory_length, aggregator)
-        for k, row in enumerate(layers_doc):
-            tree.layers.append([])
-            for i, entry in enumerate(row):
-                if not isinstance(entry, dict):
-                    raise DocumentParseError(f"node at layer {k} index {i} is not an object")
-                text, meta = entry.get("text"), entry.get("meta")
-                if not isinstance(text, str):
-                    raise DocumentParseError(f"node at layer {k} index {i}: text missing or not a string")
-                if meta is not None and not isinstance(meta, dict):
-                    raise DocumentParseError(f"node at layer {k} index {i}: meta must be an object or null")
-                tree.layers[k].append(Node(text, meta))
+        if doc["version"] == DOC_VERSION:
+            tree.layers = _read_runs(layers_doc, doc.get("meta"))
+        else:
+            tree.layers = _read_nodes(layers_doc)
         tree.flushed_leaves = tree.leaf_count
         return tree
 
@@ -373,6 +376,81 @@ class _PreFlushView:
             raise _Unflushed
         self.served[layer, index] = node.text
         return node
+
+
+def _meta_runs(metas: list) -> list[list]:
+    """`metas` as runs `[count, meta]`, each of adjacent metas identical as JSON.
+
+    `repr` tells 1, 1.0 and True apart, as JSON does, at a fraction of the
+    cost of `json.dumps`; metas that differ only in key order get one run.
+    """
+    runs: list[list] = []
+    start = 0
+    for _, group in groupby(metas, repr):
+        count = len(list(group))
+        meta = metas[start]
+        start += count
+        if runs and runs[-1][1] == meta and (json.dumps(runs[-1][1], sort_keys=True)
+                                             == json.dumps(meta, sort_keys=True)):
+            runs[-1][0] += count
+        else:
+            runs.append([count, meta])
+    return runs
+
+
+def _read_runs(layers_doc: list, meta_doc) -> list[list[Node]]:
+    """Each layer's nodes from a version-3 document."""
+    for k, row in enumerate(layers_doc):
+        if not set(map(type, row)) <= {str}:
+            raise DocumentParseError(f"layer {k}: every text must be a string")
+    if not isinstance(meta_doc, list) or len(meta_doc) != len(layers_doc):
+        raise DocumentParseError("meta must hold one run list per layer")
+    layers = []
+    for k, (row, runs) in enumerate(zip(layers_doc, meta_doc)):
+        if not isinstance(runs, list):
+            raise DocumentParseError(f"layer {k}: meta runs must be a list")
+        for j, run in enumerate(runs):
+            if not (isinstance(run, list) and len(run) == 2 and _is_int(run[0]) and run[0] >= 1
+                    and (run[1] is None or isinstance(run[1], dict))):
+                raise DocumentParseError(
+                    f"layer {k} meta run {j}: want [count >= 1, object or null]")
+        # Summed before any run is expanded, so a huge count allocates nothing.
+        covered = sum(count for count, _ in runs)
+        if covered != len(row):
+            raise DocumentParseError(f"layer {k}: meta runs cover {covered} nodes, not {len(row)}")
+        metas = [copy for count, meta in runs for copy in _copies(meta, count)]
+        layers.append(list(map(Node, row, metas)))
+    return layers
+
+
+def _copies(meta: Optional[dict], count: int) -> list:
+    """`count` metas equal to `meta`, no two sharing a dict or list.
+
+    A nested meta is copied through the C JSON codec, which copies any depth
+    that `json.loads` could parse; `copy.deepcopy` recurses in Python.
+    """
+    if meta is None:
+        return [None] * count
+    if any(isinstance(value, (dict, list)) for value in meta.values()):
+        return [meta, *map(json.loads, repeat(json.dumps(meta), count - 1))]
+    return [meta, *map(dict, repeat(meta, count - 1))]
+
+
+def _read_nodes(layers_doc: list) -> list[list[Node]]:
+    """Each layer's nodes from a version-2 or version-1 document."""
+    layers: list[list[Node]] = []
+    for k, row in enumerate(layers_doc):
+        layers.append([])
+        for i, entry in enumerate(row):
+            if not isinstance(entry, dict):
+                raise DocumentParseError(f"node at layer {k} index {i} is not an object")
+            text, meta = entry.get("text"), entry.get("meta")
+            if not isinstance(text, str):
+                raise DocumentParseError(f"node at layer {k} index {i}: text missing or not a string")
+            if meta is not None and not isinstance(meta, dict):
+                raise DocumentParseError(f"node at layer {k} index {i}: meta must be an object or null")
+            layers[k].append(Node(text, meta))
+    return layers
 
 
 def _layer_sizes(leaf_count: int, memory_length: int) -> list[int]:

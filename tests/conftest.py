@@ -132,6 +132,24 @@ class LoggingTransport:
         return status, body
 
 
+class ClippingTransport:
+    """Mock replies cut to the request's `max_tokens` words, as a model's
+    would be. Each call first waits `delay_s`."""
+
+    def __init__(self, delay_s: float = 0.0):
+        self._mock = MockTransport()
+        self.delay_s = delay_s
+
+    def send(self, payload):
+        if self.delay_s:
+            time.sleep(self.delay_s)
+        status, body = self._mock.send(payload)
+        if payload.get("max_tokens") is not None:
+            message = body["choices"][0]["message"]
+            message["content"] = " ".join(message["content"].split()[:payload["max_tokens"]])
+        return status, body
+
+
 def assert_no_call_running(transport: LoggingTransport, settle_s: float = 0.05):
     """Nothing the returned or raising caller started still talks to the transport."""
     assert transport.in_flight == 0

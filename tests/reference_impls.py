@@ -6,6 +6,7 @@ obviousness over speed, and shares no code with the package under test.
 
 from __future__ import annotations
 
+import json
 import math
 import string
 
@@ -37,6 +38,18 @@ def leaf_spans(n: int, M: int) -> list[list[tuple[int, int]]]:
         count = math.ceil(n / span)
         layers.append([(i * span, min((i + 1) * span, n)) for i in range(count)])
     return layers
+
+
+def json_runs(metas: list) -> list[list]:
+    """Version-3 meta runs: [count, meta] per maximal stretch of adjacent
+    metas whose sorted-key JSON texts are equal."""
+    runs: list[list] = []
+    for meta in metas:
+        if runs and json.dumps(runs[-1][1], sort_keys=True) == json.dumps(meta, sort_keys=True):
+            runs[-1][0] += 1
+        else:
+            runs.append([1, meta])
+    return runs
 
 
 def concat_texts(leaves: list[str], M: int, separator: str) -> list[list[str]]:

@@ -109,6 +109,18 @@ class TestExitCodes:
             assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_deeply_nested_json_exits_2(self, tmp_path, episodes_file, capsys):
+        nested = "[" * 100_000 + "]" * 100_000 + "\n"
+        deep = tmp_path / "deep.jsonl"
+        deep.write_text(nested, encoding="utf-8")
+        cases = [(["metrics", str(deep)], "line 1: not valid JSON"),
+                 (["bench", str(deep), "--mock"], "line 1: not valid JSON"),
+                 (["bench", episodes_file, "--mock", "--config", str(deep)], "is not valid JSON"),
+                 (["inspect", str(deep)], "not valid JSON")]
+        for argv, message in cases:
+            assert main(argv) == EXIT_DATA, argv
+            assert message in capsys.readouterr().err
+
     def test_unknown_flag_exits_1(self, episodes_file):
         assert main(["bench", episodes_file, "--mock", "--no-such-flag"]) == EXIT_USAGE
         assert main(["bench", episodes_file, "--mock", "--agent", "llm"]) == EXIT_USAGE

@@ -74,6 +74,13 @@ class TestFiles:
         with pytest.raises(DocumentParseError, match="line 2"):
             load_episodes(path)
 
+    def test_deeply_nested_line_is_a_parse_error_with_its_line(self, tmp_path):
+        path = tmp_path / "episodes.jsonl"
+        path.write_text(json.dumps(minimal_record()) + "\n" + "[" * 100_000 + "]" * 100_000 + "\n",
+                        encoding="utf-8")
+        with pytest.raises(DocumentParseError, match="^line 2: not valid JSON"):
+            load_episodes(path)
+
     def test_save_load_roundtrip(self, tmp_path):
         path = tmp_path / "episodes.jsonl"
         episodes = [planted_fact_episode(seed) for seed in range(3)]

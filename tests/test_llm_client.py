@@ -240,6 +240,18 @@ class TestHttpTransport:
         assert failure.value.stage == "generate"
         assert "generate response" in str(failure.value)
 
+    def test_body_nested_too_deep_is_protocol_error(self, chat_server):
+        nested = "[" * 100_000 + "]" * 100_000
+        chat_server.script = [(200, nested)]
+        client, _ = self.client(chat_server.url)
+        assert client.transport.send({}) == (200, nested)
+        chat_server.script = [(200, nested)]
+        request = simple_request()
+        request.stage = "agent"
+        with pytest.raises(ProtocolError, match="agent response body is not JSON"):
+            client.complete(request)
+        assert len(chat_server.seen) == 2
+
     def test_missing_choices(self, chat_server):
         chat_server.script = [(200, {"usage": {}})]
         client, _ = self.client(chat_server.url)

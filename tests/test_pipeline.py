@@ -7,7 +7,6 @@ import hashlib
 import random
 import sys
 import threading
-import time
 import types
 import weakref
 from collections import Counter
@@ -15,6 +14,7 @@ from collections import Counter
 import pytest
 
 from conftest import (
+    ClippingTransport,
     DownTransport,
     FailingAggregator,
     LoggingTransport,
@@ -38,7 +38,6 @@ from hatmem import (
     LlmOracle,
     LlmPersonaAggregator,
     MemoryState,
-    MockTransport,
     Session,
     TraversalAction as A,
     TraversalConfig,
@@ -565,20 +564,6 @@ class TestRunBench:
         assert report["memory_fidelity"] is None
 
 
-class ClippingTransport(MockTransport):
-    """The mock endpoint, stopping a reply at the request's `max_tokens`
-    whitespace tokens as a real endpoint does. Each call waits 0.5 ms, so
-    that a flush and a walk overlap as they do against a remote endpoint."""
-
-    def send(self, payload):
-        time.sleep(0.0005)
-        status, body = super().send(payload)
-        if payload.get("max_tokens") is not None:
-            message = body["choices"][0]["message"]
-            message["content"] = " ".join(message["content"].split()[:payload["max_tokens"]])
-        return status, body
-
-
 class StageCountingClient:
     """Forwards to a client and counts its calls by stage, under a lock."""
 
@@ -637,7 +622,9 @@ def chat_stream(seed: int, count: int = 30) -> list[str]:
 def converse(strategy: str, messages: list[str], flush_first: bool = False):
     """Contexts and per-stage calls of one conversation: each message is
     walked for, replied to, and both turns are appended (llm_persona, M=3)."""
-    client = StageCountingClient(LlmClient(ClippingTransport(), "mock-chat"))
+    # Each call waits 0.5 ms, so that a flush and a walk overlap as they do
+    # against a remote endpoint.
+    client = StageCountingClient(LlmClient(ClippingTransport(delay_s=0.0005), "mock-chat"))
     state = new_memory(3, LlmPersonaAggregator(client, max_tokens=12))
     ingest_turn(state, turn("assistant", "Hello again, what is on your mind today?"))
     oracle, agent = LlmOracle(client), LlmAgent(client)

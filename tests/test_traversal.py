@@ -13,6 +13,7 @@ import pytest
 
 from conftest import (
     BarrierTransport,
+    ClippingTransport,
     ConstOracle,
     CountingAgent,
     DownTransport,
@@ -47,7 +48,6 @@ from hatmem import (
     HatTree,
     LlmClient,
     LlmPersonaAggregator,
-    MockTransport,
     TruncateAggregator,
     mock_client,
 )
@@ -552,20 +552,6 @@ class TestLlmOracle:
 
         with pytest.raises(RemoteUnavailableError):
             LlmOracle(DownClient()).sufficient("text", "query")
-
-
-class ClippingTransport:
-    """Mock replies cut to the request's `max_tokens` words, as a model's would be."""
-
-    def __init__(self):
-        self._mock = MockTransport()
-
-    def send(self, payload):
-        status, body = self._mock.send(payload)
-        if payload.get("max_tokens") is not None:
-            message = body["choices"][0]["message"]
-            message["content"] = " ".join(message["content"].split()[:payload["max_tokens"]])
-        return status, body
 
 
 class KeyRecorder:

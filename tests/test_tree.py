@@ -10,6 +10,7 @@ import pytest
 
 from conftest import (
     BarrierTransport,
+    ClippingTransport,
     DownTransport,
     FailingAggregator,
     LoggingTransport,
@@ -22,6 +23,7 @@ from reference_impls import (
     concat_texts,
     expected_depth,
     full_recompute,
+    json_runs,
     leaf_spans,
 )
 
@@ -504,9 +506,11 @@ class TestPersistence:
         clone = HatTree.deserialize(tree.serialize())
         assert [leaf.meta for leaf in clone.leaves()] == [{"session": 1}, {"session": 2}]
         assert clone.root().meta is None
-        # No cache is stored: a node is its text and meta.
+        # No cache is stored: a layer is its texts and its metas' runs.
         doc = json.loads(clone.serialize())
-        assert all(set(entry) == {"text", "meta"} for row in doc["layers"] for entry in row)
+        assert set(doc) == {"format", "version", "memory_length", "aggregator", "layers", "meta"}
+        assert doc["layers"] == [["a\nb"], ["a", "b"]]
+        assert doc["meta"] == [[[1, None]], [[1, {"session": 1}], [1, {"session": 2}]]]
 
     def test_explicit_matching_aggregator_accepted(self):
         tree = build_tree(3, separator="; ")
@@ -535,28 +539,35 @@ class TestPersistence:
     def test_rejects_parent_rule_violation(self):
         # 5 leaves at M=2 give layer sizes [1, 2, 3, 5]; the floor(i/M)
         # parent rule allows no other sizes.
+        # The meta runs are resized with the layer, so only the layer size
+        # breaks the document.
         good = json.loads(build_tree(5).serialize())
         for k, delta in ((1, 1), (1, -1), (2, 1), (2, -1), (0, 1)):
             doc = json.loads(json.dumps(good))
             row = doc["layers"][k]
             if delta > 0:
-                row.append(dict(row[0]))
+                row.append(row[0])
             else:
                 row.pop()
+            doc["meta"][k][-1][0] += delta
             with pytest.raises(DocumentParseError) as err:
                 HatTree.deserialize(json.dumps(doc))
             assert "want [1, 2, 3, 5]" in str(err.value)
         # A single-node layer below the root, or a tree with no leaf layer.
-        stacked = dict(good, layers=[good["layers"][0]] + good["layers"])
-        for doc in (stacked, dict(good, layers=[[]]), dict(good, layers=[[], []])):
+        stacked = dict(good, layers=[good["layers"][0]] + good["layers"],
+                       meta=[good["meta"][0]] + good["meta"])
+        for doc in (stacked, dict(good, layers=[[]], meta=[[]]),
+                    dict(good, layers=[[], []], meta=[[], []])):
             with pytest.raises(DocumentParseError):
                 HatTree.deserialize(json.dumps(doc))
 
     def test_rejects_leaf_count_mismatch(self):
         full = json.loads(build_tree(4).serialize())
-        full["layers"][-1].append({"text": "t4", "meta": None})
+        full["layers"][-1].append("t4")
+        full["meta"][-1][-1][0] += 1
         partial = json.loads(build_tree(5).serialize())
         partial["layers"][-1].pop()
+        partial["meta"][-1][-1][0] -= 1
         for doc in (full, partial):
             with pytest.raises(DocumentParseError):
                 HatTree.deserialize(json.dumps(doc))
@@ -574,17 +585,21 @@ class TestPersistence:
         for k in (0, 1, 2):
             doc = json.loads(build_tree(4).serialize())
             doc["layers"][k].insert(0, doc["layers"][k][0])
+            doc["meta"][k][0][0] += 1
             with pytest.raises(DocumentParseError):
                 HatTree.deserialize(json.dumps(doc))
 
     def test_single_field_mutations_fail_only_with_parse_error(self):
         # Every mutation must either load or raise DocumentParseError. One
-        # that loads serializes to a version-2 document with integer fields,
+        # that loads serializes to a version-3 document with integer fields,
         # which loads and serializes to the same bytes again.
         persona = HatTree(2, LlmPersonaAggregator(mock_client(), max_tokens=8))
         for i in range(5):
             persona.insert_leaf(f"persona turn {i}", meta={"session": 1})
-        sources = [build_tree(7).serialize(), persona.serialize(),
+        sessions = HatTree(3, LlmPersonaAggregator(mock_client(), max_tokens=8))
+        for i, meta in enumerate(RUN_METAS + [{"session": 2, "tags": ["tea"]}] * 2):
+            sessions.append_leaf(f"persona turn {i}", meta=meta)
+        sources = [build_tree(7).serialize(), persona.serialize(), sessions.serialize(),
                    HatTree(3, TruncateAggregator(5)).serialize(), V1_DOCUMENT,
                    INDENTED_V2_DOCUMENT]
         docs = [json.loads(source) for source in sources]
@@ -603,7 +618,7 @@ class TestPersistence:
             except DocumentParseError:
                 continue
             document = loaded.serialize()
-            assert json.loads(document)["version"] == 2
+            assert json.loads(document)["version"] == 3
             assert all(type(v) is int for v in _integer_fields(json.loads(document)))
             assert HatTree.deserialize(document).serialize() == document
 
@@ -629,6 +644,142 @@ class TestPersistence:
             clone.insert_leaf(f"t{n}")
             assert clone.agg_call_count == tree.agg_call_count - before
             assert clone.serialize() == tree.serialize()
+
+
+# Adjacent leaf metas that are equal under == but not as JSON: each is a run
+# of its own.
+RUN_METAS = [{"session": 1}, {"session": True}, {"session": 1.0}, {"session": 1}, None]
+
+
+# Mutations of the version-3 document of build_tree(5): M=2, layer sizes
+# [1, 2, 3, 5], every meta null, so each layer's metas are one run.
+MALFORMED_V3 = {
+    "null-text": lambda doc: doc["layers"][3].__setitem__(0, None),
+    "number-text": lambda doc: doc["layers"][3].__setitem__(0, 7),
+    "list-text": lambda doc: doc["layers"][2].__setitem__(1, ["t2"]),
+    "v2-node": lambda doc: doc["layers"][3].__setitem__(0, {"text": "t0", "meta": None}),
+    "no-meta": lambda doc: doc.pop("meta"),
+    "meta-not-a-list": lambda doc: doc.__setitem__("meta", "none"),
+    "one-run-list-short": lambda doc: doc["meta"].pop(),
+    "one-run-list-over": lambda doc: doc["meta"].append([]),
+    "runs-not-a-list": lambda doc: doc["meta"].__setitem__(3, {"5": None}),
+    "run-without-meta": lambda doc: doc["meta"].__setitem__(3, [[5]]),
+    "run-of-three": lambda doc: doc["meta"].__setitem__(3, [[5, None, 1]]),
+    "run-as-object": lambda doc: doc["meta"].__setitem__(3, [{"count": 5, "meta": None}]),
+    "zero-count": lambda doc: doc["meta"].__setitem__(3, [[0, None], [5, None]]),
+    "negative-count": lambda doc: doc["meta"].__setitem__(3, [[-1, None], [6, None]]),
+    "bool-count": lambda doc: doc["meta"].__setitem__(0, [[True, None]]),
+    "float-count": lambda doc: doc["meta"].__setitem__(3, [[5.0, None]]),
+    "list-meta": lambda doc: doc["meta"].__setitem__(3, [[5, []]]),
+    "string-meta": lambda doc: doc["meta"].__setitem__(3, [[5, "session"]]),
+    "counts-short": lambda doc: doc["meta"].__setitem__(3, [[4, None]]),
+    "runs-short": lambda doc: doc["meta"].__setitem__(3, [[2, None], [2, None]]),
+    "counts-over": lambda doc: doc["meta"].__setitem__(3, [[6, None]]),
+    "huge-count": lambda doc: doc["meta"].__setitem__(3, [[10 ** 18, None]]),
+}
+
+
+class TestVersionThreeDocument:
+    def test_metas_equal_only_in_python_round_trip_as_written(self):
+        tree = HatTree(3, TruncateAggregator(5))
+        for i, meta in enumerate(RUN_METAS):
+            tree.append_leaf(f"turn {i}", meta=meta)
+        document = tree.serialize()
+        assert ('"meta":[[[1,null]],[[2,null]],[[1,{"session":1}],[1,{"session":true}],'
+                '[1,{"session":1.0}],[1,{"session":1}],[1,null]]]') in document
+        clone = HatTree.deserialize(document)
+        assert [repr(leaf.meta) for leaf in clone.leaves()] == [repr(meta) for meta in RUN_METAS]
+        assert clone.serialize() == document
+
+    def test_adjacent_metas_identical_as_json_share_a_run(self):
+        metas = [{"session": 1}] * 4 + [{"b": 2, "a": 1}, {"a": 1, "b": 2}, None, None,
+                                        {"session": 1}]
+        tree = HatTree(3, TruncateAggregator(5))
+        for i, meta in enumerate(metas):
+            tree.append_leaf(f"turn {i}", meta=meta)
+        document = tree.serialize()
+        doc = json.loads(document)
+        assert doc["meta"] == [[[1, None]], [[3, None]], json_runs(metas)]
+        assert doc["meta"][-1] == [[4, {"session": 1}], [2, {"a": 1, "b": 2}], [2, None],
+                                   [1, {"session": 1}]]
+        clone = HatTree.deserialize(document)
+        assert [leaf.meta for leaf in clone.leaves()] == metas
+        assert clone.serialize() == document
+
+    def test_internal_node_meta_is_kept(self):
+        v2 = json.loads(INDENTED_V2_DOCUMENT)
+        v2["layers"][1][0]["meta"] = {"note": "the first three turns"}
+        document = HatTree.deserialize(json.dumps(v2)).serialize()
+        assert json.loads(document)["meta"][1] == [[1, {"note": "the first three turns"}], [1, None]]
+        clone = HatTree.deserialize(document)
+        assert clone.node_at(1, 0).meta == {"note": "the first three turns"}
+        assert [node.meta for row in clone.layers for node in row] == \
+            [entry["meta"] for row in v2["layers"] for entry in row]
+        assert clone.serialize() == document
+
+    def test_each_loaded_node_owns_its_meta(self):
+        nested = {"session": 2, "tags": ["tea"], "seen": {"count": 1}}
+        tree = HatTree(2, TruncateAggregator(5))
+        for i in range(3):
+            tree.append_leaf(f"flat {i}", meta={"session": 1})
+        for i in range(3):
+            tree.append_leaf(f"nested {i}", meta=json.loads(json.dumps(nested)))
+        document = tree.serialize()
+        assert json.loads(document)["meta"][-1] == [[3, {"session": 1}], [3, nested]]
+        leaves = HatTree.deserialize(document).leaves()
+        leaves[0].meta["session"] = 9
+        leaves[3].meta["tags"].append("jam")
+        leaves[3].meta["seen"]["count"] = 2
+        assert [leaf.meta for leaf in leaves[1:3]] == [{"session": 1}] * 2
+        assert [leaf.meta for leaf in leaves[4:]] == [nested] * 2
+
+    def test_a_deeply_nested_meta_loads_for_every_node_of_its_run(self):
+        # Deeper than a copy that recursed in Python could copy.
+        meta = {"x": json.loads("[" * 600 + "]" * 600)}
+        tree = HatTree(2, TruncateAggregator(5))
+        for i in range(3):
+            tree.append_leaf(f"turn {i}", meta=meta)
+        document = tree.serialize()
+        assert json.loads(document)["meta"][-1] == [[3, meta]]
+        clone = HatTree.deserialize(document)
+        assert [leaf.meta for leaf in clone.leaves()] == [meta] * 3
+        assert clone.serialize() == document
+
+    @pytest.mark.parametrize("mutate", MALFORMED_V3.values(), ids=MALFORMED_V3.keys())
+    def test_rejects_malformed_layers_and_runs(self, mutate):
+        doc = json.loads(build_tree(5).serialize())
+        assert doc["meta"] == [[[1, None]], [[2, None]], [[3, None]], [[5, None]]]
+        mutate(doc)
+        with pytest.raises(DocumentParseError):
+            HatTree.deserialize(json.dumps(doc))
+
+    def test_deeply_nested_json_is_a_parse_error(self):
+        with pytest.raises(DocumentParseError):
+            HatTree.deserialize("[" * 100_000 + "]" * 100_000)
+
+
+class TestDocumentSize:
+    @pytest.mark.parametrize("make", [
+        lambda: TruncateAggregator(64),
+        lambda: LlmPersonaAggregator(LlmClient(ClippingTransport(), "mock-chat"), max_tokens=64),
+    ], ids=["truncate", "llm_persona"])
+    def test_bytes_per_leaf_stay_flat_from_a_thousand_to_ten_thousand_leaves(self, make):
+        # Aggregates of a bounded size and one meta run per session keep a
+        # document linear in its leaves. Concat texts grow with their spans.
+        per_leaf = []
+        for n in (1_000, 10_000):
+            rng = random.Random(20240611)
+            tree = HatTree(3, make())
+            for i in range(n):
+                words = " ".join(rng.choice(SIZE_WORDS) for _ in range(rng.randint(4, 16)))
+                tree.append_leaf(f"{('user', 'assistant')[i % 2]}: {words}",
+                                 meta={"session": i // 14 + 1})
+            per_leaf.append(len(tree.serialize().encode("utf-8")) / n)
+        assert per_leaf[1] == pytest.approx(per_leaf[0], rel=0.05)
+
+
+SIZE_WORDS = ("we", "walked", "the", "dog", "along", "river", "my", "sister", "bakes", "bread",
+              "on", "sundays", "and", "I", "play", "chess", "at", "club", "every", "week")
 
 
 # Written by the version-1 format: M=3, truncate(5), 11 leaves with meta,
@@ -695,11 +846,15 @@ class TestVersionOneDocument:
         assert [leaf.meta for leaf in tree.leaves()] == [entry["meta"] for entry in v1["layers"][-1]]
         assert tree.agg_call_count == 0
 
-    def test_reserializes_as_version_two(self):
+    def test_reserializes_as_version_three(self):
         doc = json.loads(HatTree.deserialize(V1_DOCUMENT).serialize())
-        assert doc["version"] == 2
-        assert set(doc) == {"format", "version", "memory_length", "aggregator", "layers"}
-        assert all(set(entry) == {"text", "meta"} for row in doc["layers"] for entry in row)
+        v1 = json.loads(V1_DOCUMENT)
+        assert doc["version"] == 3
+        assert set(doc) == {"format", "version", "memory_length", "aggregator", "layers", "meta"}
+        assert doc["layers"] == [[entry["text"] for entry in row] for row in v1["layers"]]
+        # Every leaf's turn_index differs, so each leaf is a run of its own.
+        assert doc["meta"] == [[[1, None]], [[2, None]], [[4, None]],
+                               [[1, entry["meta"]] for entry in v1["layers"][-1]]]
 
     def test_next_insert_costs_what_it_cost_in_version_one(self):
         tree = HatTree.deserialize(V1_DOCUMENT)
@@ -805,8 +960,10 @@ class TestIndentedVersionTwoDocument:
             rebuilt.append_leaf(leaf["text"], meta=leaf["meta"])
         document = tree.serialize()
         assert document == rebuilt.serialize()
-        assert document == json.dumps(json.loads(INDENTED_V2_DOCUMENT), sort_keys=True,
-                                      separators=(",", ":")) + "\n"
+        v2 = json.loads(INDENTED_V2_DOCUMENT)
+        v3 = dict(v2, version=3, layers=[[entry["text"] for entry in row] for row in v2["layers"]],
+                  meta=[json_runs([entry["meta"] for entry in row]) for row in v2["layers"]])
+        assert document == json.dumps(v3, sort_keys=True, separators=(",", ":")) + "\n"
 
 
 class TestFlushMatchesFullRecompute:
@@ -853,8 +1010,8 @@ def _memoized(aggregate):
 
 
 def _integer_fields(doc: dict) -> list:
-    """The integer fields of a version-2 document: version and memory length."""
-    return [doc["version"], doc["memory_length"]]
+    """The integer fields of a version-3 document: version, memory length and run counts."""
+    return [doc["version"], doc["memory_length"], *(run[0] for runs in doc["meta"] for run in runs)]
 
 
 def _random_field(doc, rng: random.Random):
