@@ -3,8 +3,8 @@
 Three kinds: `concat` (separator join), `truncate` (join then keep the first
 B tokens), and `llm_persona` (persona-note summarization through the chat
 client). Deterministic kinds are pure functions of the input list; the
-persona kind is pure given a fixed mock transcript. Inputs always arrive
-oldest to newest.
+persona kind is pure given an endpoint that answers a temperature-0 request
+the same way every time. Inputs always arrive oldest to newest.
 
 The persona kind sends `persona_prompt`: a system message asking for one
 short note that keeps every concrete fact, then the children as numbered
@@ -17,7 +17,7 @@ from __future__ import annotations
 from typing import Optional
 
 from .errors import ContractViolationError, InvalidParameterError
-from .llm import ChatRequest, is_max_tokens, is_temperature
+from .llm import ChatRequest, is_int, is_max_tokens, is_temperature
 from .metrics import tokenize
 
 DEFAULT_TRUNCATE_BUDGET = 256
@@ -82,7 +82,7 @@ class TruncateAggregator(Aggregator):
     kind = "truncate"
 
     def __init__(self, budget: int = DEFAULT_TRUNCATE_BUDGET):
-        if not isinstance(budget, int) or isinstance(budget, bool) or budget < 1:
+        if not is_int(budget) or budget < 1:
             raise InvalidParameterError(f"truncate budget must be a positive integer, got {budget!r}")
         self.budget = budget
 

@@ -22,9 +22,10 @@ from typing import Optional
 
 from .aggregation import Aggregator, aggregator_from_spec
 from .errors import ConfigurationError, InvalidParameterError
+from .llm import is_int
 
 _STRING = ("a string", lambda v: isinstance(v, str))
-_INTEGER = ("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+_INTEGER = ("an integer", is_int)
 _AGGREGATOR = ("a kind string or an object with only the keys kind and params",
                lambda v: isinstance(v, str) or isinstance(v, dict) and set(v) <= {"kind", "params"})
 # Each key the file may hold: what its value must be, and the test for it.

@@ -73,6 +73,11 @@ BACKOFF_S = 1.0
 _ROLES = ("system", "user", "assistant")
 
 
+def is_int(value) -> bool:
+    """An int that is not a bool: JSON's true and false do not count as 1 and 0."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def is_temperature(value) -> bool:
     """A finite number >= 0 and not a bool, so that it is valid JSON on the wire."""
     return (isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -81,7 +86,7 @@ def is_temperature(value) -> bool:
 
 def is_max_tokens(value) -> bool:
     """None (no cap) or an int >= 1 that is not a bool."""
-    return value is None or (isinstance(value, int) and not isinstance(value, bool) and value >= 1)
+    return value is None or (is_int(value) and value >= 1)
 
 
 @dataclass

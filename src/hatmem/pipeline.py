@@ -41,7 +41,7 @@ from typing import Optional
 
 from .episodes import DialogueTurn, Episode, SPEAKERS
 from .errors import ConfigurationError, InvalidParameterError, NotFoundError
-from .llm import ChatRequest, remembered
+from .llm import ChatRequest, is_int, remembered
 from .traversal import (
     Outcome,
     TraversalConfig,
@@ -74,7 +74,7 @@ class MemoryState:
 def _leaf_sessions(tree: HatTree):
     """The integer `meta["session"]` of each leaf that has one, newest leaf first."""
     named = (leaf.meta.get("session") for leaf in reversed(tree.leaves()) if leaf.meta)
-    return (s for s in named if isinstance(s, int) and not isinstance(s, bool))
+    return filter(is_int, named)
 
 
 def new_memory(memory_length: int, aggregator) -> MemoryState:

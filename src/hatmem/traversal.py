@@ -37,8 +37,8 @@ from itertools import islice
 from typing import Optional
 
 from .errors import ActionParseError, InvalidParameterError
-from .llm import MAX_CONCURRENT_CALLS, ChatRequest, call_concurrently, remembered
-from .tree import HatTree, _is_int
+from .llm import MAX_CONCURRENT_CALLS, ChatRequest, call_concurrently, is_int, remembered
+from .tree import HatTree
 
 
 class TraversalAction(Enum):
@@ -65,7 +65,7 @@ class TraversalConfig:
     step_budget: int = 32
 
     def __post_init__(self):
-        if not _is_int(self.step_budget) or self.step_budget < 1:
+        if not is_int(self.step_budget) or self.step_budget < 1:
             raise InvalidParameterError(f"step_budget must be a positive integer, got {self.step_budget!r}")
 
 

@@ -32,10 +32,11 @@ each layer's node metas (`meta`) as runs. A run `[count, meta]` stands for
 `count` adjacent nodes whose metas are identical as JSON, so the leaves of
 one session, or the internal nodes of a layer, write their meta once.
 `{"session": 1}`, `{"session": true}` and `{"session": 1.0}` are equal in
-Python but not as JSON, so they never share a run. Versions 2 and 1, which
-wrote each node as a `{"text", "meta"}` object, load through the same reader;
-it ignores the node ids, child ids, leaf count and per-node aggregation
-caches that version 1 also carried. Every tree is written as version 3.
+Python but not as JSON, so they never share a run. Versions 2 and 1 wrote
+each node as a `{"text", "meta"}` object; loading one first rewrites it in
+memory as rows of texts and of one-node runs, so one reader checks every
+version. It ignores the node ids, child ids, leaf count and per-node
+aggregation caches that version 1 also carried. Trees are written as version 3.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from itertools import groupby, repeat
 from typing import Optional
 
 from .errors import DocumentParseError, InvalidParameterError, NotFoundError
-from .llm import call_concurrently
+from .llm import call_concurrently, is_int
 
 DOC_FORMAT = "hat-tree"
 DOC_VERSION = 3
@@ -56,6 +57,9 @@ DOC_VERSION = 3
 # Python computation, which threads cannot overlap, so they run on the
 # calling thread.
 REMOTE_AGGREGATOR_KIND = "llm_persona"
+# `json.dumps(meta, sort_keys=True, allow_nan=False)`, but without building an
+# encoder per call, which would double the cost of `append_leaf`.
+_META_JSON = json.JSONEncoder(sort_keys=True, allow_nan=False)
 
 
 @dataclass
@@ -92,7 +96,7 @@ class HatTree:
 
     def __init__(self, memory_length: int, aggregator):
         # M=1 would put a single node on every layer and grow depth per leaf.
-        if not _is_int(memory_length):
+        if not is_int(memory_length):
             raise InvalidParameterError("memory_length must be an integer")
         if memory_length < 2:
             raise InvalidParameterError(f"memory_length must be >= 2, got {memory_length}")
@@ -147,9 +151,17 @@ class HatTree:
         Grows a new root layer first when the leaf layer is at capacity, and
         adds a `None`-text node to each layer above that needs one more. The
         ancestors are aggregated by the next `flush` or read of internal text.
+        A meta must be None or a dict that `serialize` can write, one that
+        `json.dumps(meta, sort_keys=True, allow_nan=False)` accepts.
         """
         if not isinstance(text, str) or not text:
             raise InvalidParameterError("leaf text must be a nonempty string")
+        if meta is not None and not isinstance(meta, dict):
+            raise InvalidParameterError(f"leaf meta must be a dict or None, got a {type(meta).__name__}")
+        try:
+            _META_JSON.encode(meta)
+        except (TypeError, ValueError, RecursionError) as exc:
+            raise InvalidParameterError(f"leaf meta cannot be written as JSON: {exc}") from exc
         M = self.memory_length
         if not self.layers:
             # The root layer and the leaf layer appear with the first leaf.
@@ -302,11 +314,12 @@ class HatTree:
     def deserialize(cls, document: str, aggregator=None) -> "HatTree":
         """Rebuild a tree from `serialize` output, version 3, 2 or 1.
 
-        Texts and meta round-trip, and no two nodes share a meta object;
-        agg_call_count resets to 0 and every leaf counts as flushed. With
-        aggregator=None the aggregator is rebuilt from the document's
-        recorded kind and params. JSON nested too deep to parse is a
-        `DocumentParseError` too.
+        Each row of node objects in version 2 or 1 becomes texts and runs
+        `[1, meta]`, so every version gets `_read_runs`'s checks. Texts and
+        meta round-trip, and no two nodes share a meta object; agg_call_count
+        resets to 0 and every leaf counts as flushed. With aggregator=None the
+        aggregator is rebuilt from the document's recorded kind and params.
+        JSON nested too deep to parse is a `DocumentParseError` too.
         """
         from .aggregation import aggregator_from_spec
 
@@ -318,14 +331,20 @@ class HatTree:
             raise DocumentParseError("missing or wrong format marker")
         # A bool or a float equal to an int would pass the comparisons below
         # and then be written back as loaded, so integer fields must be ints.
-        if not _is_int(doc.get("version")) or doc["version"] not in (1, 2, DOC_VERSION):
+        if not is_int(doc.get("version")) or doc["version"] not in (1, 2, DOC_VERSION):
             raise DocumentParseError(f"unsupported document version {doc.get('version')!r}")
         memory_length = doc.get("memory_length")
-        if not _is_int(memory_length) or memory_length < 2:
+        if not is_int(memory_length) or memory_length < 2:
             raise DocumentParseError(f"bad memory_length {memory_length!r}")
         layers_doc = doc.get("layers")
         if not isinstance(layers_doc, list) or not all(isinstance(r, list) for r in layers_doc):
             raise DocumentParseError("layers must be a list of lists")
+        meta_doc = doc.get("meta")
+        if doc["version"] < DOC_VERSION:
+            if not all(isinstance(node, dict) for row in layers_doc for node in row):
+                raise DocumentParseError("every node of a version-1 or version-2 layer must be an object")
+            meta_doc = [[[1, node.get("meta")] for node in row] for row in layers_doc]
+            layers_doc = [[node.get("text") for node in row] for row in layers_doc]
         sizes = [len(row) for row in layers_doc]
         want = _layer_sizes(sizes[-1] if sizes else 0, memory_length)
         if sizes != want:
@@ -344,10 +363,7 @@ class HatTree:
                 f"aggregator mismatch: document has {agg_spec!r}, caller bound {aggregator.spec()!r}")
 
         tree = cls(memory_length, aggregator)
-        if doc["version"] == DOC_VERSION:
-            tree.layers = _read_runs(layers_doc, doc.get("meta"))
-        else:
-            tree.layers = _read_nodes(layers_doc)
+        tree.layers = _read_runs(layers_doc, meta_doc)
         tree.flushed_leaves = tree.leaf_count
         return tree
 
@@ -399,7 +415,7 @@ def _meta_runs(metas: list) -> list[list]:
 
 
 def _read_runs(layers_doc: list, meta_doc) -> list[list[Node]]:
-    """Each layer's nodes from a version-3 document."""
+    """Each layer's nodes from its texts and meta runs, the version-3 shape."""
     for k, row in enumerate(layers_doc):
         if not set(map(type, row)) <= {str}:
             raise DocumentParseError(f"layer {k}: every text must be a string")
@@ -410,7 +426,7 @@ def _read_runs(layers_doc: list, meta_doc) -> list[list[Node]]:
         if not isinstance(runs, list):
             raise DocumentParseError(f"layer {k}: meta runs must be a list")
         for j, run in enumerate(runs):
-            if not (isinstance(run, list) and len(run) == 2 and _is_int(run[0]) and run[0] >= 1
+            if not (isinstance(run, list) and len(run) == 2 and is_int(run[0]) and run[0] >= 1
                     and (run[1] is None or isinstance(run[1], dict))):
                 raise DocumentParseError(
                     f"layer {k} meta run {j}: want [count >= 1, object or null]")
@@ -429,28 +445,11 @@ def _copies(meta: Optional[dict], count: int) -> list:
     A nested meta is copied through the C JSON codec, which copies any depth
     that `json.loads` could parse; `copy.deepcopy` recurses in Python.
     """
-    if meta is None:
-        return [None] * count
+    if meta is None or count == 1:
+        return [meta] * count
     if any(isinstance(value, (dict, list)) for value in meta.values()):
         return [meta, *map(json.loads, repeat(json.dumps(meta), count - 1))]
     return [meta, *map(dict, repeat(meta, count - 1))]
-
-
-def _read_nodes(layers_doc: list) -> list[list[Node]]:
-    """Each layer's nodes from a version-2 or version-1 document."""
-    layers: list[list[Node]] = []
-    for k, row in enumerate(layers_doc):
-        layers.append([])
-        for i, entry in enumerate(row):
-            if not isinstance(entry, dict):
-                raise DocumentParseError(f"node at layer {k} index {i} is not an object")
-            text, meta = entry.get("text"), entry.get("meta")
-            if not isinstance(text, str):
-                raise DocumentParseError(f"node at layer {k} index {i}: text missing or not a string")
-            if meta is not None and not isinstance(meta, dict):
-                raise DocumentParseError(f"node at layer {k} index {i}: meta must be an object or null")
-            layers[k].append(Node(text, meta))
-    return layers
 
 
 def _layer_sizes(leaf_count: int, memory_length: int) -> list[int]:
@@ -466,7 +465,3 @@ def _layer_sizes(leaf_count: int, memory_length: int) -> list[int]:
     while sizes[0] > 1:
         sizes.insert(0, -(-sizes[0] // memory_length))
     return sizes
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)

@@ -8,7 +8,7 @@ import re
 
 import pytest
 
-from hatmem import HatTree, llm
+from hatmem import HatTree, LlmPersonaAggregator, ingest_episode, llm, mock_client, score_pairs
 from hatmem.cli import EXIT_DATA, EXIT_OK, EXIT_REMOTE, EXIT_USAGE, _client, build_parser, main
 from hatmem.episodes import save_episodes
 from hatmem.fixtures import planted_fact_episodes
@@ -82,12 +82,22 @@ class TestExitCodes:
         not_persona.write_text(json.dumps({"aggregator": {"kind": "llm_persona",
                                                           "params": {"template": "response_v1"}}}),
                                encoding="utf-8")
+        not_object = tmp_path / "list.json"
+        not_object.write_text(json.dumps(["endpoint", "nowhere"]), encoding="utf-8")
         repeated = tmp_path / "repeated.jsonl"
         save_episodes(repeated, planted_fact_episodes(1) * 2)
+        list_pair = tmp_path / "list-pair.jsonl"
+        list_pair.write_text('{"candidate": "a", "reference": "a"}\n["a", "a"]\n', encoding="utf-8")
+        no_pairs = tmp_path / "no-pairs.jsonl"
+        no_pairs.write_text("\n", encoding="utf-8")
         bad_tree = tmp_path / "bad.tree.json"
         bad_tree.write_text(json.dumps({"format": "hat-tree", "version": 2, "memory_length": 3,
                                         "layers": 7}), encoding="utf-8")
         cases = [(["bench", episodes_file, "--mock", "--config", str(not_json)], "not valid JSON"),
+                 (["bench", episodes_file, "--mock", "--config", str(tmp_path / "absent.json")],
+                  "cannot read config file"),
+                 (["bench", episodes_file, "--mock", "--config", str(not_object)],
+                  "must hold a JSON object"),
                  (["bench", episodes_file, "--mock", "--config", str(bad_spec)], "truncate budget"),
                  (["bench", episodes_file, "--mock", "--config", str(unknown_key)],
                   "unknown key 'strategy'; the keys read are endpoint, api_key, model, "
@@ -102,6 +112,9 @@ class TestExitCodes:
                  (["bench", episodes_file, "--mock", "--strategy", "hat_bfs", "--strategy", "hat_bfs"],
                   "strategies repeat a name"),
                  (["inspect", str(bad_tree)], "layers must be"),
+                 (["metrics", str(list_pair)],
+                  "line 2: need an object with string candidate and reference"),
+                 (["metrics", str(no_pairs)], "no pairs to score"),
                  (["bench", episodes_file, "--endpoint", "file:///x", "--api-key", "k",
                    "--model", "m"], "http:// or https://")]
         for argv, message in cases:
@@ -270,6 +283,31 @@ class TestIngest:
         assert "File name too long" in capsys.readouterr().err
         assert sorted(path.name for path in tmp_path.iterdir()) == ["episodes.jsonl", "out"]
         assert list(out.iterdir()) == []
+
+    def test_persona_trees_match_an_ingest_through_the_mock_client(self, tmp_path, capsys):
+        (episode,) = planted_fact_episodes(1)
+        episodes = tmp_path / "episodes.jsonl"
+        save_episodes(episodes, [episode])
+        out = tmp_path / "out"
+        assert main(["ingest", str(episodes), "--out", str(out), "--mock",
+                     "--aggregator", "llm_persona"]) == EXIT_OK
+        state = ingest_episode(episode, 3, LlmPersonaAggregator(mock_client()))
+        assert (out / f"{episode.episode_id}.tree.json").read_text(encoding="utf-8") \
+            == state.tree.serialize()
+        assert f"{state.tree.agg_call_count} aggregations" in capsys.readouterr().out
+
+
+class TestMetrics:
+    def test_scores_are_printed_and_written(self, tmp_path, capsys):
+        pairs = [("the cat sat", "the cat sat down"), ("hello world", "hello there world")]
+        pairs_file = tmp_path / "pairs.jsonl"
+        pairs_file.write_text("".join(json.dumps({"candidate": c, "reference": r}) + "\n\n"
+                                      for c, r in pairs), encoding="utf-8")
+        out = tmp_path / "scores.json"
+        assert main(["metrics", str(pairs_file), "--out", str(out)]) == EXIT_OK
+        printed = capsys.readouterr().out
+        assert json.loads(printed) == score_pairs(pairs)
+        assert out.read_text(encoding="utf-8") == printed
 
 
 class TestInspect:

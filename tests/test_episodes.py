@@ -66,6 +66,17 @@ class TestParsing:
         with pytest.raises(DocumentParseError, match="gold_memory"):
             parse_episode(record)
 
+    @pytest.mark.parametrize("record, message", [
+        (["ep-1"], "episode record must be a JSON object"),
+        (minimal_record(sessions=[]), "sessions must be a nonempty list"),
+        (minimal_record(sessions=["hi"]), "session 1 must be an object"),
+        (minimal_record(sessions=[{"turns": []}]), "session 1 needs a nonempty turns list"),
+        (minimal_record(sessions=[{"turns": ["hi"]}]), "session 1 turn 0 must be an object"),
+    ], ids=["list_record", "no_sessions", "string_session", "no_turns", "string_turn"])
+    def test_rejects_records_of_the_wrong_shape(self, record, message):
+        with pytest.raises(DocumentParseError, match=f"^line 3: .*{message}$"):
+            parse_episode(record, line_no=3)
+
 
 class TestFiles:
     def test_load_reports_line_numbers(self, tmp_path):
@@ -168,10 +179,16 @@ class TestConverter:
         ({"previous_dialogs": ["hi"], "dialog": [{"text": "hi"}]},
          "previous_dialogs entry 0 must be a JSON object"),
         ({"dialog": "hi"}, "session 1 dialog must be a JSON array"),
-    ], ids=["string_turn", "list_metadata", "string_previous_dialog", "string_dialog"])
+        (["hi"], "record must be a JSON object"),
+    ], ids=["string_turn", "list_metadata", "string_previous_dialog", "string_dialog", "list_record"])
     def test_rejects_wrong_json_types(self, record, message):
         with pytest.raises(DocumentParseError, match=message):
             convert_msc_record(record)
+
+    def test_a_string_persona_group_is_one_gold_line(self):
+        raw = {"dialog": [{"text": "hi"}], "personas": ["I like tea.", ["I have a cat.", "I run."]]}
+        episode = convert_msc_record(raw, episode_id="x")
+        assert episode.sessions[0].gold_memory == ["I like tea.", "I have a cat.", "I run."]
 
     def test_rejects_personas_that_are_not_a_list(self):
         with pytest.raises(DocumentParseError, match="personas must be a JSON array"):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import re
 import socket
 import subprocess
 import sys
@@ -164,6 +165,14 @@ class TestRetries:
         with pytest.raises(ProtocolError):
             client.complete(simple_request())
 
+    def test_content_that_is_not_a_string(self):
+        client, sleeps = make_client([(200, ok_body(["hi"]))])
+        request = simple_request()
+        request.stage = "generate"
+        with pytest.raises(ProtocolError, match="^generate reply content is not a string$") as failure:
+            client.complete(request)
+        assert failure.value.stage == "generate" and sleeps == []
+
     def test_missing_choices(self):
         client, _ = make_client([(200, {"usage": {}})])
         with pytest.raises(ProtocolError, match="chat response") as failure:
@@ -177,6 +186,8 @@ class TestLiveConfig:
             live_client(env={})
         with pytest.raises(ConfigurationError):
             live_client(endpoint="http://x", env={})
+        with pytest.raises(ConfigurationError, match="no model configured"):
+            live_client(endpoint="http://x", api_key="k", env={})
 
     def test_env_fallback(self):
         env = {"HATMEM_ENDPOINT": "http://x/v1/chat", "HATMEM_API_KEY": "k",
@@ -272,6 +283,40 @@ class TestHttpTransport:
             client.complete(request)
         assert failure.value.stage == "oracle"
         assert len(chat_server.seen) == 3 and sleeps == [1.0, 2.0]
+
+    def test_malformed_status_line_is_retried_then_unavailable(self):
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(5.0)
+        answered = []
+
+        def serve():
+            # Reads each whole request, then answers with no HTTP status line.
+            for _ in range(3):
+                connection, _ = listener.accept()
+                with connection:
+                    request = b""
+                    while b"\r\n\r\n" not in request:
+                        request += connection.recv(65536)
+                    head, _, body = request.partition(b"\r\n\r\n")
+                    length = int(re.search(rb"content-length: *(\d+)", head, re.IGNORECASE)[1])
+                    while len(body) < length:
+                        body += connection.recv(65536)
+                    connection.sendall(b"NOT-HTTP garbage\r\n\r\n")
+                    answered.append(body)
+
+        thread = threading.Thread(target=serve)
+        thread.start()
+        try:
+            client, sleeps = self.client(f"http://127.0.0.1:{listener.getsockname()[1]}/v1/chat")
+            request = simple_request()
+            request.stage = "agent"
+            with pytest.raises(RemoteUnavailableError,
+                               match="agent call gave up after 3 attempts .*malformed HTTP response"):
+                client.complete(request)
+        finally:
+            thread.join(timeout=10)
+            listener.close()
+        assert len(answered) == 3 and sleeps == [1.0, 2.0]
 
     def test_refused_port(self):
         with socket.socket() as probe:

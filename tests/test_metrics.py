@@ -74,6 +74,10 @@ class TestBleu:
 
 
 class TestDistinct:
+    def test_rejects_bad_order(self):
+        with pytest.raises(InvalidParameterError, match="n must be 1 or 2, got 3"):
+            distinct_n(["a b c"], 3)
+
     def test_examples(self):
         assert distinct_n(["a a b"], 1) == 2.0 / 3.0
         assert distinct_n(["a a a a"], 1) == 0.25

@@ -540,6 +540,10 @@ class TestRunBench:
             run_bench(planted_fact_episodes(1), ConcatAggregator(), mock_client(),
                       strategies=["hat_bfs", "hat_ranked"])
 
+    def test_no_episodes_refused(self):
+        with pytest.raises(InvalidParameterError, match="^no episodes to benchmark$"):
+            run_bench([], ConcatAggregator(), mock_client())
+
     def test_repeated_strategies_refused(self):
         # Scored twice, a strategy's DISTINCT would count its replies twice.
         with pytest.raises(InvalidParameterError, match="repeat"):

@@ -142,6 +142,16 @@ class TestInsertion:
         assert tree.leaves()[index].meta == {"speaker": "user", "session": 1}
         assert tree.node_at(0, 0).meta is None
 
+    @pytest.mark.parametrize("meta", [{1: "a", "b": 2}, {"s": {1, 2}}, {"s": float("nan")},
+                                      [("a", 1)], "ab"],
+                             ids=["mixed-key-types", "set", "nan", "pair-list", "string"])
+    def test_meta_that_json_cannot_hold_is_refused(self, meta):
+        tree = build_tree(2)
+        before = tree.serialize()
+        with pytest.raises(InvalidParameterError):
+            tree.append_leaf("hello", meta=meta)
+        assert tree.serialize() == before
+
     def test_random_sequences_match_reference(self, rng):
         for _ in range(40):
             M = rng.choice([2, 3, 5])
