@@ -194,11 +194,13 @@ def convert_msc_record(obj: dict, episode_id: Optional[str] = None) -> Episode:
                 speaker = SPEAKERS[pos % 2]
             turns.append({"speaker": speaker, "text": text})
         gold = []
-        for group in expect(personas, list, f"{where} personas"):
+        for pos, group in enumerate(expect(personas, list, f"{where} personas")):
             if isinstance(group, str):
                 gold.append(group)
             elif isinstance(group, list):
                 gold.extend(str(item) for item in group)
+            else:
+                raise DocumentParseError(f"{where} persona {pos} must be a string or a JSON array")
         return {"turns": turns, "gold_memory": gold}
 
     sessions = []

@@ -64,7 +64,7 @@ def bleu_n(pairs: list[tuple[str, str]], n: int) -> float:
     Candidates shorter than ``n`` tokens simply contribute zero n-grams.
     An entirely empty candidate corpus scores 0.0.
     """
-    if n not in (1, 2):
+    if type(n) is not int or n not in (1, 2):  # refuses True and 1.0
         raise InvalidParameterError(f"n must be 1 or 2, got {n!r}")
     if not pairs:
         raise InvalidParameterError("pairs must be nonempty")
@@ -90,7 +90,7 @@ def bleu_n(pairs: list[tuple[str, str]], n: int) -> float:
 
 def distinct_n(candidates: list[str], n: int) -> float:
     """Distinct n-grams across all candidates over total n-grams; 0.0 when there are none."""
-    if n not in (1, 2):
+    if type(n) is not int or n not in (1, 2):  # refuses True and 1.0
         raise InvalidParameterError(f"n must be 1 or 2, got {n!r}")
     seen: set[tuple[str, ...]] = set()
     total = 0

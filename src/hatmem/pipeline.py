@@ -72,9 +72,14 @@ class MemoryState:
 
 
 def _leaf_sessions(tree: HatTree):
-    """The integer `meta["session"]` of each leaf that has one, newest leaf first."""
-    named = (leaf.meta.get("session") for leaf in reversed(tree.leaves()) if leaf.meta)
-    return filter(is_int, named)
+    """The integer session of each leaf that has one, newest leaf first."""
+    return filter(is_int, map(_leaf_session, reversed(tree.leaves())))
+
+
+def _leaf_session(leaf) -> Optional[int]:
+    """The leaf's `meta["session"]` if it is an integer, else None; decodes the meta once."""
+    session = (leaf.meta or {}).get("session")
+    return session if is_int(session) else None
 
 
 def new_memory(memory_length: int, aggregator) -> MemoryState:
@@ -136,11 +141,12 @@ def build_context(state: MemoryState, query: str, strategy: str, *,
     if strategy == "all_context":
         return "\n".join(leaf.text for leaf in tree.leaves())
     if strategy == "part_context":
-        current = max(state.sessions, default=None)
+        leaves = tree.leaves()
+        sessions = [_leaf_session(leaf) for leaf in leaves]
+        current = max(filter(is_int, sessions), default=None)
         if current is None:
             raise InvalidParameterError("part_context needs turns that name their session")
-        return "\n".join(leaf.text for leaf in tree.leaves()
-                         if leaf.meta and leaf.meta.get("session") == current)
+        return "\n".join(leaf.text for leaf, session in zip(leaves, sessions) if session == current)
     if strategy == "gold_memory":
         if not gold:
             raise ConfigurationError("gold_memory strategy requested but no gold memory provided")

@@ -29,10 +29,10 @@ flush unchanged.
 A document (version 3) holds the format marker, the version, the memory
 length, the aggregator spec, each layer's texts (`layers`, root first) and
 each layer's node metas (`meta`) as runs. A run `[count, meta]` stands for
-`count` adjacent nodes whose metas are identical as JSON, so the leaves of
-one session, or the internal nodes of a layer, write their meta once.
-`{"session": 1}`, `{"session": true}` and `{"session": 1.0}` are equal in
-Python but not as JSON, so they never share a run. Versions 2 and 1 wrote
+`count` adjacent nodes with equal meta texts: a node keeps its meta as the
+sorted-key JSON text it was checked as, so the leaves of one session, or the
+internal nodes of a layer, write their meta once, while `{"session": 1}` and
+`{"session": 1.0}`, equal in Python, never share a run. Versions 2 and 1 wrote
 each node as a `{"text", "meta"}` object; loading one first rewrites it in
 memory as rows of texts and of one-node runs, so one reader checks every
 version. It ignores the node ids, child ids, leaf count and per-node
@@ -67,22 +67,27 @@ class Node:
     """One tree node; leaves carry raw turn text, internal nodes aggregates.
 
     An internal node's text is None until the first flush that covers it.
+    The meta is kept as checked sorted-key JSON text, and `meta` decodes a
+    fresh copy on each read, so no later change to a dict reaches the tree.
     """
 
     text: Optional[str]
-    meta: Optional[dict] = None
+    _meta_json: Optional[str] = None
+
+    @property
+    def meta(self) -> Optional[dict]:
+        return None if self._meta_json is None else json.loads(self._meta_json)
 
 
 class HatTree:
     """The layered tree plus its aggregator binding and call instrumentation.
 
     `layers` lists the rows top-down, root first, always sized for the
-    current leaf count. A node is its text and meta: no id, no links and no
-    cache, since its position fixes its parent and children, and a flush
-    re-aggregates only nodes whose children changed. `serialize` writes
-    document version 3, each layer's metas as runs of metas identical as
-    JSON; `deserialize` reads versions 3, 2 and 1, and gives every node a
-    meta of its own.
+    current leaf count. A node is its text and the JSON text of its meta: no
+    id, no links and no cache, since its position fixes its parent and
+    children, and a flush re-aggregates only nodes whose children changed.
+    `serialize` writes document version 3, each layer's metas as runs of
+    identical meta texts; `deserialize` reads versions 3, 2 and 1.
 
     Writers must be exclusive: one append, flush or insert at a time. A read
     of internal text flushes first, so while leaves are unflushed a read is
@@ -152,14 +157,15 @@ class HatTree:
         adds a `None`-text node to each layer above that needs one more. The
         ancestors are aggregated by the next `flush` or read of internal text.
         A meta must be None or a dict that `serialize` can write, one that
-        `json.dumps(meta, sort_keys=True, allow_nan=False)` accepts.
+        `json.dumps(meta, sort_keys=True, allow_nan=False)` accepts. The leaf
+        keeps that JSON text, not the dict, and an empty meta counts as none.
         """
         if not isinstance(text, str) or not text:
             raise InvalidParameterError("leaf text must be a nonempty string")
         if meta is not None and not isinstance(meta, dict):
             raise InvalidParameterError(f"leaf meta must be a dict or None, got a {type(meta).__name__}")
         try:
-            _META_JSON.encode(meta)
+            meta_json = _META_JSON.encode(meta) if meta else None
         except (TypeError, ValueError, RecursionError) as exc:
             raise InvalidParameterError(f"leaf meta cannot be written as JSON: {exc}") from exc
         M = self.memory_length
@@ -168,7 +174,7 @@ class HatTree:
             self.layers = [[], []]
         elif self.leaf_count == M ** self.depth():
             self.layers.insert(0, [Node(None)])
-        self.layers[-1].append(Node(text, dict(meta) if meta else None))
+        self.layers[-1].append(Node(text, meta_json))
         for k in range(len(self.layers) - 2, -1, -1):
             if len(self.layers[k]) * M >= len(self.layers[k + 1]):
                 break
@@ -306,7 +312,7 @@ class HatTree:
             "memory_length": self.memory_length,
             "aggregator": self.aggregator.spec(),
             "layers": [[node.text for node in row] for row in self.layers],
-            "meta": [_meta_runs([node.meta for node in row]) for row in self.layers],
+            "meta": [_meta_runs(row) for row in self.layers],
         }
         return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -316,10 +322,11 @@ class HatTree:
 
         Each row of node objects in version 2 or 1 becomes texts and runs
         `[1, meta]`, so every version gets `_read_runs`'s checks. Texts and
-        meta round-trip, and no two nodes share a meta object; agg_call_count
-        resets to 0 and every leaf counts as flushed. With aggregator=None the
-        aggregator is rebuilt from the document's recorded kind and params.
-        JSON nested too deep to parse is a `DocumentParseError` too.
+        metas round-trip, each meta kept as checked JSON text, as appended
+        ones are. agg_call_count resets to 0 and every leaf counts as flushed.
+        With aggregator=None the aggregator is rebuilt from the document's
+        recorded kind and params. JSON nested too deep to parse, or a meta
+        holding `NaN` or `Infinity`, is a `DocumentParseError` too.
         """
         from .aggregation import aggregator_from_spec
 
@@ -394,28 +401,14 @@ class _PreFlushView:
         return node
 
 
-def _meta_runs(metas: list) -> list[list]:
-    """`metas` as runs `[count, meta]`, each of adjacent metas identical as JSON.
-
-    `repr` tells 1, 1.0 and True apart, as JSON does, at a fraction of the
-    cost of `json.dumps`; metas that differ only in key order get one run.
-    """
-    runs: list[list] = []
-    start = 0
-    for _, group in groupby(metas, repr):
-        count = len(list(group))
-        meta = metas[start]
-        start += count
-        if runs and runs[-1][1] == meta and (json.dumps(runs[-1][1], sort_keys=True)
-                                             == json.dumps(meta, sort_keys=True)):
-            runs[-1][0] += count
-        else:
-            runs.append([count, meta])
-    return runs
+def _meta_runs(row: list[Node]) -> list[list]:
+    """The row's metas as runs `[count, meta]`, each of adjacent identical meta texts."""
+    return [[len(list(group)), None if text is None else json.loads(text)]
+            for text, group in groupby(node._meta_json for node in row)]
 
 
 def _read_runs(layers_doc: list, meta_doc) -> list[list[Node]]:
-    """Each layer's nodes from its texts and meta runs, the version-3 shape."""
+    """Each layer's nodes from its texts and meta runs; a run's nodes share one meta text."""
     for k, row in enumerate(layers_doc):
         if not set(map(type, row)) <= {str}:
             raise DocumentParseError(f"layer {k}: every text must be a string")
@@ -434,22 +427,13 @@ def _read_runs(layers_doc: list, meta_doc) -> list[list[Node]]:
         covered = sum(count for count, _ in runs)
         if covered != len(row):
             raise DocumentParseError(f"layer {k}: meta runs cover {covered} nodes, not {len(row)}")
-        metas = [copy for count, meta in runs for copy in _copies(meta, count)]
+        try:
+            metas = [text for count, meta in runs
+                     for text in repeat(None if meta is None else _META_JSON.encode(meta), count)]
+        except (ValueError, RecursionError) as exc:
+            raise DocumentParseError(f"layer {k}: a meta cannot be written as JSON: {exc}") from exc
         layers.append(list(map(Node, row, metas)))
     return layers
-
-
-def _copies(meta: Optional[dict], count: int) -> list:
-    """`count` metas equal to `meta`, no two sharing a dict or list.
-
-    A nested meta is copied through the C JSON codec, which copies any depth
-    that `json.loads` could parse; `copy.deepcopy` recurses in Python.
-    """
-    if meta is None or count == 1:
-        return [meta] * count
-    if any(isinstance(value, (dict, list)) for value in meta.values()):
-        return [meta, *map(json.loads, repeat(json.dumps(meta), count - 1))]
-    return [meta, *map(dict, repeat(meta, count - 1))]
 
 
 def _layer_sizes(leaf_count: int, memory_length: int) -> list[int]:

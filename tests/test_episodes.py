@@ -193,3 +193,10 @@ class TestConverter:
     def test_rejects_personas_that_are_not_a_list(self):
         with pytest.raises(DocumentParseError, match="personas must be a JSON array"):
             convert_msc_record({"dialog": [{"text": "hi"}], "personas": 5}, episode_id="x")
+
+    @pytest.mark.parametrize("group", [5, {"a": 1}, None, True])
+    def test_rejects_a_persona_that_is_neither_a_string_nor_a_list(self, group):
+        raw = {"previous_dialogs": [{"dialog": [{"text": "hi"}], "personas": ["I like tea."]}],
+               "dialog": [{"text": "hello"}], "personas": ["I like tea.", group]}
+        with pytest.raises(DocumentParseError, match="'x': session 2 persona 1 must be a string"):
+            convert_msc_record(raw, episode_id="x")

@@ -69,6 +69,9 @@ class TestBleu:
     def test_rejects_bad_order_and_empty(self):
         with pytest.raises(InvalidParameterError):
             bleu_n([("a", "a")], 3)
+        for n in (True, 1.0):
+            with pytest.raises(InvalidParameterError):
+                bleu_n([("a b", "a b")], n)
         with pytest.raises(InvalidParameterError):
             bleu_n([], 1)
 
@@ -77,6 +80,8 @@ class TestDistinct:
     def test_rejects_bad_order(self):
         with pytest.raises(InvalidParameterError, match="n must be 1 or 2, got 3"):
             distinct_n(["a b c"], 3)
+        with pytest.raises(InvalidParameterError, match="n must be 1 or 2, got True"):
+            distinct_n(["a b c"], True)
 
     def test_examples(self):
         assert distinct_n(["a a b"], 1) == 2.0 / 3.0

@@ -314,6 +314,24 @@ class TestStateAroundLoadedTree:
             build_context(state, "q", "part_context")
         assert build_context(state, "q", "all_context") == "user: hi\nt0\nt1\nt2\nt3"
 
+    def test_part_context_leaves_out_sessions_that_are_not_integers(self):
+        tree = HatTree(2, ConcatAggregator())
+        for i, session in enumerate([1, True, 1.0, 1]):
+            tree.append_leaf(f"t{i}", meta={"session": session})
+        state = MemoryState(tree=tree)
+        assert state.sessions == {1}
+        assert build_context(state, "q", "part_context") == "t0\nt3"
+
+    def test_part_context_reads_each_leaf_meta_once(self, monkeypatch):
+        state = filled_state()
+        reads = Counter()
+        meta = tree_module.Node.meta
+        monkeypatch.setattr(tree_module.Node, "meta",
+                            property(lambda node: reads.update([id(node)]) or meta.fget(node)))
+        build_context(state, "q", "part_context")
+        assert len(reads) == state.tree.leaf_count
+        assert set(reads.values()) == {1}
+
 
 class TestGenerateResponse:
     def test_context_block_present_when_context_given(self):

@@ -152,6 +152,29 @@ class TestInsertion:
             tree.append_leaf("hello", meta=meta)
         assert tree.serialize() == before
 
+    @pytest.mark.parametrize("mutate", [lambda meta: meta["tags"].append({1, 2}),
+                                        lambda meta: meta["tags"].append(float("nan")),
+                                        lambda meta: meta.update(session=object())],
+                             ids=["set", "nan", "object"])
+    def test_changing_the_callers_meta_after_append_changes_nothing(self, mutate):
+        tree = HatTree(2, ConcatAggregator())
+        meta = {"session": 1, "tags": []}
+        tree.append_leaf("hi", meta)
+        before = tree.serialize()
+        mutate(meta)
+        assert tree.serialize() == before
+        assert tree.leaves()[0].meta == {"session": 1, "tags": []}
+
+    def test_changing_a_read_meta_changes_nothing(self):
+        tree = HatTree(2, ConcatAggregator())
+        tree.append_leaf("hi", {"session": 1, "tags": []})
+        before = tree.serialize()
+        leaf = tree.leaves()[0]
+        leaf.meta["x"] = object()
+        leaf.meta["tags"].append({1, 2})
+        assert leaf.meta == {"session": 1, "tags": []}
+        assert tree.serialize() == before
+
     def test_random_sequences_match_reference(self, rng):
         for _ in range(40):
             M = rng.choice([2, 3, 5])
@@ -754,6 +777,23 @@ class TestVersionThreeDocument:
         clone = HatTree.deserialize(document)
         assert [leaf.meta for leaf in clone.leaves()] == [meta] * 3
         assert clone.serialize() == document
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("version", [1, 2, 3])
+    def test_a_meta_json_cannot_write_is_a_parse_error(self, value, version):
+        tree = HatTree(2, TruncateAggregator(5))
+        tree.append_leaf("hi", {"session": 1, "score": 0.5})
+        tree.append_leaf("there")
+        document = tree.serialize()
+        if version < 3:
+            doc = json.loads(document)
+            doc["version"] = version
+            doc["layers"] = [[{"text": text, "meta": None} for text in row] for row in doc["layers"]]
+            doc["layers"][-1][0]["meta"] = {"session": 1, "score": 0.5}
+            document = json.dumps(doc)
+        assert HatTree.deserialize(document).leaves()[0].meta == {"session": 1, "score": 0.5}
+        with pytest.raises(DocumentParseError):
+            HatTree.deserialize(document.replace("0.5", value))
 
     @pytest.mark.parametrize("mutate", MALFORMED_V3.values(), ids=MALFORMED_V3.keys())
     def test_rejects_malformed_layers_and_runs(self, mutate):
