@@ -46,16 +46,18 @@ def run_bench(episodes: list[Episode], aggregator: Aggregator, client: LlmClient
     """Score every requested strategy over the episodes; returns the report.
 
     memory_length is the tree's M; strategies names the strategies to score,
-    each once, in report order (default all of `STRATEGIES`); step_budget
-    caps each tree walk. An episode that a strategy cannot evaluate, such as
-    one whose query opens its only session, is refused with an error that
-    names it.
+    at least one, each once, in report order (default all of `STRATEGIES`);
+    step_budget caps each tree walk. An episode that a strategy cannot
+    evaluate, such as one whose query opens its only session, is refused
+    with an error that names it.
     """
     unknown = [s for s in strategies if s not in STRATEGIES]
     if unknown:
         raise InvalidParameterError(f"unknown strategies {unknown}; choose from {STRATEGIES}")
     if len(set(strategies)) != len(strategies):
         raise InvalidParameterError(f"strategies repeat a name: {list(strategies)}")
+    if not strategies:
+        raise InvalidParameterError("no strategies to benchmark")
     if not episodes:
         raise InvalidParameterError("no episodes to benchmark")
     config = TraversalConfig(step_budget=step_budget)

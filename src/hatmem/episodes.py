@@ -161,7 +161,8 @@ def convert_msc_record(obj: dict, episode_id: Optional[str] = None) -> Episode:
     "dialog": [...], "personas"?, "metadata"?: {"initial_data_id"?}} where a
     dialog entry is {"id"?: "Speaker 1"|"Speaker 2", "text": str}. Speakers
     map Speaker 1 -> user and Speaker 2 -> assistant; entries without an id
-    alternate starting with user. Per-session personas become gold_memory.
+    alternate starting with user. Per-session personas, each a string or a
+    list of strings, become gold_memory.
     """
     if not isinstance(obj, dict):
         raise DocumentParseError("record must be a JSON object")
@@ -196,11 +197,13 @@ def convert_msc_record(obj: dict, episode_id: Optional[str] = None) -> Episode:
         gold = []
         for pos, group in enumerate(expect(personas, list, f"{where} personas")):
             if isinstance(group, str):
-                gold.append(group)
-            elif isinstance(group, list):
-                gold.extend(str(item) for item in group)
-            else:
+                group = [group]
+            elif not isinstance(group, list):
                 raise DocumentParseError(f"{where} persona {pos} must be a string or a JSON array")
+            for item_pos, item in enumerate(group):
+                if not isinstance(item, str):
+                    raise DocumentParseError(f"{where} persona {pos} item {item_pos} must be a string")
+            gold.extend(group)
         return {"turns": turns, "gold_memory": gold}
 
     sessions = []

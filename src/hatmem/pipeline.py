@@ -59,8 +59,8 @@ STRATEGIES = ("all_context", "part_context", "gold_memory", "hat_bfs", "hat_dfs"
 class MemoryState:
     """A tree plus its session records.
 
-    A turn's session is stored once, in its leaf's `meta["session"]`, so a
-    loaded tree or a leaf appended straight to the tree counts as well.
+    A turn's session is stored once, as its leaf's `session`, so a loaded
+    tree or a leaf appended straight to the tree counts as well.
     """
 
     tree: HatTree
@@ -72,14 +72,8 @@ class MemoryState:
 
 
 def _leaf_sessions(tree: HatTree):
-    """The integer session of each leaf that has one, newest leaf first."""
-    return filter(is_int, map(_leaf_session, reversed(tree.leaves())))
-
-
-def _leaf_session(leaf) -> Optional[int]:
-    """The leaf's `meta["session"]` if it is an integer, else None; decodes the meta once."""
-    session = (leaf.meta or {}).get("session")
-    return session if is_int(session) else None
+    """The session of each leaf that has one, newest leaf first."""
+    return (leaf.session for leaf in reversed(tree.leaves()) if leaf.session is not None)
 
 
 def new_memory(memory_length: int, aggregator) -> MemoryState:
@@ -91,7 +85,7 @@ def ingest_turn(state: MemoryState, turn: DialogueTurn) -> int:
         raise InvalidParameterError(f"speaker must be one of {SPEAKERS}, got {turn.speaker!r}")
     if not turn.text:
         raise InvalidParameterError("turn text must be nonempty")
-    return state.tree.append_leaf(f"{turn.speaker}: {turn.text}", meta={"session": turn.session})
+    return state.tree.append_leaf(f"{turn.speaker}: {turn.text}", session=turn.session)
 
 
 def end_session(state: MemoryState, session: int) -> str:
@@ -100,7 +94,7 @@ def end_session(state: MemoryState, session: int) -> str:
     Aggregates every turn appended since the last read first; if that fails,
     no snapshot is recorded.
     """
-    if session not in _leaf_sessions(state.tree):
+    if not is_int(session) or session not in _leaf_sessions(state.tree):
         raise NotFoundError(f"no turns ingested for session {session}")
     snapshot = state.tree.root_text()
     state.session_snapshots[session] = snapshot
@@ -141,12 +135,10 @@ def build_context(state: MemoryState, query: str, strategy: str, *,
     if strategy == "all_context":
         return "\n".join(leaf.text for leaf in tree.leaves())
     if strategy == "part_context":
-        leaves = tree.leaves()
-        sessions = [_leaf_session(leaf) for leaf in leaves]
-        current = max(filter(is_int, sessions), default=None)
+        current = max(_leaf_sessions(tree), default=None)
         if current is None:
             raise InvalidParameterError("part_context needs turns that name their session")
-        return "\n".join(leaf.text for leaf, session in zip(leaves, sessions) if session == current)
+        return "\n".join(leaf.text for leaf in tree.leaves() if leaf.session == current)
     if strategy == "gold_memory":
         if not gold:
             raise ConfigurationError("gold_memory strategy requested but no gold memory provided")

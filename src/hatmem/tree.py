@@ -26,17 +26,18 @@ before it. The flush commits only after that read has returned, and the read
 runs again on the flushed tree unless every text it used came through the
 flush unchanged.
 
-A document (version 3) holds the format marker, the version, the memory
-length, the aggregator spec, each layer's texts (`layers`, root first) and
-each layer's node metas (`meta`) as runs. A run `[count, meta]` stands for
-`count` adjacent nodes with equal meta texts: a node keeps its meta as the
-sorted-key JSON text it was checked as, so the leaves of one session, or the
-internal nodes of a layer, write their meta once, while `{"session": 1}` and
-`{"session": 1.0}`, equal in Python, never share a run. Versions 2 and 1 wrote
+A node holds its text and, for a leaf, the integer session of its turn or
+None. A document (version 3) holds the format marker, the version, the
+memory length, the aggregator spec, each layer's texts (`layers`, root
+first) and each layer's node metas (`meta`) as runs. A run `[count, meta]`
+stands for `count` adjacent nodes of one session, with meta
+`{"session": s}`, or of none, with meta null, so the leaves of one session,
+or the internal nodes of a layer, write one run. Versions 2 and 1 wrote
 each node as a `{"text", "meta"}` object; loading one first rewrites it in
 memory as rows of texts and of one-node runs, so one reader checks every
-version. It ignores the node ids, child ids, leaf count and per-node
-aggregation caches that version 1 also carried. Trees are written as version 3.
+version. A meta's "session" must be an integer or null; its other keys, and
+the node ids, child ids, leaf count and per-node aggregation caches that
+version 1 also carried, are ignored. Trees are written as version 3.
 """
 
 from __future__ import annotations
@@ -57,37 +58,29 @@ DOC_VERSION = 3
 # Python computation, which threads cannot overlap, so they run on the
 # calling thread.
 REMOTE_AGGREGATOR_KIND = "llm_persona"
-# `json.dumps(meta, sort_keys=True, allow_nan=False)`, but without building an
-# encoder per call, which would double the cost of `append_leaf`.
-_META_JSON = json.JSONEncoder(sort_keys=True, allow_nan=False)
 
 
 @dataclass
 class Node:
-    """One tree node; leaves carry raw turn text, internal nodes aggregates.
+    """One tree node; leaves carry raw turn text and session, internal nodes aggregates.
 
-    An internal node's text is None until the first flush that covers it.
-    The meta is kept as checked sorted-key JSON text, and `meta` decodes a
-    fresh copy on each read, so no later change to a dict reaches the tree.
+    An internal node's text is None until the first flush that covers it,
+    and its session is None.
     """
 
     text: Optional[str]
-    _meta_json: Optional[str] = None
-
-    @property
-    def meta(self) -> Optional[dict]:
-        return None if self._meta_json is None else json.loads(self._meta_json)
+    session: Optional[int] = None
 
 
 class HatTree:
     """The layered tree plus its aggregator binding and call instrumentation.
 
     `layers` lists the rows top-down, root first, always sized for the
-    current leaf count. A node is its text and the JSON text of its meta: no
-    id, no links and no cache, since its position fixes its parent and
-    children, and a flush re-aggregates only nodes whose children changed.
-    `serialize` writes document version 3, each layer's metas as runs of
-    identical meta texts; `deserialize` reads versions 3, 2 and 1.
+    current leaf count. A node is its text and its session: no id, no links
+    and no cache, since its position fixes its parent and children, and a
+    flush re-aggregates only nodes whose children changed. `serialize` writes
+    document version 3, each layer's sessions as runs of equal sessions;
+    `deserialize` reads versions 3, 2 and 1.
 
     Writers must be exclusive: one append, flush or insert at a time. A read
     of internal text flushes first, so while leaves are unflushed a read is
@@ -150,45 +143,40 @@ class HatTree:
 
     # ----------------------------------------------------------------- writes
 
-    def append_leaf(self, text: str, meta: Optional[dict] = None) -> int:
+    def append_leaf(self, text: str, session: Optional[int] = None) -> int:
         """Place one leaf without aggregating; return its index in the leaf layer.
 
         Grows a new root layer first when the leaf layer is at capacity, and
         adds a `None`-text node to each layer above that needs one more. The
         ancestors are aggregated by the next `flush` or read of internal text.
-        A meta must be None or a dict that `serialize` can write, one that
-        `json.dumps(meta, sort_keys=True, allow_nan=False)` accepts. The leaf
-        keeps that JSON text, not the dict, and an empty meta counts as none.
+        The session is the turn's session number, an integer, or None.
         """
         if not isinstance(text, str) or not text:
             raise InvalidParameterError("leaf text must be a nonempty string")
-        if meta is not None and not isinstance(meta, dict):
-            raise InvalidParameterError(f"leaf meta must be a dict or None, got a {type(meta).__name__}")
-        try:
-            meta_json = _META_JSON.encode(meta) if meta else None
-        except (TypeError, ValueError, RecursionError) as exc:
-            raise InvalidParameterError(f"leaf meta cannot be written as JSON: {exc}") from exc
+        if session is not None and not is_int(session):
+            raise InvalidParameterError(
+                f"leaf session must be an integer or None, got a {type(session).__name__}")
         M = self.memory_length
         if not self.layers:
             # The root layer and the leaf layer appear with the first leaf.
             self.layers = [[], []]
         elif self.leaf_count == M ** self.depth():
             self.layers.insert(0, [Node(None)])
-        self.layers[-1].append(Node(text, meta_json))
+        self.layers[-1].append(Node(text, session))
         for k in range(len(self.layers) - 2, -1, -1):
             if len(self.layers[k]) * M >= len(self.layers[k + 1]):
                 break
             self.layers[k].append(Node(None))
         return self.leaf_count - 1
 
-    def insert_leaf(self, text: str, meta: Optional[dict] = None) -> int:
+    def insert_leaf(self, text: str, session: Optional[int] = None) -> int:
         """Append one leaf, then flush; return its index in the leaf layer.
 
         If aggregation fails, the append is undone and the tree, including
         earlier unflushed appends and agg_call_count, is left as it was.
         """
         sizes = [len(row) for row in self.layers]
-        index = self.append_leaf(text, meta)
+        index = self.append_leaf(text, session)
         try:
             self.flush()
         except BaseException:
@@ -322,11 +310,11 @@ class HatTree:
 
         Each row of node objects in version 2 or 1 becomes texts and runs
         `[1, meta]`, so every version gets `_read_runs`'s checks. Texts and
-        metas round-trip, each meta kept as checked JSON text, as appended
-        ones are. agg_call_count resets to 0 and every leaf counts as flushed.
-        With aggregator=None the aggregator is rebuilt from the document's
-        recorded kind and params. JSON nested too deep to parse, or a meta
-        holding `NaN` or `Infinity`, is a `DocumentParseError` too.
+        sessions round-trip; a meta's keys other than "session" are ignored.
+        agg_call_count resets to 0 and every leaf counts as flushed. With
+        aggregator=None the aggregator is rebuilt from the document's
+        recorded kind and params. JSON nested too deep to parse is a
+        `DocumentParseError` too.
         """
         from .aggregation import aggregator_from_spec
 
@@ -402,13 +390,13 @@ class _PreFlushView:
 
 
 def _meta_runs(row: list[Node]) -> list[list]:
-    """The row's metas as runs `[count, meta]`, each of adjacent identical meta texts."""
-    return [[len(list(group)), None if text is None else json.loads(text)]
-            for text, group in groupby(node._meta_json for node in row)]
+    """The row's sessions as runs `[count, {"session": s} or null]` of adjacent equal sessions."""
+    return [[len(list(group)), None if session is None else {"session": session}]
+            for session, group in groupby(node.session for node in row)]
 
 
 def _read_runs(layers_doc: list, meta_doc) -> list[list[Node]]:
-    """Each layer's nodes from its texts and meta runs; a run's nodes share one meta text."""
+    """Each layer's nodes from its texts and the sessions of its meta runs."""
     for k, row in enumerate(layers_doc):
         if not set(map(type, row)) <= {str}:
             raise DocumentParseError(f"layer {k}: every text must be a string")
@@ -418,21 +406,23 @@ def _read_runs(layers_doc: list, meta_doc) -> list[list[Node]]:
     for k, (row, runs) in enumerate(zip(layers_doc, meta_doc)):
         if not isinstance(runs, list):
             raise DocumentParseError(f"layer {k}: meta runs must be a list")
+        counted = []
         for j, run in enumerate(runs):
             if not (isinstance(run, list) and len(run) == 2 and is_int(run[0]) and run[0] >= 1
                     and (run[1] is None or isinstance(run[1], dict))):
                 raise DocumentParseError(
                     f"layer {k} meta run {j}: want [count >= 1, object or null]")
+            session = (run[1] or {}).get("session")
+            if session is not None and not is_int(session):
+                raise DocumentParseError(f"layer {k} meta run {j}: session must be an integer "
+                                         f"or null, got a {type(session).__name__}")
+            counted.append((run[0], session))
         # Summed before any run is expanded, so a huge count allocates nothing.
-        covered = sum(count for count, _ in runs)
+        covered = sum(count for count, _ in counted)
         if covered != len(row):
             raise DocumentParseError(f"layer {k}: meta runs cover {covered} nodes, not {len(row)}")
-        try:
-            metas = [text for count, meta in runs
-                     for text in repeat(None if meta is None else _META_JSON.encode(meta), count)]
-        except (ValueError, RecursionError) as exc:
-            raise DocumentParseError(f"layer {k}: a meta cannot be written as JSON: {exc}") from exc
-        layers.append(list(map(Node, row, metas)))
+        sessions = [s for count, session in counted for s in repeat(session, count)]
+        layers.append(list(map(Node, row, sessions)))
     return layers
 
 

@@ -6,7 +6,6 @@ obviousness over speed, and shares no code with the package under test.
 
 from __future__ import annotations
 
-import json
 import math
 import string
 
@@ -40,12 +39,13 @@ def leaf_spans(n: int, M: int) -> list[list[tuple[int, int]]]:
     return layers
 
 
-def json_runs(metas: list) -> list[list]:
-    """Version-3 meta runs: [count, meta] per maximal stretch of adjacent
-    metas whose sorted-key JSON texts are equal."""
+def session_runs(sessions: list) -> list[list]:
+    """Version-3 meta runs: [count, {"session": s} or None] per maximal
+    stretch of adjacent equal sessions."""
     runs: list[list] = []
-    for meta in metas:
-        if runs and json.dumps(runs[-1][1], sort_keys=True) == json.dumps(meta, sort_keys=True):
+    for session in sessions:
+        meta = None if session is None else {"session": session}
+        if runs and runs[-1][1] == meta:
             runs[-1][0] += 1
         else:
             runs.append([1, meta])

@@ -200,3 +200,10 @@ class TestConverter:
                "dialog": [{"text": "hello"}], "personas": ["I like tea.", group]}
         with pytest.raises(DocumentParseError, match="'x': session 2 persona 1 must be a string"):
             convert_msc_record(raw, episode_id="x")
+
+    @pytest.mark.parametrize("item", [None, 5, {"a": 1}, ["I swim."], True])
+    def test_rejects_a_persona_list_item_that_is_not_a_string(self, item):
+        raw = {"previous_dialogs": [{"dialog": [{"text": "hi"}], "personas": ["I like tea."]}],
+               "dialog": [{"text": "hello"}], "personas": ["I like tea.", ["I run.", item]]}
+        with pytest.raises(DocumentParseError, match="'x': session 2 persona 1 item 1 must be a string"):
+            convert_msc_record(raw, episode_id="x")

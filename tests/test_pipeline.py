@@ -92,7 +92,16 @@ class TestIngest:
         ingest_turn(state, turn("user", "hello", session=3, index=7))
         leaf = state.tree.leaves()[0]
         assert leaf.text == "user: hello"
-        assert leaf.meta == {"session": 3}
+        assert leaf.session == 3
+
+    @pytest.mark.parametrize("session", ["1", True, 1.0], ids=["digit-string", "bool", "whole-float"])
+    def test_session_that_is_not_an_integer_is_refused(self, session):
+        state = new_memory(2, ConcatAggregator())
+        ingest_turn(state, turn("user", "hello", session=1))
+        with pytest.raises(InvalidParameterError):
+            ingest_turn(state, turn("user", "again", session=session))
+        assert [leaf.text for leaf in state.tree.leaves()] == ["user: hello"]
+        assert state.sessions == {1}
 
     def test_first_turn_depth_one(self):
         state = new_memory(2, ConcatAggregator())
@@ -169,8 +178,7 @@ class TestEndSession:
     def test_leaf_appended_to_the_tree_is_seen(self):
         state = new_memory(2, ConcatAggregator("\n"))
         ingest_turn(state, turn("user", "early", session=1))
-        state.tree.append_leaf("user: later", meta={"speaker": "user", "session": 2,
-                                                    "turn_index": 0})
+        state.tree.append_leaf("user: later", session=2)
         assert state.sessions == {1, 2}
         assert build_context(state, "q", "part_context") == "user: later"
         assert end_session(state, 2) == "user: early\nuser: later"
@@ -305,7 +313,7 @@ class TestStateAroundLoadedTree:
 
     def test_part_context_needs_a_leaf_that_names_its_session(self):
         tree = HatTree(2, ConcatAggregator())
-        tree.append_leaf("user: hi", meta={"speaker": "user"})
+        tree.append_leaf("user: hi")
         for i in range(4):
             tree.append_leaf(f"t{i}")
         state = MemoryState(tree=HatTree.deserialize(tree.serialize()))
@@ -316,21 +324,19 @@ class TestStateAroundLoadedTree:
 
     def test_part_context_leaves_out_sessions_that_are_not_integers(self):
         tree = HatTree(2, ConcatAggregator())
-        for i, session in enumerate([1, True, 1.0, 1]):
-            tree.append_leaf(f"t{i}", meta={"session": session})
+        for i, session in enumerate([1, None, 1]):
+            tree.append_leaf(f"t{i}", session=session)
+        for session in (True, 1.0, "1"):
+            with pytest.raises(InvalidParameterError):
+                tree.append_leaf("t", session=session)
         state = MemoryState(tree=tree)
         assert state.sessions == {1}
-        assert build_context(state, "q", "part_context") == "t0\nt3"
-
-    def test_part_context_reads_each_leaf_meta_once(self, monkeypatch):
-        state = filled_state()
-        reads = Counter()
-        meta = tree_module.Node.meta
-        monkeypatch.setattr(tree_module.Node, "meta",
-                            property(lambda node: reads.update([id(node)]) or meta.fget(node)))
-        build_context(state, "q", "part_context")
-        assert len(reads) == state.tree.leaf_count
-        assert set(reads.values()) == {1}
+        assert build_context(state, "q", "part_context") == "t0\nt2"
+        # A session equal to 1 that is no integer names no session.
+        for session in (True, 1.0):
+            with pytest.raises(NotFoundError):
+                end_session(state, session)
+        assert state.session_snapshots == {}
 
 
 class TestGenerateResponse:
@@ -561,6 +567,10 @@ class TestRunBench:
     def test_no_episodes_refused(self):
         with pytest.raises(InvalidParameterError, match="^no episodes to benchmark$"):
             run_bench([], ConcatAggregator(), mock_client())
+
+    def test_no_strategies_refused(self):
+        with pytest.raises(InvalidParameterError, match="^no strategies to benchmark$"):
+            run_bench(planted_fact_episodes(1), ConcatAggregator(), mock_client(), strategies=[])
 
     def test_repeated_strategies_refused(self):
         # Scored twice, a strategy's DISTINCT would count its replies twice.

@@ -23,8 +23,8 @@ from reference_impls import (
     concat_texts,
     expected_depth,
     full_recompute,
-    json_runs,
     leaf_spans,
+    session_runs,
 )
 
 from hatmem import (
@@ -73,8 +73,8 @@ def texts_by_position(tree: HatTree) -> list[list[str]]:
 
 
 def raw_state(tree: HatTree):
-    """Texts and meta per position, call count and flushed leaves, read without flushing."""
-    nodes = [[(node.text, node.meta) for node in row] for row in tree.layers]
+    """Texts and sessions per position, call count and flushed leaves, read without flushing."""
+    nodes = [[(node.text, node.session) for node in row] for row in tree.layers]
     return nodes, tree.agg_call_count, tree.flushed_leaves
 
 
@@ -137,43 +137,26 @@ class TestInsertion:
 
     def test_meta_stored_on_leaf(self):
         tree = HatTree(2, ConcatAggregator())
-        index = tree.insert_leaf("hello", meta={"speaker": "user", "session": 1})
+        index = tree.insert_leaf("hello", session=1)
         assert index == 0
-        assert tree.leaves()[index].meta == {"speaker": "user", "session": 1}
-        assert tree.node_at(0, 0).meta is None
+        assert tree.leaves()[index].session == 1
+        assert tree.node_at(0, 0).session is None
+        tree.insert_leaf("there")
+        assert tree.leaves()[1].session is None
 
-    @pytest.mark.parametrize("meta", [{1: "a", "b": 2}, {"s": {1, 2}}, {"s": float("nan")},
-                                      [("a", 1)], "ab"],
-                             ids=["mixed-key-types", "set", "nan", "pair-list", "string"])
-    def test_meta_that_json_cannot_hold_is_refused(self, meta):
+    # A leaf's session is an integer or None; nothing else is stored.
+    @pytest.mark.parametrize("session", [{1: "a", "b": 2}, {1, 2}, float("nan"), [("a", 1)], "ab",
+                                         "1", True, 1.0, {"session": 1}],
+                             ids=["mixed-key-types", "set", "nan", "pair-list", "string",
+                                  "digit-string", "bool", "whole-float", "meta-dict"])
+    def test_meta_that_json_cannot_hold_is_refused(self, session):
         tree = build_tree(2)
-        before = tree.serialize()
+        before = raw_state(tree)
         with pytest.raises(InvalidParameterError):
-            tree.append_leaf("hello", meta=meta)
-        assert tree.serialize() == before
-
-    @pytest.mark.parametrize("mutate", [lambda meta: meta["tags"].append({1, 2}),
-                                        lambda meta: meta["tags"].append(float("nan")),
-                                        lambda meta: meta.update(session=object())],
-                             ids=["set", "nan", "object"])
-    def test_changing_the_callers_meta_after_append_changes_nothing(self, mutate):
-        tree = HatTree(2, ConcatAggregator())
-        meta = {"session": 1, "tags": []}
-        tree.append_leaf("hi", meta)
-        before = tree.serialize()
-        mutate(meta)
-        assert tree.serialize() == before
-        assert tree.leaves()[0].meta == {"session": 1, "tags": []}
-
-    def test_changing_a_read_meta_changes_nothing(self):
-        tree = HatTree(2, ConcatAggregator())
-        tree.append_leaf("hi", {"session": 1, "tags": []})
-        before = tree.serialize()
-        leaf = tree.leaves()[0]
-        leaf.meta["x"] = object()
-        leaf.meta["tags"].append({1, 2})
-        assert leaf.meta == {"session": 1, "tags": []}
-        assert tree.serialize() == before
+            tree.append_leaf("hello", session=session)
+        with pytest.raises(InvalidParameterError):
+            tree.insert_leaf("hello", session)
+        assert raw_state(tree) == before
 
     def test_random_sequences_match_reference(self, rng):
         for _ in range(40):
@@ -534,12 +517,12 @@ class TestPersistence:
 
     def test_meta_and_cache_roundtrip(self):
         tree = HatTree(2, ConcatAggregator())
-        tree.insert_leaf("a", meta={"session": 1})
-        tree.insert_leaf("b", meta={"session": 2})
+        tree.insert_leaf("a", session=1)
+        tree.insert_leaf("b", session=2)
         clone = HatTree.deserialize(tree.serialize())
-        assert [leaf.meta for leaf in clone.leaves()] == [{"session": 1}, {"session": 2}]
-        assert clone.root().meta is None
-        # No cache is stored: a layer is its texts and its metas' runs.
+        assert [leaf.session for leaf in clone.leaves()] == [1, 2]
+        assert clone.root().session is None
+        # No cache is stored: a layer is its texts and its sessions' runs.
         doc = json.loads(clone.serialize())
         assert set(doc) == {"format", "version", "memory_length", "aggregator", "layers", "meta"}
         assert doc["layers"] == [["a\nb"], ["a", "b"]]
@@ -628,10 +611,10 @@ class TestPersistence:
         # which loads and serializes to the same bytes again.
         persona = HatTree(2, LlmPersonaAggregator(mock_client(), max_tokens=8))
         for i in range(5):
-            persona.insert_leaf(f"persona turn {i}", meta={"session": 1})
+            persona.insert_leaf(f"persona turn {i}", session=1)
         sessions = HatTree(3, LlmPersonaAggregator(mock_client(), max_tokens=8))
-        for i, meta in enumerate(RUN_METAS + [{"session": 2, "tags": ["tea"]}] * 2):
-            sessions.append_leaf(f"persona turn {i}", meta=meta)
+        for i, session in enumerate(RUN_SESSIONS):
+            sessions.append_leaf(f"persona turn {i}", session)
         sources = [build_tree(7).serialize(), persona.serialize(), sessions.serialize(),
                    HatTree(3, TruncateAggregator(5)).serialize(), V1_DOCUMENT,
                    INDENTED_V2_DOCUMENT]
@@ -658,7 +641,7 @@ class TestPersistence:
     def test_document_is_compact_sorted_json(self, rng):
         persona = HatTree(3, LlmPersonaAggregator(mock_client(), max_tokens=8))
         for i in range(4):
-            persona.append_leaf(f"persona turn {i}", meta={"session": 1, "turn_index": i})
+            persona.append_leaf(f"persona turn {i}", session=i)
         trees = [HatTree(2, ConcatAggregator()), persona,
                  HatTree.deserialize(INDENTED_V2_DOCUMENT), HatTree.deserialize(V1_DOCUMENT)]
         trees += [build_tree(rng.randint(1, 30), memory_length=rng.choice([2, 3, 5]))
@@ -679,9 +662,9 @@ class TestPersistence:
             assert clone.serialize() == tree.serialize()
 
 
-# Adjacent leaf metas that are equal under == but not as JSON: each is a run
-# of its own.
-RUN_METAS = [{"session": 1}, {"session": True}, {"session": 1.0}, {"session": 1}, None]
+# Leaf sessions with stretches of equal adjacent sessions, a session too large
+# for a float, and leaves without one.
+RUN_SESSIONS = [1, 1, 1, 2, None, None, 1, 10 ** 30, 0]
 
 
 # Mutations of the version-3 document of build_tree(5): M=2, layer sizes
@@ -709,91 +692,81 @@ MALFORMED_V3 = {
     "runs-short": lambda doc: doc["meta"].__setitem__(3, [[2, None], [2, None]]),
     "counts-over": lambda doc: doc["meta"].__setitem__(3, [[6, None]]),
     "huge-count": lambda doc: doc["meta"].__setitem__(3, [[10 ** 18, None]]),
+    "bool-session": lambda doc: doc["meta"].__setitem__(3, [[5, {"session": True}]]),
+    "float-session": lambda doc: doc["meta"].__setitem__(3, [[5, {"session": 1.0}]]),
+    "string-session": lambda doc: doc["meta"].__setitem__(3, [[5, {"session": "1"}]]),
+    "list-session": lambda doc: doc["meta"].__setitem__(3, [[4, None], [1, {"session": [1]}]]),
 }
 
 
 class TestVersionThreeDocument:
     def test_metas_equal_only_in_python_round_trip_as_written(self):
         tree = HatTree(3, TruncateAggregator(5))
-        for i, meta in enumerate(RUN_METAS):
-            tree.append_leaf(f"turn {i}", meta=meta)
+        for i, session in enumerate(RUN_SESSIONS):
+            tree.append_leaf(f"turn {i}", session=session)
         document = tree.serialize()
-        assert ('"meta":[[[1,null]],[[2,null]],[[1,{"session":1}],[1,{"session":true}],'
-                '[1,{"session":1.0}],[1,{"session":1}],[1,null]]]') in document
+        assert ('"meta":[[[1,null]],[[3,null]],[[3,{"session":1}],[1,{"session":2}],'
+                '[2,null],[1,{"session":1}],[1,{"session":1000000000000000000000000000000}],'
+                '[1,{"session":0}]]]') in document
         clone = HatTree.deserialize(document)
-        assert [repr(leaf.meta) for leaf in clone.leaves()] == [repr(meta) for meta in RUN_METAS]
+        assert [leaf.session for leaf in clone.leaves()] == RUN_SESSIONS
         assert clone.serialize() == document
 
     def test_adjacent_metas_identical_as_json_share_a_run(self):
-        metas = [{"session": 1}] * 4 + [{"b": 2, "a": 1}, {"a": 1, "b": 2}, None, None,
-                                        {"session": 1}]
+        sessions = [1] * 4 + [2, 2, None, None, 1]
         tree = HatTree(3, TruncateAggregator(5))
-        for i, meta in enumerate(metas):
-            tree.append_leaf(f"turn {i}", meta=meta)
+        for i, session in enumerate(sessions):
+            tree.append_leaf(f"turn {i}", session=session)
         document = tree.serialize()
         doc = json.loads(document)
-        assert doc["meta"] == [[[1, None]], [[3, None]], json_runs(metas)]
-        assert doc["meta"][-1] == [[4, {"session": 1}], [2, {"a": 1, "b": 2}], [2, None],
+        assert doc["meta"] == [[[1, None]], [[3, None]], session_runs(sessions)]
+        assert doc["meta"][-1] == [[4, {"session": 1}], [2, {"session": 2}], [2, None],
                                    [1, {"session": 1}]]
         clone = HatTree.deserialize(document)
-        assert [leaf.meta for leaf in clone.leaves()] == metas
-        assert clone.serialize() == document
-
-    def test_internal_node_meta_is_kept(self):
-        v2 = json.loads(INDENTED_V2_DOCUMENT)
-        v2["layers"][1][0]["meta"] = {"note": "the first three turns"}
-        document = HatTree.deserialize(json.dumps(v2)).serialize()
-        assert json.loads(document)["meta"][1] == [[1, {"note": "the first three turns"}], [1, None]]
-        clone = HatTree.deserialize(document)
-        assert clone.node_at(1, 0).meta == {"note": "the first three turns"}
-        assert [node.meta for row in clone.layers for node in row] == \
-            [entry["meta"] for row in v2["layers"] for entry in row]
+        assert [leaf.session for leaf in clone.leaves()] == sessions
         assert clone.serialize() == document
 
     def test_each_loaded_node_owns_its_meta(self):
-        nested = {"session": 2, "tags": ["tea"], "seen": {"count": 1}}
         tree = HatTree(2, TruncateAggregator(5))
-        for i in range(3):
-            tree.append_leaf(f"flat {i}", meta={"session": 1})
-        for i in range(3):
-            tree.append_leaf(f"nested {i}", meta=json.loads(json.dumps(nested)))
+        for i in range(6):
+            tree.append_leaf(f"turn {i}", session=i // 3 + 1)
         document = tree.serialize()
-        assert json.loads(document)["meta"][-1] == [[3, {"session": 1}], [3, nested]]
+        assert json.loads(document)["meta"][-1] == [[3, {"session": 1}], [3, {"session": 2}]]
         leaves = HatTree.deserialize(document).leaves()
-        leaves[0].meta["session"] = 9
-        leaves[3].meta["tags"].append("jam")
-        leaves[3].meta["seen"]["count"] = 2
-        assert [leaf.meta for leaf in leaves[1:3]] == [{"session": 1}] * 2
-        assert [leaf.meta for leaf in leaves[4:]] == [nested] * 2
+        assert len(set(map(id, leaves))) == 6
+        leaves[0].session = 9
+        leaves[3].session = None
+        assert [leaf.session for leaf in leaves] == [9, 1, 1, None, 2, 2]
 
     def test_a_deeply_nested_meta_loads_for_every_node_of_its_run(self):
-        # Deeper than a copy that recursed in Python could copy.
-        meta = {"x": json.loads("[" * 600 + "]" * 600)}
-        tree = HatTree(2, TruncateAggregator(5))
-        for i in range(3):
-            tree.append_leaf(f"turn {i}", meta=meta)
-        document = tree.serialize()
-        assert json.loads(document)["meta"][-1] == [[3, meta]]
-        clone = HatTree.deserialize(document)
-        assert [leaf.meta for leaf in clone.leaves()] == [meta] * 3
-        assert clone.serialize() == document
+        # A meta's keys other than "session" are ignored, however deep.
+        doc = json.loads(build_tree(3).serialize())
+        doc["meta"][-1] = [[3, {"session": 4, "x": json.loads("[" * 600 + "]" * 600)}]]
+        clone = HatTree.deserialize(json.dumps(doc))
+        assert [leaf.session for leaf in clone.leaves()] == [4] * 3
+        assert json.loads(clone.serialize())["meta"][-1] == [[3, {"session": 4}]]
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
     @pytest.mark.parametrize("version", [1, 2, 3])
     def test_a_meta_json_cannot_write_is_a_parse_error(self, value, version):
+        # Only the session is read: a bad value elsewhere in a meta is
+        # dropped, and a session that is not an integer is refused.
         tree = HatTree(2, TruncateAggregator(5))
-        tree.append_leaf("hi", {"session": 1, "score": 0.5})
+        tree.append_leaf("hi", session=1)
         tree.append_leaf("there")
-        document = tree.serialize()
+        doc = json.loads(tree.serialize())
+        meta = {"session": 1, "score": 0.5}
         if version < 3:
-            doc = json.loads(document)
             doc["version"] = version
             doc["layers"] = [[{"text": text, "meta": None} for text in row] for row in doc["layers"]]
-            doc["layers"][-1][0]["meta"] = {"session": 1, "score": 0.5}
-            document = json.dumps(doc)
-        assert HatTree.deserialize(document).leaves()[0].meta == {"session": 1, "score": 0.5}
+            doc["layers"][-1][0]["meta"] = meta
+        else:
+            doc["meta"][-1][0][1] = meta
+        document = json.dumps(doc)
+        loaded = HatTree.deserialize(document.replace("0.5", value))
+        assert [leaf.session for leaf in loaded.leaves()] == [1, None]
         with pytest.raises(DocumentParseError):
-            HatTree.deserialize(document.replace("0.5", value))
+            HatTree.deserialize(document.replace('"session": 1', f'"session": {value}'))
 
     @pytest.mark.parametrize("mutate", MALFORMED_V3.values(), ids=MALFORMED_V3.keys())
     def test_rejects_malformed_layers_and_runs(self, mutate):
@@ -822,8 +795,7 @@ class TestDocumentSize:
             tree = HatTree(3, make())
             for i in range(n):
                 words = " ".join(rng.choice(SIZE_WORDS) for _ in range(rng.randint(4, 16)))
-                tree.append_leaf(f"{('user', 'assistant')[i % 2]}: {words}",
-                                 meta={"session": i // 14 + 1})
+                tree.append_leaf(f"{('user', 'assistant')[i % 2]}: {words}", session=i // 14 + 1)
             per_leaf.append(len(tree.serialize().encode("utf-8")) / n)
         assert per_leaf[1] == pytest.approx(per_leaf[0], rel=0.05)
 
@@ -832,7 +804,8 @@ SIZE_WORDS = ("we", "walked", "the", "dog", "along", "river", "my", "sister", "b
               "on", "sundays", "and", "I", "play", "chess", "at", "club", "every", "week")
 
 
-# Written by the version-1 format: M=3, truncate(5), 11 leaves with meta,
+# Written by the version-1 format: M=3, truncate(5), 11 leaves with meta
+# (session, speaker and turn index),
 # built by one insert_leaf per leaf. Each node carried an id, its child ids
 # and an aggregation cache; the document carried a leaf count.
 V1_LEAVES = ["user: I like chess a lot", "assistant: I like roses a lot",
@@ -893,7 +866,9 @@ class TestVersionOneDocument:
         tree = HatTree.deserialize(V1_DOCUMENT)
         assert texts_by_position(tree) == [[entry["text"] for entry in row] for row in v1["layers"]]
         assert [leaf.text for leaf in tree.leaves()] == V1_LEAVES
-        assert [leaf.meta for leaf in tree.leaves()] == [entry["meta"] for entry in v1["layers"][-1]]
+        # Of each leaf meta only the session is kept; speaker and turn_index go.
+        assert [leaf.session for leaf in tree.leaves()] == [1] * 6 + [2] * 5
+        assert {node.session for row in tree.layers[:-1] for node in row} == {None}
         assert tree.agg_call_count == 0
 
     def test_reserializes_as_version_three(self):
@@ -902,9 +877,9 @@ class TestVersionOneDocument:
         assert doc["version"] == 3
         assert set(doc) == {"format", "version", "memory_length", "aggregator", "layers", "meta"}
         assert doc["layers"] == [[entry["text"] for entry in row] for row in v1["layers"]]
-        # Every leaf's turn_index differs, so each leaf is a run of its own.
+        # The leaves of each session are one run.
         assert doc["meta"] == [[[1, None]], [[2, None]], [[4, None]],
-                               [[1, entry["meta"]] for entry in v1["layers"][-1]]]
+                               [[6, {"session": 1}], [5, {"session": 2}]]]
 
     def test_next_insert_costs_what_it_cost_in_version_one(self):
         tree = HatTree.deserialize(V1_DOCUMENT)
@@ -912,13 +887,13 @@ class TestVersionOneDocument:
         assert tree.agg_call_count == 1
         rebuilt = HatTree(3, TruncateAggregator(5))
         for text, leaf in zip(V1_LEAVES, tree.leaves()):
-            rebuilt.insert_leaf(text, meta=leaf.meta)
+            rebuilt.insert_leaf(text, session=leaf.session)
         rebuilt.insert_leaf("user: one more turn here")
         assert tree.serialize() == rebuilt.serialize()
 
 
 # Written by the indented version-2 format: M=3, concat(" | "), 5 leaves
-# with meta, one of them with non-ASCII text.
+# with meta (session, speaker and turn index), one of them with non-ASCII text.
 INDENTED_V2_DOCUMENT = r"""{
   "aggregator": {
     "kind": "concat",
@@ -999,20 +974,21 @@ class TestIndentedVersionTwoDocument:
         tree = HatTree.deserialize(INDENTED_V2_DOCUMENT)
         assert (tree.memory_length, tree.aggregator.spec()) == (3, doc["aggregator"])
         assert texts_by_position(tree) == [[entry["text"] for entry in row] for row in doc["layers"]]
-        assert [node.meta for row in tree.layers for node in row] == \
-            [entry["meta"] for row in doc["layers"] for entry in row]
+        assert [[node.session for node in row] for row in tree.layers] == \
+            [[None], [None, None], [1, 1, 1, 2, 2]]
         assert tree.agg_call_count == 0
 
     def test_reserializes_compact_as_a_rebuilt_tree(self):
         tree = HatTree.deserialize(INDENTED_V2_DOCUMENT)
         rebuilt = HatTree(3, ConcatAggregator(" | "))
         for leaf in json.loads(INDENTED_V2_DOCUMENT)["layers"][-1]:
-            rebuilt.append_leaf(leaf["text"], meta=leaf["meta"])
+            rebuilt.append_leaf(leaf["text"], session=leaf["meta"]["session"])
         document = tree.serialize()
         assert document == rebuilt.serialize()
         v2 = json.loads(INDENTED_V2_DOCUMENT)
         v3 = dict(v2, version=3, layers=[[entry["text"] for entry in row] for row in v2["layers"]],
-                  meta=[json_runs([entry["meta"] for entry in row]) for row in v2["layers"]])
+                  meta=[session_runs([(entry["meta"] or {}).get("session") for entry in row])
+                        for row in v2["layers"]])
         assert document == json.dumps(v3, sort_keys=True, separators=(",", ":")) + "\n"
 
 
