@@ -73,6 +73,6 @@ from .traversal import (
     fallback_context,
     traverse,
 )
-from .tree import HatTree, Node
+from .tree import HatTree
 
 __version__ = "0.1.0"

@@ -218,8 +218,8 @@ def cmd_inspect(args) -> int:
     print(f"depth: {tree.depth()}")
     for layer_index, row in enumerate(tree.layers):
         print(f"layer {layer_index}: {len(row)} node(s)")
-        for index, node in enumerate(row):
-            preview = node.text if len(node.text) <= width else node.text[: width - 3] + "..."
+        for index, text in enumerate(row):
+            preview = text if len(text) <= width else text[: width - 3] + "..."
             print(f"  ({layer_index},{index}) text={preview!r}")
     return EXIT_OK
 

@@ -10,8 +10,7 @@ read, and a file with any other key is refused. The keys read are:
   params.
 
 Aggregator parameters go only in the nested form, for example
-{"aggregator": {"kind": "truncate", "params": {"budget": 16}}}; a file that
-still holds the removed flat keys separator or truncate_budget is told so.
+{"aggregator": {"kind": "truncate", "params": {"budget": 16}}}.
 """
 
 from __future__ import annotations
@@ -31,8 +30,6 @@ _AGGREGATOR = ("a kind string or an object with only the keys kind and params",
 # Each key the file may hold: what its value must be, and the test for it.
 _FILE_KEYS = {"endpoint": _STRING, "api_key": _STRING, "model": _STRING,
               "memory_length": _INTEGER, "aggregator": _AGGREGATOR, "budget": _INTEGER}
-# Removed flat keys: each one's aggregator kind and parameter name.
-_REMOVED_KEYS = {"separator": ("concat", "separator"), "truncate_budget": ("truncate", "budget")}
 
 
 def load_config_file(path: Optional[str]) -> dict:
@@ -47,11 +44,6 @@ def load_config_file(path: Optional[str]) -> dict:
         raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigurationError(f"config file {path} must hold a JSON object")
-    for key, (kind, param) in _REMOVED_KEYS.items():
-        if key in config:
-            nested = json.dumps({"aggregator": {"kind": kind, "params": {param: config[key]}}})
-            raise ConfigurationError(f"config file {path}: the key {key!r} is no longer read; "
-                                     f"write {nested} instead")
     for key, value in config.items():
         if key not in _FILE_KEYS:
             raise ConfigurationError(f"config file {path}: unknown key {key!r}; "

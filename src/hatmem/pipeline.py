@@ -59,8 +59,8 @@ STRATEGIES = ("all_context", "part_context", "gold_memory", "hat_bfs", "hat_dfs"
 class MemoryState:
     """A tree plus its session records.
 
-    A turn's session is stored once, as its leaf's `session`, so a loaded
-    tree or a leaf appended straight to the tree counts as well.
+    A turn's session is stored once, in the tree's `leaf_sessions`, so a
+    loaded tree or a leaf appended straight to the tree counts as well.
     """
 
     tree: HatTree
@@ -68,12 +68,12 @@ class MemoryState:
 
     @property
     def sessions(self) -> set[int]:
-        return set(_leaf_sessions(self.tree))
+        return set(self.tree.leaf_sessions) - {None}
 
 
 def _leaf_sessions(tree: HatTree):
     """The session of each leaf that has one, newest leaf first."""
-    return (leaf.session for leaf in reversed(tree.leaves()) if leaf.session is not None)
+    return (session for session in reversed(tree.leaf_sessions) if session is not None)
 
 
 def new_memory(memory_length: int, aggregator) -> MemoryState:
@@ -133,12 +133,13 @@ def build_context(state: MemoryState, query: str, strategy: str, *,
     if not tree.layers:
         raise InvalidParameterError("no turns ingested yet")
     if strategy == "all_context":
-        return "\n".join(leaf.text for leaf in tree.leaves())
+        return "\n".join(tree.layers[-1])
     if strategy == "part_context":
         current = max(_leaf_sessions(tree), default=None)
         if current is None:
             raise InvalidParameterError("part_context needs turns that name their session")
-        return "\n".join(leaf.text for leaf in tree.leaves() if leaf.session == current)
+        return "\n".join(text for text, session in zip(tree.layers[-1], tree.leaf_sessions)
+                         if session == current)
     if strategy == "gold_memory":
         if not gold:
             raise ConfigurationError("gold_memory strategy requested but no gold memory provided")

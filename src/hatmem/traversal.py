@@ -156,19 +156,19 @@ def traverse(tree: HatTree, agent, query: str, config: Optional[TraversalConfig]
     if not tree.layers:
         raise InvalidParameterError("cannot traverse an empty tree")
     end = min(len(tree.layers), MAX_CONCURRENT_CALLS + 1, config.step_budget)
-    chain = [(tree.node_at(layer, 0).text, [(Cursor(above, 0), TraversalAction.DOWN) for above in range(layer)])
+    chain = [(tree.node_at(layer, 0), [(Cursor(above, 0), TraversalAction.DOWN) for above in range(layer)])
              for layer in range(end)]
     answers = _ask_ahead(lambda question: agent.propose_action(question[0], query, question[1]), chain)
     cursor = Cursor(0, 0)
     path: list[tuple[Cursor, TraversalAction]] = []
     while len(path) < config.step_budget:
-        node = tree.node_at(cursor.layer, cursor.index)
+        text = tree.node_at(cursor.layer, cursor.index)
         action = next(answers, None)
         if action is None:
-            action = agent.propose_action(node.text, query, path)
+            action = agent.propose_action(text, query, path)
         path.append((cursor, action))
         if action is TraversalAction.ACCEPT:
-            return TraversalResult(Outcome.SUFFICIENT, node.text, path)
+            return TraversalResult(Outcome.SUFFICIENT, text, path)
         if action is TraversalAction.REJECT:
             return TraversalResult(Outcome.INSUFFICIENT, None, path)
         moved = apply_action(tree, cursor, action)
@@ -194,7 +194,7 @@ def _scan(tree: HatTree, oracle, query: str, config: Optional[TraversalConfig], 
     budget = config.step_budget
     # One node past the budget tells running out of budget from running out of nodes.
     visits = list(islice(order, budget + 1))
-    texts = [tree.node_at(cursor.layer, cursor.index).text for cursor in visits[:budget]]
+    texts = [tree.node_at(cursor.layer, cursor.index) for cursor in visits[:budget]]
     answers = _ask_ahead(lambda text: oracle.sufficient(text, query), list(dict.fromkeys(texts)))
     verdicts: dict[str, object] = {}
     path: list[tuple[Cursor, TraversalAction]] = []
@@ -242,10 +242,9 @@ def dfs_search(tree: HatTree, oracle, query: str, config: Optional[TraversalConf
 
 def fallback_context(tree: HatTree) -> str:
     """Broadest summary plus freshest detail, for walks that come back empty."""
-    leaves = tree.leaves()
-    if not leaves:
+    if not tree.layers:
         raise InvalidParameterError("cannot build fallback context from an empty tree")
-    return tree.root_text() + "\n" + leaves[-1].text
+    return tree.root_text() + "\n" + tree.layers[-1][-1]
 
 
 # ------------------------------------------------------------------- agents

@@ -4,18 +4,18 @@ The tree stores dialogue turns as leaves in its last layer. Every internal
 node's text is the aggregate of its children's texts, and layer 0 always
 holds the single root. Node (layer k, index i) has its parent at
 (k-1, i // M) and its children at (k+1, i*M) up to (k+1, i*M + M - 1), where
-M is the memory length. Nothing else is stored: a layer is a list of nodes,
+M is the memory length. Nothing else is stored: a layer is a list of texts,
 and layer k of an n-leaf tree holds ceil(n / M ** (depth - k)) of them. When
 the leaf layer is full (M ** depth leaves), a new root layer is prepended.
 
-Appending a leaf only places it, with `None` text on any internal node it
-creates; no aggregator runs. `flush` works up from the leaves appended since
-the last flush, one layer at a time: it aggregates the parents of the nodes
-that changed, and a node changed when it is new or its new text differs
-from its old one. A node whose children did not change is not aggregated
-again, and the flush stops at the first layer where nothing changed. Every
-public read of internal text flushes first, and `insert_leaf` is an append
-plus a flush. A flush sends one layer's chat (`llm_persona`) aggregations
+Appending a leaf only places it, with `None` for the text of any internal
+node it creates; no aggregator runs. `flush` works up from the leaves
+appended since the last flush, one layer at a time: it aggregates the
+parents of the nodes that changed, and a node changed when it is new or its
+new text differs from its old one. A node whose children did not change is
+not aggregated again, and the flush stops at the first layer where nothing
+changed. Every public read of internal text flushes first, and
+`insert_leaf` is an append plus a flush. A flush sends one layer's chat (`llm_persona`) aggregations
 concurrently on the process's one long-lived call pool, so at most
 MAX_CONCURRENT_CALLS (8) are in flight at a time across all flushes and
 walks; other kinds run on the calling thread.
@@ -26,25 +26,25 @@ before it. The flush commits only after that read has returned, and the read
 runs again on the flushed tree unless every text it used came through the
 flush unchanged.
 
-A node holds its text and, for a leaf, the integer session of its turn or
-None. A document (version 3) holds the format marker, the version, the
-memory length, the aggregator spec, each layer's texts (`layers`, root
-first) and each layer's node metas (`meta`) as runs. A run `[count, meta]`
-stands for `count` adjacent nodes of one session, with meta
-`{"session": s}`, or of none, with meta null, so the leaves of one session,
-or the internal nodes of a layer, write one run. Versions 2 and 1 wrote
-each node as a `{"text", "meta"}` object; loading one first rewrites it in
-memory as rows of texts and of one-node runs, so one reader checks every
-version. A meta's "session" must be an integer or null; its other keys, and
-the node ids, child ids, leaf count and per-node aggregation caches that
-version 1 also carried, are ignored. Trees are written as version 3.
+A node is its text. `layers` holds each layer's texts, root first, and
+`leaf_sessions` the integer session of each leaf's turn or None. A document
+(version 3) holds the format marker, the version, the memory length, the
+aggregator spec, `layers` as it is and each layer's node metas (`meta`) as
+runs. A run `[count, meta]` stands for `count` adjacent nodes of one session,
+with meta `{"session": s}`, or of none, with meta null, so the leaves of one
+session, or the internal nodes of a layer, write one run. Versions 2 and 1
+wrote each node as a `{"text", "meta"}` object; loading one first rewrites
+it in memory as rows of texts and of one-node runs, so one reader checks
+every version. A meta's "session" must be an integer or null; its other
+keys, a session on an internal node, and the node ids, child ids, leaf count
+and per-node aggregation caches that version 1 also carried, are ignored.
+Trees are written as version 3.
 """
 
 from __future__ import annotations
 
 import json
 import threading
-from dataclasses import dataclass
 from itertools import groupby, repeat
 from typing import Optional
 
@@ -60,27 +60,17 @@ DOC_VERSION = 3
 REMOTE_AGGREGATOR_KIND = "llm_persona"
 
 
-@dataclass
-class Node:
-    """One tree node; leaves carry raw turn text and session, internal nodes aggregates.
-
-    An internal node's text is None until the first flush that covers it,
-    and its session is None.
-    """
-
-    text: Optional[str]
-    session: Optional[int] = None
-
-
 class HatTree:
     """The layered tree plus its aggregator binding and call instrumentation.
 
-    `layers` lists the rows top-down, root first, always sized for the
-    current leaf count. A node is its text and its session: no id, no links
-    and no cache, since its position fixes its parent and children, and a
-    flush re-aggregates only nodes whose children changed. `serialize` writes
-    document version 3, each layer's sessions as runs of equal sessions;
-    `deserialize` reads versions 3, 2 and 1.
+    `layers` lists the rows of texts top-down, root first, always sized for
+    the current leaf count; an internal text is None until the first flush
+    that covers it. `leaf_sessions` holds each leaf's session, an integer or
+    None. A node has no id, no links and no cache, since its position fixes
+    its parent and children, and a flush re-aggregates only nodes whose
+    children changed. `serialize` writes document version 3, the leaves'
+    sessions as runs of equal sessions; `deserialize` reads versions 3, 2
+    and 1.
 
     Writers must be exclusive: one append, flush or insert at a time. A read
     of internal text flushes first, so while leaves are unflushed a read is
@@ -100,7 +90,8 @@ class HatTree:
             raise InvalidParameterError(f"memory_length must be >= 2, got {memory_length}")
         self.memory_length = memory_length
         self.aggregator = aggregator
-        self.layers: list[list[Node]] = []
+        self.layers: list[list[Optional[str]]] = []
+        self.leaf_sessions: list[Optional[int]] = []
         self.agg_call_count = 0
         # Leaves whose ancestors the last successful flush aggregated.
         self.flushed_leaves = 0
@@ -109,7 +100,7 @@ class HatTree:
 
     @property
     def leaf_count(self) -> int:
-        return len(self.layers[-1]) if self.layers else 0
+        return len(self.leaf_sessions)
 
     def depth(self) -> int:
         return max(len(self.layers) - 1, 0)
@@ -119,27 +110,21 @@ class HatTree:
             raise NotFoundError(f"layer {layer} out of range (depth {self.depth()})")
         return len(self.layers[layer])
 
-    def node_at(self, layer: int, index: int) -> Node:
-        node = self._node(layer, index)
+    def node_at(self, layer: int, index: int) -> str:
+        """The text of node (layer, index), flushing first."""
+        self._check_index(layer, index)
         self.flush()
-        return node
+        return self.layers[layer][index]
 
-    def _node(self, layer: int, index: int) -> Node:
+    def _check_index(self, layer: int, index: int) -> None:
         size = self.layer_size(layer)
         if index < 0 or index >= size:
             raise NotFoundError(f"index {index} out of range in layer {layer} (size {size})")
-        return self.layers[layer][index]
 
-    def root(self) -> Node:
+    def root_text(self) -> str:
         if not self.layers:
             raise NotFoundError("tree is empty")
         return self.node_at(0, 0)
-
-    def root_text(self) -> str:
-        return self.root().text
-
-    def leaves(self) -> list[Node]:
-        return list(self.layers[-1]) if self.layers else []
 
     # ----------------------------------------------------------------- writes
 
@@ -147,7 +132,7 @@ class HatTree:
         """Place one leaf without aggregating; return its index in the leaf layer.
 
         Grows a new root layer first when the leaf layer is at capacity, and
-        adds a `None`-text node to each layer above that needs one more. The
+        adds a `None` text to each layer above that needs one more node. The
         ancestors are aggregated by the next `flush` or read of internal text.
         The session is the turn's session number, an integer, or None.
         """
@@ -161,12 +146,13 @@ class HatTree:
             # The root layer and the leaf layer appear with the first leaf.
             self.layers = [[], []]
         elif self.leaf_count == M ** self.depth():
-            self.layers.insert(0, [Node(None)])
-        self.layers[-1].append(Node(text, session))
+            self.layers.insert(0, [None])
+        self.layers[-1].append(text)
+        self.leaf_sessions.append(session)
         for k in range(len(self.layers) - 2, -1, -1):
             if len(self.layers[k]) * M >= len(self.layers[k + 1]):
                 break
-            self.layers[k].append(Node(None))
+            self.layers[k].append(None)
         return self.leaf_count - 1
 
     def insert_leaf(self, text: str, session: Optional[int] = None) -> int:
@@ -185,6 +171,7 @@ class HatTree:
             del self.layers[: len(self.layers) - len(sizes)]
             for row, size in zip(self.layers, sizes):
                 del row[size:]
+            self.leaf_sessions.pop()
             raise
         return index
 
@@ -216,7 +203,7 @@ class HatTree:
                 break
             parents = sorted({i // M for i in changed})
             below = self.layers[k + 1]
-            inputs = [[texts.get((k + 1, j), below[j].text)
+            inputs = [[texts.get((k + 1, j), below[j])
                        for j in range(i * M, min((i + 1) * M, len(below)))]
                       for i in parents]
             if self.aggregator.kind == REMOTE_AGGREGATOR_KIND:
@@ -224,12 +211,12 @@ class HatTree:
             else:
                 aggregated = [self.aggregator.aggregate(child_texts) for child_texts in inputs]
             texts.update(((k, i), text) for i, text in zip(parents, aggregated))
-            changed = [i for i, text in zip(parents, aggregated) if text != self.layers[k][i].text]
+            changed = [i for i, text in zip(parents, aggregated) if text != self.layers[k][i]]
         return texts
 
     def _commit(self, texts: dict[tuple[int, int], str]) -> None:
         for (k, i), text in texts.items():
-            self.layers[k][i].text = text
+            self.layers[k][i] = text
         self.agg_call_count += len(texts)
         self.flushed_leaves = self.leaf_count
 
@@ -278,7 +265,7 @@ class HatTree:
         if "error" in flushed:
             raise flushed["error"]
         self._commit(flushed["texts"])
-        if stopped or any(self.layers[k][i].text != text for (k, i), text in view.served.items()):
+        if stopped or any(self.layers[k][i] != text for (k, i), text in view.served.items()):
             return read(self)
         if failure is not None:
             raise failure
@@ -294,13 +281,15 @@ class HatTree:
         encoder do the work; `deserialize` also reads indented documents.
         """
         self.flush()
+        # An internal node has no session, so each internal layer is one null run.
+        meta = [[[len(row), None]] for row in self.layers[:-1]] + [_meta_runs(self.leaf_sessions)]
         doc = {
             "format": DOC_FORMAT,
             "version": DOC_VERSION,
             "memory_length": self.memory_length,
             "aggregator": self.aggregator.spec(),
-            "layers": [[node.text for node in row] for row in self.layers],
-            "meta": [_meta_runs(row) for row in self.layers],
+            "layers": self.layers,
+            "meta": meta if self.layers else [],
         }
         return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
@@ -309,12 +298,13 @@ class HatTree:
         """Rebuild a tree from `serialize` output, version 3, 2 or 1.
 
         Each row of node objects in version 2 or 1 becomes texts and runs
-        `[1, meta]`, so every version gets `_read_runs`'s checks. Texts and
-        sessions round-trip; a meta's keys other than "session" are ignored.
-        agg_call_count resets to 0 and every leaf counts as flushed. With
-        aggregator=None the aggregator is rebuilt from the document's
-        recorded kind and params. JSON nested too deep to parse is a
-        `DocumentParseError` too.
+        `[1, meta]`, so every version gets `_read_runs`'s checks. The tree
+        adopts the checked rows of texts. Texts and leaf sessions round-trip;
+        a meta's keys other than "session", and the session of an internal
+        node, are ignored. agg_call_count resets to 0 and every leaf counts
+        as flushed. The aggregator is rebuilt from the document's recorded
+        kind and params; a bound aggregator must have the rebuilt one's
+        spec. JSON nested too deep to parse is a `DocumentParseError` too.
         """
         from .aggregation import aggregator_from_spec
 
@@ -348,17 +338,19 @@ class HatTree:
         agg_spec = doc.get("aggregator")
         if not isinstance(agg_spec, dict) or "kind" not in agg_spec:
             raise DocumentParseError("missing aggregator spec")
+        try:
+            recorded = aggregator_from_spec(agg_spec["kind"], agg_spec.get("params"))
+        except InvalidParameterError as exc:
+            raise DocumentParseError(str(exc)) from exc
         if aggregator is None:
-            try:
-                aggregator = aggregator_from_spec(agg_spec["kind"], agg_spec.get("params") or {})
-            except InvalidParameterError as exc:
-                raise DocumentParseError(str(exc)) from exc
-        elif aggregator.spec() != agg_spec:
-            raise DocumentParseError(
-                f"aggregator mismatch: document has {agg_spec!r}, caller bound {aggregator.spec()!r}")
+            aggregator = recorded
+        elif aggregator.spec() != recorded.spec():
+            raise DocumentParseError(f"aggregator mismatch: document has {recorded.spec()!r}, "
+                                     f"caller bound {aggregator.spec()!r}")
 
         tree = cls(memory_length, aggregator)
-        tree.layers = _read_runs(layers_doc, meta_doc)
+        tree.leaf_sessions = _read_runs(layers_doc, meta_doc)
+        tree.layers = layers_doc
         tree.flushed_leaves = tree.leaf_count
         return tree
 
@@ -381,28 +373,32 @@ class _PreFlushView:
         # (layer, index) -> the pre-flush text served for it.
         self.served: dict[tuple[int, int], str] = {}
 
-    def node_at(self, layer: int, index: int) -> Node:
-        node = self._tree._node(layer, index)
-        if node.text is None:
+    def node_at(self, layer: int, index: int) -> str:
+        self._tree._check_index(layer, index)
+        text = self.layers[layer][index]
+        if text is None:
             raise _Unflushed
-        self.served[layer, index] = node.text
-        return node
+        self.served[layer, index] = text
+        return text
 
 
-def _meta_runs(row: list[Node]) -> list[list]:
-    """The row's sessions as runs `[count, {"session": s} or null]` of adjacent equal sessions."""
+def _meta_runs(sessions: list[Optional[int]]) -> list[list]:
+    """The sessions as runs `[count, {"session": s} or null]` of adjacent equal sessions."""
     return [[len(list(group)), None if session is None else {"session": session}]
-            for session, group in groupby(node.session for node in row)]
+            for session, group in groupby(sessions)]
 
 
-def _read_runs(layers_doc: list, meta_doc) -> list[list[Node]]:
-    """Each layer's nodes from its texts and the sessions of its meta runs."""
+def _read_runs(layers_doc: list, meta_doc) -> list[Optional[int]]:
+    """The leaf sessions of the meta runs, once every layer's texts and runs check out.
+
+    A session in an internal layer's runs is checked, then dropped.
+    """
     for k, row in enumerate(layers_doc):
         if not set(map(type, row)) <= {str}:
             raise DocumentParseError(f"layer {k}: every text must be a string")
     if not isinstance(meta_doc, list) or len(meta_doc) != len(layers_doc):
         raise DocumentParseError("meta must hold one run list per layer")
-    layers = []
+    counted = []
     for k, (row, runs) in enumerate(zip(layers_doc, meta_doc)):
         if not isinstance(runs, list):
             raise DocumentParseError(f"layer {k}: meta runs must be a list")
@@ -421,9 +417,8 @@ def _read_runs(layers_doc: list, meta_doc) -> list[list[Node]]:
         covered = sum(count for count, _ in counted)
         if covered != len(row):
             raise DocumentParseError(f"layer {k}: meta runs cover {covered} nodes, not {len(row)}")
-        sessions = [s for count, session in counted for s in repeat(session, count)]
-        layers.append(list(map(Node, row, sessions)))
-    return layers
+    # The leaf layer is the last, so its runs are the ones left in `counted`.
+    return [s for count, session in counted for s in repeat(session, count)]
 
 
 def _layer_sizes(leaf_count: int, memory_length: int) -> list[int]:

@@ -90,9 +90,8 @@ class TestIngest:
     def test_leaf_text_and_meta(self):
         state = new_memory(2, ConcatAggregator())
         ingest_turn(state, turn("user", "hello", session=3, index=7))
-        leaf = state.tree.leaves()[0]
-        assert leaf.text == "user: hello"
-        assert leaf.session == 3
+        assert state.tree.layers[-1] == ["user: hello"]
+        assert state.tree.leaf_sessions == [3]
 
     @pytest.mark.parametrize("session", ["1", True, 1.0], ids=["digit-string", "bool", "whole-float"])
     def test_session_that_is_not_an_integer_is_refused(self, session):
@@ -100,7 +99,8 @@ class TestIngest:
         ingest_turn(state, turn("user", "hello", session=1))
         with pytest.raises(InvalidParameterError):
             ingest_turn(state, turn("user", "again", session=session))
-        assert [leaf.text for leaf in state.tree.leaves()] == ["user: hello"]
+        assert state.tree.layers[-1] == ["user: hello"]
+        assert state.tree.leaf_sessions == [1]
         assert state.sessions == {1}
 
     def test_first_turn_depth_one(self):
@@ -133,8 +133,7 @@ class TestEndSession:
     def test_snapshot_is_flat_join(self):
         state = filled_state()
         snapshot = end_session(state, 2)
-        leaves = [leaf.text for leaf in state.tree.leaves()]
-        assert snapshot == "\n".join(leaves)
+        assert snapshot == "\n".join(state.tree.layers[-1])
         assert state.session_snapshots[2] == snapshot
 
     def test_idempotent_without_new_turns(self):
@@ -232,7 +231,7 @@ class TestBuildContext:
     def test_all_context_is_full_join(self):
         state = filled_state()
         context = build_context(state, "q", "all_context")
-        assert context == "\n".join(leaf.text for leaf in state.tree.leaves())
+        assert context == "\n".join(state.tree.layers[-1])
 
     def test_part_context_is_current_session_only(self):
         state = filled_state()
@@ -270,13 +269,13 @@ class TestBuildContext:
 
     def test_insufficient_falls_back_to_root_plus_newest(self):
         state = filled_state()
-        expected = state.tree.root_text() + "\n" + state.tree.leaves()[-1].text
+        expected = state.tree.root_text() + "\n" + state.tree.layers[-1][-1]
         context = build_context(state, "q", "hat_agent", agent=ScriptedAgent([A.REJECT]))
         assert context == expected
 
     def test_budget_exhaustion_falls_back_too(self):
         state = filled_state()
-        expected = state.tree.root_text() + "\n" + state.tree.leaves()[-1].text
+        expected = state.tree.root_text() + "\n" + state.tree.layers[-1][-1]
         agent = ScriptedAgent([A.DOWN, A.UP], cycle=True)
         context = build_context(state, "q", "hat_agent", agent=agent,
                                 config=TraversalConfig(step_budget=4))
@@ -284,7 +283,7 @@ class TestBuildContext:
 
     def test_oracle_search_finds_named_node(self):
         state = filled_state()
-        target = state.tree.node_at(1, 1).text
+        target = state.tree.node_at(1, 1)
         context = build_context(state, "q", "hat_bfs", oracle=TextSetOracle({target}))
         assert context == target
 
@@ -743,7 +742,7 @@ class TestWalkWhileFlushing:
     @pytest.mark.parametrize("strategy", WALKS)
     def test_a_new_root_layer_is_never_asked_about(self, strategy, flush_threads):
         state = concat_state(["a", "b", "c", "d"], flushed=3)
-        assert state.tree.layers[0][0].text is None
+        assert state.tree.layers[0][0] is None
         oracle = TextSetOracle()
         context = build_context(state, "q", strategy, oracle=oracle,
                                 agent=OracleAgent(oracle, [A.DOWN, A.RIGHT, A.RIGHT]))
@@ -780,7 +779,7 @@ class TestWalkWhileFlushing:
 
         def record():
             tree = state.tree
-            texts = [[node.text for node in row] for row in tree.layers]
+            texts = [list(row) for row in tree.layers]
             return texts, tree.agg_call_count, tree.flushed_leaves
 
         before = record()

@@ -128,7 +128,7 @@ class TestTraverse:
         tree = build_tree(4)
         result = traverse(tree, ScriptedAgent([A.DOWN, A.RIGHT, A.ACCEPT]), "q")
         assert result.outcome is Outcome.SUFFICIENT
-        assert result.text == tree.node_at(1, 1).text
+        assert result.text == tree.node_at(1, 1)
         assert result.steps == 3
         assert [cursor for cursor, _ in result.path] == [Cursor(0, 0), Cursor(1, 0), Cursor(1, 1)]
 
@@ -222,10 +222,10 @@ class TestTraverse:
 
             expected = plain_walk(
                 sizes, M,
-                lambda coord, path: choose(tree.node_at(*coord).text, tuple(path)).value, budget)
+                lambda coord, path: choose(tree.node_at(*coord), tuple(path)).value, budget)
             result = traverse(tree, PureAgent(), "q", TraversalConfig(step_budget=budget))
             assert result.outcome.value == expected["outcome"]
-            assert result.text == (tree.node_at(*expected["coord"]).text
+            assert result.text == (tree.node_at(*expected["coord"])
                                    if expected["coord"] else None)
             assert result.steps == expected["steps"]
             assert [((c.layer, c.index), a.value) for c, a in result.path] == expected["path"]
@@ -254,7 +254,7 @@ class TestTraverse:
         agent = CountingAgent(FailingAgent(ScriptedAgent([A.DOWN, A.ACCEPT]), fail_at_step=2))
         result = traverse(tree, agent, "q", TraversalConfig(step_budget=100))
         assert result.outcome is Outcome.SUFFICIENT
-        assert result.text == tree.node_at(1, 0).text
+        assert result.text == tree.node_at(1, 0)
         assert result.steps == 2
         assert agent.calls == 4
 
@@ -274,7 +274,7 @@ class TestTraverse:
 
     def test_oracle_agent_accepts_at_match(self):
         tree = build_tree(4)
-        target = tree.node_at(2, 2).text
+        target = tree.node_at(2, 2)
         result = traverse(tree, OracleAgent(TextSetOracle({target})), "q",
                           TraversalConfig(step_budget=16))
         assert result.outcome is Outcome.SUFFICIENT
@@ -308,16 +308,16 @@ class TestSearches:
 
     def test_bfs_prefers_shallowest_then_leftmost(self):
         tree = build_tree(4)
-        targets = {tree.node_at(2, 3).text, tree.node_at(1, 1).text}
+        targets = {tree.node_at(2, 3), tree.node_at(1, 1)}
         result = bfs_search(tree, TextSetOracle(targets), "q")
-        assert result.text == tree.node_at(1, 1).text
+        assert result.text == tree.node_at(1, 1)
 
     def test_dfs_prefers_preorder_first(self):
         tree = build_tree(4)
         # Pre-order: (0,0) (1,0) (2,0) (2,1) (1,1) (2,2) (2,3)
-        targets = {tree.node_at(2, 1).text, tree.node_at(1, 1).text}
+        targets = {tree.node_at(2, 1), tree.node_at(1, 1)}
         result = dfs_search(tree, TextSetOracle(targets), "q")
-        assert result.text == tree.node_at(2, 1).text
+        assert result.text == tree.node_at(2, 1)
 
     def test_planted_phrase_search(self):
         tree = HatTree(2, ConcatAggregator("\n"))
@@ -336,10 +336,9 @@ class TestSearches:
         result = bfs_search(tree, SubstringOracle("zq"), "q",
                             TraversalConfig(step_budget=50))
         assert result.outcome is Outcome.SUFFICIENT
-        leaf = tree.node_at(3, 5)
         assert result.path[-1][0] in (Cursor(3, 5), Cursor(2, 2))
         assert "zq" in result.text
-        assert leaf.text == "zq marker"
+        assert tree.node_at(3, 5) == "zq marker"
 
     def test_rejected_text_is_not_asked_again(self):
         tree = HatTree(2, TruncateAggregator(budget=2))
@@ -362,13 +361,13 @@ class TestSearches:
             for _ in range(rng.randint(1, 30)):
                 tree.insert_leaf(" ".join(f"w{rng.randrange(4)}" for _ in range(rng.randint(1, 3))))
             sizes = [tree.layer_size(k) for k in range(len(tree.layers))]
-            texts = sorted({tree.node_at(k, i).text for k, i in bfs_visit_order(sizes)})
+            texts = sorted({tree.node_at(k, i) for k, i in bfs_visit_order(sizes)})
             targets = set(rng.sample(texts, rng.randint(0, min(2, len(texts)))))
             budget = rng.randint(1, sum(sizes) + 2)
             config = TraversalConfig(step_budget=budget)
             for search, order in ((bfs_search, bfs_visit_order(sizes)),
                                   (dfs_search, dfs_visit_order(sizes, M))):
-                text_at = lambda c: tree.node_at(*c).text  # noqa: E731
+                text_at = lambda c: tree.node_at(*c)  # noqa: E731
                 is_sufficient = lambda text: text in targets  # noqa: E731
                 expected = plain_scan(order, text_at, is_sufficient, budget)
                 oracle = TextSetOracle(targets)
@@ -392,12 +391,12 @@ class TestSearches:
             texts = [f"n{i} w{rng.randrange(6)}" for i in range(leaves)]
             tree = build_tree(leaves, memory_length=M, texts=texts)
             sizes = [tree.layer_size(k) for k in range(len(tree.layers))]
-            node_texts = [tree.node_at(k, i).text for k, i in bfs_visit_order(sizes)]
+            node_texts = [tree.node_at(k, i) for k, i in bfs_visit_order(sizes)]
             targets = set(rng.sample(node_texts, rng.randint(0, 2)))
             config = TraversalConfig(step_budget=rng.randint(1, len(node_texts) + 2))
             for search, order in ((bfs_search, bfs_visit_order(sizes)),
                                   (dfs_search, dfs_visit_order(sizes, M))):
-                expected = plain_scan(order, lambda c: tree.node_at(*c).text,
+                expected = plain_scan(order, lambda c: tree.node_at(*c),
                                       lambda text: text in targets, config.step_budget)
                 n = len(set(expected["consulted"]))
                 oracle = TextSetOracle(targets)
@@ -427,7 +426,7 @@ class TestSearches:
         tree = HatTree(2, TruncateAggregator(budget=2))
         for text in ("a0 x", "a1 x", "a2 boom", "a3 x"):
             tree.insert_leaf(text)
-        assert tree.node_at(1, 1).text == "a2 boom"
+        assert tree.node_at(1, 1) == "a2 boom"
         transport = LoggingTransport(delay_s=0.001)
         transport.fail_on = "boom"
         oracle = LlmOracle(LlmClient(transport, model="m", sleep=lambda _s: None))

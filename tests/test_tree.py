@@ -56,26 +56,26 @@ def check_against_reference(tree: HatTree, leaves: list[str], separator: str):
     for k, layer in enumerate(spans):
         assert tree.layer_size(k) == len(layer)
         for i in range(len(layer)):
-            node = tree.node_at(k, i)
-            assert node.text == texts[k][i]
+            text = tree.node_at(k, i)
+            assert text == texts[k][i]
             if k > 0:
                 # The parent at (k-1, i // M) joins this node's text.
-                assert node.text in tree.node_at(k - 1, i // M).text
+                assert text in tree.node_at(k - 1, i // M)
             if k < tree.depth():
                 children = range(i * M, min((i + 1) * M, tree.layer_size(k + 1)))
-                assert node.text == separator.join(tree.node_at(k + 1, j).text for j in children)
-    assert [leaf.text for leaf in tree.leaves()] == leaves
+                assert text == separator.join(tree.node_at(k + 1, j) for j in children)
+    assert tree.layers[-1] == leaves
 
 
 def texts_by_position(tree: HatTree) -> list[list[str]]:
-    """Node texts per (layer, index), read without flushing."""
-    return [[node.text for node in row] for row in tree.layers]
+    """A copy of the node texts per (layer, index), read without flushing."""
+    return [list(row) for row in tree.layers]
 
 
 def raw_state(tree: HatTree):
-    """Texts and sessions per position, call count and flushed leaves, read without flushing."""
-    nodes = [[(node.text, node.session) for node in row] for row in tree.layers]
-    return nodes, tree.agg_call_count, tree.flushed_leaves
+    """Texts, leaf sessions, call count and flushed leaves, read without flushing."""
+    rows = texts_by_position(tree), list(tree.leaf_sessions)
+    return rows, tree.agg_call_count, tree.flushed_leaves
 
 
 class TestConstruction:
@@ -113,20 +113,20 @@ class TestInsertion:
         tree = HatTree(2, ConcatAggregator(" | "))
         tree.insert_leaf("t1")
         assert tree.root_text() == "t1"
-        assert [n.text for n in tree.leaves()] == ["t1"]
+        assert tree.layers[-1] == ["t1"]
         tree.insert_leaf("t2")
         assert tree.root_text() == "t1 | t2"
         assert tree.depth() == 1
         tree.insert_leaf("t3")
         assert tree.depth() == 2
         assert tree.root_text() == "t1 | t2 | t3"
-        assert [tree.node_at(1, i).text for i in range(2)] == ["t1 | t2", "t3"]
+        assert [tree.node_at(1, i) for i in range(2)] == ["t1 | t2", "t3"]
 
     def test_parent_of_index_seven_m3(self):
         tree = build_tree(8, memory_length=3)
-        assert tree.node_at(2, 7).text == "t7"
+        assert tree.node_at(2, 7) == "t7"
         assert tree.layer_size(1) == 3
-        assert tree.node_at(1, 7 // 3).text == "t6 | t7"
+        assert tree.node_at(1, 7 // 3) == "t6 | t7"
 
     def test_empty_text_rejected(self):
         tree = build_tree(2)
@@ -139,10 +139,9 @@ class TestInsertion:
         tree = HatTree(2, ConcatAggregator())
         index = tree.insert_leaf("hello", session=1)
         assert index == 0
-        assert tree.leaves()[index].session == 1
-        assert tree.node_at(0, 0).session is None
+        assert tree.leaf_sessions[index] == 1
         tree.insert_leaf("there")
-        assert tree.leaves()[1].session is None
+        assert tree.leaf_sessions == [1, None]
 
     # A leaf's session is an integer or None; nothing else is stored.
     @pytest.mark.parametrize("session", [{1: "a", "b": 2}, {1, 2}, float("nan"), [("a", 1)], "ab",
@@ -169,7 +168,7 @@ class TestInsertion:
     def test_insertion_order_preserved(self, rng):
         leaves = [f"{rng.random():.6f}" for _ in range(25)]
         tree = build_tree(25, memory_length=3, texts=leaves)
-        assert [leaf.text for leaf in tree.leaves()] == leaves
+        assert tree.layers[-1] == leaves
 
 
 class TestReads:
@@ -189,7 +188,7 @@ class TestReads:
     def test_children_ordered_oldest_first(self):
         tree = build_tree(4)
         assert tree.layer_size(1) == 2
-        assert [tree.node_at(1, i).text for i in range(2)] == ["t0 | t1", "t2 | t3"]
+        assert [tree.node_at(1, i) for i in range(2)] == ["t0 | t1", "t2 | t3"]
 
 
 class TestUpdateAndCache:
@@ -245,9 +244,9 @@ class TestDeferredAggregation:
         tree = HatTree(3, ConcatAggregator(" | "))
         for i in range(14):
             tree.append_leaf(f"t{i}")
-        assert tree.depth() == 3 and tree.leaves()[-1].text == "t13"
+        assert tree.depth() == 3 and tree.layers[-1][-1] == "t13"
         assert tree.agg_call_count == 0 and tree.flushed_leaves == 0
-        assert all(node.text is None for row in tree.layers[:-1] for node in row)
+        assert all(text is None for row in tree.layers[:-1] for text in row)
         assert tree.root_text() == " | ".join(f"t{i}" for i in range(14))
         assert tree.flushed_leaves == 14
 
@@ -273,6 +272,15 @@ class TestDeferredAggregation:
             check_against_reference(concat, leaves, " | ")
             truncate.flush()
             assert texts_by_position(truncate) == texts_by_position(eager)
+
+    def test_node_at_returns_the_flushed_text_of_a_node_appended_since_the_flush(self):
+        # The fifth leaf at M=2 prepends a root layer and adds (2, 2) and (1, 2).
+        tree = build_tree(4)
+        tree.append_leaf("t4")
+        assert tree.layers[0][0] is None and tree.layers[2][2] is None
+        assert tree.node_at(2, 2) == "t4"
+        assert tree.node_at(0, 0) == " | ".join(f"t{i}" for i in range(5))
+        assert tree.flushed_leaves == 5
 
     def test_one_flush_aggregates_each_node_once(self):
         eager = build_tree(14, memory_length=3)
@@ -301,7 +309,7 @@ class TestFailedFlush:
         for read in ("flush", "root_text", "serialize"):
             for fail_at in range(4):
                 agg, tree = self.pending_tree()
-                assert tree.layers[2][4].text is None
+                assert tree.layers[2][4] is None
                 before = raw_state(tree)
                 agg.fail_after = agg.calls + fail_at
                 with pytest.raises(RemoteUnavailableError):
@@ -350,10 +358,10 @@ class TestLayerParallelFlush:
             call_for = {call["reply"]: call for call in transport.calls}
             assert len(call_for) == len(transport.calls) == tree.agg_call_count
             for k, row in enumerate(tree.layers[:-2]):
-                for i, node in enumerate(row):
-                    parent_call = call_for[node.text]
+                for i, text in enumerate(row):
+                    parent_call = call_for[text]
                     for child in tree.layers[k + 1][i * M:(i + 1) * M]:
-                        assert call_for[child.text]["end"] < parent_call["start"]
+                        assert call_for[child]["end"] < parent_call["start"]
             calls = transport.calls
             assert any(a["start"] < b["start"] < a["end"] for a in calls for b in calls)
 
@@ -475,6 +483,19 @@ class TestAtomicity:
             tree.insert_leaf("boom")
         assert tree.serialize() == snapshot
 
+    @pytest.mark.parametrize("leaves", [5, 4], ids=["plain", "reroot"])
+    def test_failed_insert_leaves_the_leaf_sessions_as_they_were(self, leaves):
+        agg = FailingAggregator(fail_after=10 ** 9)
+        tree = HatTree(2, agg)
+        for i in range(leaves):
+            tree.insert_leaf(f"t{i}", session=i // 2)
+        before = list(tree.leaf_sessions)
+        agg.fail_after = agg.calls
+        with pytest.raises(RemoteUnavailableError):
+            tree.insert_leaf("boom", session=9)
+        assert tree.leaf_sessions == before
+        assert len(tree.layers[-1]) == len(tree.leaf_sessions) == tree.leaf_count == leaves
+
     def test_recovers_after_rollback(self):
         agg = FailingAggregator(fail_after=10 ** 9)
         tree = HatTree(2, agg)
@@ -486,7 +507,7 @@ class TestAtomicity:
         agg.armed = False
         tree.insert_leaf("t3")
         plain = build_tree(4, separator=" | ")
-        assert [l.text for l in tree.leaves()] == [l.text for l in plain.leaves()]
+        assert tree.layers[-1] == plain.layers[-1]
         assert tree.root_text() == plain.root_text()
 
 
@@ -507,7 +528,7 @@ class TestPersistence:
         clone.flush()
         for k in range(len(clone.layers)):
             for i in range(clone.layer_size(k)):
-                assert clone.node_at(k, i).text == tree.node_at(k, i).text
+                assert clone.node_at(k, i) == tree.node_at(k, i)
         assert clone.agg_call_count == 0
 
     def test_identical_sequences_serialize_identically(self):
@@ -520,8 +541,7 @@ class TestPersistence:
         tree.insert_leaf("a", session=1)
         tree.insert_leaf("b", session=2)
         clone = HatTree.deserialize(tree.serialize())
-        assert [leaf.session for leaf in clone.leaves()] == [1, 2]
-        assert clone.root().session is None
+        assert clone.leaf_sessions == [1, 2]
         # No cache is stored: a layer is its texts and its sessions' runs.
         doc = json.loads(clone.serialize())
         assert set(doc) == {"format", "version", "memory_length", "aggregator", "layers", "meta"}
@@ -538,6 +558,30 @@ class TestPersistence:
         doc = build_tree(3, separator="; ").serialize()
         with pytest.raises(DocumentParseError):
             HatTree.deserialize(doc, ConcatAggregator(" * "))
+
+    @pytest.mark.parametrize("params", [[], 0, False, ""],
+                             ids=["empty-list", "zero", "false", "empty-string"])
+    def test_aggregator_params_that_are_not_an_object_are_refused(self, params):
+        doc = json.loads(build_tree(3).serialize())
+        doc["aggregator"]["params"] = params
+        for bound in (None, ConcatAggregator(" | ")):
+            with pytest.raises(DocumentParseError, match="params must be an object"):
+                HatTree.deserialize(json.dumps(doc), bound)
+
+    @pytest.mark.parametrize("spec", [{"kind": "concat"}, {"kind": "concat", "params": None}],
+                             ids=["no-params", "null-params"])
+    def test_a_spec_without_params_loads_bound_or_unbound(self, spec):
+        tree = HatTree(2, ConcatAggregator())
+        tree.insert_leaf("a")
+        tree.insert_leaf("b")
+        document = tree.serialize()
+        doc = dict(json.loads(document), aggregator=spec)
+        for bound in (None, ConcatAggregator()):
+            loaded = HatTree.deserialize(json.dumps(doc), bound)
+            assert loaded.aggregator.spec() == {"kind": "concat", "params": {"separator": "\n"}}
+            assert loaded.serialize() == document
+        with pytest.raises(DocumentParseError, match="aggregator mismatch"):
+            HatTree.deserialize(json.dumps(doc), ConcatAggregator(" | "))
 
     def test_rejects_malformed_documents(self):
         with pytest.raises(DocumentParseError):
@@ -709,7 +753,7 @@ class TestVersionThreeDocument:
                 '[2,null],[1,{"session":1}],[1,{"session":1000000000000000000000000000000}],'
                 '[1,{"session":0}]]]') in document
         clone = HatTree.deserialize(document)
-        assert [leaf.session for leaf in clone.leaves()] == RUN_SESSIONS
+        assert clone.leaf_sessions == RUN_SESSIONS
         assert clone.serialize() == document
 
     def test_adjacent_metas_identical_as_json_share_a_run(self):
@@ -723,27 +767,31 @@ class TestVersionThreeDocument:
         assert doc["meta"][-1] == [[4, {"session": 1}], [2, {"session": 2}], [2, None],
                                    [1, {"session": 1}]]
         clone = HatTree.deserialize(document)
-        assert [leaf.session for leaf in clone.leaves()] == sessions
+        assert clone.leaf_sessions == sessions
         assert clone.serialize() == document
 
-    def test_each_loaded_node_owns_its_meta(self):
+    def test_a_session_on_an_internal_run_is_checked_then_dropped(self):
         tree = HatTree(2, TruncateAggregator(5))
-        for i in range(6):
-            tree.append_leaf(f"turn {i}", session=i // 3 + 1)
+        for i in range(3):
+            tree.append_leaf(f"turn {i}", session=1)
         document = tree.serialize()
-        assert json.loads(document)["meta"][-1] == [[3, {"session": 1}], [3, {"session": 2}]]
-        leaves = HatTree.deserialize(document).leaves()
-        assert len(set(map(id, leaves))) == 6
-        leaves[0].session = 9
-        leaves[3].session = None
-        assert [leaf.session for leaf in leaves] == [9, 1, 1, None, 2, 2]
+        doc = json.loads(document)
+        assert doc["meta"][:2] == [[[1, None]], [[2, None]]]
+        doc["meta"][0] = [[1, {"session": 4}]]
+        doc["meta"][1] = [[1, None], [1, {"session": 4}]]
+        clone = HatTree.deserialize(json.dumps(doc))
+        assert clone.leaf_sessions == [1, 1, 1]
+        assert clone.serialize() == document
+        doc["meta"][1][1][1] = {"session": "4"}
+        with pytest.raises(DocumentParseError, match="layer 1 meta run 1"):
+            HatTree.deserialize(json.dumps(doc))
 
     def test_a_deeply_nested_meta_loads_for_every_node_of_its_run(self):
         # A meta's keys other than "session" are ignored, however deep.
         doc = json.loads(build_tree(3).serialize())
         doc["meta"][-1] = [[3, {"session": 4, "x": json.loads("[" * 600 + "]" * 600)}]]
         clone = HatTree.deserialize(json.dumps(doc))
-        assert [leaf.session for leaf in clone.leaves()] == [4] * 3
+        assert clone.leaf_sessions == [4] * 3
         assert json.loads(clone.serialize())["meta"][-1] == [[3, {"session": 4}]]
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
@@ -764,7 +812,7 @@ class TestVersionThreeDocument:
             doc["meta"][-1][0][1] = meta
         document = json.dumps(doc)
         loaded = HatTree.deserialize(document.replace("0.5", value))
-        assert [leaf.session for leaf in loaded.leaves()] == [1, None]
+        assert loaded.leaf_sessions == [1, None]
         with pytest.raises(DocumentParseError):
             HatTree.deserialize(document.replace('"session": 1', f'"session": {value}'))
 
@@ -865,10 +913,9 @@ class TestVersionOneDocument:
         v1 = json.loads(V1_DOCUMENT)
         tree = HatTree.deserialize(V1_DOCUMENT)
         assert texts_by_position(tree) == [[entry["text"] for entry in row] for row in v1["layers"]]
-        assert [leaf.text for leaf in tree.leaves()] == V1_LEAVES
+        assert tree.layers[-1] == V1_LEAVES
         # Of each leaf meta only the session is kept; speaker and turn_index go.
-        assert [leaf.session for leaf in tree.leaves()] == [1] * 6 + [2] * 5
-        assert {node.session for row in tree.layers[:-1] for node in row} == {None}
+        assert tree.leaf_sessions == [1] * 6 + [2] * 5
         assert tree.agg_call_count == 0
 
     def test_reserializes_as_version_three(self):
@@ -886,8 +933,8 @@ class TestVersionOneDocument:
         tree.insert_leaf("user: one more turn here")
         assert tree.agg_call_count == 1
         rebuilt = HatTree(3, TruncateAggregator(5))
-        for text, leaf in zip(V1_LEAVES, tree.leaves()):
-            rebuilt.insert_leaf(text, session=leaf.session)
+        for text, session in zip(V1_LEAVES, tree.leaf_sessions):
+            rebuilt.insert_leaf(text, session=session)
         rebuilt.insert_leaf("user: one more turn here")
         assert tree.serialize() == rebuilt.serialize()
 
@@ -974,8 +1021,7 @@ class TestIndentedVersionTwoDocument:
         tree = HatTree.deserialize(INDENTED_V2_DOCUMENT)
         assert (tree.memory_length, tree.aggregator.spec()) == (3, doc["aggregator"])
         assert texts_by_position(tree) == [[entry["text"] for entry in row] for row in doc["layers"]]
-        assert [[node.session for node in row] for row in tree.layers] == \
-            [[None], [None, None], [1, 1, 1, 2, 2]]
+        assert tree.leaf_sessions == [1, 1, 1, 2, 2]
         assert tree.agg_call_count == 0
 
     def test_reserializes_compact_as_a_rebuilt_tree(self):
