@@ -16,11 +16,12 @@ offline without canned transcripts. Only `HttpTransport.send` loads the
 HTTP stack (`http.client`, `urllib.request`, and through them `ssl` and
 `email`), so importing the package or building a client does not.
 
-`call_concurrently` runs every batch of two or more calls on one thread pool
-of MAX_CONCURRENT_CALLS workers, shared by all batches and kept for the life
-of the process. The first such batch creates it, and only then is
-`concurrent.futures` (and through it `logging`) imported, so a run that
-never sends two calls at once loads neither.
+`call_concurrently` runs every batch of two or more calls on one pool of
+MAX_CONCURRENT_CALLS daemon worker threads that take jobs from one queue,
+shared by all batches and kept for the life of the process. The first such
+batch starts them, and only then is `queue` imported. Exit does not wait for
+an idle worker, and a batch whose caller is interrupted (say by Ctrl-C)
+skips its calls that have not started.
 
 `remembered(client, request)` is the one reply memo of the package: the
 walks' agent and oracle and the reply step send through it, each client
@@ -254,33 +255,32 @@ class LlmClient:
 
 
 _on_pool = threading.local()
-_pool = None
-_lock = threading.Lock()  # guards `_pool` and `_memos`
+_jobs = None  # the workers' one job queue
+_lock = threading.Lock()  # guards `_jobs` and `_memos`
 
 
-def _mark_worker():
+def _work(jobs):
     _on_pool.worker = True
+    while True:
+        _run(*jobs.get())  # the job's references go when `_run` returns
 
 
-def _shared_pool():
-    """The process's one call pool; its idle workers exit at interpreter exit."""
-    global _pool
-    with _lock:
-        if _pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _pool = ThreadPoolExecutor(max_workers=MAX_CONCURRENT_CALLS,
-                                       thread_name_prefix="hatmem-call",
-                                       initializer=_mark_worker)
-        return _pool
+def _run(call, item, index, failed, reports):
+    if failed:  # another call of the batch raised, or its caller was interrupted
+        return reports.put((index, None, None))
+    try:
+        reports.put((index, call(item), None))
+    except BaseException as error:
+        failed.append(True)
+        reports.put((index, None, error))
 
 
 def _forget_pool():
-    # A forked child has none of its parent's worker threads, and a full pool
-    # starts no new ones, so the child's first batch would wait forever; nor
-    # has it the thread that may have held the lock at the fork.
-    global _pool, _lock
-    _pool, _lock = None, threading.Lock()
+    # A forked child has none of its parent's worker threads, so its first
+    # batch would wait forever on the parent's queue; nor has it the thread
+    # that may have held the lock at the fork.
+    global _jobs, _lock
+    _jobs, _lock = None, threading.Lock()
 
 
 if hasattr(os, "register_at_fork"):
@@ -291,34 +291,44 @@ def call_concurrently(call: Callable, items: list) -> list:
     """`[call(item) for item in items]`, with the calls run on the shared pool.
 
     A batch of one runs on the calling thread. A larger one runs on the
-    process's one pool of MAX_CONCURRENT_CALLS workers, created at the first
-    such batch and kept until the interpreter exits, so the cap holds for all
-    batches in flight together, not for each. A batch started from inside a
-    pooled call runs on that worker, item by item: waiting there for other
-    workers could deadlock a full pool. Results come back in item order.
+    process's one pool of MAX_CONCURRENT_CALLS daemon workers on one job
+    queue, started at the first such batch; exit does not wait for them. So
+    the cap holds for all batches in flight together, not for each. A batch
+    started from inside a pooled call runs on that worker, item by item:
+    waiting there for other workers could deadlock a full pool. Results come
+    back in item order.
 
-    Once a call has raised, the batch starts none of its calls that have not
-    started yet. When every started call has returned, the first failure in
-    item order among them is raised.
+    Once a call has raised, or the caller's wait is interrupted (say by
+    Ctrl-C, re-raised at once), the batch starts none of its calls that have
+    not started. Otherwise, when every started call has returned, the first
+    failure in item order among them is raised.
     """
     if len(items) < 2 or getattr(_on_pool, "worker", False):
         return [call(item) for item in items]
-    failed = threading.Event()
+    import queue
 
-    def run(item):
-        if failed.is_set():
-            return None  # skipped; an earlier or later item's failure raises below
-        try:
-            return call(item)
-        except BaseException:
-            failed.set()
-            raise
-
-    from concurrent.futures import wait
-
-    futures = [_shared_pool().submit(run, item) for item in items]
-    wait(futures)
-    return [future.result() for future in futures]
+    global _jobs
+    with _lock:
+        if _jobs is None:
+            _jobs = queue.SimpleQueue()
+            for n in range(MAX_CONCURRENT_CALLS):
+                threading.Thread(target=_work, args=(_jobs,), name=f"hatmem-call_{n}",
+                                 daemon=True).start()
+        jobs = _jobs
+    failed, reports = [], queue.SimpleQueue()
+    results, errors = [None] * len(items), [None] * len(items)
+    try:
+        for index, item in enumerate(items):
+            jobs.put((call, item, index, failed, reports))
+        for _ in items:
+            index, results[index], errors[index] = reports.get()
+    except BaseException:
+        failed.append(True)
+        raise
+    for error in errors:
+        if error is not None:
+            raise error
+    return results
 
 
 # Replies each client remembers, least recently used first out.

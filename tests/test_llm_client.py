@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import os
 import re
+import signal
 import socket
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -355,15 +357,17 @@ def test_importing_and_building_a_live_client_leave_the_http_stack_unloaded():
 
 def test_a_run_never_loads_hashlib_and_loads_the_call_pool_only_for_a_chat_batch():
     # hashlib maps OpenSSL's libcrypto and concurrent.futures imports logging:
-    # a local tree must load neither, a chat flush only the pool, and the
-    # memo of a walk and a reply keys with the built-in hash, no SHA-256.
+    # a local tree must load none of them, a chat flush only the pool's
+    # queue, and the memo of a walk and a reply keys with the built-in hash,
+    # no SHA-256.
     code = """
 import sys, hatmem, hatmem.cli
 from hatmem import (ConcatAggregator, HatTree, LlmAgent, LlmOracle, LlmPersonaAggregator,
                     bfs_search, generate_response, mock_client, traverse)
 
 def loaded():
-    print([m for m in ("hashlib", "_hashlib", "_sha2", "_sha256", "concurrent.futures", "logging")
+    print([m for m in ("hashlib", "_hashlib", "_sha2", "_sha256", "concurrent.futures",
+                       "logging", "queue")
            if m in sys.modules])
 
 tree = HatTree(3, ConcatAggregator())
@@ -390,8 +394,8 @@ loaded()
                             text=True, timeout=60, check=True)
     assert result.stdout.splitlines() == [
         "[]",
-        "['concurrent.futures', 'logging']",
-        "['concurrent.futures', 'logging']",
+        "['queue']",
+        "['queue']",
     ]
 
 
@@ -432,6 +436,58 @@ class TestCallPool:
         assert [[(i, j) for i, j, _ in batch] for batch in batches] == \
             [[(i, j) for j in range(3)] for i in range(2 * MAX_CONCURRENT_CALLS)]
         assert all(len({thread for *_, thread in batch}) == 1 for batch in batches)
+
+    @pytest.mark.parametrize("exception", [KeyboardInterrupt, SystemExit])
+    def test_a_call_that_raises_a_base_exception_costs_the_pool_no_worker(self, exception):
+        # A worker whose loop let the exception end it would be gone for
+        # good and would never report its call, so the batch would hang.
+        workers = every_pool_worker()
+        started, returned, raised = [], [], []
+
+        def call(i):
+            if i == 0:
+                raise exception
+            started.append(i)
+            time.sleep(0.05)
+            returned.append(i)
+
+        def batch():
+            with pytest.raises(exception):
+                call_concurrently(call, list(range(2 * MAX_CONCURRENT_CALLS)))
+            raised.append(sorted(returned) == sorted(started))
+
+        runner = threading.Thread(target=batch, daemon=True)
+        runner.start()
+        runner.join(timeout=30)
+        assert raised == [True]
+        assert every_pool_worker() == workers
+
+    @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs signal.pthread_kill")
+    def test_an_interrupted_batch_stops_starting_calls(self):
+        # Ctrl-C 50 ms into a batch three times the size of the pool, whose
+        # first call hangs: the calls that started are all the batch ever
+        # starts, and exit does not wait for the hanging one.
+        code = """
+import signal, threading, time
+from hatmem.llm import MAX_CONCURRENT_CALLS, call_concurrently
+started = []
+
+def call(i):
+    started.append(i)
+    time.sleep(60 if i == 0 else 0.3)
+
+threading.Timer(0.05, signal.pthread_kill, (threading.main_thread().ident, signal.SIGINT)).start()
+try:
+    call_concurrently(call, list(range(3 * MAX_CONCURRENT_CALLS)))
+except KeyboardInterrupt:
+    time.sleep(1.0)  # the other started calls return, and a worker would take the next
+    print(len(started), MAX_CONCURRENT_CALLS)
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(hatmem.__file__).parents[1]))
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, timeout=30, check=True)
+        started, workers = map(int, result.stdout.split())
+        assert started <= workers
 
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
