@@ -9,20 +9,21 @@ the same way every time. Inputs always arrive oldest to newest.
 The persona kind sends `persona_prompt`: a system message asking for one
 short note that keeps every concrete fact, then the children as numbered
 passages under "Passages to merge:". Its reply, stripped of surrounding
-whitespace, is the parent text.
+whitespace, is the parent text. Its spec records the prompt's name,
+"template": "persona_v1", a constant and not a setting. `AGGREGATORS` (kind
+to class) is the one list of kinds; each default is in its constructor alone.
 """
 
 from __future__ import annotations
 
+from inspect import signature
 from typing import Optional
 
 from .errors import ContractViolationError, InvalidParameterError
 from .llm import ChatRequest, is_int, is_max_tokens, is_temperature
 from .metrics import tokenize
 
-DEFAULT_TRUNCATE_BUDGET = 256
-
-# The name of the one persona prompt, kept in every llm_persona spec.
+# The name of the one persona prompt, recorded in every llm_persona spec.
 PERSONA_TEMPLATE = "persona_v1"
 
 _PERSONA_SYSTEM = """\
@@ -81,7 +82,7 @@ class ConcatAggregator(Aggregator):
 class TruncateAggregator(Aggregator):
     kind = "truncate"
 
-    def __init__(self, budget: int = DEFAULT_TRUNCATE_BUDGET):
+    def __init__(self, budget: int = 256):
         if not is_int(budget) or budget < 1:
             raise InvalidParameterError(f"truncate budget must be a positive integer, got {budget!r}")
         self.budget = budget
@@ -101,18 +102,14 @@ class LlmPersonaAggregator(Aggregator):
     A client is optional so that serialized trees can be loaded for
     inspection without one; aggregating without one is a
     `ContractViolationError`, a caller's mistake rather than a remote failure.
-    The other parameters, the template name among them (only `persona_v1`,
-    the name of `persona_prompt`), are checked here, so that a bad spec or
-    tree document fails to load, not at its first call.
+    The other parameters are checked here, so that a bad spec or tree
+    document fails to load, not at its first call. The prompt is always
+    `persona_prompt`, whose name `params()` records but no caller sets.
     """
 
     kind = "llm_persona"
 
-    def __init__(self, client=None, template: str = PERSONA_TEMPLATE, temperature: float = 0.0,
-                 max_tokens: Optional[int] = None):
-        if template != PERSONA_TEMPLATE:
-            raise InvalidParameterError(
-                f"persona template must be one of {[PERSONA_TEMPLATE]}, got {template!r}")
+    def __init__(self, client=None, temperature: float = 0.0, max_tokens: Optional[int] = None):
         if not is_temperature(temperature):
             raise InvalidParameterError(
                 f"persona temperature must be a finite number >= 0, got {temperature!r}")
@@ -120,13 +117,12 @@ class LlmPersonaAggregator(Aggregator):
             raise InvalidParameterError(
                 f"persona max_tokens must be a positive integer or null, got {max_tokens!r}")
         self.client = client
-        self.template = template
         self.temperature = temperature
         self.max_tokens = max_tokens
 
     def params(self) -> dict:
         # max_tokens is recorded only when set, so default specs stay as they were.
-        params = {"template": self.template, "temperature": self.temperature}
+        params = {"template": PERSONA_TEMPLATE, "temperature": self.temperature}
         if self.max_tokens is not None:
             params["max_tokens"] = self.max_tokens
         return params
@@ -145,24 +141,23 @@ class LlmPersonaAggregator(Aggregator):
         return self.client.complete(request).content.strip()
 
 
+AGGREGATORS = {cls.kind: cls for cls in (ConcatAggregator, TruncateAggregator, LlmPersonaAggregator)}
+
+
 def aggregator_from_spec(kind: str, params: Optional[dict] = None, client=None) -> Aggregator:
-    """Build an aggregator from its serialized (kind, params) identity."""
+    """Build an aggregator from its serialized (kind, params) identity, params as keywords."""
+    if not isinstance(kind, str) or kind not in AGGREGATORS:
+        raise InvalidParameterError(f"unknown aggregator kind {kind!r}")
     if params is not None and not isinstance(params, dict):
         raise InvalidParameterError(f"{kind} aggregator params must be an object, got {params!r}")
     params = dict(params or {})
-    if kind == "concat":
-        agg: Aggregator = ConcatAggregator(separator=params.pop("separator", "\n"))
-    elif kind == "truncate":
-        agg = TruncateAggregator(budget=params.pop("budget", DEFAULT_TRUNCATE_BUDGET))
-    elif kind == "llm_persona":
-        agg = LlmPersonaAggregator(
-            client=client,
-            template=params.pop("template", PERSONA_TEMPLATE),
-            temperature=params.pop("temperature", 0.0),
-            max_tokens=params.pop("max_tokens", None),
-        )
-    else:
-        raise InvalidParameterError(f"unknown aggregator kind {kind!r}")
-    if params:
-        raise InvalidParameterError(f"unknown {kind} aggregator params: {sorted(params)}")
-    return agg
+    cls = AGGREGATORS[kind]
+    if cls is LlmPersonaAggregator:
+        template = params.pop("template", PERSONA_TEMPLATE)
+        if template != PERSONA_TEMPLATE:
+            raise InvalidParameterError(
+                f"persona template must be one of {[PERSONA_TEMPLATE]}, got {template!r}")
+    unknown = set(params) - (set(signature(cls).parameters) - {"client"})
+    if unknown:
+        raise InvalidParameterError(f"unknown {kind} aggregator params: {sorted(unknown)}")
+    return cls(client, **params) if cls is LlmPersonaAggregator else cls(**params)

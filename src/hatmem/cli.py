@@ -20,6 +20,7 @@ import tempfile
 from pathlib import Path
 
 from . import bench as bench_mod
+from .aggregation import AGGREGATORS, LlmPersonaAggregator
 from .config import aggregator_from_config, load_config_file, setting
 from .episodes import DialogueTurn, load_episodes, read_json_lines
 from .errors import (
@@ -62,7 +63,7 @@ def _add_common(sub):
     sub.add_argument("--config", help="JSON config file")
     sub.add_argument("--memory-length", type=int, default=None,
                      help="max children per internal node (default 3)")
-    sub.add_argument("--aggregator", choices=["concat", "truncate", "llm_persona"],
+    sub.add_argument("--aggregator", choices=list(AGGREGATORS),
                      default=None, help="aggregate function (default concat)")
     sub.add_argument("--mock", action="store_true",
                      help="use the offline deterministic chat backend")
@@ -133,8 +134,7 @@ def _step_budget(args, file_config) -> int:
 def cmd_ingest(args) -> int:
     file_config = load_config_file(args.config)
     aggregator = aggregator_from_config(args.aggregator, file_config)
-    # A chat client is only needed when the aggregator is llm_persona.
-    if aggregator.kind == "llm_persona":
+    if isinstance(aggregator, LlmPersonaAggregator):
         aggregator.client = _client(args, file_config)
     memory_length = _memory_length(args, file_config)
     episodes = load_episodes(args.input, require_session=args.require_session)

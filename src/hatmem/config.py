@@ -19,7 +19,7 @@ import json
 import os
 from typing import Optional
 
-from .aggregation import Aggregator, aggregator_from_spec
+from .aggregation import Aggregator, ConcatAggregator, aggregator_from_spec
 from .errors import ConfigurationError, InvalidParameterError
 from .llm import is_int
 
@@ -66,7 +66,7 @@ def setting(cli_value, env_key: Optional[str], file_config: dict, file_key: str,
 
 def aggregator_from_config(kind: Optional[str], file_config: dict, client=None) -> Aggregator:
     """Aggregator from the resolved kind plus kind-specific file settings."""
-    spec = setting(kind, None, file_config, "aggregator", "concat")
+    spec = setting(kind, None, file_config, "aggregator", ConcatAggregator.kind)
     if isinstance(spec, str):
         spec = {"kind": spec}
     try:

@@ -85,5 +85,5 @@ def planted_fact_episode(seed: int = 0, episode_id: str = "planted-fact") -> Epi
     return Episode(episode_id=f"{episode_id}-{seed:03d}", sessions=sessions)
 
 
-def planted_fact_episodes(count: int = 3, first_seed: int = 0) -> list[Episode]:
-    return [planted_fact_episode(seed) for seed in range(first_seed, first_seed + count)]
+def planted_fact_episodes(count: int = 3) -> list[Episode]:
+    return [planted_fact_episode(seed) for seed in range(count)]

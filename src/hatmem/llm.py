@@ -365,9 +365,8 @@ def remembered(client, request: ChatRequest) -> str:
 
 
 def live_client(endpoint: Optional[str] = None, api_key: Optional[str] = None,
-                model: Optional[str] = None, timeout: float = 30.0,
-                env=os.environ) -> LlmClient:
-    """Client against a real endpoint; unset values fall back to env vars."""
+                model: Optional[str] = None, env=os.environ) -> LlmClient:
+    """Client on `HttpTransport` and its default timeout; unset values fall back to env vars."""
     endpoint = endpoint or env.get(ENV_ENDPOINT)
     api_key = api_key or env.get(ENV_API_KEY)
     model = model or env.get(ENV_MODEL)
@@ -377,7 +376,7 @@ def live_client(endpoint: Optional[str] = None, api_key: Optional[str] = None,
         raise ConfigurationError(f"no API key configured (flag, config file, or {ENV_API_KEY})")
     if not model:
         raise ConfigurationError(f"no model configured (flag, config file, or {ENV_MODEL})")
-    return LlmClient(HttpTransport(endpoint, api_key, timeout), model=model)
+    return LlmClient(HttpTransport(endpoint, api_key), model=model)
 
 
 def mock_client(model: str = "mock-chat") -> LlmClient:

@@ -25,7 +25,8 @@ sum. The walk is kept when every text it read came through the flush
 unchanged; otherwise it walks again on the flushed tree, where the client's
 memo (`llm.remembered`) answers every unchanged text, so the second walk
 adds asks only for the texts the flush changed. The context is always the
-one a walk after the flush would give.
+one a walk after the flush would give. Ctrl-C during the walk also stops
+the flush: no further aggregate call starts and nothing commits.
 
 `generate_response` sends the context under "MEMORY:" (left out when the
 context is empty) and the user's message under "USER MESSAGE:". The reply,
@@ -59,16 +60,11 @@ STRATEGIES = ("all_context", "part_context", "gold_memory", "hat_bfs", "hat_dfs"
 class MemoryState:
     """A tree plus its session records.
 
-    A turn's session is stored once, in the tree's `leaf_sessions`, so a
-    loaded tree or a leaf appended straight to the tree counts as well.
+    A turn's session is stored once, in the tree's `leaf_sessions`.
     """
 
     tree: HatTree
     session_snapshots: dict[int, str] = field(default_factory=dict)
-
-    @property
-    def sessions(self) -> set[int]:
-        return set(self.tree.leaf_sessions) - {None}
 
 
 def _leaf_sessions(tree: HatTree):

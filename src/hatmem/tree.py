@@ -24,7 +24,8 @@ One read may run during a pending flush (`read_while_flushing`): the flush
 computes on a thread of its own while the read sees the texts as they stood
 before it. The flush commits only after that read has returned, and the read
 runs again on the flushed tree unless every text it used came through the
-flush unchanged.
+flush unchanged. A read interrupted by Ctrl-C stops the flush as a failed
+call does, and the interrupt is raised once the started calls have returned.
 
 A node is its text. `layers` holds each layer's texts, root first, and
 `leaf_sessions` the integer session of each leaf's turn or None. A document
@@ -48,16 +49,12 @@ import threading
 from itertools import groupby, repeat
 from typing import Optional
 
+from .aggregation import LlmPersonaAggregator, aggregator_from_spec
 from .errors import DocumentParseError, InvalidParameterError, NotFoundError
 from .llm import call_concurrently, is_int
 
 DOC_FORMAT = "hat-tree"
 DOC_VERSION = 3
-
-# The one aggregator kind that waits on a chat endpoint. The others are
-# Python computation, which threads cannot overlap, so they run on the
-# calling thread.
-REMOTE_AGGREGATOR_KIND = "llm_persona"
 
 
 class HatTree:
@@ -193,8 +190,13 @@ class HatTree:
         """
         self._commit(self._pending_texts())
 
-    def _pending_texts(self) -> dict[tuple[int, int], str]:
+    def _pending_texts(self, interrupted=()) -> dict[tuple[int, int], str]:
         """The text `flush` gives each node it aggregates; changes nothing."""
+        def aggregate(child_texts):
+            if interrupted:  # see `read_while_flushing`: fails the batch and so the flush
+                raise KeyboardInterrupt
+            return self.aggregator.aggregate(child_texts)
+
         M = self.memory_length
         changed = range(self.flushed_leaves, self.leaf_count)
         texts: dict[tuple[int, int], str] = {}
@@ -206,10 +208,11 @@ class HatTree:
             inputs = [[texts.get((k + 1, j), below[j])
                        for j in range(i * M, min((i + 1) * M, len(below)))]
                       for i in parents]
-            if self.aggregator.kind == REMOTE_AGGREGATOR_KIND:
-                aggregated = call_concurrently(self.aggregator.aggregate, inputs)
+            # Only a chat aggregator waits; the others compute, which threads cannot overlap.
+            if self.aggregator.kind == LlmPersonaAggregator.kind:
+                aggregated = call_concurrently(aggregate, inputs)
             else:
-                aggregated = [self.aggregator.aggregate(child_texts) for child_texts in inputs]
+                aggregated = [aggregate(child_texts) for child_texts in inputs]
             texts.update(((k, i), text) for i, text in zip(parents, aggregated))
             changed = [i for i, text in zip(parents, aggregated) if text != self.layers[k][i]]
         return texts
@@ -234,6 +237,11 @@ class HatTree:
         texts the flush left unchanged, its result is returned or its
         exception raised; if not, `read(self)` runs again.
 
+        If the read raises what is not an `Exception` (Ctrl-C), the flush
+        starts no further call, as after a failed one, commits nothing, and
+        the interrupt is raised again once the started calls have returned.
+        An interrupt of the join after the read returned raises at once.
+
         `read` must depend only on the texts it is served, so a walk's calls
         depend on the tree, never on timing. The client's memo
         (`llm.remembered`) answers a second walk's asks about every unchanged
@@ -242,10 +250,11 @@ class HatTree:
         if self.flushed_leaves == self.leaf_count:
             return read(self)
         flushed: dict = {}
+        interrupted: list = []
 
         def compute():
             try:
-                flushed["texts"] = self._pending_texts()
+                flushed["texts"] = self._pending_texts(interrupted)
             except BaseException as error:  # raised on the calling thread
                 flushed["error"] = error
 
@@ -254,14 +263,16 @@ class HatTree:
         view = _PreFlushView(self)
         stopped, failure = False, None
         try:
-            try:
-                value = read(view)
-            except _Unflushed:
-                stopped = True
-            except Exception as error:
-                failure = error
-        finally:
+            value = read(view)
+        except _Unflushed:
+            stopped = True
+        except Exception as error:
+            failure = error
+        except BaseException:  # Ctrl-C and the like
+            interrupted.append(True)
             worker.join()
+            raise
+        worker.join()
         if "error" in flushed:
             raise flushed["error"]
         self._commit(flushed["texts"])
@@ -306,8 +317,6 @@ class HatTree:
         kind and params; a bound aggregator must have the rebuilt one's
         spec. JSON nested too deep to parse is a `DocumentParseError` too.
         """
-        from .aggregation import aggregator_from_spec
-
         try:
             doc = json.loads(document)
         except (TypeError, ValueError, RecursionError) as exc:

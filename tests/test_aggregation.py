@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 
 import pytest
 
@@ -98,8 +99,6 @@ class TestPersonaPrompt:
         (tmp_path / "x.txt").write_text("[user]\nleaked {children_block}\n", encoding="utf-8")
         name = {"relative_path": os.path.relpath(outside),
                 "absolute_path": str(outside), "unknown": "no_such_template", "empty": ""}[kind]
-        with pytest.raises(InvalidParameterError):
-            LlmPersonaAggregator(mock_client(), template=name)
         spec = {"kind": "llm_persona", "params": {"template": name}}
         with pytest.raises(ConfigurationError):
             aggregator_from_config(None, {"aggregator": spec})
@@ -114,8 +113,6 @@ class TestPersonaPrompt:
     def test_only_persona_templates_build_a_persona_aggregator(self, name):
         # The other prompts' names from when they were template files build no
         # persona aggregator.
-        with pytest.raises(InvalidParameterError, match=r"\['persona_v1'\]"):
-            LlmPersonaAggregator(mock_client(), template=name)
         spec = {"kind": "llm_persona", "params": {"template": name}}
         with pytest.raises(ConfigurationError):
             aggregator_from_config(None, {"aggregator": spec})
@@ -229,6 +226,25 @@ class TestAggregatorSpecs:
         with pytest.raises(InvalidParameterError):
             aggregator_from_spec("magic", {})
 
-    def test_unknown_params_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            aggregator_from_spec("concat", {"budget": 3})
+    @pytest.mark.parametrize("kind", [["concat"], {}, None], ids=["list", "object", "null"])
+    def test_kind_that_is_not_a_string_rejected(self, kind):
+        # The kind is looked up in a table: no TypeError from hashing it may get through.
+        with pytest.raises(InvalidParameterError, match="unknown aggregator kind"):
+            aggregator_from_spec(kind, {})
+        tree = HatTree(2, ConcatAggregator())
+        tree.insert_leaf("he plays chess")
+        doc = json.loads(tree.serialize())
+        doc["aggregator"]["kind"] = kind
+        with pytest.raises(DocumentParseError, match="unknown aggregator kind"):
+            HatTree.deserialize(json.dumps(doc))
+
+    @pytest.mark.parametrize("kind, params", [
+        ("concat", {"budget": 3}),
+        ("truncate", {"separator": " "}),
+        ("llm_persona", {"client": "http://example.com"}),
+    ], ids=["concat", "truncate", "llm_persona"])
+    def test_unknown_params_rejected(self, kind, params):
+        # A client goes to the constructor only as the call's own argument.
+        message = f"unknown {kind} aggregator params: {sorted(params)}"
+        with pytest.raises(InvalidParameterError, match=re.escape(message)):
+            aggregator_from_spec(kind, params, client=mock_client())

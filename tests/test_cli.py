@@ -298,6 +298,20 @@ class TestIngest:
             == state.tree.serialize()
         assert f"{state.tree.agg_call_count} aggregations" in capsys.readouterr().out
 
+    def test_a_config_that_records_the_persona_template_loads(self, tmp_path, episodes_file):
+        # The name every llm_persona spec records is accepted; the exit-2
+        # cases above refuse any other.
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"aggregator": {"kind": "llm_persona",
+                                                     "params": {"template": "persona_v1"}}}),
+                          encoding="utf-8")
+        for out, flags in (("by-config", ["--config", str(config)]),
+                           ("by-flag", ["--aggregator", "llm_persona"])):
+            assert main(["ingest", episodes_file, "--out", str(tmp_path / out), "--mock", *flags]) \
+                == EXIT_OK
+        by_config, by_flag = (sorted((tmp_path / out).iterdir()) for out in ("by-config", "by-flag"))
+        assert [path.read_bytes() for path in by_config] == [path.read_bytes() for path in by_flag]
+
 
 class TestMetrics:
     def test_scores_are_printed_and_written(self, tmp_path, capsys):

@@ -101,7 +101,7 @@ class TestIngest:
             ingest_turn(state, turn("user", "again", session=session))
         assert state.tree.layers[-1] == ["user: hello"]
         assert state.tree.leaf_sessions == [1]
-        assert state.sessions == {1}
+        assert set(state.tree.leaf_sessions) - {None} == {1}
 
     def test_first_turn_depth_one(self):
         state = new_memory(2, ConcatAggregator())
@@ -119,7 +119,7 @@ class TestIngest:
         for i in range(14):
             ingest_turn(state, turn("user", f"turn {i}", index=i))
         assert state.tree.agg_call_count == 0
-        assert state.sessions == {1}
+        assert set(state.tree.leaf_sessions) - {None} == {1}
 
     def test_rejects_bad_turns(self):
         state = new_memory(2, ConcatAggregator())
@@ -178,7 +178,7 @@ class TestEndSession:
         state = new_memory(2, ConcatAggregator("\n"))
         ingest_turn(state, turn("user", "early", session=1))
         state.tree.append_leaf("user: later", session=2)
-        assert state.sessions == {1, 2}
+        assert set(state.tree.leaf_sessions) - {None} == {1, 2}
         assert build_context(state, "q", "part_context") == "user: later"
         assert end_session(state, 2) == "user: early\nuser: later"
         assert state.session_snapshots == {2: "user: early\nuser: later"}
@@ -302,7 +302,7 @@ class TestStateAroundLoadedTree:
     def test_part_context_and_end_session_match_the_original_state(self):
         state = filled_state()
         loaded = MemoryState(tree=HatTree.deserialize(state.tree.serialize()))
-        assert loaded.sessions == {1, 2}
+        assert set(loaded.tree.leaf_sessions) - {None} == {1, 2}
         assert build_context(loaded, "q", "part_context") == build_context(state, "q", "part_context")
         for session in (1, 2):
             assert end_session(loaded, session) == end_session(state, session)
@@ -316,7 +316,7 @@ class TestStateAroundLoadedTree:
         for i in range(4):
             tree.append_leaf(f"t{i}")
         state = MemoryState(tree=HatTree.deserialize(tree.serialize()))
-        assert state.sessions == set()
+        assert set(state.tree.leaf_sessions) - {None} == set()
         with pytest.raises(InvalidParameterError):
             build_context(state, "q", "part_context")
         assert build_context(state, "q", "all_context") == "user: hi\nt0\nt1\nt2\nt3"
@@ -329,7 +329,7 @@ class TestStateAroundLoadedTree:
             with pytest.raises(InvalidParameterError):
                 tree.append_leaf("t", session=session)
         state = MemoryState(tree=tree)
-        assert state.sessions == {1}
+        assert set(state.tree.leaf_sessions) - {None} == {1}
         assert build_context(state, "q", "part_context") == "t0\nt2"
         # A session equal to 1 that is no integer names no session.
         for session in (True, 1.0):

@@ -3,8 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
 import random
+import signal
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +32,7 @@ from reference_impls import (
     session_runs,
 )
 
+import hatmem
 from hatmem import (
     ConcatAggregator,
     HatTree,
@@ -441,6 +447,44 @@ class TestLayerParallelFlush:
         assert raw_state(tree) == before
         transport.down = False
         assert tree.root_text() == " ".join(f"t{i}" for i in range(60))
+
+    @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs signal.pthread_kill")
+    def test_an_interrupted_read_stops_the_flush(self):
+        # Ctrl-C 0.1 s into a read during the pending flush of 27 leaves at
+        # M=3, whose 9 + 3 + 1 calls take 0.5 s each: the calls that started
+        # are all the flush ever starts, it commits nothing, and the interrupt
+        # is raised once they have returned.
+        code = """
+import signal, threading, time
+from hatmem import HatTree, LlmClient, LlmPersonaAggregator, MockTransport
+from hatmem.llm import MAX_CONCURRENT_CALLS
+
+class SlowTransport(MockTransport):
+    def send(self, payload):
+        reply = super().send(payload)  # counts the call as it is sent
+        time.sleep(0.5)
+        return reply
+
+transport = SlowTransport()
+tree = HatTree(3, LlmPersonaAggregator(LlmClient(transport, "mock-chat")))
+for i in range(27):
+    tree.append_leaf(f"t{i}")
+threading.Timer(0.1, signal.pthread_kill, (threading.main_thread().ident, signal.SIGINT)).start()
+start = time.perf_counter()
+try:
+    tree.read_while_flushing(lambda view: time.sleep(10))
+except KeyboardInterrupt:
+    took = time.perf_counter() - start
+    time.sleep(1.0)  # a flush that went on would send its next calls meanwhile
+    print(took, transport.calls, MAX_CONCURRENT_CALLS, tree.agg_call_count, tree.flushed_leaves)
+"""
+        env = dict(os.environ, PYTHONPATH=str(Path(hatmem.__file__).parents[1]))
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, timeout=60, check=True)
+        took, sent, workers, aggregated, flushed = result.stdout.split()
+        assert float(took) < 1.0
+        assert int(sent) <= int(workers)
+        assert aggregated == flushed == "0"
 
 
 class TestAtomicity:
