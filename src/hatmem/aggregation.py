@@ -3,15 +3,18 @@
 Three kinds: `concat` (separator join), `truncate` (join then keep the first
 B tokens), and `llm_persona` (persona-note summarization through the chat
 client). Deterministic kinds are pure functions of the input list; the
-persona kind is pure given an endpoint that answers a temperature-0 request
-the same way every time. Inputs always arrive oldest to newest.
+persona kind is pure given an endpoint that answers an identical request the
+same way every time, which is why every chat request goes at temperature 0
+(see `llm`): a flush stops where texts did not change, and a document
+reloads to what a re-flush would give. Inputs always arrive oldest to newest.
 
 The persona kind sends `persona_prompt`: a system message asking for one
 short note that keeps every concrete fact, then the children as numbered
 passages under "Passages to merge:". Its reply, stripped of surrounding
 whitespace, is the parent text. Its spec records the prompt's name,
-"template": "persona_v1", a constant and not a setting. `AGGREGATORS` (kind
-to class) is the one list of kinds; each default is in its constructor alone.
+"template": "persona_v1", and "temperature": 0.0, constants and not
+settings. `AGGREGATORS` (kind to class) is the one list of kinds; each
+default is in its constructor alone.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from inspect import signature
 from typing import Optional
 
 from .errors import ContractViolationError, InvalidParameterError
-from .llm import ChatRequest, is_int, is_max_tokens, is_temperature
+from .llm import ChatRequest, is_int, is_max_tokens
 from .metrics import tokenize
 
 # The name of the one persona prompt, recorded in every llm_persona spec.
@@ -102,27 +105,24 @@ class LlmPersonaAggregator(Aggregator):
     A client is optional so that serialized trees can be loaded for
     inspection without one; aggregating without one is a
     `ContractViolationError`, a caller's mistake rather than a remote failure.
-    The other parameters are checked here, so that a bad spec or tree
-    document fails to load, not at its first call. The prompt is always
-    `persona_prompt`, whose name `params()` records but no caller sets.
+    max_tokens is checked here, so that a bad spec or tree document fails to
+    load, not at its first call. The prompt is always `persona_prompt`, and
+    the request goes at the client's model and temperature 0; `params()`
+    records the prompt's name and that temperature, but no caller sets them.
     """
 
     kind = "llm_persona"
 
-    def __init__(self, client=None, temperature: float = 0.0, max_tokens: Optional[int] = None):
-        if not is_temperature(temperature):
-            raise InvalidParameterError(
-                f"persona temperature must be a finite number >= 0, got {temperature!r}")
+    def __init__(self, client=None, max_tokens: Optional[int] = None):
         if not is_max_tokens(max_tokens):
             raise InvalidParameterError(
                 f"persona max_tokens must be a positive integer or null, got {max_tokens!r}")
         self.client = client
-        self.temperature = temperature
         self.max_tokens = max_tokens
 
     def params(self) -> dict:
         # max_tokens is recorded only when set, so default specs stay as they were.
-        params = {"template": PERSONA_TEMPLATE, "temperature": self.temperature}
+        params = {"template": PERSONA_TEMPLATE, "temperature": 0.0}
         if self.max_tokens is not None:
             params["max_tokens"] = self.max_tokens
         return params
@@ -131,13 +131,8 @@ class LlmPersonaAggregator(Aggregator):
         self._check(children_texts)
         if self.client is None:
             raise ContractViolationError("llm_persona aggregator has no chat client bound")
-        request = ChatRequest(
-            model=self.client.model,
-            messages=persona_prompt(children_texts),
-            temperature=self.temperature,
-            max_tokens=self.max_tokens,
-            stage="aggregate",
-        )
+        request = ChatRequest(persona_prompt(children_texts), max_tokens=self.max_tokens,
+                              stage="aggregate")
         return self.client.complete(request).content.strip()
 
 
@@ -157,6 +152,9 @@ def aggregator_from_spec(kind: str, params: Optional[dict] = None, client=None) 
         if template != PERSONA_TEMPLATE:
             raise InvalidParameterError(
                 f"persona template must be one of {[PERSONA_TEMPLATE]}, got {template!r}")
+        temperature = params.pop("temperature", 0)
+        if type(temperature) not in (int, float) or temperature != 0:  # a bool is refused
+            raise InvalidParameterError(f"persona temperature must be 0, got {temperature!r}")
     unknown = set(params) - (set(signature(cls).parameters) - {"client"})
     if unknown:
         raise InvalidParameterError(f"unknown {kind} aggregator params: {sorted(unknown)}")

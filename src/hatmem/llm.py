@@ -2,7 +2,12 @@
 library, and a fully offline mock transport.
 
 The wire shape is the common JSON one: POST {model, messages, temperature}
-and read choices[0].message.content back. The transport is injectable so
+and read choices[0].message.content back. A `ChatRequest` carries only what
+its caller varies, the messages, a max_tokens cap and a stage; the model is
+the client's, and the temperature is always 0.0. The package relies on one
+fixed answer per request: a tree flush stops at the first layer whose texts
+did not change, a document reloads to what a re-flush would give, and the
+reply memo below serves a repeated request. The transport is injectable so
 every caller (aggregation, traversal agent and oracle, response generation)
 runs against either a live HTTP endpoint or the in-memory mock; nothing else
 in the package knows which. A transport that gets no answer raises
@@ -28,8 +33,8 @@ walks' agent and oracle and the reply step send through it, each client
 object keeps its last MEMO_ENTRIES replies, and a request it has already
 answered costs no call. Aggregation sends through `complete` alone, so that
 the tree counts every aggregation it makes. A reply is filed under the
-built-in `hash` of the request as sent, a tuple of the model, the reprs of
-temperature and max_tokens, and each message's (role, content), so the
+built-in `hash` of the request as sent, a tuple of the client's model, the
+repr of max_tokens, and each message's (role, content), so the
 parts stay apart; only the int key and the reply's content are kept, so an
 entry costs the same whatever the length of its texts. CPython hashes
 strings with keyed SipHash, seeded per process, into `sys.hash_info.width`
@@ -38,7 +43,7 @@ finds another request's reply with probability below 2^-52 there. A memo
 lives as long as its client; a client that cannot be weakly referenced gets
 none. A call that raises stores nothing, and two threads that miss on the
 same request at once both send it. The memo assumes that the endpoint
-answers an identical temperature-0 request the same way every time.
+answers an identical request, at temperature 0, the same way every time.
 
 The call pool and the memos are the module's only process-wide state, and
 both sit behind one lock, which a forked child replaces along with the pool:
@@ -48,7 +53,6 @@ a thread of the parent that held it at the fork does not exist in the child.
 from __future__ import annotations
 
 import json
-import math
 import os
 import re
 import threading
@@ -79,12 +83,6 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def is_temperature(value) -> bool:
-    """A finite number >= 0 and not a bool, so that it is valid JSON on the wire."""
-    return (isinstance(value, (int, float)) and not isinstance(value, bool)
-            and math.isfinite(value) and value >= 0)
-
-
 def is_max_tokens(value) -> bool:
     """None (no cap) or an int >= 1 that is not a bool."""
     return value is None or (is_int(value) and value >= 1)
@@ -92,15 +90,13 @@ def is_max_tokens(value) -> bool:
 
 @dataclass
 class ChatRequest:
-    model: str
+    """What a caller varies in a chat call; the client adds its model and temperature 0.0."""
+
     messages: list[dict]
-    temperature: float = 0.0
     max_tokens: Optional[int] = None
     stage: Optional[str] = None  # aggregate, agent, oracle or generate; never sent
 
     def validate(self) -> None:
-        if not isinstance(self.model, str):
-            raise InvalidParameterError(f"model must be a string, got {self.model!r}")
         if not self.messages:
             raise InvalidParameterError("request needs at least one message")
         for message in self.messages:
@@ -110,20 +106,8 @@ class ChatRequest:
                 raise InvalidParameterError(f"bad message role {message.get('role')!r}")
             if not isinstance(message.get("content"), str):
                 raise InvalidParameterError("message content must be a string")
-        if not is_temperature(self.temperature):
-            raise InvalidParameterError(f"temperature must be a finite number >= 0, got {self.temperature!r}")
         if not is_max_tokens(self.max_tokens):
             raise InvalidParameterError(f"max_tokens must be a positive integer or None, got {self.max_tokens!r}")
-
-    def payload(self) -> dict:
-        body = {
-            "model": self.model,
-            "messages": [{"role": m["role"], "content": m["content"]} for m in self.messages],
-            "temperature": self.temperature,
-        }
-        if self.max_tokens is not None:
-            body["max_tokens"] = self.max_tokens
-        return body
 
 
 @dataclass
@@ -214,16 +198,25 @@ class LlmClient:
     once as `ProtocolError`, which carries the stage too. Instances are
     shareable across threads; retries are independent per request. `sleep`
     is injectable so that tests and benchmarks need not wait out the backoff.
+
+    Every payload names the client's `model`, a string checked here, at
+    temperature 0.0 (see the module docstring); max_tokens only when set.
     """
 
     def __init__(self, transport, model: str, sleep: Callable[[float], None] = time.sleep):
+        if not isinstance(model, str):
+            raise InvalidParameterError(f"model must be a string, got {model!r}")
         self.transport = transport
         self.model = model
         self._sleep = sleep
 
     def complete(self, request: ChatRequest) -> ChatReply:
         request.validate()
-        payload = request.payload()
+        payload = {"model": self.model,
+                   "messages": [{"role": m["role"], "content": m["content"]} for m in request.messages],
+                   "temperature": 0.0}
+        if request.max_tokens is not None:
+            payload["max_tokens"] = request.max_tokens
         stage = request.stage or "chat"
         failure = "no attempt made"
         for attempt in range(1, MAX_ATTEMPTS + 1):
@@ -343,7 +336,7 @@ def remembered(client, request: ChatRequest) -> str:
     """`client.complete(request).content`, from the client's memo when the
     same request was answered before (see the module docstring)."""
     request.validate()
-    key = hash((request.model, repr(request.temperature), repr(request.max_tokens),
+    key = hash((client.model, repr(request.max_tokens),
                 *((m["role"], m["content"]) for m in request.messages)))
     try:
         with _lock:

@@ -25,8 +25,8 @@ sum. The walk is kept when every text it read came through the flush
 unchanged; otherwise it walks again on the flushed tree, where the client's
 memo (`llm.remembered`) answers every unchanged text, so the second walk
 adds asks only for the texts the flush changed. The context is always the
-one a walk after the flush would give. Ctrl-C during the walk also stops
-the flush: no further aggregate call starts and nothing commits.
+one a walk after the flush would give. Ctrl-C during the walk stops the
+flush too (see `HatTree.read_while_flushing`).
 
 `generate_response` sends the context under "MEMORY:" (left out when the
 context is empty) and the user's message under "USER MESSAGE:". The reply,
@@ -172,5 +172,4 @@ def generate_response(context: str, query: str, client) -> str:
     memory_block = f"MEMORY:\n{context}\n\n" if context else ""
     messages = [{"role": "system", "content": _REPLY_SYSTEM},
                 {"role": "user", "content": f"{memory_block}USER MESSAGE: {query}"}]
-    return remembered(client, ChatRequest(model=client.model, messages=messages,
-                                          stage="generate")).strip()
+    return remembered(client, ChatRequest(messages, stage="generate")).strip()

@@ -312,8 +312,7 @@ class LlmAgent:
     def propose_action(self, node_text: str, query: str, visited_path) -> TraversalAction:
         messages = llm_agent_prompt(node_text, query, visited_path)
         for _ in range(MAX_PARSE_RETRIES + 1):
-            content = remembered(self.client, ChatRequest(model=self.client.model,
-                                                          messages=messages, stage="agent"))
+            content = remembered(self.client, ChatRequest(messages, stage="agent"))
             try:
                 return parse_action(content)
             except ActionParseError:
@@ -347,7 +346,6 @@ class LlmOracle:
                     {"role": "user", "content": f"QUESTION: {query}\nPASSAGE:\n{node_text}\n"
                                                 "Does the passage contain enough information to "
                                                 "answer the question? Reply YES or NO."}]
-        reply = remembered(self.client, ChatRequest(model=self.client.model, messages=messages,
-                                                    stage="oracle"))
+        reply = remembered(self.client, ChatRequest(messages, stage="oracle"))
         match = re.search(r"\b(yes|no)\b", reply, re.IGNORECASE)
         return bool(match) and match.group(1).lower() == "yes"

@@ -24,8 +24,7 @@ One read may run during a pending flush (`read_while_flushing`): the flush
 computes on a thread of its own while the read sees the texts as they stood
 before it. The flush commits only after that read has returned, and the read
 runs again on the flushed tree unless every text it used came through the
-flush unchanged. A read interrupted by Ctrl-C stops the flush as a failed
-call does, and the interrupt is raised once the started calls have returned.
+flush unchanged. Ctrl-C during that read stops the flush (see there).
 
 A node is its text. `layers` holds each layer's texts, root first, and
 `leaf_sessions` the integer session of each leaf's turn or None. A document
@@ -218,7 +217,8 @@ class HatTree:
         return texts
 
     def _commit(self, texts: dict[tuple[int, int], str]) -> None:
-        for (k, i), text in texts.items():
+        # Root first: a commit cut short leaves only lower texts stale, which the next flush redoes.
+        for (k, i), text in reversed(texts.items()):
             self.layers[k][i] = text
         self.agg_call_count += len(texts)
         self.flushed_leaves = self.leaf_count
@@ -237,10 +237,13 @@ class HatTree:
         texts the flush left unchanged, its result is returned or its
         exception raised; if not, `read(self)` runs again.
 
-        If the read raises what is not an `Exception` (Ctrl-C), the flush
-        starts no further call, as after a failed one, commits nothing, and
-        the interrupt is raised again once the started calls have returned.
-        An interrupt of the join after the read returned raises at once.
+        If the read raises what is not an `Exception` (Ctrl-C), or such an
+        interrupt lands while the flush is awaited, the flush starts no
+        further call, as after a failed one, commits nothing, and the
+        interrupt is raised again once the started calls have returned. That
+        wait is on an event the flush thread sets, never a second `join`: on
+        CPython 3.11 a join interrupted once returns at once when called
+        again, and `is_alive()` reads False, while the thread still runs.
 
         `read` must depend only on the texts it is served, so a walk's calls
         depend on the tree, never on timing. The client's memo
@@ -251,28 +254,32 @@ class HatTree:
             return read(self)
         flushed: dict = {}
         interrupted: list = []
+        done = threading.Event()
 
         def compute():
             try:
                 flushed["texts"] = self._pending_texts(interrupted)
             except BaseException as error:  # raised on the calling thread
                 flushed["error"] = error
+            finally:
+                done.set()
 
         worker = threading.Thread(target=compute, name="hatmem-flush")
         worker.start()
         view = _PreFlushView(self)
         stopped, failure = False, None
         try:
-            value = read(view)
-        except _Unflushed:
-            stopped = True
-        except Exception as error:
-            failure = error
-        except BaseException:  # Ctrl-C and the like
-            interrupted.append(True)
+            try:
+                value = read(view)
+            except _Unflushed:
+                stopped = True
+            except Exception as error:
+                failure = error
             worker.join()
+        except BaseException:  # Ctrl-C and the like, in the read or in the join
+            interrupted.append(True)
+            done.wait()
             raise
-        worker.join()
         if "error" in flushed:
             raise flushed["error"]
         self._commit(flushed["texts"])

@@ -190,6 +190,7 @@ class TestAggregatorSpecs:
     @pytest.mark.parametrize("params", [
         {"temperature": "x"}, {"temperature": -1}, {"temperature": True}, {"template": 3},
         {"temperature": float("inf")}, {"temperature": float("-inf")}, {"temperature": float("nan")},
+        {"temperature": 0.7}, {"temperature": False},
         {"max_tokens": "x"}, {"max_tokens": 0}, {"max_tokens": -5}, {"max_tokens": True},
     ], ids=lambda params: ",".join(f"{key}={value}" for key, value in params.items()))
     def test_bad_persona_params_rejected_on_load(self, params):
@@ -202,6 +203,18 @@ class TestAggregatorSpecs:
         # json writes a non-finite float as Infinity or NaN, which it reads back.
         with pytest.raises(DocumentParseError):
             HatTree.deserialize(json.dumps(doc))
+
+    @pytest.mark.parametrize("temperature", [0, 0.0])
+    def test_persona_temperature_zero_loads(self, temperature):
+        # Every chat request goes at temperature 0, so 0 is the one value a spec may record.
+        aggregator = aggregator_from_spec("llm_persona", {"temperature": temperature})
+        assert aggregator.params() == {"template": "persona_v1", "temperature": 0.0}
+        tree = HatTree(2, LlmPersonaAggregator(mock_client()))
+        tree.insert_leaf("he plays chess")
+        document = tree.serialize()
+        doc = json.loads(document)
+        doc["aggregator"]["params"]["temperature"] = temperature
+        assert HatTree.deserialize(json.dumps(doc)).serialize() == document
 
     @pytest.mark.parametrize("separator", [5, None])
     def test_concat_separator_must_be_a_string(self, separator):

@@ -83,6 +83,10 @@ class TestExitCodes:
         not_persona.write_text(json.dumps({"aggregator": {"kind": "llm_persona",
                                                           "params": {"template": "response_v1"}}}),
                                encoding="utf-8")
+        hot_persona = tmp_path / "hot.json"
+        hot_persona.write_text(json.dumps({"aggregator": {"kind": "llm_persona",
+                                                          "params": {"temperature": 0.7}}}),
+                               encoding="utf-8")
         not_object = tmp_path / "list.json"
         not_object.write_text(json.dumps(["endpoint", "nowhere"]), encoding="utf-8")
         repeated = tmp_path / "repeated.jsonl"
@@ -106,6 +110,8 @@ class TestExitCodes:
                  (["ingest", episodes_file, "--out", str(tmp_path / "out"), "--mock",
                    "--config", str(not_persona)],
                   "persona template must be one of ['persona_v1'], got 'response_v1'"),
+                 (["bench", episodes_file, "--mock", "--config", str(hot_persona)],
+                  "persona temperature must be 0, got 0.7"),
                  (["ingest", str(repeated), "--out", str(tmp_path / "out"), "--mock"],
                   "line 2: episode_id 'planted-fact-000' repeats line 1"),
                  (["bench", str(repeated), "--mock"],

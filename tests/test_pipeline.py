@@ -415,11 +415,11 @@ class TestReplyMemo:
 
             def complete(self, request):
                 Client.requests += 1
-                return ChatReply(content=f"reply {request.model}")
+                return ChatReply(content=f"reply {request.stage}")
 
         client = Client()
         for _ in range(2):
-            assert generate_response("ctx", "q", client) == "reply m"
+            assert generate_response("ctx", "q", client) == "reply generate"
         assert Client.requests == 1
 
     def test_client_without_weak_references_replies_without_a_memo(self):
@@ -430,6 +430,7 @@ class TestReplyMemo:
             assert generate_response("ctx", "q", client) == "r"
         assert len(requests) == 2
 
+    @pytest.mark.stress
     def test_memos_stay_whole_under_concurrent_replies(self):
         # More threads than cores make the first replies of fresh clients at
         # once, while short-lived clients come and go: a memo lost to a race
@@ -703,10 +704,12 @@ def flush_threads(monkeypatch):
             started.append(self)
             super().start()
 
-    monkeypatch.setattr(tree_module, "threading", types.SimpleNamespace(Thread=SpyThread))
+    monkeypatch.setattr(tree_module, "threading",
+                        types.SimpleNamespace(Thread=SpyThread, Event=threading.Event))
     return started
 
 
+@pytest.mark.stress
 class TestWalkWhileFlushing:
     """A hat_* walk runs during the pending flush and keeps its result only
     when every text it read survived the flush."""

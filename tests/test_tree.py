@@ -300,6 +300,7 @@ class TestDeferredAggregation:
         assert texts_by_position(deferred) == texts_by_position(eager)
 
 
+@pytest.mark.stress
 class TestFailedFlush:
     def pending_tree(self):
         agg = FailingAggregator(fail_after=10 ** 9)
@@ -338,12 +339,47 @@ class TestFailedFlush:
         assert raw_state(tree) == before
         assert tree.layers == layers and tree.leaf_count == 14
 
+    def test_an_interrupted_commit_heals_on_the_next_flush(self):
+        # Ctrl-C between any two assignments of a commit (here a row that
+        # raises at its n-th assignment, for every n), after one earlier
+        # flush: a plain flush afterwards gives a fresh tree's rows.
+        class CutRow(list):
+            left = 0
+
+            def __setitem__(self, index, text):
+                CutRow.left -= 1
+                if CutRow.left == 0:
+                    raise KeyboardInterrupt
+                super().__setitem__(index, text)
+
+        for leaves in range(2, 32):
+            fresh = texts_by_position(build_tree(leaves, memory_length=3))
+            for flushed in range(1, leaves):
+                cut_at = 1
+                while True:
+                    tree = HatTree(3, ConcatAggregator(" | "))
+                    for i in range(leaves):
+                        if i == flushed:
+                            tree.flush()
+                        tree.append_leaf(f"t{i}")
+                    tree.layers = [CutRow(row) for row in tree.layers]
+                    CutRow.left = cut_at
+                    try:
+                        tree.flush()
+                    except KeyboardInterrupt:
+                        tree.flush()
+                        assert texts_by_position(tree) == fresh, (leaves, flushed, cut_at)
+                        cut_at += 1
+                    else:
+                        break
+
 
 def persona_tree(memory_length: int, transport) -> HatTree:
     client = LlmClient(transport, model="mock-chat", sleep=lambda _s: None)
     return HatTree(memory_length, LlmPersonaAggregator(client))
 
 
+@pytest.mark.stress
 class TestLayerParallelFlush:
     def test_calls_of_one_layer_overlap(self):
         # Both layer-1 calls must be in flight at once to pass the barrier.
@@ -454,10 +490,22 @@ class TestLayerParallelFlush:
         # M=3, whose 9 + 3 + 1 calls take 0.5 s each: the calls that started
         # are all the flush ever starts, it commits nothing, and the interrupt
         # is raised once they have returned.
-        code = """
+        assert_an_interrupt_stops_the_pending_flush(read_s=10)
+
+    def test_an_interrupted_wait_for_the_flush_stops_it(self):
+        # The same Ctrl-C, but the read returned at 0.05 s, so it lands while
+        # the read waits for the flush.
+        assert_an_interrupt_stops_the_pending_flush(read_s=0.05)
+
+
+def assert_an_interrupt_stops_the_pending_flush(read_s: float):
+    """SIGINT 0.1 s into `read_while_flushing` with a read of `read_s` seconds,
+    in a fresh process: the KeyboardInterrupt comes within 1 s, and 1 s later
+    no more than MAX_CONCURRENT_CALLS aggregate calls were sent and nothing
+    committed."""
+    code = f"""
 import signal, threading, time
 from hatmem import HatTree, LlmClient, LlmPersonaAggregator, MockTransport
-from hatmem.llm import MAX_CONCURRENT_CALLS
 
 class SlowTransport(MockTransport):
     def send(self, payload):
@@ -468,25 +516,26 @@ class SlowTransport(MockTransport):
 transport = SlowTransport()
 tree = HatTree(3, LlmPersonaAggregator(LlmClient(transport, "mock-chat")))
 for i in range(27):
-    tree.append_leaf(f"t{i}")
+    tree.append_leaf(f"t{{i}}")
 threading.Timer(0.1, signal.pthread_kill, (threading.main_thread().ident, signal.SIGINT)).start()
 start = time.perf_counter()
 try:
-    tree.read_while_flushing(lambda view: time.sleep(10))
+    tree.read_while_flushing(lambda view: time.sleep({read_s}))
 except KeyboardInterrupt:
     took = time.perf_counter() - start
     time.sleep(1.0)  # a flush that went on would send its next calls meanwhile
-    print(took, transport.calls, MAX_CONCURRENT_CALLS, tree.agg_call_count, tree.flushed_leaves)
+    print(took, transport.calls, tree.agg_call_count, tree.flushed_leaves)
 """
-        env = dict(os.environ, PYTHONPATH=str(Path(hatmem.__file__).parents[1]))
-        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                                text=True, timeout=60, check=True)
-        took, sent, workers, aggregated, flushed = result.stdout.split()
-        assert float(took) < 1.0
-        assert int(sent) <= int(workers)
-        assert aggregated == flushed == "0"
+    env = dict(os.environ, PYTHONPATH=str(Path(hatmem.__file__).parents[1]))
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, timeout=60, check=True)
+    took, sent, aggregated, flushed = result.stdout.split()
+    assert float(took) < 1.0
+    assert int(sent) <= MAX_CONCURRENT_CALLS
+    assert aggregated == flushed == "0"
 
 
+@pytest.mark.stress
 class TestAtomicity:
     def test_failed_aggregation_rolls_back_plain_insert(self):
         agg = FailingAggregator(fail_after=10 ** 9)
