@@ -164,8 +164,8 @@ class HttpTransport:
 class MockTransport:
     """Offline backend answering with `heuristic_reply`.
 
-    Safe to share across threads: a tree flush, a BFS/DFS scan and an agent
-    walk's descent call it from several at once.
+    Safe to share across threads: a tree flush and an agent walk's descent
+    call it from several at once.
     """
 
     def __init__(self):
@@ -402,9 +402,10 @@ def _section(text: str, start_marker: str, end_markers: list[str]) -> str:
 def heuristic_reply(messages: list[dict]) -> str:
     """Deterministic stand-in replies for this package's own prompt layouts.
 
-    Sufficiency prompts get YES when every informative question token occurs
-    in the passage; traversal prompts get ACCEPT under the same test and DOWN
-    otherwise; persona prompts echo the merged passages; response prompts
+    Sufficiency prompts get one line "<n>: YES" or "<n>: NO" per numbered
+    passage, judged on its own: YES when every informative question token
+    occurs in passage n. Traversal prompts get ACCEPT under the same test and
+    DOWN otherwise; persona prompts echo the merged passages; response prompts
     quote the best-matching memory line. Anything else gets a fixed string.
     """
     text = "\n".join(m.get("content", "") for m in messages)
@@ -415,9 +416,11 @@ def heuristic_reply(messages: list[dict]) -> str:
         return "ACCEPT" if _covers(node_text, query) else "DOWN"
 
     if "Reply YES or NO." in text:
-        query = _section(text, "QUESTION:", ["\nPASSAGE:"])
-        passage = _section(text, "PASSAGE:", ["\nDoes the passage contain"])
-        return "YES" if _covers(passage, query) else "NO"
+        query = _section(text, "QUESTION:", ["\nPASSAGE 1:"])
+        start, end = text.find("\nPASSAGE 1:\n"), text.rfind("\nDoes each passage contain")
+        passages = re.split(r"\nPASSAGE \d+:\n", text[start:end])[1:] if 0 <= start < end else []
+        return "\n".join(f"{n}: {'YES' if _covers(passage, query) else 'NO'}"
+                         for n, passage in enumerate(passages, 1))
 
     if "Passages to merge:" in text:
         block = _section(text, "Passages to merge:", [])

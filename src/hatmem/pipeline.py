@@ -14,19 +14,22 @@ fails, come from `end_session`, `build_context` with a hat_* strategy, and
 `llm_persona` an `end_session` costs about one endpoint round trip per tree
 layer, not one per aggregated node.
 
-A hat_* walk asks ahead (see `traversal._ask_ahead`), so it costs fewer
+A hat_bfs or hat_dfs walk costs one oracle round trip, which judges every
+distinct node text within the step budget. A hat_agent walk asks ahead about
+the DOWN chain below the root (see `traversal._ask_ahead`), so it costs fewer
 round trips than steps, and it asks at most 7 questions beyond those of
 asking one node at a time.
 
 `build_context` runs a hat_* walk while the pending aggregation runs
 (`HatTree.read_while_flushing`), so the aggregation overlaps the walk, and a
 query's round trips are about the larger of flush and walk instead of their
-sum. The walk is kept when every text it read came through the flush
-unchanged; otherwise it walks again on the flushed tree, where the client's
-memo (`llm.remembered`) answers every unchanged text, so the second walk
-adds asks only for the texts the flush changed. The context is always the
-one a walk after the flush would give. Ctrl-C during the walk stops the
-flush too (see `HatTree.read_while_flushing`).
+sum: for a scan, the flush's. The walk is kept when every text it read came
+through the flush unchanged; otherwise it walks again on the flushed tree.
+There the client's memo (`llm.remembered`) answers every agent question
+about an unchanged text, so a second agent walk adds asks only for the texts
+the flush changed; a second scan makes one new oracle call. The context is
+always the one a walk after the flush would give. Ctrl-C during the walk
+stops the flush too (see `HatTree.read_while_flushing`).
 
 `generate_response` sends the context under "MEMORY:" (left out when the
 context is empty) and the user's message under "USER MESSAGE:". The reply,

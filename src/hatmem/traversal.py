@@ -6,22 +6,23 @@ would leave the structure are no-ops instead of errors so a weak agent can
 never crash a walk, and a no-op move ends the walk as INSUFFICIENT: the agent
 would be shown the same node for the same query again. Besides the
 agent-driven walk there are breadth-first and depth-first scans that judge
-every node with a sufficiency oracle, asking it once per distinct node text.
-Each visited node costs one step, and all walks stop after `step_budget` steps.
+nodes with a sufficiency oracle. Each visited node costs one step, and all
+walks stop after `step_budget` steps.
 
-Every walk asks ahead (see `_ask_ahead`): a scan about the distinct texts it
-may visit, an agent walk about the DOWN chain below the root. Its result is
-that of asking one node at a time, for at most 7 questions more, and the
-oracle and the agent must be safe to call from several threads, as
-`LlmOracle` and `LlmAgent` are.
+A scan makes one oracle call: it hands the oracle every distinct node text
+within the budget, in visit order, and reads its path from the verdicts. An
+agent walk asks ahead (see `_ask_ahead`) about the DOWN chain below the
+root. Its result is that of asking one node at a time, for at most 7
+questions more, and the agent must be safe to call from several threads, as
+`LlmAgent` is.
 
 `LlmAgent` sends `llm_agent_prompt`: the action list as the system message,
 then the question, the current node's text and the moves so far.
 `parse_action` takes the first action word in the reply. A reply without one
 is asked again with a clarifying turn, up to MAX_PARSE_RETRIES times, and
-then counts as ACCEPT. `LlmOracle` sends the question and the node's text as
-a passage and asks for YES or NO. The first whole word "yes" or "no" in the
-reply decides, and a reply with neither counts as NO.
+then counts as ACCEPT. `LlmOracle` sends the question and the numbered
+passages and asks for one line per passage, "<n>: YES" or "<n>: NO"
+(`parse_verdicts`); a passage without a readable line counts as NO.
 
 `LlmOracle` and `LlmAgent` send through their client's reply memo
 (`llm.remembered`), so a question that client has already answered, in
@@ -36,7 +37,7 @@ from enum import Enum
 from itertools import islice
 from typing import Optional
 
-from .errors import ActionParseError, InvalidParameterError
+from .errors import ActionParseError, ContractViolationError, InvalidParameterError
 from .llm import MAX_CONCURRENT_CALLS, ChatRequest, call_concurrently, is_int, remembered
 from .tree import HatTree
 
@@ -118,6 +119,9 @@ def apply_action(tree: HatTree, cursor: Cursor, action: TraversalAction) -> Curs
 def _ask_ahead(ask, questions):
     """Yield `ask(question)` for each question in order, asking ahead.
 
+    `traverse` asks the DOWN chain below the root with it; scans make one
+    call and ask nothing ahead.
+
     The first question is asked alone; the rest go in waves of
     MAX_CONCURRENT_CALLS (8) concurrent asks, a wave being sent only when
     its first answer is read. A failed ask raises when its answer is read,
@@ -183,10 +187,12 @@ def traverse(tree: HatTree, agent, query: str, config: Optional[TraversalConfig]
 def _scan(tree: HatTree, oracle, query: str, config: Optional[TraversalConfig], order) -> TraversalResult:
     """Judge nodes in `order` until one suffices; each visit costs one step.
 
-    The oracle is asked ahead (see `_ask_ahead`) about each distinct text
-    within the budget, once: a node whose text it already rejected in this
-    scan (a clipped parent often repeats its first child) is rejected again
-    without a call.
+    One call, `oracle.sufficient(passages, query)`, judges every distinct
+    text within the budget, in visit order, and must return one verdict per
+    passage. The walk then reads its path from those verdicts, so a node
+    whose text repeats an earlier one (a clipped parent often repeats its
+    first child) gets that text's verdict, and the texts after the first
+    sufficient one are judged but never read.
     """
     config = config or TraversalConfig()
     if not tree.layers:
@@ -195,13 +201,15 @@ def _scan(tree: HatTree, oracle, query: str, config: Optional[TraversalConfig], 
     # One node past the budget tells running out of budget from running out of nodes.
     visits = list(islice(order, budget + 1))
     texts = [tree.node_at(cursor.layer, cursor.index) for cursor in visits[:budget]]
-    answers = _ask_ahead(lambda text: oracle.sufficient(text, query), list(dict.fromkeys(texts)))
-    verdicts: dict[str, object] = {}
+    passages = list(dict.fromkeys(texts))
+    verdicts = list(oracle.sufficient(passages, query))
+    if len(verdicts) != len(passages):
+        raise ContractViolationError(
+            f"oracle gave {len(verdicts)} verdicts for {len(passages)} passages")
+    sufficient = dict(zip(passages, verdicts))
     path: list[tuple[Cursor, TraversalAction]] = []
     for cursor, text in zip(visits, texts):
-        if text not in verdicts:
-            verdicts[text] = next(answers)
-        if verdicts[text]:
+        if sufficient[text]:
             path.append((cursor, TraversalAction.ACCEPT))
             return TraversalResult(Outcome.SUFFICIENT, text, path)
         path.append((cursor, TraversalAction.REJECT))
@@ -212,7 +220,7 @@ def _scan(tree: HatTree, oracle, query: str, config: Optional[TraversalConfig], 
 def bfs_search(tree: HatTree, oracle, query: str, config: Optional[TraversalConfig] = None) -> TraversalResult:
     """Layer by layer, left to right; finds the (layer, index)-minimal sufficient node.
 
-    Asks a thread-safe oracle once per distinct node text; see `_scan`.
+    One oracle call judges every distinct node text within the budget; see `_scan`.
     """
     def order():
         for layer in range(len(tree.layers)):
@@ -224,8 +232,8 @@ def bfs_search(tree: HatTree, oracle, query: str, config: Optional[TraversalConf
 def dfs_search(tree: HatTree, oracle, query: str, config: Optional[TraversalConfig] = None) -> TraversalResult:
     """Pre-order, children left to right; finds the pre-order-first sufficient node.
 
-    The order does not depend on any verdict, so this too asks a thread-safe
-    oracle once per distinct text; see `_scan`.
+    The order does not depend on any verdict, so this too makes one oracle
+    call about every distinct node text within the budget; see `_scan`.
     """
     def order():
         stack = [Cursor(0, 0)]
@@ -326,26 +334,62 @@ class LlmAgent:
 # ------------------------------------------------------------------- oracles
 
 _ORACLE_SYSTEM = """\
-You judge whether a passage contains enough information to answer a
-question. Reply YES or NO and nothing else."""
+You judge whether each numbered passage, on its own, contains enough
+information to answer a question. Reply with one line per passage, as
+"1: YES" or "1: NO" for passage 1, and nothing else."""
+
+_VERDICT_LINE = re.compile(r"^[^\w\n]*(\d+)[^\w\n]+(yes|no)\b", re.IGNORECASE | re.MULTILINE)
+
+
+def llm_oracle_prompt(passages: list[str], query: str) -> list[dict]:
+    numbered = "".join(f"PASSAGE {n}:\n{text}\n" for n, text in enumerate(passages, 1))
+    return [{"role": "system", "content": _ORACLE_SYSTEM},
+            {"role": "user", "content": f"QUESTION: {query}\n{numbered}"
+                                        "Does each passage contain enough information to answer "
+                                        "the question? Reply YES or NO."}]
+
+
+def parse_verdicts(reply: str, count: int) -> list[bool]:
+    """One verdict per passage 1..count from lines "<n>: YES" or "<n>: NO".
+
+    Case does not matter, and marks around the number ("**2**: no", "3. Yes")
+    are read past. A number's first line decides; numbers out of range are
+    ignored, and a passage with no line counts as NO, so a reply with no
+    readable line counts as NO for every passage.
+    """
+    # Numbers stay strings: int() refuses one of more than 4,300 digits.
+    verdicts: dict[str, bool] = {}
+    for number, word in _VERDICT_LINE.findall(reply):
+        verdicts.setdefault(number.lstrip("0"), word.lower() == "yes")
+    return [verdicts.get(str(n), False) for n in range(1, count + 1)]
 
 
 class LlmOracle:
-    """YES/NO sufficiency judgment from the chat model; unparseable means NO.
+    """YES/NO sufficiency judgments from the chat model, several passages per call.
+
+    `sufficient(passages, query)` sends the question and the passages
+    numbered from 1 in one request (`llm_oracle_prompt`) and returns one
+    verdict per passage, read by `parse_verdicts`: a reply line "<n>: YES"
+    or "<n>: NO" per passage, and NO for a passage without one.
+
+    The paper's oracle sees one node at a time. A real model may judge a
+    passage differently in the company of others; the mock
+    (`llm.heuristic_reply`) judges each numbered passage on its own, so its
+    verdicts are those of one passage per call.
+
+    The prompt keeps the sentence "Reply YES or NO.", by which the mock and
+    perfbench's emulated endpoint tell an oracle request from the other
+    stages, and the method keeps the name `sufficient`, the one method that
+    perfbench's traced oracle forwards.
 
     Safe to call from several threads when its client is, as `LlmClient` is.
     It asks through the client's reply memo (`llm.remembered`), so a
-    repeated question costs no call.
+    repeated question about the same passages costs no call.
     """
 
     def __init__(self, client):
         self.client = client
 
-    def sufficient(self, node_text: str, query: str) -> bool:
-        messages = [{"role": "system", "content": _ORACLE_SYSTEM},
-                    {"role": "user", "content": f"QUESTION: {query}\nPASSAGE:\n{node_text}\n"
-                                                "Does the passage contain enough information to "
-                                                "answer the question? Reply YES or NO."}]
-        reply = remembered(self.client, ChatRequest(messages, stage="oracle"))
-        match = re.search(r"\b(yes|no)\b", reply, re.IGNORECASE)
-        return bool(match) and match.group(1).lower() == "yes"
+    def sufficient(self, passages: list[str], query: str) -> list[bool]:
+        request = ChatRequest(llm_oracle_prompt(passages, query), stage="oracle")
+        return parse_verdicts(remembered(self.client, request), len(passages))

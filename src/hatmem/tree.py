@@ -155,20 +155,24 @@ class HatTree:
         """Append one leaf, then flush; return its index in the leaf layer.
 
         If aggregation fails, the append is undone and the tree, including
-        earlier unflushed appends and agg_call_count, is left as it was.
+        earlier unflushed appends and agg_call_count, is left as it was. An
+        interrupt during the commit that follows keeps the leaf, unflushed,
+        with some texts above it assigned and some stale; the next flush
+        redoes them, as after a `flush` cut the same way.
         """
         sizes = [len(row) for row in self.layers]
         index = self.append_leaf(text, session)
         try:
-            self.flush()
+            texts = self._pending_texts()
         except BaseException:
-            # A failed flush assigned nothing, so the append is the only
-            # change: drop a prepended root layer, then the appended nodes.
+            # Nothing was assigned, so the append is the only change: drop
+            # a prepended root layer, then the appended nodes.
             del self.layers[: len(self.layers) - len(sizes)]
             for row, size in zip(self.layers, sizes):
                 del row[size:]
             self.leaf_sessions.pop()
             raise
+        self._commit(texts)
         return index
 
     def flush(self) -> None:

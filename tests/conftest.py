@@ -174,10 +174,10 @@ def every_pool_worker() -> set:
 
 
 class TextSetOracle:
-    """Sufficient exactly when the node text is in a fixed set.
+    """Sufficient exactly when the passage is in a fixed set.
 
-    Scans call it from several threads, so calls are counted, and the texts
-    asked about recorded in `asked`, under a lock.
+    Calls are counted, and the passages of each call recorded as one list
+    in `asked`, under a lock.
     """
 
     def __init__(self, texts=()):
@@ -186,11 +186,11 @@ class TextSetOracle:
         self.asked = []
         self._lock = threading.Lock()
 
-    def sufficient(self, node_text, query):
+    def sufficient(self, passages, query):
         with self._lock:
             self.calls += 1
-            self.asked.append(node_text)
-        return node_text in self.texts
+            self.asked.append(list(passages))
+        return [text in self.texts for text in passages]
 
 
 class OracleAgent:
@@ -205,7 +205,7 @@ class OracleAgent:
         self.moves = list(moves) if moves else [TraversalAction.DOWN, TraversalAction.RIGHT]
 
     def propose_action(self, node_text, query, visited_path):
-        if self.oracle.sufficient(node_text, query):
+        if self.oracle.sufficient([node_text], query)[0]:
             return TraversalAction.ACCEPT
         return self.moves[len(visited_path) % len(self.moves)]
 
@@ -225,21 +225,21 @@ class CountingAgent:
 
 
 class ConstOracle:
-    """Always the same verdict; calls are counted under a lock, as in TextSetOracle."""
+    """The same verdict for every passage; calls are counted, as in TextSetOracle."""
 
     def __init__(self, value: bool):
         self.value = value
         self.calls = 0
         self._lock = threading.Lock()
 
-    def sufficient(self, node_text, query):
+    def sufficient(self, passages, query):
         with self._lock:
             self.calls += 1
-        return self.value
+        return [self.value] * len(passages)
 
 
 class SubstringOracle:
-    """True iff a fixed phrase occurs in the node text."""
+    """True for a passage iff a fixed phrase occurs in it."""
 
     def __init__(self, phrase: str, case_sensitive: bool = False):
         if not phrase:
@@ -247,10 +247,10 @@ class SubstringOracle:
         self.phrase = phrase
         self.case_sensitive = case_sensitive
 
-    def sufficient(self, node_text, query):
+    def sufficient(self, passages, query):
         if self.case_sensitive:
-            return self.phrase in node_text
-        return self.phrase.lower() in node_text.lower()
+            return [self.phrase in text for text in passages]
+        return [self.phrase.lower() in text.lower() for text in passages]
 
 
 class ScriptedAgent:

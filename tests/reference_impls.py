@@ -222,21 +222,3 @@ def plain_walk(layer_sizes: list[int], M: int, decide, budget: int) -> dict:
         coord = moves[action]
     return {"outcome": "budget_exhausted", "coord": None, "path": path, "steps": len(path)}
 
-
-def wave_scan(order: list[tuple[int, int]], text_at, is_sufficient, budget: int) -> list[str]:
-    """The texts a scan asks in a wave of 1, then waves of 8, in asking order.
-
-    The distinct texts of the first `budget` visits, in first-seen order, are
-    cut into consecutive waves of those sizes; every wave up to and including
-    the first one that holds a sufficient text is asked.
-    """
-    distinct = list(dict.fromkeys(text_at(coord) for coord in order[:budget]))
-    asked: list[str] = []
-    size = 1
-    while len(asked) < len(distinct):
-        wave = distinct[len(asked):len(asked) + size]
-        asked.extend(wave)
-        if any(is_sufficient(text) for text in wave):
-            break
-        size = 8
-    return asked

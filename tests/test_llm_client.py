@@ -410,7 +410,7 @@ class TestCallPool:
                 tree.append_leaf(f"t{i}.{j}")
             tree.flush()  # layer 1 aggregates two parents at once
             for search in (bfs_search, dfs_search):
-                search(tree, oracle, f"zebra {i}", config)  # NO everywhere: waves of 8
+                search(tree, oracle, f"zebra {i}", config)  # one call on the calling thread
             traverse(tree, agent, f"zebra {i}", config)  # DOWN everywhere: one chain
         assert threading.active_count() - threads_before <= MAX_CONCURRENT_CALLS
         assert set(agg.threads) - {threading.get_ident()} <= {thread.ident for thread in first}
@@ -581,14 +581,17 @@ class TestMock:
 
 class TestHeuristicReplies:
     def test_sufficiency_yes_and_no(self):
-        def judge(passage, query):
-            return heuristic_reply([{
-                "role": "user",
-                "content": f"QUESTION: {query}\nPASSAGE:\n{passage}\nDoes the passage contain "
-                           "enough information to answer the question? Reply YES or NO.",
-            }])
-        assert judge("I keep a zephyrite crystal on my desk", "Which crystal is on my desk?") == "YES"
-        assert judge("we talked about pasta", "Which crystal is on my desk?") == "NO"
+        # One line per numbered passage, each judged on its own; an empty
+        # passage and one that spans lines are passages too.
+        passages = ["we talked about pasta", "I keep a zephyrite crystal on my desk", "",
+                    "my desk\nholds a crystal", "crystal"]
+        numbered = "".join(f"PASSAGE {n}:\n{text}\n" for n, text in enumerate(passages, 1))
+        reply = heuristic_reply([{
+            "role": "user",
+            "content": f"QUESTION: Which crystal is on my desk?\n{numbered}Does each passage "
+                       "contain enough information to answer the question? Reply YES or NO.",
+        }])
+        assert reply == "1: NO\n2: YES\n3: NO\n4: YES\n5: NO"
 
     def test_agent_accepts_when_covered(self):
         content = ("QUESTION: where is the spare key?\nCURRENT NODE:\n"

@@ -543,8 +543,9 @@ class TestRunBench:
                                       lambda client: TruncateAggregator(16)],
                              ids=["llm_persona", "truncate"])
     def test_one_memo_serves_every_strategy(self, make):
-        # hat_dfs reads hat_bfs's verdicts from the client's memo: each
-        # strategy's rows are those it gets alone, for fewer requests.
+        # hat_bfs and hat_dfs share one client and its memo: each strategy's
+        # rows are those it gets alone, from one oracle call per query. The
+        # two scans share a request only where their passage lists agree.
         def bench(strategies):
             client = StageCountingClient(mock_client())
             report = run_bench(planted_fact_episodes(6), make(client), client, strategies=strategies)
@@ -556,8 +557,9 @@ class TestRunBench:
             alone, alone_calls = bench([name])
             assert dump_report(both["strategies"][name]) == dump_report(alone["strategies"][name])
             assert calls["aggregate"] == alone_calls["aggregate"]
+            assert alone_calls["oracle"] == 6
             alone_oracle_calls += alone_calls["oracle"]
-        assert calls["oracle"] < alone_oracle_calls
+        assert calls["oracle"] <= alone_oracle_calls
 
     def test_unknown_strategies_refused(self):
         with pytest.raises(InvalidParameterError, match=r"unknown strategies \['hat_ranked'\]"):
@@ -612,19 +614,20 @@ class StageCountingClient:
 
 
 class FailingJudge:
-    """An oracle and an agent whose every call raises; calls are counted under a lock."""
+    """An oracle and an agent whose every call raises; `asked` records the
+    first passage of each call, under a lock."""
 
     def __init__(self):
         self.asked = []
         self._lock = threading.Lock()
 
-    def sufficient(self, node_text, query):
+    def sufficient(self, passages, query):
         with self._lock:
-            self.asked.append(node_text)
+            self.asked.append(passages[0])
         raise RemoteUnavailableError("judge down", stage="oracle")
 
     def propose_action(self, node_text, query, visited_path):
-        return self.sufficient(node_text, query)
+        return self.sufficient([node_text], query)
 
 
 _NOUNS = ("cat", "boat", "violin", "garden", "bicycle", "teapot", "kite", "lamp")
@@ -739,8 +742,8 @@ class TestWalkWhileFlushing:
         oracle = TextSetOracle({new_root})
         context = build_context(state, "q", strategy, oracle=oracle, agent=OracleAgent(oracle))
         assert context == new_root
-        assert oracle.asked[0] == old_root  # the first walk, before the flush committed
-        assert oracle.asked[-1] == new_root  # the second walk, on the flushed tree
+        assert oracle.asked[0][0] == old_root  # the first walk, before the flush committed
+        assert oracle.asked[-1][0] == new_root  # the second walk, on the flushed tree
 
     @pytest.mark.parametrize("strategy", WALKS)
     def test_a_new_root_layer_is_never_asked_about(self, strategy, flush_threads):
@@ -750,13 +753,13 @@ class TestWalkWhileFlushing:
         context = build_context(state, "q", strategy, oracle=oracle,
                                 agent=OracleAgent(oracle, [A.DOWN, A.RIGHT, A.RIGHT]))
         assert len(flush_threads) == 1
-        assert oracle.asked and all(isinstance(text, str) for text in oracle.asked)
+        assert oracle.asked and all(isinstance(text, str) for call in oracle.asked for text in call)
         reference = TextSetOracle()
         flushed = concat_state(["a", "b", "c", "d"], flushed=4)
         flushed.tree.flush()
         assert context == build_context(flushed, "q", strategy, oracle=reference,
                                         agent=OracleAgent(reference, [A.DOWN, A.RIGHT, A.RIGHT]))
-        assert sorted(oracle.asked) == sorted(reference.asked)  # a wave asks in any order
+        assert sorted(oracle.asked) == sorted(reference.asked)  # an agent's chain asks in any order
 
     @pytest.mark.parametrize("strategy", WALKS)
     def test_nothing_pending_starts_no_thread(self, strategy, flush_threads):

@@ -61,7 +61,7 @@ PROMPTS = {
                                        (Cursor(1, 2), TraversalAction.RIGHT)]),
     "agent_empty_path": lambda: llm_agent_prompt("n", "q", []),
     "oracle": lambda: sent_messages(
-        lambda client: LlmOracle(client).sufficient("passage text\nline two", "which tea?")),
+        lambda client: LlmOracle(client).sufficient(["passage text\nline two", "{z}"], "which tea?")),
     "reply_memory": lambda: sent_messages(
         lambda client: generate_response("user: she likes tea\nassistant: ok", "which tea?", client)),
     "reply_empty": lambda: sent_messages(
@@ -77,7 +77,7 @@ class TestPinnedBytes:
         "persona": "f6d6efeb886feff05f08fcbd06910f30b90c346eebed55e4087638eb8ad77769",
         "agent": "abb65d789b52cb90bfcca7005868f94d900480513a776b9c38ea570ae3c54be0",
         "agent_empty_path": "95c9cc51027c04f0f971b8ef296782dc6d6391086165a5d420e7c44fb440fb6d",
-        "oracle": "d9b84d2a80dcd61f9e1d5057e766470c9cbfa2edd7175c7ac323a678545ea21d",
+        "oracle": "6b8cf9b12ae7f4091bbb18aec6b1cf01031f25e6062c20785f2b5b744ee32c74",
         "reply_memory": "fb13d713596e19463c8f18168e752aedde374633e80e5b7418f4075a5b2d0603",
         "reply_empty": "ffc899bae67a2c054ffa7ae485163a399b6f00ee517cf79bad51404fdaeedd06",
     }
@@ -115,8 +115,11 @@ class TestMockUnderstandsEveryCaller:
     ], ids=["covered", "not_covered"])
     def test_oracle_judges(self, passage, verdict):
         client = RecordingMock()
-        assert LlmOracle(client).sufficient(passage, "Which crystal do I keep?") is verdict
-        for marker in ("Reply YES or NO.", "QUESTION:", "PASSAGE:", "Does the passage contain"):
+        passages = ["user: hello", passage, "assistant: noted"]
+        assert LlmOracle(client).sufficient(passages, "Which crystal do I keep?") == [
+            False, verdict, False]
+        for marker in ("Reply YES or NO.", "QUESTION:", "PASSAGE 1:", "PASSAGE 3:",
+                       "Does each passage contain"):
             assert marker in joined(client)
 
     @pytest.mark.parametrize("context, reply", [

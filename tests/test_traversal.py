@@ -27,7 +27,7 @@ from conftest import (
     build_tree,
     every_pool_worker,
 )
-from reference_impls import bfs_visit_order, dfs_visit_order, plain_scan, plain_walk, wave_scan
+from reference_impls import bfs_visit_order, dfs_visit_order, plain_scan, plain_walk
 
 import hatmem
 from hatmem import (
@@ -297,7 +297,8 @@ class TestSearches:
             result = search(tree, oracle := ConstOracle(False), "q",
                             TraversalConfig(step_budget=100))
             assert result.outcome is Outcome.INSUFFICIENT
-            assert result.steps == 7 == oracle.calls
+            assert result.steps == 7
+            assert oracle.calls == 1
 
     def test_budget_cuts_scan_short(self):
         tree = build_tree(8)
@@ -345,14 +346,18 @@ class TestSearches:
         for i in range(4):
             tree.insert_leaf(f"w{i} x")
         # Clipped parents repeat their first child: (0,0) = (1,0) = (2,0) = "w0 x".
-        for search in (bfs_search, dfs_search):
-            oracle = ConstOracle(False)
+        for search, distinct in ((bfs_search, ["w0 x", "w2 x", "w1 x", "w3 x"]),
+                                 (dfs_search, ["w0 x", "w1 x", "w2 x", "w3 x"])):
+            oracle = TextSetOracle()
             result = search(tree, oracle, "q", TraversalConfig(step_budget=100))
             assert result.outcome is Outcome.INSUFFICIENT
             assert result.steps == 7
-            assert oracle.calls == 4
+            assert oracle.asked == [distinct]
 
     def test_scans_match_plain_reference(self):
+        # Random trees, budgets and truth sets: a scan's outcome, text and
+        # path are those of asking one node at a time, from one call that
+        # judges the distinct texts of the visits within the budget.
         rng = random.Random(20240610)
         reused = 0
         for _ in range(300):
@@ -368,78 +373,58 @@ class TestSearches:
             for search, order in ((bfs_search, bfs_visit_order(sizes)),
                                   (dfs_search, dfs_visit_order(sizes, M))):
                 text_at = lambda c: tree.node_at(*c)  # noqa: E731
-                is_sufficient = lambda text: text in targets  # noqa: E731
-                expected = plain_scan(order, text_at, is_sufficient, budget)
+                expected = plain_scan(order, text_at, lambda text: text in targets, budget)
                 oracle = TextSetOracle(targets)
                 result = search(tree, oracle, "q", config)
                 assert result.outcome.value == expected["outcome"]
                 assert result.text == expected["text"]
                 assert result.steps == expected["steps"]
                 assert [((c.layer, c.index), a.value) for c, a in result.path] == expected["path"]
-                assert oracle.calls == len(wave_scan(order, text_at, is_sufficient, budget))
+                assert oracle.asked == [list(dict.fromkeys(map(text_at, order[:budget])))]
                 reused += len(expected["consulted"]) - len(set(expected["consulted"]))
         assert reused > 0  # the trees do repeat texts, so the reuse path ran
 
-    def test_wave_calls_stay_within_bound(self):
-        # n = texts a one-at-a-time scan asks; a wave scan asks 1 when n = 1,
-        # at most n + 7 otherwise, and exactly n when no text suffices.
+    def test_chat_oracle_scans_match_plain_reference(self):
+        # The same with the chat oracle on the mock, whose truth is word
+        # cover: one request per scan, and none when the scan is repeated.
         rng = random.Random(20240611)
-        extra = 0
-        for _ in range(300):
+        accepted = 0
+        for _ in range(150):
             M = rng.choice([2, 3, 4])
-            leaves = rng.randint(1, 60)
-            texts = [f"n{i} w{rng.randrange(6)}" for i in range(leaves)]
-            tree = build_tree(leaves, memory_length=M, texts=texts)
+            tree = HatTree(M, TruncateAggregator(budget=rng.choice([1, 2, 3])))
+            for _ in range(rng.randint(1, 40)):
+                tree.insert_leaf(" ".join(f"w{rng.randrange(6)}" for _ in range(rng.randint(1, 3))))
             sizes = [tree.layer_size(k) for k in range(len(tree.layers))]
-            node_texts = [tree.node_at(k, i) for k, i in bfs_visit_order(sizes)]
-            targets = set(rng.sample(node_texts, rng.randint(0, 2)))
-            config = TraversalConfig(step_budget=rng.randint(1, len(node_texts) + 2))
+            wanted = {f"w{i}" for i in rng.sample(range(6), rng.randint(1, 2))}
+            query = " ".join(sorted(wanted))
+            config = TraversalConfig(step_budget=rng.randint(1, sum(sizes) + 2))
             for search, order in ((bfs_search, bfs_visit_order(sizes)),
                                   (dfs_search, dfs_visit_order(sizes, M))):
                 expected = plain_scan(order, lambda c: tree.node_at(*c),
-                                      lambda text: text in targets, config.step_budget)
-                n = len(set(expected["consulted"]))
-                oracle = TextSetOracle(targets)
-                result = search(tree, oracle, "q", config)
-                assert n <= oracle.calls <= (1 if n == 1 else n + 7)
-                if result.outcome is not Outcome.SUFFICIENT:
-                    assert oracle.calls == n
-                if result.steps == 1 and result.outcome is Outcome.SUFFICIENT:
-                    assert oracle.calls == 1
-                extra += oracle.calls - n
-        assert extra > 0  # some scans did ask behind their first YES
+                                      lambda text: wanted <= set(text.split()), config.step_budget)
+                oracle = LlmOracle(mock_client())
+                for _ in range(2):
+                    result = search(tree, oracle, query, config)
+                    assert [((c.layer, c.index), a.value) for c, a in result.path] == expected["path"]
+                    assert result.outcome.value == expected["outcome"]
+                    assert result.text == expected["text"]
+                    assert oracle.client.transport.calls == 1
+                accepted += result.outcome is Outcome.SUFFICIENT
+        assert 0 < accepted < 300
 
-    def test_wave_asks_are_in_flight_together(self):
-        # Wave 1 asks the root alone; the barrier then holds the two asks of
-        # wave 2, which pass only when both have started.
-        tree = build_tree(4)
+    def test_oracle_must_give_one_verdict_per_passage(self):
+        class ShortOracle:
+            def sufficient(self, passages, query):
+                return [False] * (len(passages) - 1)
+
         for search in (bfs_search, dfs_search):
-            transport = BarrierTransport(parties=2, skip=1)
-            oracle = LlmOracle(LlmClient(transport, model="m", sleep=lambda _s: None))
-            result = search(tree, oracle, "zebra", TraversalConfig(step_budget=100))
-            assert result.outcome is Outcome.INSUFFICIENT
-            assert transport._mock.calls == 7
+            with pytest.raises(ContractViolationError, match="6 verdicts for 7 passages"):
+                search(build_tree(4), ShortOracle(), "q")
 
-    def test_failed_ask_in_a_wave_raises_and_leaves_no_thread(self):
-        # Truncate(2) gives BFS texts "a0 x", "a0 x", "a2 boom", then leaves,
-        # so the failing text is asked in wave 2, on the pool.
-        tree = HatTree(2, TruncateAggregator(budget=2))
-        for text in ("a0 x", "a1 x", "a2 boom", "a3 x"):
-            tree.insert_leaf(text)
-        assert tree.node_at(1, 1) == "a2 boom"
-        transport = LoggingTransport(delay_s=0.001)
-        transport.fail_on = "boom"
-        oracle = LlmOracle(LlmClient(transport, model="m", sleep=lambda _s: None))
-        for search in (bfs_search, dfs_search):
-            with pytest.raises(RemoteUnavailableError) as failure:
-                search(tree, oracle, "zebra", TraversalConfig(step_budget=100))
-            assert failure.value.stage == "oracle"
-            assert_no_call_running(transport)
-
-    def test_failed_ask_behind_the_first_yes_is_dropped(self):
+    def test_failed_call_raises_and_leaves_no_thread(self):
         # Truncate(2) texts: the root and (1, 0) are "a0 x", (1, 1) is
-        # "a2 x". After the root, one wave asks "a1 zebra" and "a3 boom"
-        # with "a2 x", and the YES at "a1 zebra" comes first in both orders.
+        # "a2 x". The scan's one request carries "a3 boom" behind the
+        # passage "a1 zebra" that would suffice, and fails with it.
         tree = HatTree(2, TruncateAggregator(budget=2))
         for text in ("a0 x", "a1 zebra", "a2 x", "a3 boom"):
             tree.insert_leaf(text)
@@ -447,10 +432,11 @@ class TestSearches:
             transport = LoggingTransport(delay_s=0.001)
             transport.fail_on = "boom"
             oracle = LlmOracle(LlmClient(transport, model="m", sleep=lambda _s: None))
-            result = search(tree, oracle, "zebra", TraversalConfig(step_budget=100))
-            assert result.outcome is Outcome.SUFFICIENT
-            assert result.text == "a1 zebra"
-            assert transport.failed == 3
+            with pytest.raises(RemoteUnavailableError) as failure:
+                search(tree, oracle, "zebra", TraversalConfig(step_budget=100))
+            assert failure.value.stage == "oracle"
+            assert_no_call_running(transport)
+            assert transport.failed == transport.sent == 3  # one request, three attempts
 
     def test_empty_tree_rejected(self):
         tree = HatTree(2, ConcatAggregator())
@@ -533,14 +519,41 @@ class TestLlmAgent:
 
 class TestLlmOracle:
     def test_yes_no_parsing(self):
-        for reply, expected in (("YES", True), ("yes.", True), ("Yes, plenty.", True),
-                                ("NO", False), ("No idea", False), ("unclear", False)):
+        for reply, expected in (("1: YES\n2: NO", [True, False]),
+                                ("1: yes.\n2: Yes, plenty.", [True, True]),
+                                ("**1**: No idea\n 2 : yes", [False, True]),
+                                ("1. no\n2) YES", [False, True]),
+                                ("1: unclear\n2: NO", [False, False])):
             client = ScriptedClient([reply])
-            assert LlmOracle(client).sufficient("text", "query") is expected
+            assert LlmOracle(client).sufficient(["a", "b"], "query") == expected
 
     def test_first_token_wins(self):
-        client = ScriptedClient(["no, wait, yes"])
-        assert LlmOracle(client).sufficient("text", "query") is False
+        # A number's first line decides, and a line's first word after it.
+        client = ScriptedClient(["2: no, wait, yes\n1: YES\n2: YES\n1: NO"])
+        assert LlmOracle(client).sufficient(["a", "b"], "query") == [True, False]
+
+    def test_missing_and_out_of_range_numbers(self):
+        # A passage without a line counts as NO; numbers that name no
+        # passage are ignored; a bullet and leading zeros are read past.
+        for reply, expected in (("2: YES", [False, True, False]),
+                                ("0: YES\n4: YES\n- 03: YES", [False, False, True]),
+                                ("1: YES\n" + "9" * 5000 + ": YES", [True, False, False])):
+            client = ScriptedClient([reply])
+            assert LlmOracle(client).sufficient(["a", "b", "c"], "query") == expected
+
+    def test_garbage_reply_is_all_no(self):
+        for reply in ("", "YES", "I cannot tell.", "one: yes\ntwo: yes", "1 2 3 YES"):
+            client = ScriptedClient([reply])
+            assert LlmOracle(client).sufficient(["a", "b", "c"], "query") == [False] * 3
+
+    def test_prompt_numbers_the_passages(self):
+        client = ScriptedClient(["1: YES\n2: NO"])
+        LlmOracle(client).sufficient(["first\npassage", "second"], "the query")
+        (request,) = client.requests
+        assert request.stage == "oracle"
+        assert request.messages[-1]["content"].startswith(
+            "QUESTION: the query\nPASSAGE 1:\nfirst\npassage\nPASSAGE 2:\nsecond\n")
+        assert "Reply YES or NO." in request.messages[-1]["content"]
 
     def test_remote_failure_wrapped(self):
         class DownClient:
@@ -550,7 +563,7 @@ class TestLlmOracle:
                 raise RemoteUnavailableError("gone")
 
         with pytest.raises(RemoteUnavailableError):
-            LlmOracle(DownClient()).sufficient("text", "query")
+            LlmOracle(DownClient()).sufficient(["text"], "query")
 
 
 class KeyRecorder:
@@ -560,9 +573,9 @@ class KeyRecorder:
         self.decider = decider
         self.keys = keys
 
-    def sufficient(self, node_text, query):
-        self.keys.add(("oracle", node_text, query))
-        return self.decider.sufficient(node_text, query)
+    def sufficient(self, passages, query):
+        self.keys.add(("oracle", tuple(passages), query))
+        return self.decider.sufficient(passages, query)
 
     def propose_action(self, node_text, query, visited_path):
         self.keys.add(("agent", node_text, query, tuple(visited_path)))
@@ -608,7 +621,7 @@ class TestDecisionMemo:
     def test_memo_keeps_the_newest_entries(self, monkeypatch):
         monkeypatch.setattr(llm, "MEMO_ENTRIES", 3)
         oracle, agent = LlmOracle(mock_client()), LlmAgent(mock_client())
-        for client, ask in ((oracle.client, lambda i: oracle.sufficient(f"passage {i}", "q")),
+        for client, ask in ((oracle.client, lambda i: oracle.sufficient([f"passage {i}"], "q")),
                             (agent.client, lambda i: agent.propose_action(f"node {i}", "q", []))):
             for i in range(4):
                 ask(i)
@@ -622,7 +635,7 @@ class TestDecisionMemo:
         transport = DownTransport()
         client = LlmClient(transport, model="m", sleep=lambda _s: None)
         oracle, agent = LlmOracle(client), LlmAgent(client)
-        for ask, answer in ((lambda: oracle.sufficient("w1 w2", "w1"), True),
+        for ask, answer in ((lambda: oracle.sufficient(["w1 w2", "w3"], "w1"), [True, False]),
                             (lambda: agent.propose_action("w1 w2", "w3", []), A.DOWN)):
             transport.down = True
             before = transport.calls
@@ -635,26 +648,13 @@ class TestDecisionMemo:
             assert ask() == answer
             assert transport.calls == before + 4
 
-    def test_wave_asks_are_in_flight_together_behind_a_memo_hit(self):
-        # The oracle already judged the root, so wave 1 sends nothing; the
-        # barrier then holds the two asks of wave 2 until both have started.
-        tree = build_tree(4)
-        for search in (bfs_search, dfs_search):
-            client = mock_client()
-            oracle = LlmOracle(client)
-            assert oracle.sufficient(tree.root_text(), "zebra") is False
-            client.transport = BarrierTransport(parties=2)
-            result = search(tree, oracle, "zebra", TraversalConfig(step_budget=100))
-            assert result.outcome is Outcome.INSUFFICIENT
-            assert client.transport._mock.calls == 6
-
     def test_dropped_decider_frees_its_memo_without_a_collection(self):
         # A chat loop makes new deciders and clients per conversation; a memo
         # that kept its client in a reference cycle would live until a full
         # collection.
         client = mock_client()
         oracle, agent = LlmOracle(client), LlmAgent(client)
-        oracle.sufficient("w1", "w1")
+        oracle.sufficient(["w1"], "w1")
         agent.propose_action("w1", "w1", [])
         refs = [weakref.ref(oracle), weakref.ref(agent), weakref.ref(client)]
         memos = len(llm._memos)
@@ -675,7 +675,7 @@ class TestDecisionMemo:
         # Walks ask ahead on the shared call pool; start it and all of its
         # workers first, so that the bound below measures only the memo.
         every_pool_worker()
-        LlmOracle(mock_client()).sufficient("warm", "up")
+        LlmOracle(mock_client()).sufficient(["warm"], "up")
         LlmAgent(mock_client()).propose_action("warm", "up", [])
         tracemalloc.start()
         try:
@@ -709,7 +709,8 @@ class TestDecisionMemo:
         client = mock_client()
         oracle, agent = LlmOracle(client), LlmAgent(client)
         passages = [f"w{i} w{i + 1}" for i in range(32)]
-        asks = [(oracle.sufficient, lambda covered, _passage: covered),
+        asks = [(lambda passage, query: oracle.sufficient([passage, "w0"], query),
+                 lambda covered, _passage: [covered, False]),
                 (lambda passage, query: agent.propose_action(passage, query, []),
                  lambda covered, _passage: A.ACCEPT if covered else A.DOWN),
                 (lambda passage, query: hatmem.generate_response(passage, query, client),
@@ -756,9 +757,9 @@ class TestDecisionMemo:
         assert len(llm._memos[client]) == len(requests)
         assert [remembered(client, r) for r in requests] == replies
         assert client.requests == requests
-        client = ScriptedClient(["YES", "ACCEPT"])
+        client = ScriptedClient(["1: YES", "ACCEPT"])
         for _ in range(2):
-            assert LlmOracle(client).sufficient("w1 w2", "w1") is True
+            assert LlmOracle(client).sufficient(["w1 w2"], "w1") == [True]
             assert LlmAgent(client).propose_action("w1 w2", "w1", []) is A.ACCEPT
         assert len(client.requests) == len(llm._memos[client]) == 2
         # Keys as wide as the bound in the llm module's docstring assumes.

@@ -343,15 +343,6 @@ class TestFailedFlush:
         # Ctrl-C between any two assignments of a commit (here a row that
         # raises at its n-th assignment, for every n), after one earlier
         # flush: a plain flush afterwards gives a fresh tree's rows.
-        class CutRow(list):
-            left = 0
-
-            def __setitem__(self, index, text):
-                CutRow.left -= 1
-                if CutRow.left == 0:
-                    raise KeyboardInterrupt
-                super().__setitem__(index, text)
-
         for leaves in range(2, 32):
             fresh = texts_by_position(build_tree(leaves, memory_length=3))
             for flushed in range(1, leaves):
@@ -372,6 +363,44 @@ class TestFailedFlush:
                         cut_at += 1
                     else:
                         break
+
+    def test_an_interrupted_insert_commit_heals_on_the_next_flush(self):
+        # Ctrl-C at any assignment of the commit in `insert_leaf`, after
+        # 1-29 flushed leaves: the new leaf stays, unflushed, and a plain
+        # flush afterwards gives a fresh tree's rows, new leaf included.
+        cuts = 0
+        for earlier in range(1, 30):
+            fresh = texts_by_position(build_tree(earlier + 1, memory_length=3))
+            cut_at = 1
+            while True:
+                tree = build_tree(earlier, memory_length=3)
+                tree.layers = [CutRow(row) for row in tree.layers]
+                CutRow.left = cut_at
+                try:
+                    tree.insert_leaf(f"t{earlier}")
+                except KeyboardInterrupt:
+                    assert tree.leaf_count == earlier + 1
+                    assert tree.flushed_leaves == earlier
+                    tree.flush()
+                    assert texts_by_position(tree) == fresh, (earlier, cut_at)
+                    cut_at += 1
+                    cuts += 1
+                else:
+                    break
+        assert cuts > 29  # every insert was cut at least once
+
+
+class CutRow(list):
+    """A row whose assignment raises KeyboardInterrupt when `CutRow.left`,
+    counted down by every assignment to any CutRow, reaches 0."""
+
+    left = 0
+
+    def __setitem__(self, index, text):
+        CutRow.left -= 1
+        if CutRow.left == 0:
+            raise KeyboardInterrupt
+        super().__setitem__(index, text)
 
 
 def persona_tree(memory_length: int, transport) -> HatTree:
