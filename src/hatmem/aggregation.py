@@ -8,6 +8,16 @@ same way every time, which is why every chat request goes at temperature 0
 (see `llm`): a flush stops where texts did not change, and a document
 reloads to what a re-flush would give. Inputs always arrive oldest to newest.
 
+A tree node whose one child is internal takes that child's text and calls no
+aggregator (`HatTree.flush`). That gives the text an aggregation would give
+when a merge of one merged text is that text, `aggregate([x]) == x` for any
+x an aggregator produced. Concat joins one text to itself. Truncate
+re-tokenizes lowercased, stripped tokens into the same tokens, at most B of
+them. The mock persona reply echoes one normalised line. A live persona
+model is only assumed to hold this: a note merged from one note is that
+note, so a node with one summarised child holds that child's note until its
+second child arrives and it is merged for real.
+
 The persona kind sends `persona_prompt`: a system message asking for one
 short note that keeps every concrete fact, then the children as numbered
 passages under "Passages to merge:". Its reply, stripped of surrounding
@@ -109,6 +119,11 @@ class LlmPersonaAggregator(Aggregator):
     load, not at its first call. The prompt is always `persona_prompt`, and
     the request goes at the client's model and temperature 0; `params()`
     records the prompt's name and that temperature, but no caller sets them.
+
+    A tree never sends it one note alone: a node whose only child is a
+    summary takes that note as it is, assuming a note merged from one note
+    is that note. A node of one leaf is still sent, so every raw turn is
+    condensed.
     """
 
     kind = "llm_persona"

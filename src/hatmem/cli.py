@@ -159,7 +159,7 @@ def cmd_ingest(args) -> int:
             (staging / f"{episode.episode_id}.memory.json").write_text(
                 bench_mod.dump_report(snapshots), encoding="utf-8")
             print(f"{episode.episode_id}: {state.tree.leaf_count} leaves, "
-                  f"depth {state.tree.depth()}, {state.tree.agg_call_count} aggregations")
+                  f"depth {state.tree.depth()}, {state.tree.agg_call_count} aggregator calls")
         for written in sorted(staging.iterdir()):
             os.replace(written, out_dir / written.name)
     finally:

@@ -11,8 +11,10 @@ ancestors at the next read of internal text, so the aggregation cost, and a
 `RemoteUnavailableError` with stage "aggregate" when the aggregator's endpoint
 fails, come from `end_session`, `build_context` with a hat_* strategy, and
 `serialize`. The tree sends one layer's chat aggregations at once, so with
-`llm_persona` an `end_session` costs about one endpoint round trip per tree
-layer, not one per aggregated node.
+`llm_persona` an `end_session` costs one endpoint round trip per tree layer
+with a node to aggregate, not one per aggregated node. A layer whose only
+changed node has one child, itself a summary, costs none: that node takes
+the summary as it is.
 
 A hat_bfs or hat_dfs walk costs one oracle round trip, which judges every
 distinct node text within the step budget. A hat_agent walk asks ahead about

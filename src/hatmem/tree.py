@@ -10,15 +10,21 @@ the leaf layer is full (M ** depth leaves), a new root layer is prepended.
 
 Appending a leaf only places it, with `None` for the text of any internal
 node it creates; no aggregator runs. `flush` works up from the leaves
-appended since the last flush, one layer at a time: it aggregates the
-parents of the nodes that changed, and a node changed when it is new or its
-new text differs from its old one. A node whose children did not change is
-not aggregated again, and the flush stops at the first layer where nothing
-changed. Every public read of internal text flushes first, and
-`insert_leaf` is an append plus a flush. A flush sends one layer's chat (`llm_persona`) aggregations
-concurrently on the process's one long-lived call pool, so at most
-MAX_CONCURRENT_CALLS (8) are in flight at a time across all flushes and
-walks; other kinds run on the calling thread.
+appended since the last flush, one layer at a time: it sets the parents of
+the nodes that changed, and a node changed when it is new or its new text
+differs from its old one. A parent is the aggregate of its children's
+texts, except a parent whose one child is an internal node: that child is
+already a summary, and the parent takes its text with no aggregator call.
+Only the last node of a layer can have one child, and a chain of such nodes
+appears each time the leaf count passes a multiple of M ** j; a layer where
+the flush sets only such a node costs no round trip. A parent of one leaf is
+still aggregated, so a raw turn is always condensed. A node whose children
+did not change is not set again, and the flush stops at the first layer
+where nothing changed. Every public read of internal text flushes first, and
+`insert_leaf` is an append plus a flush. A flush sends one layer's chat
+(`llm_persona`) aggregations concurrently on the process's one long-lived
+call pool, so at most MAX_CONCURRENT_CALLS (8) are in flight at a time
+across all flushes and walks; other kinds run on the calling thread.
 
 One read may run during a pending flush (`read_while_flushing`): the flush
 computes on a thread of its own while the read sees the texts as they stood
@@ -64,9 +70,11 @@ class HatTree:
     that covers it. `leaf_sessions` holds each leaf's session, an integer or
     None. A node has no id, no links and no cache, since its position fixes
     its parent and children, and a flush re-aggregates only nodes whose
-    children changed. `serialize` writes document version 3, the leaves'
-    sessions as runs of equal sessions; `deserialize` reads versions 3, 2
-    and 1.
+    children changed; a node whose one child is internal takes that child's
+    text uncalled. `agg_call_count` counts the aggregator calls of the
+    committed flushes, not the texts they set. `serialize` writes document
+    version 3, the leaves' sessions as runs of equal sessions; `deserialize`
+    reads versions 3, 2 and 1.
 
     Writers must be exclusive: one append, flush or insert at a time. A read
     of internal text flushes first, so while leaves are unflushed a read is
@@ -88,6 +96,8 @@ class HatTree:
         self.aggregator = aggregator
         self.layers: list[list[Optional[str]]] = []
         self.leaf_sessions: list[Optional[int]] = []
+        # Aggregator calls made by committed flushes (a node given its one
+        # child's text makes none).
         self.agg_call_count = 0
         # Leaves whose ancestors the last successful flush aggregated.
         self.flushed_leaves = 0
@@ -154,16 +164,20 @@ class HatTree:
     def insert_leaf(self, text: str, session: Optional[int] = None) -> int:
         """Append one leaf, then flush; return its index in the leaf layer.
 
-        If aggregation fails, the append is undone and the tree, including
-        earlier unflushed appends and agg_call_count, is left as it was. An
-        interrupt during the commit that follows keeps the leaf, unflushed,
-        with some texts above it assigned and some stale; the next flush
-        redoes them, as after a `flush` cut the same way.
+        The flush calls the aggregator for the leaf's parent and for each
+        changed node above it that has two or more children; a re-root, whose
+        new nodes between the leaf's parent and the root have one child each,
+        of a flushed tree costs two calls at any depth. If aggregation fails, the append is
+        undone and the tree, including earlier unflushed appends and
+        agg_call_count, is left as it was. An interrupt during the commit
+        that follows keeps the leaf, unflushed, with some texts above it
+        assigned and some stale; the next flush redoes them, as after a
+        `flush` cut the same way.
         """
         sizes = [len(row) for row in self.layers]
         index = self.append_leaf(text, session)
         try:
-            texts = self._pending_texts()
+            pending = self._pending_texts()
         except BaseException:
             # Nothing was assigned, so the append is the only change: drop
             # a prepended root layer, then the appended nodes.
@@ -172,29 +186,37 @@ class HatTree:
                 del row[size:]
             self.leaf_sessions.pop()
             raise
-        self._commit(texts)
+        self._commit(*pending)
         return index
 
     def flush(self) -> None:
         """Aggregate the parents of changed nodes, one layer at a time, leaves up.
 
         The leaves appended since the last flush start as changed. A parent
-        aggregates its children's texts from the same flush; a node is
-        changed when it is new or its text differs from the one it had, and
-        the flush ends at the first layer with no changed node. When a layer
-        has several aggregations and the aggregator waits on a chat
-        endpoint, their calls run concurrently on the process's shared call
-        pool, which keeps at most MAX_CONCURRENT_CALLS in flight
+        aggregates its children's texts from the same flush, or, when its
+        one child is an internal node, takes that child's text with no call;
+        a node is changed when it is new or its text differs from the one it
+        had, and the flush ends at the first layer with no changed node.
+        When a layer has several aggregations and the aggregator waits on a
+        chat endpoint, their calls run concurrently on the process's shared
+        call pool, which keeps at most MAX_CONCURRENT_CALLS in flight
         (`call_concurrently`). Once one of a layer's calls has raised, the
         layer's calls that have not started are skipped. Nothing is assigned
         until every started aggregate call has returned, so a failed flush
         leaves texts and agg_call_count as they were, and its leaves stay
         unflushed.
         """
-        self._commit(self._pending_texts())
+        self._commit(*self._pending_texts())
 
-    def _pending_texts(self, interrupted=()) -> dict[tuple[int, int], str]:
-        """The text `flush` gives each node it aggregates; changes nothing."""
+    def _pending_texts(self, interrupted=()) -> tuple[dict[tuple[int, int], str], int]:
+        """The text `flush` gives each node it sets, and the aggregator calls
+        that took; changes nothing.
+
+        A parent whose one child is an internal node takes that child's text
+        with no call: the child is already a summary, and a summary of one
+        summary is that summary (`aggregation`). A parent of one leaf is
+        aggregated, so a raw turn is still condensed.
+        """
         def aggregate(child_texts):
             if interrupted:  # see `read_while_flushing`: fails the batch and so the flush
                 raise KeyboardInterrupt
@@ -203,6 +225,7 @@ class HatTree:
         M = self.memory_length
         changed = range(self.flushed_leaves, self.leaf_count)
         texts: dict[tuple[int, int], str] = {}
+        calls = 0
         for k in range(len(self.layers) - 2, -1, -1):
             if not changed:
                 break
@@ -211,20 +234,27 @@ class HatTree:
             inputs = [[texts.get((k + 1, j), below[j])
                        for j in range(i * M, min((i + 1) * M, len(below)))]
                       for i in parents]
+            # A parent whose one child is internal takes that child's text,
+            # uncalled; only the last node of a layer can have one child.
+            passed = k + 2 < len(self.layers) and len(inputs[-1]) == 1
+            sent = inputs[:-1] if passed else inputs
             # Only a chat aggregator waits; the others compute, which threads cannot overlap.
             if self.aggregator.kind == LlmPersonaAggregator.kind:
-                aggregated = call_concurrently(aggregate, inputs)
+                aggregated = call_concurrently(aggregate, sent)
             else:
-                aggregated = [aggregate(child_texts) for child_texts in inputs]
+                aggregated = [aggregate(child_texts) for child_texts in sent]
+            calls += len(sent)
+            if passed:
+                aggregated.append(inputs[-1][0])
             texts.update(((k, i), text) for i, text in zip(parents, aggregated))
             changed = [i for i, text in zip(parents, aggregated) if text != self.layers[k][i]]
-        return texts
+        return texts, calls
 
-    def _commit(self, texts: dict[tuple[int, int], str]) -> None:
+    def _commit(self, texts: dict[tuple[int, int], str], calls: int) -> None:
         # Root first: a commit cut short leaves only lower texts stale, which the next flush redoes.
         for (k, i), text in reversed(texts.items()):
             self.layers[k][i] = text
-        self.agg_call_count += len(texts)
+        self.agg_call_count += calls
         self.flushed_leaves = self.leaf_count
 
     def read_while_flushing(self, read):
@@ -262,7 +292,7 @@ class HatTree:
 
         def compute():
             try:
-                flushed["texts"] = self._pending_texts(interrupted)
+                flushed["pending"] = self._pending_texts(interrupted)
             except BaseException as error:  # raised on the calling thread
                 flushed["error"] = error
             finally:
@@ -286,7 +316,7 @@ class HatTree:
             raise
         if "error" in flushed:
             raise flushed["error"]
-        self._commit(flushed["texts"])
+        self._commit(*flushed["pending"])
         if stopped or any(self.layers[k][i] != text for (k, i), text in view.served.items()):
             return read(self)
         if failure is not None:

@@ -169,6 +169,32 @@ class TestLlmPersona:
             LlmPersonaAggregator().aggregate(["text"])
 
 
+def random_text(rng) -> str:
+    """Words in several scripts and cases, punctuation, newlines, numbered
+    lines and runs of spaces, in random order."""
+    pieces = ["alpha", "Bravo", "CHARLIE", "straße", "İstanbul", "ΟΔΟΣ", "naïve", "ﬁle",
+              "東京", "café😀", "x", ".", ",", "!?", "'quoted'", "(note)", "--", "\n",
+              "\n\n", "3. x", "\n12. ", "1.", "  ", "    ", "\t", " "]
+    return "".join(rng.choice(pieces) + rng.choice(["", " ", "  "])
+                   for _ in range(rng.randint(1, 12)))
+
+
+class TestOneTextMerge:
+    """A tree node whose only child is internal takes that child's text
+    with no call (`HatTree._pending_texts`). That gives the texts an
+    aggregation would only if merging one merged text gives it back."""
+
+    def test_a_merge_of_one_merged_text_is_that_text(self, rng):
+        makers = [lambda: ConcatAggregator(rng.choice(["", " ", " | ", "\n", "; ", "ab"])),
+                  lambda: TruncateAggregator(rng.randint(1, 20)),
+                  lambda: LlmPersonaAggregator(mock_client())]
+        for make in makers:
+            for _ in range(300):
+                agg = make()
+                merged = agg.aggregate([random_text(rng) for _ in range(rng.randint(1, 4))])
+                assert agg.aggregate([merged]) == merged, (agg.spec(), merged)
+
+
 class TestAggregatorSpecs:
     def test_roundtrip_all_kinds(self):
         for agg in (ConcatAggregator("##"), TruncateAggregator(9),

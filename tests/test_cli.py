@@ -299,10 +299,13 @@ class TestIngest:
         out = tmp_path / "out"
         assert main(["ingest", str(episodes), "--out", str(out), "--mock",
                      "--aggregator", "llm_persona"]) == EXIT_OK
-        state = ingest_episode(episode, 3, LlmPersonaAggregator(mock_client()))
+        client = mock_client()
+        state = ingest_episode(episode, 3, LlmPersonaAggregator(client))
         assert (out / f"{episode.episode_id}.tree.json").read_text(encoding="utf-8") \
             == state.tree.serialize()
-        assert f"{state.tree.agg_call_count} aggregations" in capsys.readouterr().out
+        # The line counts the calls sent, not the texts set.
+        assert client.transport.calls == state.tree.agg_call_count
+        assert f"{state.tree.agg_call_count} aggregator calls" in capsys.readouterr().out
 
     def test_a_config_that_records_the_persona_template_loads(self, tmp_path, episodes_file):
         # The name every llm_persona spec records is accepted; the exit-2

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import random
+import re
 import signal
 import subprocess
 import sys
@@ -217,22 +218,30 @@ class TestUpdateAndCache:
         tree.insert_leaf("w5 x")
         assert tree.agg_call_count - before == 1
 
-    def test_insert_into_depth3_costs_three_calls(self):
-        # 5 leaves at M=2 give depth 3 with room for 8, so no re-root.
+    def test_insert_into_depth3_skips_the_parent_of_one_summary(self):
+        # 5 leaves at M=2 give depth 3 with room for 8, so no re-root. The
+        # insert aggregates (2, 2) and the root; (1, 1), whose one child is
+        # (2, 2), takes its text with no call.
         tree = build_tree(5)
         assert tree.depth() == 3
         before = tree.agg_call_count
         tree.insert_leaf("t5")
         assert tree.depth() == 3
-        assert tree.agg_call_count - before == 3
+        assert tree.agg_call_count - before == 2
+        assert tree.layers[1][1] == tree.layers[2][2] == "t4 | t5"
 
-    def test_reroot_insert_costs_depth_plus_one(self):
-        tree = build_tree(4)
-        depth_before = tree.depth()
-        before = tree.agg_call_count
-        tree.insert_leaf("t4")
-        assert tree.depth() == depth_before + 1
-        assert tree.agg_call_count - before == depth_before + 1
+    def test_reroot_insert_costs_two_calls(self):
+        # The new leaf's parent and the new root; every node between them
+        # has one child, a summary, and takes its text.
+        for M, leaves in ((2, 4), (2, 16), (3, 9), (3, 27)):
+            tree = build_tree(leaves, memory_length=M)
+            depth_before = tree.depth()
+            before = tree.agg_call_count
+            tree.insert_leaf(f"t{leaves}")
+            assert tree.depth() == depth_before + 1
+            assert tree.agg_call_count - before == 2
+            assert texts_by_position(tree) == concat_texts(
+                [f"t{i}" for i in range(leaves + 1)], M, " | ")
 
     def test_per_insert_cost_bound(self, rng):
         for _ in range(20):
@@ -390,6 +399,59 @@ class TestFailedFlush:
         assert cuts > 29  # every insert was cut at least once
 
 
+    def test_a_failed_flush_with_pass_through_nodes_pending_commits_nothing(self):
+        # A ninth leaf at M=2 re-roots: (3, 4) and the root are aggregated,
+        # and (2, 2) and (1, 1), each with one summarised child, take it.
+        fresh = texts_by_position(build_tree(9))
+        for fail_at in range(2):  # the leaf parent's call, then the root's
+            agg = FailingAggregator(fail_after=10 ** 9)
+            tree = HatTree(2, agg)
+            for i in range(8):
+                tree.insert_leaf(f"t{i}")
+            tree.append_leaf("t8")
+            before = raw_state(tree)
+            agg.fail_after = agg.calls + fail_at
+            with pytest.raises(RemoteUnavailableError):
+                tree.flush()
+            assert raw_state(tree) == before
+            with pytest.raises(RemoteUnavailableError):
+                tree.insert_leaf("t9")
+            assert raw_state(tree) == before
+            agg.armed = False
+            tree.flush()
+            assert tree.agg_call_count - before[1] == 2
+            assert texts_by_position(tree) == fresh
+
+    def test_a_cut_commit_of_pass_through_nodes_heals_on_the_next_flush(self):
+        # The same re-root, cut at each assignment of its commit, by flush or
+        # by insert: the next flush gives a fresh tree's rows, with at most
+        # the same two calls. It stops below the root once it reaches a text
+        # the cut commit did assign.
+        fresh = texts_by_position(build_tree(9))
+        for insert in (False, True):
+            cut_at = 1
+            while True:
+                tree = build_tree(8)
+                if not insert:
+                    tree.append_leaf("t8")
+                tree.layers = [CutRow(row) for row in tree.layers]
+                CutRow.left = cut_at
+                try:
+                    tree.insert_leaf("t8") if insert else tree.flush()
+                except KeyboardInterrupt:
+                    calls = tree.agg_call_count
+                    assert tree.flushed_leaves == 8
+                    tree.flush()
+                    assert 1 <= tree.agg_call_count - calls <= 2
+                    assert texts_by_position(tree) == fresh, (insert, cut_at)
+                    cut_at += 1
+                else:
+                    break
+            # (1, 1), (2, 2) and (3, 4) were each cut, and so was the root, unless
+            # the insert's own append made its row, a plain list.
+            assert cut_at == (4 if insert else 5)
+
+
 class CutRow(list):
     """A row whose assignment raises KeyboardInterrupt when `CutRow.left`,
     counted down by every assignment to any CutRow, reaches 0."""
@@ -406,6 +468,73 @@ class CutRow(list):
 def persona_tree(memory_length: int, transport) -> HatTree:
     client = LlmClient(transport, model="mock-chat", sleep=lambda _s: None)
     return HatTree(memory_length, LlmPersonaAggregator(client))
+
+
+class NoteTransport:
+    """Answers a persona prompt with "note: " and its passages joined by
+    " / ", so that, unlike the mock, a note merged from one note is not
+    that note. `sent` lists each request's passages."""
+
+    def __init__(self):
+        self.sent = []
+        self._lock = threading.Lock()
+
+    def send(self, payload):
+        prompt = payload["messages"][-1]["content"]
+        passages = re.findall(r"(?m)^\d+\. (.*)$", prompt.split("Passages to merge:\n", 1)[1])
+        with self._lock:
+            self.sent.append(passages)
+        content = "note: " + " / ".join(passages)
+        return 200, {"choices": [{"message": {"role": "assistant", "content": content}}]}
+
+
+def serial_rounds(calls: list[dict]) -> int:
+    """The longest chain of logged calls in which each starts after the last ended."""
+    rounds: dict[int, int] = {}
+    for call in sorted(calls, key=lambda c: c["start"]):
+        rounds[id(call)] = 1 + max((rounds[id(c)] for c in calls
+                                    if id(c) in rounds and c["end"] < call["start"]), default=0)
+    return max(rounds.values(), default=0)
+
+
+class TestParentOfOneSummary:
+    def test_a_live_note_is_taken_as_it_is_and_merged_once_a_second_child_arrives(self):
+        transport = NoteTransport()
+        tree = persona_tree(2, transport)
+        for i in range(5):
+            tree.append_leaf(f"t{i}")
+        tree.flush()
+        # (2, 2) has one leaf child and is sent; (1, 1) has one internal
+        # child, (2, 2), and holds its note with no request.
+        assert ["t4"] in transport.sent
+        assert ["note: t4"] not in transport.sent
+        assert tree.layers[2][2] == tree.layers[1][1] == "note: t4"
+        assert tree.root_text() == "note: note: note: t0 / t1 / note: t2 / t3 / note: t4"
+        assert len(transport.sent) == tree.agg_call_count == 5
+        for i in range(5, 7):
+            tree.append_leaf(f"t{i}")
+        tree.flush()
+        assert tree.layers[1][1] == "note: note: t4 / t5 / note: t6"
+        assert transport.sent[-2:] == [["note: t4 / t5", "note: t6"],
+                                       [tree.layers[1][0], tree.layers[1][1]]]
+        assert len(transport.sent) == tree.agg_call_count == 9
+
+    def test_a_reroot_sends_two_rounds_at_any_depth(self):
+        # Before the rule, a re-root of a depth-d tree sent d + 1 calls, one
+        # round after another.
+        for M, depth in ((2, 2), (2, 4), (3, 2), (3, 3)):
+            transport = LoggingTransport(delay_s=0.001)
+            tree = persona_tree(M, transport)
+            for i in range(M ** depth):
+                tree.append_leaf(f"t{i}")
+            tree.flush()
+            assert tree.depth() == depth
+            returned, calls = len(transport.calls), tree.agg_call_count
+            tree.append_leaf("new")
+            tree.flush()
+            sent = transport.calls[returned:]
+            assert len(sent) == tree.agg_call_count - calls == serial_rounds(sent) == 2
+            assert tree.root_text() == " ".join([f"t{i}" for i in range(M ** depth)] + ["new"])
 
 
 @pytest.mark.stress
@@ -1186,7 +1315,9 @@ class TestFlushMatchesFullRecompute:
                     tree.flush()
                 expected = full_recompute(leaves, M, aggregate)
                 children = child_text_lists(expected, M)
-                changed = sum(previous.get(key) != kids for key, kids in children.items())
+                # A node of height 2 or more with one child takes its text, uncalled.
+                changed = sum(previous.get(key) != kids and (key[0] < 2 or len(kids) > 1)
+                              for key, kids in children.items())
                 assert tree.agg_call_count - calls == changed
                 assert texts_by_position(tree) == expected
                 previous = children
