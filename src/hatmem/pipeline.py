@@ -18,9 +18,8 @@ the summary as it is.
 
 A hat_bfs or hat_dfs walk costs one oracle round trip, which judges every
 distinct node text within the step budget. A hat_agent walk asks ahead about
-the DOWN chain below the root (see `traversal._ask_ahead`), so it costs fewer
-round trips than steps, and it asks at most 7 questions beyond those of
-asking one node at a time.
+the DOWN chain below the root (see `traversal.traverse`), so it costs fewer
+round trips than steps.
 
 `build_context` runs a hat_* walk while the pending aggregation runs
 (`HatTree.read_while_flushing`), so the aggregation overlaps the walk, and a

@@ -11,10 +11,7 @@ walks stop after `step_budget` steps.
 
 A scan makes one oracle call: it hands the oracle every distinct node text
 within the budget, in visit order, and reads its path from the verdicts. An
-agent walk asks ahead (see `_ask_ahead`) about the DOWN chain below the
-root. Its result is that of asking one node at a time, for at most 7
-questions more, and the agent must be safe to call from several threads, as
-`LlmAgent` is.
+agent walk asks ahead about the DOWN chain below the root; see `traverse`.
 
 `LlmAgent` sends `llm_agent_prompt`: the action list as the system message,
 then the question, the current node's text and the moves so far.
@@ -116,53 +113,34 @@ def apply_action(tree: HatTree, cursor: Cursor, action: TraversalAction) -> Curs
     return Cursor(cursor.layer, cursor.index + 1)
 
 
-def _ask_ahead(ask, questions):
-    """Yield `ask(question)` for each question in order, asking ahead.
-
-    `traverse` asks the DOWN chain below the root with it; scans make one
-    call and ask nothing ahead.
-
-    The first question is asked alone; the rest go in waves of
-    MAX_CONCURRENT_CALLS (8) concurrent asks, a wave being sent only when
-    its first answer is read. A failed ask raises when its answer is read,
-    after its whole wave has returned, retries included; the answers a walk
-    never reads, failures included, are dropped. A walk that reads answers
-    in order thus gets those of asking one question at a time, for at most
-    7 asks more, and `ask` must be safe to call from several threads.
-    """
-    def attempt(question):
-        try:
-            return ask(question)
-        except Exception as error:
-            return error
-    start, size = 0, 1
-    while start < len(questions):
-        for answer in call_concurrently(attempt, questions[start:start + size]):
-            if isinstance(answer, Exception):
-                raise answer
-            yield answer
-        start, size = start + size, MAX_CONCURRENT_CALLS
-
-
 def traverse(tree: HatTree, agent, query: str, config: Optional[TraversalConfig] = None) -> TraversalResult:
     """Agent-driven walk from the root; every agent consultation costs one step.
 
     A move that leaves the cursor where it is ends the walk as INSUFFICIENT,
     with that move as the last entry of the path.
 
-    The agent is asked ahead (see `_ask_ahead`) about the root and the DOWN
-    chain below it, the nodes (1, 0), (2, 0), ... toward the leftmost leaf,
-    within the budget; each question carries the path the walk has if every
-    earlier answer is DOWN. The walk reads those answers while they are DOWN
-    and then asks one node at a time, so no (cursor, path) is asked twice.
+    The walk asks ahead about the DOWN chain below the root. The root is
+    asked alone; once it answers DOWN, the nodes (1, 0), (2, 0), ... toward
+    the leftmost leaf, at most MAX_CONCURRENT_CALLS (8) of them and within
+    the budget, are read and asked in one concurrent batch, each question
+    carrying the path of DOWN moves from the root. The walk reads those
+    answers while they are DOWN and then asks one node at a time, so no
+    (cursor, path) is asked twice. A failed ask raises only when the walk
+    reads its answer, after the whole batch has returned, retries included;
+    the answers it never reads, failures included, are dropped. The result
+    is thus that of asking one node at a time, for at most 7 asks more, and
+    the agent must be safe to call from several threads, as `LlmAgent` is.
     """
     config = config or TraversalConfig()
     if not tree.layers:
         raise InvalidParameterError("cannot traverse an empty tree")
-    end = min(len(tree.layers), MAX_CONCURRENT_CALLS + 1, config.step_budget)
-    chain = [(tree.node_at(layer, 0), [(Cursor(above, 0), TraversalAction.DOWN) for above in range(layer)])
-             for layer in range(end)]
-    answers = _ask_ahead(lambda question: agent.propose_action(question[0], query, question[1]), chain)
+
+    def attempt(question):
+        try:
+            return agent.propose_action(*question)
+        except Exception as error:
+            return error
+    answers = iter(())
     cursor = Cursor(0, 0)
     path: list[tuple[Cursor, TraversalAction]] = []
     while len(path) < config.step_budget:
@@ -170,6 +148,8 @@ def traverse(tree: HatTree, agent, query: str, config: Optional[TraversalConfig]
         action = next(answers, None)
         if action is None:
             action = agent.propose_action(text, query, path)
+        elif isinstance(action, Exception):
+            raise action
         path.append((cursor, action))
         if action is TraversalAction.ACCEPT:
             return TraversalResult(Outcome.SUFFICIENT, text, path)
@@ -181,6 +161,11 @@ def traverse(tree: HatTree, agent, query: str, config: Optional[TraversalConfig]
         cursor = moved
         if action is not TraversalAction.DOWN:
             answers = iter(())
+        elif len(path) == 1:  # the root answered DOWN
+            end = min(len(tree.layers), MAX_CONCURRENT_CALLS + 1, config.step_budget)
+            down = [(Cursor(layer, 0), TraversalAction.DOWN) for layer in range(end - 1)]
+            chain = [(tree.node_at(layer, 0), query, down[:layer]) for layer in range(1, end)]
+            answers = iter(call_concurrently(attempt, chain))
     return TraversalResult(Outcome.BUDGET_EXHAUSTED, None, path)
 
 

@@ -61,23 +61,34 @@ class BarrierTransport:
     each wait until all of them have started.
 
     Calls sent one at a time break the barrier when its timeout expires, and
-    the waiting call raises `threading.BrokenBarrierError`.
+    the waiting call raises `threading.BrokenBarrierError`. The first call
+    takes `first_delay_s` longer. `events` logs each call's ("start", n) and
+    ("end", n), n counting calls from 1, in the order they happened.
     """
 
-    def __init__(self, parties: int = 2, timeout: float = 5.0, skip: int = 0):
+    def __init__(self, parties: int = 2, timeout: float = 5.0, skip: int = 0,
+                 first_delay_s: float = 0.0):
         self._mock = MockTransport()
         self._barrier = threading.Barrier(parties, timeout=timeout)
         self._lock = threading.Lock()
         self._held = range(skip + 1, skip + parties + 1)
         self._calls = 0
+        self.first_delay_s = first_delay_s
+        self.events = []
 
     def send(self, payload):
         with self._lock:
             self._calls += 1
-            hold = self._calls in self._held
-        if hold:
+            number = self._calls
+            self.events.append(("start", number))
+        if number == 1:
+            time.sleep(self.first_delay_s)
+        if number in self._held:
             self._barrier.wait()
-        return self._mock.send(payload)
+        reply = self._mock.send(payload)
+        with self._lock:
+            self.events.append(("end", number))
+        return reply
 
 
 class LoggingTransport:

@@ -58,7 +58,7 @@ from hatmem.errors import (
     RemoteUnavailableError,
 )
 from hatmem import llm
-from hatmem.llm import ChatRequest, remembered
+from hatmem.llm import MAX_CONCURRENT_CALLS, ChatRequest, remembered
 from hatmem.traversal import llm_agent_prompt, parse_action
 
 
@@ -236,6 +236,7 @@ class TestTraverse:
             ahead += len(asks) - expected["steps"]
         assert ahead > 0  # some walks did ask ahead of what they read
 
+    @pytest.mark.stress
     def test_descent_wave_asks_are_in_flight_together(self):
         # The root is asked alone; the barrier then holds the three asks of
         # the DOWN chain below it, which pass only when all have started.
@@ -247,9 +248,48 @@ class TestTraverse:
         assert [cursor for cursor, _ in result.path] == [Cursor(k, 0) for k in range(4)]
         assert transport._mock.calls == 4
 
+    @pytest.mark.stress
+    def test_chain_ask_ahead_is_capped_at_the_call_pool(self):
+        # A 10-layer tree: the root is asked alone, then the chain (1, 0) ...
+        # (8, 0) in one batch, held together by the barrier, then the leaf
+        # alone once the walk has read the batch. The first call is slow, so
+        # an ask sent beside it would start before it ends.
+        tree = build_tree(300)
+        assert len(tree.layers) == 10
+        transport = BarrierTransport(parties=MAX_CONCURRENT_CALLS, skip=1, first_delay_s=0.05)
+        agent = LlmAgent(LlmClient(transport, model="m", sleep=lambda _s: None))
+        result = traverse(tree, agent, "zebra", TraversalConfig(step_budget=12))
+        assert result.outcome is Outcome.INSUFFICIENT
+        assert result.path == [(Cursor(k, 0), A.DOWN) for k in range(10)]
+        assert transport._mock.calls == result.steps == 10
+        batch = MAX_CONCURRENT_CALLS
+        assert [kind for kind, _ in transport.events] == (
+            ["start", "end"] + ["start"] * batch + ["end"] * batch + ["start", "end"])
+
+    @pytest.mark.parametrize("action", [A.ACCEPT, A.REJECT])
+    def test_walk_that_stops_at_the_root_reads_nothing_below_it(self, action):
+        tree = build_tree(64)
+        read = []
+
+        class ReadSpy:
+            layers = tree.layers
+            memory_length = tree.memory_length
+            layer_size = tree.layer_size
+
+            def node_at(self, layer, index):
+                read.append((layer, index))
+                return tree.node_at(layer, index)
+
+        agent = CountingAgent(ScriptedAgent([action]))
+        result = traverse(ReadSpy(), agent, "q", TraversalConfig(step_budget=16))
+        assert result.path == [(Cursor(0, 0), action)]
+        assert read == [(0, 0)]
+        assert agent.calls == 1
+
+    @pytest.mark.stress
     def test_failed_ask_the_walk_never_reads_is_dropped(self):
         # The answer at (1, 0) is ACCEPT, so the failed asks at (2, 0) and
-        # (3, 0) below it, made in the same wave, are never read.
+        # (3, 0) below it, made in the same batch, are never read.
         tree = build_tree(8)
         agent = CountingAgent(FailingAgent(ScriptedAgent([A.DOWN, A.ACCEPT]), fail_at_step=2))
         result = traverse(tree, agent, "q", TraversalConfig(step_budget=100))
@@ -258,6 +298,7 @@ class TestTraverse:
         assert result.steps == 2
         assert agent.calls == 4
 
+    @pytest.mark.stress
     def test_failed_ask_the_walk_reads_raises_and_leaves_no_thread(self):
         # Every ask below (1, 0) carries "(1,0) DOWN" in its path and fails;
         # the walk reads the answer at (2, 0) after the DOWN at (1, 0).
