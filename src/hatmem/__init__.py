@@ -1,10 +1,9 @@
-"""Aggregate-tree memory for long multi-session conversations.
+"""Aggregate-tree memory for long multi-session conversations (arXiv 2406.06124).
 
-A layered tree stores dialogue turns as leaves and recursively aggregated
-summaries above them; re-aggregation is incremental, touching only nodes
-whose children changed. Query time walks the tree (agent-driven or BFS/DFS
-with a sufficiency oracle) to pick the context handed to response
-generation, and a metric suite scores the results.
+A layered tree (`tree`) stores dialogue turns as leaves and aggregated
+summaries above them. A query walks it (`traversal`: agent-driven, or BFS/DFS
+with a sufficiency oracle) to pick the context for the reply (`pipeline`),
+and `metrics` scores the replies.
 """
 
 from .aggregation import (

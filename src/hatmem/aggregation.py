@@ -2,29 +2,11 @@
 
 Three kinds: `concat` (separator join), `truncate` (join then keep the first
 B tokens), and `llm_persona` (persona-note summarization through the chat
-client). Deterministic kinds are pure functions of the input list; the
-persona kind is pure given an endpoint that answers an identical request the
-same way every time, which is why every chat request goes at temperature 0
-(see `llm`): a flush stops where texts did not change, and a document
-reloads to what a re-flush would give. Inputs always arrive oldest to newest.
-
-A tree node whose one child is internal takes that child's text and calls no
-aggregator (`HatTree.flush`). That gives the text an aggregation would give
-when a merge of one merged text is that text, `aggregate([x]) == x` for any
-x an aggregator produced. Concat joins one text to itself. Truncate
-re-tokenizes lowercased, stripped tokens into the same tokens, at most B of
-them. The mock persona reply echoes one normalised line. A live persona
-model is only assumed to hold this: a note merged from one note is that
-note, so a node with one summarised child holds that child's note until its
-second child arrives and it is merged for real.
-
-The persona kind sends `persona_prompt`: a system message asking for one
-short note that keeps every concrete fact, then the children as numbered
-passages under "Passages to merge:". Its reply, stripped of surrounding
-whitespace, is the parent text. Its spec records the prompt's name,
-"template": "persona_v1", and "temperature": 0.0, constants and not
-settings. `AGGREGATORS` (kind to class) is the one list of kinds; each
-default is in its constructor alone.
+client). Inputs always arrive oldest to newest. Deterministic kinds are pure
+functions of the input list; the persona kind is pure given one answer per
+request (see the `llm` module docstring). A tree never sends a lone summary
+to be merged again (see `HatTree.flush`). `AGGREGATORS` (kind to class) is
+the one list of kinds; each default is in its constructor alone.
 """
 
 from __future__ import annotations
@@ -110,20 +92,17 @@ class TruncateAggregator(Aggregator):
 
 
 class LlmPersonaAggregator(Aggregator):
-    """Summarizes children into persona notes via the chat client.
+    """Summarizes children into one persona note via the chat client.
 
-    A client is optional so that serialized trees can be loaded for
-    inspection without one; aggregating without one is a
-    `ContractViolationError`, a caller's mistake rather than a remote failure.
-    max_tokens is checked here, so that a bad spec or tree document fails to
-    load, not at its first call. The prompt is always `persona_prompt`, and
-    the request goes at the client's model and temperature 0; `params()`
-    records the prompt's name and that temperature, but no caller sets them.
-
-    A tree never sends it one note alone: a node whose only child is a
-    summary takes that note as it is, assuming a note merged from one note
-    is that note. A node of one leaf is still sent, so every raw turn is
-    condensed.
+    It sends `persona_prompt`, a system message asking for one short note
+    that keeps every concrete fact, then the children as numbered passages;
+    the stripped reply is the parent text. A client is optional so that
+    serialized trees can be loaded for inspection without one; aggregating
+    without one is a `ContractViolationError`, a caller's mistake rather
+    than a remote failure. max_tokens is checked here, so that a bad spec or
+    tree document fails to load, not at its first call. `params()` records
+    the prompt's name, "persona_v1", and temperature 0.0, constants that no
+    caller sets.
     """
 
     kind = "llm_persona"
@@ -136,7 +115,6 @@ class LlmPersonaAggregator(Aggregator):
         self.max_tokens = max_tokens
 
     def params(self) -> dict:
-        # max_tokens is recorded only when set, so default specs stay as they were.
         params = {"template": PERSONA_TEMPLATE, "temperature": 0.0}
         if self.max_tokens is not None:
             params["max_tokens"] = self.max_tokens

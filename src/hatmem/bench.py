@@ -1,10 +1,10 @@
 """Benchmark comparing context strategies on the same episodes.
 
-For every episode the held-out query is the final user/assistant exchange of
-the last session; the memory is built from everything before it. Each
-strategy builds its context, a response is generated (mock or live), and the
-responses are scored against the gold assistant turns. Session snapshots are
-additionally scored against dataset gold memory when present.
+For every episode the memory holds everything before the held-out exchange
+(`episodes.final_exchange`). Each strategy builds its context, a response is
+generated (mock or live), and the responses are scored against the gold
+assistant turns. Session snapshots are also scored against dataset gold
+memory when present.
 
 The machine-readable report is sorted JSON with no timestamps or host paths,
 so identical runs produce identical bytes.

@@ -1,13 +1,13 @@
 """Command-line surface.
 
-Subcommands: ingest (episodes file -> persisted trees and snapshots, named
-after the episode ids, which must be unique, plain file names; a run that
-fails moves none of its files into --out), bench
-(strategy comparison with metric tables), chat (line-oriented REPL), inspect
-(tree structure dump), metrics (score candidate/reference pairs). Exit
-codes: 0 success, 1 usage error, 2 data or config error, 3 remote error: a
-`RemoteUnavailableError` (retries exhausted) or a `ProtocolError` (a reply
-the client cannot use); either message names the stage of the failed call.
+Subcommands: ingest (episodes file -> persisted trees and snapshots, one
+pair per episode; a run that fails moves none of its files into --out),
+bench (strategy comparison with metric tables), chat (line-oriented REPL),
+inspect (tree structure dump), metrics (score candidate/reference pairs).
+Exit codes: 0 success, 1 usage error, 2 data or config error, 3 remote
+error: a `RemoteUnavailableError` (retries exhausted) or a `ProtocolError`
+(a reply the client cannot use); either message names the stage of the
+failed call.
 """
 
 from __future__ import annotations

@@ -2,52 +2,23 @@
 library, and a fully offline mock transport.
 
 The wire shape is the common JSON one: POST {model, messages, temperature}
-and read choices[0].message.content back. A `ChatRequest` carries only what
-its caller varies, the messages, a max_tokens cap and a stage; the model is
-the client's, and the temperature is always 0.0. The package relies on one
-fixed answer per request: a tree flush stops at the first layer whose texts
-did not change, a document reloads to what a re-flush would give, and the
-reply memo below serves a repeated request. The transport is injectable so
-every caller (aggregation, traversal agent and oracle, response generation)
-runs against either a live HTTP endpoint or the in-memory mock; nothing else
-in the package knows which. A transport that gets no answer raises
-`OSError`; `LlmClient` retries that, 429 and 5xx (MAX_ATTEMPTS in all,
-backing off from BACKOFF_S), then raises one `RemoteUnavailableError` that
-names the request's stage.
+and read choices[0].message.content back. Every request goes at temperature
+0.0, and the package relies on one fixed answer per request: a tree flush
+stops at the first layer whose texts did not change, a document reloads to
+what a re-flush would give, and the reply memo (`remembered`) serves a
+repeated request. Every caller (aggregation, the walks' agent and oracle,
+the reply) runs against either a live HTTP endpoint or the in-memory mock
+through an injectable transport; nothing else in the package knows which.
+The mock answers this package's own prompt layouts with a deterministic
+heuristic, so end-to-end runs work offline without canned transcripts. Only
+`HttpTransport.send` loads the HTTP stack (`http.client`, `urllib.request`,
+and through them `ssl` and `email`), so importing the package or building a
+client does not.
 
-The mock is deterministic: a small heuristic that understands this
-package's own prompt layouts answers every request, so end-to-end runs work
-offline without canned transcripts. Only `HttpTransport.send` loads the
-HTTP stack (`http.client`, `urllib.request`, and through them `ssl` and
-`email`), so importing the package or building a client does not.
-
-`call_concurrently` runs every batch of two or more calls on one pool of
-MAX_CONCURRENT_CALLS daemon worker threads that take jobs from one queue,
-shared by all batches and kept for the life of the process. The first such
-batch starts them, and only then is `queue` imported. Exit does not wait for
-an idle worker, and a batch whose caller is interrupted (say by Ctrl-C)
-skips its calls that have not started.
-
-`remembered(client, request)` is the one reply memo of the package: the
-walks' agent and oracle and the reply step send through it, each client
-object keeps its last MEMO_ENTRIES replies, and a request it has already
-answered costs no call. Aggregation sends through `complete` alone, so that
-the tree counts every aggregation it makes. A reply is filed under the
-built-in `hash` of the request as sent, a tuple of the client's model, the
-repr of max_tokens, and each message's (role, content), so the
-parts stay apart; only the int key and the reply's content are kept, so an
-entry costs the same whatever the length of its texts. CPython hashes
-strings with keyed SipHash, seeded per process, into `sys.hash_info.width`
-bits (64 on a 64-bit build): against at most MEMO_ENTRIES keys, a lookup
-finds another request's reply with probability below 2^-52 there. A memo
-lives as long as its client; a client that cannot be weakly referenced gets
-none. A call that raises stores nothing, and two threads that miss on the
-same request at once both send it. The memo assumes that the endpoint
-answers an identical request, at temperature 0, the same way every time.
-
-The call pool and the memos are the module's only process-wide state, and
-both sit behind one lock, which a forked child replaces along with the pool:
-a thread of the parent that held it at the fork does not exist in the child.
+The call pool (`call_concurrently`) and the memos are the module's only
+process-wide state, and both sit behind one lock, which a forked child
+replaces along with the pool: a thread of the parent that held it at the fork
+does not exist in the child.
 """
 
 from __future__ import annotations
@@ -68,9 +39,7 @@ from .metrics import informative_tokens, tokenize
 ENV_ENDPOINT = "HATMEM_ENDPOINT"
 ENV_API_KEY = "HATMEM_API_KEY"
 ENV_MODEL = "HATMEM_MODEL"
-# Workers of the one shared call pool, and so the most calls that all
-# concurrent batches of the process together have in flight at once: one cap
-# on what a single endpoint sees, however many threads start batches.
+# Workers of the one shared call pool (see `call_concurrently`).
 MAX_CONCURRENT_CALLS = 8
 MAX_ATTEMPTS = 3
 BACKOFF_S = 1.0
@@ -162,11 +131,7 @@ class HttpTransport:
 
 
 class MockTransport:
-    """Offline backend answering with `heuristic_reply`.
-
-    Safe to share across threads: a tree flush and an agent walk's descent
-    call it from several at once.
-    """
+    """Offline backend answering with `heuristic_reply`; safe to share across threads."""
 
     def __init__(self):
         self.calls = 0
@@ -198,9 +163,8 @@ class LlmClient:
     once as `ProtocolError`, which carries the stage too. Instances are
     shareable across threads; retries are independent per request. `sleep`
     is injectable so that tests and benchmarks need not wait out the backoff.
-
-    Every payload names the client's `model`, a string checked here, at
-    temperature 0.0 (see the module docstring); max_tokens only when set.
+    Every payload names the client's model, a string, and max_tokens only
+    when set.
     """
 
     def __init__(self, transport, model: str, sleep: Callable[[float], None] = time.sleep):
@@ -284,12 +248,14 @@ def call_concurrently(call: Callable, items: list) -> list:
     """`[call(item) for item in items]`, with the calls run on the shared pool.
 
     A batch of one runs on the calling thread. A larger one runs on the
-    process's one pool of MAX_CONCURRENT_CALLS daemon workers on one job
-    queue, started at the first such batch; exit does not wait for them. So
-    the cap holds for all batches in flight together, not for each. A batch
-    started from inside a pooled call runs on that worker, item by item:
-    waiting there for other workers could deadlock a full pool. Results come
-    back in item order.
+    process's one pool of MAX_CONCURRENT_CALLS daemon workers that take jobs
+    from one queue, started at the first such batch (which alone imports
+    `queue`) and kept for the life of the process; exit does not wait for
+    them. So the cap holds for all batches of all threads in flight
+    together, the most calls one endpoint sees at once. A batch started from
+    inside a pooled call runs on that worker, item by item: waiting there
+    for other workers could deadlock a full pool. Results come back in item
+    order.
 
     Once a call has raised, or the caller's wait is interrupted (say by
     Ctrl-C, re-raised at once), the batch starts none of its calls that have
@@ -334,7 +300,22 @@ _memos: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 def remembered(client, request: ChatRequest) -> str:
     """`client.complete(request).content`, from the client's memo when the
-    same request was answered before (see the module docstring)."""
+    same request was answered before.
+
+    This is the package's one reply memo: the walks' agent and oracle and
+    the reply step ask through it; aggregation sends through `complete`
+    alone, so that the tree counts every aggregation it makes. Each client
+    keeps its last MEMO_ENTRIES replies, each filed under the built-in `hash`
+    of the request as sent, a tuple of the model, the repr of max_tokens and
+    each message's (role, content), and costing the same whatever the length
+    of its texts. CPython hashes strings with keyed SipHash, seeded per
+    process, into `sys.hash_info.width` bits (64 on a 64-bit build): against
+    at most MEMO_ENTRIES keys, a lookup finds another request's reply with
+    probability below 2^-52 there. A memo lives as long as its client; a
+    client that cannot be weakly referenced gets none. A call that raises
+    stores nothing, and two threads that miss on the same request at once
+    both send it.
+    """
     request.validate()
     key = hash((client.model, repr(request.max_tokens),
                 *((m["role"], m["content"]) for m in request.messages)))

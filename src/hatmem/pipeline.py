@@ -4,39 +4,11 @@ Each conversation owns one MemoryState: the tree plus per-session root-text
 snapshots. Turns are ingested one leaf per utterance as "<speaker>: <text>";
 the snapshot taken at a session's end is that session's memory record, and
 it covers everything up to and including the session because the root
-aggregates all prior leaves.
-
-Ingesting a turn only appends its leaf. The tree aggregates the changed
-ancestors at the next read of internal text, so the aggregation cost, and a
-`RemoteUnavailableError` with stage "aggregate" when the aggregator's endpoint
-fails, come from `end_session`, `build_context` with a hat_* strategy, and
-`serialize`. The tree sends one layer's chat aggregations at once, so with
-`llm_persona` an `end_session` costs one endpoint round trip per tree layer
-with a node to aggregate, not one per aggregated node. A layer whose only
-changed node has one child, itself a summary, costs none: that node takes
-the summary as it is.
-
-A hat_bfs or hat_dfs walk costs one oracle round trip, which judges every
-distinct node text within the step budget. A hat_agent walk asks ahead about
-the DOWN chain below the root (see `traversal.traverse`), so it costs fewer
-round trips than steps.
-
-`build_context` runs a hat_* walk while the pending aggregation runs
-(`HatTree.read_while_flushing`), so the aggregation overlaps the walk, and a
-query's round trips are about the larger of flush and walk instead of their
-sum: for a scan, the flush's. The walk is kept when every text it read came
-through the flush unchanged; otherwise it walks again on the flushed tree.
-There the client's memo (`llm.remembered`) answers every agent question
-about an unchanged text, so a second agent walk adds asks only for the texts
-the flush changed; a second scan makes one new oracle call. The context is
-always the one a walk after the flush would give. Ctrl-C during the walk
-stops the flush too (see `HatTree.read_while_flushing`).
-
-`generate_response` sends the context under "MEMORY:" (left out when the
-context is empty) and the user's message under "USER MESSAGE:". The reply,
-stripped of surrounding whitespace, is the answer. It asks through the
-client's reply memo (`llm.remembered`), so a repeated (context, query) costs
-no chat call.
+aggregates all prior leaves. Ingesting a turn only appends its leaf, so the
+aggregation, and a `RemoteUnavailableError` with stage "aggregate" when its
+endpoint fails, come from `end_session`, `build_context` with a hat_*
+strategy, and `serialize` (see `HatTree.flush`). A hat_* walk runs while the
+pending flush runs (see `HatTree.read_while_flushing`).
 """
 
 from __future__ import annotations
@@ -62,10 +34,7 @@ STRATEGIES = ("all_context", "part_context", "gold_memory", "hat_bfs", "hat_dfs"
 
 @dataclass
 class MemoryState:
-    """A tree plus its session records.
-
-    A turn's session is stored once, in the tree's `leaf_sessions`.
-    """
+    """A tree plus its session records; a turn's session is in the tree's `leaf_sessions`."""
 
     tree: HatTree
     session_snapshots: dict[int, str] = field(default_factory=dict)
@@ -168,11 +137,7 @@ guessing."""
 
 
 def generate_response(context: str, query: str, client) -> str:
-    """One assistant reply for the query, grounded in the context when present.
-
-    A repeated (context, query) is answered from the client's reply memo
-    (`llm.remembered`) without a request.
-    """
+    """One assistant reply for the query, grounded in the context when present."""
     memory_block = f"MEMORY:\n{context}\n\n" if context else ""
     messages = [{"role": "system", "content": _REPLY_SYSTEM},
                 {"role": "user", "content": f"{memory_block}USER MESSAGE: {query}"}]

@@ -5,25 +5,9 @@ actions decide whether the current node suffices for the query. Moves that
 would leave the structure are no-ops instead of errors so a weak agent can
 never crash a walk, and a no-op move ends the walk as INSUFFICIENT: the agent
 would be shown the same node for the same query again. Besides the
-agent-driven walk there are breadth-first and depth-first scans that judge
-nodes with a sufficiency oracle. Each visited node costs one step, and all
-walks stop after `step_budget` steps.
-
-A scan makes one oracle call: it hands the oracle every distinct node text
-within the budget, in visit order, and reads its path from the verdicts. An
-agent walk asks ahead about the DOWN chain below the root; see `traverse`.
-
-`LlmAgent` sends `llm_agent_prompt`: the action list as the system message,
-then the question, the current node's text and the moves so far.
-`parse_action` takes the first action word in the reply. A reply without one
-is asked again with a clarifying turn, up to MAX_PARSE_RETRIES times, and
-then counts as ACCEPT. `LlmOracle` sends the question and the numbered
-passages and asks for one line per passage, "<n>: YES" or "<n>: NO"
-(`parse_verdicts`); a passage without a readable line counts as NO.
-
-`LlmOracle` and `LlmAgent` send through their client's reply memo
-(`llm.remembered`), so a question that client has already answered, in
-this walk or an earlier one, costs no chat call.
+agent-driven walk (`traverse`) there are breadth-first and depth-first scans
+that judge nodes with a sufficiency oracle (`_scan`). Each visited node costs
+one step, and all walks stop after `step_budget` steps.
 """
 
 from __future__ import annotations
@@ -122,10 +106,10 @@ def traverse(tree: HatTree, agent, query: str, config: Optional[TraversalConfig]
     The walk asks ahead about the DOWN chain below the root. The root is
     asked alone; once it answers DOWN, the nodes (1, 0), (2, 0), ... toward
     the leftmost leaf, at most MAX_CONCURRENT_CALLS (8) of them and within
-    the budget, are read and asked in one concurrent batch, each question
-    carrying the path of DOWN moves from the root. The walk reads those
-    answers while they are DOWN and then asks one node at a time, so no
-    (cursor, path) is asked twice. A failed ask raises only when the walk
+    the budget, are read and asked in one `call_concurrently` batch, each
+    question carrying the path of DOWN moves from the root. The walk reads
+    those answers while they are DOWN and then asks one node at a time, so
+    no (cursor, path) is asked twice. A failed ask raises only when the walk
     reads its answer, after the whole batch has returned, retries included;
     the answers it never reads, failures included, are dropped. The result
     is thus that of asking one node at a time, for at most 7 asks more, and
@@ -203,10 +187,8 @@ def _scan(tree: HatTree, oracle, query: str, config: Optional[TraversalConfig], 
 
 
 def bfs_search(tree: HatTree, oracle, query: str, config: Optional[TraversalConfig] = None) -> TraversalResult:
-    """Layer by layer, left to right; finds the (layer, index)-minimal sufficient node.
-
-    One oracle call judges every distinct node text within the budget; see `_scan`.
-    """
+    """Layer by layer, left to right; finds the (layer, index)-minimal
+    sufficient node in one oracle call (see `_scan`)."""
     def order():
         for layer in range(len(tree.layers)):
             for index in range(tree.layer_size(layer)):
@@ -215,11 +197,8 @@ def bfs_search(tree: HatTree, oracle, query: str, config: Optional[TraversalConf
 
 
 def dfs_search(tree: HatTree, oracle, query: str, config: Optional[TraversalConfig] = None) -> TraversalResult:
-    """Pre-order, children left to right; finds the pre-order-first sufficient node.
-
-    The order does not depend on any verdict, so this too makes one oracle
-    call about every distinct node text within the budget; see `_scan`.
-    """
+    """Pre-order, children left to right; finds the pre-order-first sufficient
+    node in one oracle call, since the order depends on no verdict (see `_scan`)."""
     def order():
         stack = [Cursor(0, 0)]
         while stack:
@@ -287,16 +266,14 @@ def parse_action(reply: str) -> TraversalAction:
 class LlmAgent:
     """Chat-model traversal policy.
 
-    Unparseable replies are retried with a clarifying turn up to
-    MAX_PARSE_RETRIES times, then treated as Accept so the walk
-    ends with whatever context the cursor is on.
-
-    `traverse` asks it from several threads about the DOWN chain below the
-    root; it is safe for that when its client is, as `LlmClient` is. The walk
-    does not rely on the client's memo to avoid asking twice.
-
-    Every request goes through the client's reply memo (`llm.remembered`),
-    clarifying turns included, so a repeated question costs no call.
+    It sends `llm_agent_prompt`: the action list as the system message, then
+    the question, the current node's text and the moves so far, and takes
+    the first action word of the reply (`parse_action`). A reply without one
+    is asked again with a clarifying turn, up to MAX_PARSE_RETRIES times, and
+    then counts as ACCEPT, so the walk ends on the cursor's context. Every
+    request, clarifying turns included, goes through the reply memo
+    (`llm.remembered`). Safe to call from several threads, as `traverse`
+    does, when its client is, as `LlmClient` is.
     """
 
     def __init__(self, client):
@@ -353,23 +330,17 @@ class LlmOracle:
     """YES/NO sufficiency judgments from the chat model, several passages per call.
 
     `sufficient(passages, query)` sends the question and the passages
-    numbered from 1 in one request (`llm_oracle_prompt`) and returns one
-    verdict per passage, read by `parse_verdicts`: a reply line "<n>: YES"
-    or "<n>: NO" per passage, and NO for a passage without one.
-
-    The paper's oracle sees one node at a time. A real model may judge a
-    passage differently in the company of others; the mock
-    (`llm.heuristic_reply`) judges each numbered passage on its own, so its
-    verdicts are those of one passage per call.
+    numbered from 1 in one request (`llm_oracle_prompt`) through the reply
+    memo (`llm.remembered`), and returns one verdict per passage
+    (`parse_verdicts`). The paper's oracle sees one node at a time; a real
+    model may judge a passage differently in the company of others, while
+    the mock (`llm.heuristic_reply`) judges each one on its own.
 
     The prompt keeps the sentence "Reply YES or NO.", by which the mock and
     perfbench's emulated endpoint tell an oracle request from the other
     stages, and the method keeps the name `sufficient`, the one method that
-    perfbench's traced oracle forwards.
-
-    Safe to call from several threads when its client is, as `LlmClient` is.
-    It asks through the client's reply memo (`llm.remembered`), so a
-    repeated question about the same passages costs no call.
+    perfbench's traced oracle forwards. Safe to call from several threads
+    when its client is.
     """
 
     def __init__(self, client):

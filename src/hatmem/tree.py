@@ -1,50 +1,24 @@
 """Layered aggregate tree whose shape follows from node positions alone.
 
-The tree stores dialogue turns as leaves in its last layer. Every internal
-node's text is the aggregate of its children's texts, and layer 0 always
-holds the single root. Node (layer k, index i) has its parent at
-(k-1, i // M) and its children at (k+1, i*M) up to (k+1, i*M + M - 1), where
-M is the memory length. Nothing else is stored: a layer is a list of texts,
-and layer k of an n-leaf tree holds ceil(n / M ** (depth - k)) of them. When
-the leaf layer is full (M ** depth leaves), a new root layer is prepended.
+Dialogue turns are the leaves, in the last layer; layer 0 holds the one
+root, and each internal node's text is the aggregate of its children's (see
+`HatTree.flush`). Node (k, i) has its parent at (k-1, i // M) and its
+children at (k+1, i*M) up to (k+1, i*M + M - 1), M being the memory length,
+so a node is its text and nothing else is stored: layer k of an n-leaf tree
+holds ceil(n / M ** (depth - k)) texts. When the leaf layer is full
+(M ** depth leaves), the next append prepends a new root layer.
 
-Appending a leaf only places it, with `None` for the text of any internal
-node it creates; no aggregator runs. `flush` works up from the leaves
-appended since the last flush, one layer at a time: it sets the parents of
-the nodes that changed, and a node changed when it is new or its new text
-differs from its old one. A parent is the aggregate of its children's
-texts, except a parent whose one child is an internal node: that child is
-already a summary, and the parent takes its text with no aggregator call.
-Only the last node of a layer can have one child, and a chain of such nodes
-appears each time the leaf count passes a multiple of M ** j; a layer where
-the flush sets only such a node costs no round trip. A parent of one leaf is
-still aggregated, so a raw turn is always condensed. A node whose children
-did not change is not set again, and the flush stops at the first layer
-where nothing changed. Every public read of internal text flushes first, and
-`insert_leaf` is an append plus a flush. A flush sends one layer's chat
-(`llm_persona`) aggregations concurrently on the process's one long-lived
-call pool, so at most MAX_CONCURRENT_CALLS (8) are in flight at a time
-across all flushes and walks; other kinds run on the calling thread.
-
-One read may run during a pending flush (`read_while_flushing`): the flush
-computes on a thread of its own while the read sees the texts as they stood
-before it. The flush commits only after that read has returned, and the read
-runs again on the flushed tree unless every text it used came through the
-flush unchanged. Ctrl-C during that read stops the flush (see there).
-
-A node is its text. `layers` holds each layer's texts, root first, and
-`leaf_sessions` the integer session of each leaf's turn or None. A document
-(version 3) holds the format marker, the version, the memory length, the
-aggregator spec, `layers` as it is and each layer's node metas (`meta`) as
-runs. A run `[count, meta]` stands for `count` adjacent nodes of one session,
-with meta `{"session": s}`, or of none, with meta null, so the leaves of one
-session, or the internal nodes of a layer, write one run. Versions 2 and 1
-wrote each node as a `{"text", "meta"}` object; loading one first rewrites
-it in memory as rows of texts and of one-node runs, so one reader checks
-every version. A meta's "session" must be an integer or null; its other
-keys, a session on an internal node, and the node ids, child ids, leaf count
-and per-node aggregation caches that version 1 also carried, are ignored.
-Trees are written as version 3.
+A document (version 3) holds the format marker, the version, the memory
+length, the aggregator spec, `layers` as it is and each layer's node metas
+(`meta`) as runs. A run `[count, meta]` stands for `count` adjacent nodes of
+one session, with meta `{"session": s}`, or of none, with meta null, so the
+leaves of one session, or the internal nodes of a layer, write one run.
+Versions 2 and 1 wrote each node as a `{"text", "meta"}` object; loading one
+first rewrites it in memory as rows of texts and of one-node runs, so one
+reader checks every version. A meta's "session" must be an integer or null;
+its other keys, a session on an internal node, and the node ids, child ids,
+leaf count and per-node aggregation caches that version 1 also carried, are
+ignored. Trees are written as version 3.
 """
 
 from __future__ import annotations
@@ -63,27 +37,18 @@ DOC_VERSION = 3
 
 
 class HatTree:
-    """The layered tree plus its aggregator binding and call instrumentation.
+    """The layered tree, its aggregator and the aggregator calls it made.
 
-    `layers` lists the rows of texts top-down, root first, always sized for
-    the current leaf count; an internal text is None until the first flush
-    that covers it. `leaf_sessions` holds each leaf's session, an integer or
-    None. A node has no id, no links and no cache, since its position fixes
-    its parent and children, and a flush re-aggregates only nodes whose
-    children changed; a node whose one child is internal takes that child's
-    text uncalled. `agg_call_count` counts the aggregator calls of the
-    committed flushes, not the texts they set. `serialize` writes document
-    version 3, the leaves' sessions as runs of equal sessions; `deserialize`
-    reads versions 3, 2 and 1.
+    `layers` lists the rows of texts, root first, sized for the current leaf
+    count; an internal text is None until a flush covers it. `leaf_sessions`
+    holds each leaf's session, an integer or None. `agg_call_count` counts
+    the aggregator calls of committed flushes, not the texts they set.
 
     Writers must be exclusive: one append, flush or insert at a time. A read
     of internal text flushes first, so while leaves are unflushed a read is
-    a write too. So is `read_while_flushing`: its one read runs during the
-    pending flush, against the pre-flush texts, and the flush commits after
-    that read has returned. Any number of readers may query a flushed tree.
-    A flush calls a chat aggregator from up to MAX_CONCURRENT_CALLS (8)
-    threads at once, so its client must be safe to share across threads, as
-    `LlmClient` is.
+    a write too, and so is `read_while_flushing`. Any number of readers may
+    query a flushed tree. A chat aggregator is called from several threads
+    at once, so its client must be safe to share, as `LlmClient` is.
     """
 
     def __init__(self, memory_length: int, aggregator):
@@ -96,8 +61,6 @@ class HatTree:
         self.aggregator = aggregator
         self.layers: list[list[Optional[str]]] = []
         self.leaf_sessions: list[Optional[int]] = []
-        # Aggregator calls made by committed flushes (a node given its one
-        # child's text makes none).
         self.agg_call_count = 0
         # Leaves whose ancestors the last successful flush aggregated.
         self.flushed_leaves = 0
@@ -137,10 +100,8 @@ class HatTree:
     def append_leaf(self, text: str, session: Optional[int] = None) -> int:
         """Place one leaf without aggregating; return its index in the leaf layer.
 
-        Grows a new root layer first when the leaf layer is at capacity, and
-        adds a `None` text to each layer above that needs one more node. The
-        ancestors are aggregated by the next `flush` or read of internal text.
-        The session is the turn's session number, an integer, or None.
+        Each new node above it holds None until the next flush. The session
+        is the turn's session number, an integer, or None.
         """
         if not isinstance(text, str) or not text:
             raise InvalidParameterError("leaf text must be a nonempty string")
@@ -164,15 +125,10 @@ class HatTree:
     def insert_leaf(self, text: str, session: Optional[int] = None) -> int:
         """Append one leaf, then flush; return its index in the leaf layer.
 
-        The flush calls the aggregator for the leaf's parent and for each
-        changed node above it that has two or more children; a re-root, whose
-        new nodes between the leaf's parent and the root have one child each,
-        of a flushed tree costs two calls at any depth. If aggregation fails, the append is
-        undone and the tree, including earlier unflushed appends and
-        agg_call_count, is left as it was. An interrupt during the commit
-        that follows keeps the leaf, unflushed, with some texts above it
-        assigned and some stale; the next flush redoes them, as after a
-        `flush` cut the same way.
+        If aggregation fails, the append is undone and the tree, earlier
+        unflushed appends and agg_call_count included, is left as it was. An
+        interrupt during the commit keeps the leaf, unflushed; the next flush
+        redoes the texts above it.
         """
         sizes = [len(row) for row in self.layers]
         index = self.append_leaf(text, session)
@@ -190,33 +146,32 @@ class HatTree:
         return index
 
     def flush(self) -> None:
-        """Aggregate the parents of changed nodes, one layer at a time, leaves up.
+        """Set the parents of changed nodes, one layer at a time, leaves up.
 
-        The leaves appended since the last flush start as changed. A parent
-        aggregates its children's texts from the same flush, or, when its
-        one child is an internal node, takes that child's text with no call;
-        a node is changed when it is new or its text differs from the one it
-        had, and the flush ends at the first layer with no changed node.
-        When a layer has several aggregations and the aggregator waits on a
-        chat endpoint, their calls run concurrently on the process's shared
-        call pool, which keeps at most MAX_CONCURRENT_CALLS in flight
-        (`call_concurrently`). Once one of a layer's calls has raised, the
-        layer's calls that have not started are skipped. Nothing is assigned
-        until every started aggregate call has returned, so a failed flush
-        leaves texts and agg_call_count as they were, and its leaves stay
-        unflushed.
+        The leaves appended since the last flush start as changed; a node is
+        changed when it is new or its text differs from the one it had, and
+        the flush ends at the first layer with none. A parent aggregates its
+        children's texts from this flush, except a parent whose one child is
+        internal: that child is a summary already, and the parent takes its
+        text with no call. That equals the aggregate when `aggregate([x]) == x`
+        for every x the aggregator made: concat and truncate hold it, the mock
+        persona reply echoes its one line, and a live persona model is
+        assumed to. Only a layer's last node can have one child, so a layer
+        where the flush sets only such a node costs no round trip; a parent
+        of one leaf is still aggregated, so a raw turn is always condensed.
+        Every public read of internal text flushes first.
+
+        A chat (`llm_persona`) aggregator's calls of one layer go out as one
+        `call_concurrently` batch; other kinds run on the calling thread.
+        Nothing is assigned until every started call has returned, so a
+        failed flush leaves texts and agg_call_count as they were, and its
+        leaves stay unflushed.
         """
         self._commit(*self._pending_texts())
 
     def _pending_texts(self, interrupted=()) -> tuple[dict[tuple[int, int], str], int]:
         """The text `flush` gives each node it sets, and the aggregator calls
-        that took; changes nothing.
-
-        A parent whose one child is an internal node takes that child's text
-        with no call: the child is already a summary, and a summary of one
-        summary is that summary (`aggregation`). A parent of one leaf is
-        aggregated, so a raw turn is still condensed.
-        """
+        that took; changes nothing."""
         def aggregate(child_texts):
             if interrupted:  # see `read_while_flushing`: fails the batch and so the flush
                 raise KeyboardInterrupt
@@ -234,8 +189,7 @@ class HatTree:
             inputs = [[texts.get((k + 1, j), below[j])
                        for j in range(i * M, min((i + 1) * M, len(below)))]
                       for i in parents]
-            # A parent whose one child is internal takes that child's text,
-            # uncalled; only the last node of a layer can have one child.
+            # A last parent whose one child is internal takes its text uncalled.
             passed = k + 2 < len(self.layers) and len(inputs[-1]) == 1
             sent = inputs[:-1] if passed else inputs
             # Only a chat aggregator waits; the others compute, which threads cannot overlap.
@@ -262,14 +216,17 @@ class HatTree:
 
         With nothing pending this is `read(self)`. Otherwise the flush
         computes on a new thread (not a call-pool worker, where
-        `call_concurrently` would run a layer's aggregations one by one)
-        while `read` runs here on a view of the pre-flush tree: `node_at`,
-        `layer_size`, `layers` and `memory_length`, never flushing. Reaching
-        a node the flush creates, which has no text yet, stops the read.
-        After the join a flush error is raised and nothing commits, as with
-        `flush`. Otherwise the flush commits. If the read ran to its end on
-        texts the flush left unchanged, its result is returned or its
-        exception raised; if not, `read(self)` runs again.
+        `call_concurrently` would run a layer's calls one by one) while
+        `read` runs here on a view of the pre-flush tree: `node_at`,
+        `layer_size`, `layers` and `memory_length`, never flushing; reaching
+        a node the flush creates stops the read. After the join a flush
+        error is raised and nothing commits, as with `flush`; otherwise the
+        flush commits. If the read ran to its end on texts the flush left
+        unchanged, its result is returned or its exception raised; if not,
+        `read(self)` runs again, where the reply memo (`llm.remembered`)
+        answers its asks about unchanged texts. So a walk costs about the
+        larger of flush and walk in round trips and gives what a walk after
+        the flush gives; `read` must depend only on the texts it is served.
 
         If the read raises what is not an `Exception` (Ctrl-C), or such an
         interrupt lands while the flush is awaited, the flush starts no
@@ -278,11 +235,6 @@ class HatTree:
         wait is on an event the flush thread sets, never a second `join`: on
         CPython 3.11 a join interrupted once returns at once when called
         again, and `is_alive()` reads False, while the thread still runs.
-
-        `read` must depend only on the texts it is served, so a walk's calls
-        depend on the tree, never on timing. The client's memo
-        (`llm.remembered`) answers a second walk's asks about every unchanged
-        text; it costs the asks about texts that the flush changed.
         """
         if self.flushed_leaves == self.leaf_count:
             return read(self)
@@ -347,16 +299,13 @@ class HatTree:
 
     @classmethod
     def deserialize(cls, document: str, aggregator=None) -> "HatTree":
-        """Rebuild a tree from `serialize` output, version 3, 2 or 1.
+        """Rebuild a tree from a document of version 3, 2 or 1 (module docstring).
 
-        Each row of node objects in version 2 or 1 becomes texts and runs
-        `[1, meta]`, so every version gets `_read_runs`'s checks. The tree
-        adopts the checked rows of texts. Texts and leaf sessions round-trip;
-        a meta's keys other than "session", and the session of an internal
-        node, are ignored. agg_call_count resets to 0 and every leaf counts
-        as flushed. The aggregator is rebuilt from the document's recorded
-        kind and params; a bound aggregator must have the rebuilt one's
-        spec. JSON nested too deep to parse is a `DocumentParseError` too.
+        agg_call_count resets to 0 and every leaf counts as flushed. The
+        aggregator is rebuilt from the document's recorded kind and params;
+        a bound aggregator must have the rebuilt one's spec. Every malformed
+        document, JSON nested too deep to parse included, is a
+        `DocumentParseError`.
         """
         try:
             doc = json.loads(document)
@@ -406,10 +355,8 @@ class HatTree:
 
 
 class _Unflushed(BaseException):
-    """A read reached a node the pending flush creates; it runs again after the flush.
-
-    A BaseException, so that a read's own `except Exception` lets it through.
-    """
+    """A read reached a node the pending flush creates; a BaseException, so
+    that a read's own `except Exception` lets it through."""
 
 
 class _PreFlushView:
