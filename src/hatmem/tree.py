@@ -44,7 +44,7 @@ class HatTree:
     holds each leaf's session, an integer or None. `agg_call_count` counts
     the aggregator calls of committed flushes, not the texts they set.
 
-    Writers must be exclusive: one append, flush or insert at a time. A read
+    Writers must be exclusive: one append or flush at a time. A read
     of internal text flushes first, so while leaves are unflushed a read is
     a write too, and so is `read_while_flushing`. Any number of readers may
     query a flushed tree. A chat aggregator is called from several threads
@@ -123,26 +123,9 @@ class HatTree:
         return self.leaf_count - 1
 
     def insert_leaf(self, text: str, session: Optional[int] = None) -> int:
-        """Append one leaf, then flush; return its index in the leaf layer.
-
-        If aggregation fails, the append is undone and the tree, earlier
-        unflushed appends and agg_call_count included, is left as it was. An
-        interrupt during the commit keeps the leaf, unflushed; the next flush
-        redoes the texts above it.
-        """
-        sizes = [len(row) for row in self.layers]
+        """`append_leaf`, then `HatTree.flush`; return the leaf's index in the leaf layer."""
         index = self.append_leaf(text, session)
-        try:
-            pending = self._pending_texts()
-        except BaseException:
-            # Nothing was assigned, so the append is the only change: drop
-            # a prepended root layer, then the appended nodes.
-            del self.layers[: len(self.layers) - len(sizes)]
-            for row, size in zip(self.layers, sizes):
-                del row[size:]
-            self.leaf_sessions.pop()
-            raise
-        self._commit(*pending)
+        self.flush()
         return index
 
     def flush(self) -> None:

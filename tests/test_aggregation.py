@@ -137,7 +137,7 @@ class TestLlmPersona:
         merged = agg.aggregate(["he plays chess", "she grows roses"])
         assert "chess" in merged and "roses" in merged
 
-    def test_remote_failure_aborts_insert_atomically(self):
+    def test_remote_failure_keeps_the_inserted_leaf_unflushed(self):
         client = ScriptedClient([])
 
         def failing_complete(request):
@@ -147,8 +147,8 @@ class TestLlmPersona:
         tree = HatTree(2, LlmPersonaAggregator(client))
         with pytest.raises(RemoteUnavailableError):
             tree.insert_leaf("first turn")
-        assert tree.leaf_count == 0
-        assert tree.layers == []
+        assert tree.layers == [[None], ["first turn"]]
+        assert tree.agg_call_count == tree.flushed_leaves == 0
 
     def test_a_repeated_aggregation_is_sent_again(self):
         # The second parent's request is the first parent's, sent after it.

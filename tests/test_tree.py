@@ -1,4 +1,4 @@
-"""Tree structure, deferred flush, atomic insertion, and persistence."""
+"""Tree structure, deferred flush, failed flushes, and persistence."""
 
 from __future__ import annotations
 
@@ -288,6 +288,27 @@ class TestDeferredAggregation:
             truncate.flush()
             assert texts_by_position(truncate) == texts_by_position(eager)
 
+    @pytest.mark.parametrize("make", [
+        lambda M: HatTree(M, ConcatAggregator(" | ")),
+        lambda M: HatTree(M, TruncateAggregator(4)),
+        lambda M: HatTree(M, LlmPersonaAggregator(mock_client(), max_tokens=8)),
+    ], ids=["concat", "truncate", "llm_persona"])
+    def test_insert_is_append_then_flush(self, make, rng):
+        # Some leaves are only appended to both trees, so an insert also
+        # flushes earlier pending nodes.
+        words = ["alpha", "bravo", "charlie", "delta"]
+        for M in (2, 3, 5):
+            inserted, appended = make(M), make(M)
+            for i in range(40):
+                text, session = f"w{i} {rng.choice(words)}", rng.choice([None, i // 7])
+                if rng.random() < 0.3:
+                    inserted.append_leaf(text, session)
+                    appended.append_leaf(text, session)
+                    continue
+                assert inserted.insert_leaf(text, session) == appended.append_leaf(text, session) == i
+                appended.flush()
+                assert raw_state(inserted) == raw_state(appended), (M, i)
+
     def test_node_at_returns_the_flushed_text_of_a_node_appended_since_the_flush(self):
         # The fifth leaf at M=2 prepends a root layer and adds (2, 2) and (1, 2).
         tree = build_tree(4)
@@ -309,7 +330,6 @@ class TestDeferredAggregation:
         assert texts_by_position(deferred) == texts_by_position(eager)
 
 
-@pytest.mark.stress
 class TestFailedFlush:
     def pending_tree(self):
         agg = FailingAggregator(fail_after=10 ** 9)
@@ -339,15 +359,63 @@ class TestFailedFlush:
                 assert tree.flushed_leaves == 14
 
     def test_failed_insert_keeps_earlier_pending_nodes(self):
+        # The earlier appends stay pending next to the new leaf, and the
+        # next flush covers them all.
         agg, tree = self.pending_tree()
-        before = raw_state(tree)
-        layers = [list(row) for row in tree.layers]
+        _, appended = self.pending_tree()
+        appended.append_leaf("t14")
         agg.fail_after = agg.calls
         with pytest.raises(RemoteUnavailableError):
-            tree.insert_leaf("boom")
-        assert raw_state(tree) == before
-        assert tree.layers == layers and tree.leaf_count == 14
+            tree.insert_leaf("t14")
+        assert raw_state(tree) == raw_state(appended)
+        assert tree.layers[2][4] is None and tree.flushed_leaves == 10
+        agg.armed = False
+        tree.flush()
+        assert texts_by_position(tree) == texts_by_position(build_tree(15, memory_length=3))
 
+    def test_a_failed_insert_keeps_its_leaf_unflushed_and_commits_nothing(self):
+        # A call failing at each position of the insert's flush, after 0-39
+        # flushed leaves, fails the insert and append-then-flush alike: the
+        # leaf stays, unflushed, as after a bare append, and the next flush
+        # gives a fresh tree's rows.
+        def flushed_tree(M, leaves):
+            agg = FailingAggregator(fail_after=10 ** 9)
+            tree = HatTree(M, agg)
+            for i in range(leaves):
+                tree.append_leaf(f"t{i}", session=i // 4)
+            tree.flush()
+            return agg, tree
+
+        for M in (2, 3, 5):
+            for leaves in range(1, 41):
+                fresh = texts_by_position(build_tree(leaves, memory_length=M))
+                _, appended = flushed_tree(M, leaves - 1)
+                appended.append_leaf(f"t{leaves - 1}", session=9)
+                fail_at = 0
+                while True:
+                    agg, inserted = flushed_tree(M, leaves - 1)
+                    agg.fail_after = agg.calls + fail_at
+                    try:
+                        inserted.insert_leaf(f"t{leaves - 1}", session=9)
+                    except RemoteUnavailableError:
+                        pass
+                    else:
+                        break
+                    agg, flushed = flushed_tree(M, leaves - 1)
+                    agg.fail_after = agg.calls + fail_at
+                    flushed.append_leaf(f"t{leaves - 1}", session=9)
+                    with pytest.raises(RemoteUnavailableError):
+                        flushed.flush()
+                    assert raw_state(inserted) == raw_state(flushed) == raw_state(appended)
+                    inserted.aggregator.armed = False
+                    inserted.flush()
+                    assert texts_by_position(inserted) == fresh, (M, leaves, fail_at)
+                    assert inserted.leaf_sessions == [i // 4 for i in range(leaves - 1)] + [9]
+                    fail_at += 1
+                # Each flush makes at least the call for the new leaf's parent.
+                assert fail_at >= 1
+
+    @pytest.mark.stress
     def test_an_interrupted_commit_heals_on_the_next_flush(self):
         # Ctrl-C between any two assignments of a commit (here a row that
         # raises at its n-th assignment, for every n), after one earlier
@@ -373,6 +441,7 @@ class TestFailedFlush:
                     else:
                         break
 
+    @pytest.mark.stress
     def test_an_interrupted_insert_commit_heals_on_the_next_flush(self):
         # Ctrl-C at any assignment of the commit in `insert_leaf`, after
         # 1-29 flushed leaves: the new leaf stays, unflushed, and a plain
@@ -402,7 +471,7 @@ class TestFailedFlush:
     def test_a_failed_flush_with_pass_through_nodes_pending_commits_nothing(self):
         # A ninth leaf at M=2 re-roots: (3, 4) and the root are aggregated,
         # and (2, 2) and (1, 1), each with one summarised child, take it.
-        fresh = texts_by_position(build_tree(9))
+        # A tenth leaf fills (3, 4) and sets the same four nodes.
         for fail_at in range(2):  # the leaf parent's call, then the root's
             agg = FailingAggregator(fail_after=10 ** 9)
             tree = HatTree(2, agg)
@@ -414,14 +483,20 @@ class TestFailedFlush:
             with pytest.raises(RemoteUnavailableError):
                 tree.flush()
             assert raw_state(tree) == before
+            # An insert's flush fails at the same call and keeps its leaf, unflushed.
+            agg.fail_after = agg.calls + fail_at
             with pytest.raises(RemoteUnavailableError):
                 tree.insert_leaf("t9")
-            assert raw_state(tree) == before
+            pending = build_tree(8)
+            pending.append_leaf("t8")
+            pending.append_leaf("t9")
+            assert raw_state(tree) == raw_state(pending)
             agg.armed = False
             tree.flush()
             assert tree.agg_call_count - before[1] == 2
-            assert texts_by_position(tree) == fresh
+            assert texts_by_position(tree) == texts_by_position(build_tree(10))
 
+    @pytest.mark.stress
     def test_a_cut_commit_of_pass_through_nodes_heals_on_the_next_flush(self):
         # The same re-root, cut at each assignment of its commit, by flush or
         # by insert: the next flush gives a fresh tree's rows, with at most
@@ -691,75 +766,6 @@ except KeyboardInterrupt:
     assert float(took) < 1.0
     assert int(sent) <= MAX_CONCURRENT_CALLS
     assert aggregated == flushed == "0"
-
-
-@pytest.mark.stress
-class TestAtomicity:
-    def test_failed_aggregation_rolls_back_plain_insert(self):
-        agg = FailingAggregator(fail_after=10 ** 9)
-        tree = HatTree(2, agg)
-        for i in range(5):
-            tree.insert_leaf(f"t{i}")
-        snapshot = tree.serialize()
-        count = tree.agg_call_count
-        agg.fail_after = agg.calls  # next aggregation fails
-        with pytest.raises(RemoteUnavailableError):
-            tree.insert_leaf("boom")
-        assert tree.serialize() == snapshot
-        assert tree.agg_call_count == count
-
-    def test_failed_aggregation_rolls_back_reroot(self):
-        agg = FailingAggregator(fail_after=10 ** 9)
-        tree = HatTree(2, agg)
-        for i in range(4):
-            tree.insert_leaf(f"t{i}")
-        assert tree.leaf_count == tree.memory_length ** tree.depth()
-        snapshot = tree.serialize()
-        agg.fail_after = agg.calls
-        with pytest.raises(RemoteUnavailableError):
-            tree.insert_leaf("boom")
-        assert tree.serialize() == snapshot
-        assert tree.depth() == 2
-
-    def test_partial_chain_failure_rolls_back(self):
-        # Fail on the second aggregation of the insert: the leaf's parent
-        # updates, then the grandparent raises mid-chain.
-        agg = FailingAggregator(fail_after=10 ** 9)
-        tree = HatTree(2, agg)
-        for i in range(5):
-            tree.insert_leaf(f"t{i}")
-        snapshot = tree.serialize()
-        agg.fail_after = agg.calls + 1
-        with pytest.raises(RemoteUnavailableError):
-            tree.insert_leaf("boom")
-        assert tree.serialize() == snapshot
-
-    @pytest.mark.parametrize("leaves", [5, 4], ids=["plain", "reroot"])
-    def test_failed_insert_leaves_the_leaf_sessions_as_they_were(self, leaves):
-        agg = FailingAggregator(fail_after=10 ** 9)
-        tree = HatTree(2, agg)
-        for i in range(leaves):
-            tree.insert_leaf(f"t{i}", session=i // 2)
-        before = list(tree.leaf_sessions)
-        agg.fail_after = agg.calls
-        with pytest.raises(RemoteUnavailableError):
-            tree.insert_leaf("boom", session=9)
-        assert tree.leaf_sessions == before
-        assert len(tree.layers[-1]) == len(tree.leaf_sessions) == tree.leaf_count == leaves
-
-    def test_recovers_after_rollback(self):
-        agg = FailingAggregator(fail_after=10 ** 9)
-        tree = HatTree(2, agg)
-        for i in range(3):
-            tree.insert_leaf(f"t{i}")
-        agg.fail_after = agg.calls
-        with pytest.raises(RemoteUnavailableError):
-            tree.insert_leaf("t3")
-        agg.armed = False
-        tree.insert_leaf("t3")
-        plain = build_tree(4, separator=" | ")
-        assert tree.layers[-1] == plain.layers[-1]
-        assert tree.root_text() == plain.root_text()
 
 
 class TestPersistence:
