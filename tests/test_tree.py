@@ -768,6 +768,66 @@ except KeyboardInterrupt:
     assert aggregated == flushed == "0"
 
 
+class TestAtomicity:
+    # An insert is atomic in its flush alone: a failed insert keeps its leaf,
+    # unflushed, as a bare append would, and commits no text and no call.
+
+    def flushed_tree(self, leaves: int):
+        agg = FailingAggregator(fail_after=10 ** 9)
+        tree = HatTree(2, agg)
+        for i in range(leaves):
+            tree.insert_leaf(f"t{i}", session=i // 2)
+        return agg, tree
+
+    def failed_insert(self, leaves: int, fail_at: int = 0, session=None):
+        """A tree whose insert of a last leaf failed, and one that only appended it."""
+        agg, tree = self.flushed_tree(leaves)
+        _, appended = self.flushed_tree(leaves)
+        appended.append_leaf("boom", session=session)
+        agg.fail_after = agg.calls + fail_at
+        with pytest.raises(RemoteUnavailableError):
+            tree.insert_leaf("boom", session=session)
+        return agg, tree, appended
+
+    def test_failed_aggregation_rolls_back_plain_insert(self):
+        _, tree, appended = self.failed_insert(5)
+        assert raw_state(tree) == raw_state(appended)
+        assert tree.agg_call_count == build_tree(5).agg_call_count
+        assert tree.flushed_leaves == 5 and tree.layers[-1][-1] == "boom"
+
+    def test_failed_aggregation_rolls_back_reroot(self):
+        # The fifth leaf at M=2 prepends a root layer, which stays, unflushed.
+        _, tree, appended = self.failed_insert(4)
+        assert raw_state(tree) == raw_state(appended)
+        assert tree.depth() == 3 and tree.layers[0] == [None]
+        assert tree.flushed_leaves == 4
+
+    def test_partial_chain_failure_rolls_back(self):
+        # The leaf's parent is aggregated, then the grandparent raises: the
+        # parent's text and its call are not committed either.
+        _, tree, appended = self.failed_insert(5, fail_at=1)
+        assert raw_state(tree) == raw_state(appended)
+        assert tree.agg_call_count == build_tree(5).agg_call_count
+
+    @pytest.mark.parametrize("leaves", [5, 4], ids=["plain", "reroot"])
+    def test_failed_insert_leaves_the_leaf_sessions_as_they_were(self, leaves):
+        # The new leaf keeps its session, as after a bare append.
+        _, tree, _ = self.failed_insert(leaves, session=9)
+        assert tree.leaf_sessions == [i // 2 for i in range(leaves)] + [9]
+        assert len(tree.layers[-1]) == len(tree.leaf_sessions) == tree.leaf_count == leaves + 1
+
+    def test_recovers_after_rollback(self):
+        # The next flush commits the kept leaf, and inserts go on from there.
+        texts = ["t0", "t1", "t2", "boom", "t4"]
+        agg, tree, _ = self.failed_insert(3)
+        agg.armed = False
+        tree.flush()
+        assert texts_by_position(tree) == texts_by_position(build_tree(4, texts=texts))
+        assert tree.insert_leaf("t4") == 4
+        assert texts_by_position(tree) == texts_by_position(build_tree(5, texts=texts))
+        assert tree.flushed_leaves == 5
+
+
 class TestPersistence:
     def test_roundtrip_identity(self, rng):
         for _ in range(10):
