@@ -8,17 +8,28 @@ so a node is its text and nothing else is stored: layer k of an n-leaf tree
 holds ceil(n / M ** (depth - k)) texts. When the leaf layer is full
 (M ** depth leaves), the next append prepends a new root layer.
 
-A document (version 3) holds the format marker, the version, the memory
-length, the aggregator spec, `layers` as it is and each layer's node metas
-(`meta`) as runs. A run `[count, meta]` stands for `count` adjacent nodes of
-one session, with meta `{"session": s}`, or of none, with meta null, so the
-leaves of one session, or the internal nodes of a layer, write one run.
-Versions 2 and 1 wrote each node as a `{"text", "meta"}` object; loading one
-first rewrites it in memory as rows of texts and of one-node runs, so one
-reader checks every version. A meta's "session" must be an integer or null;
-its other keys, a session on an internal node, and the node ids, child ids,
-leaf count and per-node aggregation caches that version 1 also carried, are
-ignored. Trees are written as version 3.
+A document (version 4) holds the format marker, the version, the memory
+length, the aggregator spec, the texts of `layers` and each layer's node
+metas (`meta`) as runs. Trees are written as version 4.
+
+The texts are written in the order of `layers`, root row first and each row
+left to right. The first node with a given text writes the string; each
+later node with the same text writes the integer n instead, meaning the
+n-th string written in the document, counting from 0. So a text that
+recurs, such as a parent equal to its one child or a turn said twice, is
+written once, and its nodes share one `str` when the document is loaded. A
+reference must be an integer from 0 to one less than the number of strings
+written before it; any other non-string is refused. Version 3 wrote every
+text as a string, so an integer there is refused.
+
+A run `[count, meta]` stands for `count` adjacent nodes of one session, with
+meta `{"session": s}`, or of none, with meta null, so the leaves of one
+session, or the internal nodes of a layer, write one run. Versions 2 and 1
+wrote each node as a `{"text", "meta"}` object; loading one first rewrites
+it in memory as rows of texts and of one-node runs, so one reader checks
+every version. A meta's "session" must be an integer or null; its other
+keys, a session on an internal node, and the node ids, child ids, leaf count
+and per-node aggregation caches that version 1 also carried, are ignored.
 """
 
 from __future__ import annotations
@@ -33,7 +44,7 @@ from .errors import DocumentParseError, InvalidParameterError, NotFoundError
 from .llm import call_concurrently, is_int
 
 DOC_FORMAT = "hat-tree"
-DOC_VERSION = 3
+DOC_VERSION = 4
 
 
 class HatTree:
@@ -275,14 +286,14 @@ class HatTree:
             "version": DOC_VERSION,
             "memory_length": self.memory_length,
             "aggregator": self.aggregator.spec(),
-            "layers": self.layers,
+            "layers": _shared_texts(self.layers),
             "meta": meta if self.layers else [],
         }
         return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
     @classmethod
     def deserialize(cls, document: str, aggregator=None) -> "HatTree":
-        """Rebuild a tree from a document of version 3, 2 or 1 (module docstring).
+        """Rebuild a tree from a document of version 4, 3, 2 or 1 (module docstring).
 
         agg_call_count resets to 0 and every leaf counts as flushed. The
         aggregator is rebuilt from the document's recorded kind and params;
@@ -298,7 +309,7 @@ class HatTree:
             raise DocumentParseError("missing or wrong format marker")
         # A bool or a float equal to an int would pass the comparisons below
         # and then be written back as loaded, so integer fields must be ints.
-        if not is_int(doc.get("version")) or doc["version"] not in (1, 2, DOC_VERSION):
+        if not is_int(doc.get("version")) or doc["version"] not in (1, 2, 3, DOC_VERSION):
             raise DocumentParseError(f"unsupported document version {doc.get('version')!r}")
         memory_length = doc.get("memory_length")
         if not is_int(memory_length) or memory_length < 2:
@@ -307,11 +318,17 @@ class HatTree:
         if not isinstance(layers_doc, list) or not all(isinstance(r, list) for r in layers_doc):
             raise DocumentParseError("layers must be a list of lists")
         meta_doc = doc.get("meta")
-        if doc["version"] < DOC_VERSION:
+        if doc["version"] < 3:
             if not all(isinstance(node, dict) for row in layers_doc for node in row):
                 raise DocumentParseError("every node of a version-1 or version-2 layer must be an object")
             meta_doc = [[[1, node.get("meta")] for node in row] for row in layers_doc]
             layers_doc = [[node.get("text") for node in row] for row in layers_doc]
+        if doc["version"] == DOC_VERSION:
+            _resolve_references(layers_doc)
+        else:
+            for k, row in enumerate(layers_doc):
+                if not set(map(type, row)) <= {str}:
+                    raise DocumentParseError(f"layer {k}: every text must be a string")
         sizes = [len(row) for row in layers_doc]
         want = _layer_sizes(sizes[-1] if sizes else 0, memory_length)
         if sizes != want:
@@ -368,14 +385,44 @@ def _meta_runs(sessions: list[Optional[int]]) -> list[list]:
             for session, group in groupby(sessions)]
 
 
+def _shared_texts(layers: list[list[str]]) -> list[list]:
+    """The rows as a document writes them: a text already written becomes its number."""
+    numbers: dict[str, int] = {}
+    rows = []
+    for row in layers:
+        written = []
+        for text in row:
+            n = numbers.get(text)
+            if n is None:
+                numbers[text] = len(numbers)
+                written.append(text)
+            else:
+                written.append(n)
+        rows.append(written)
+    return rows
+
+
+def _resolve_references(layers_doc: list) -> None:
+    """Replace, in place, each reference of a version-4 document's rows by its
+    string, refusing every other non-string."""
+    strings: list[str] = []
+    for k, row in enumerate(layers_doc):
+        for i, value in enumerate(row):
+            if isinstance(value, str):
+                strings.append(value)
+            elif is_int(value) and 0 <= value < len(strings):
+                row[i] = strings[value]
+            else:
+                raise DocumentParseError(
+                    f"layer {k} node {i}: want a text or the number of one of the "
+                    f"{len(strings)} strings before it, got {value!r:.40}")
+
+
 def _read_runs(layers_doc: list, meta_doc) -> list[Optional[int]]:
-    """The leaf sessions of the meta runs, once every layer's texts and runs check out.
+    """The leaf sessions of the meta runs, once every layer's runs check out.
 
     A session in an internal layer's runs is checked, then dropped.
     """
-    for k, row in enumerate(layers_doc):
-        if not set(map(type, row)) <= {str}:
-            raise DocumentParseError(f"layer {k}: every text must be a string")
     if not isinstance(meta_doc, list) or len(meta_doc) != len(layers_doc):
         raise DocumentParseError("meta must hold one run list per layer")
     counted = []

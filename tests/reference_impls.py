@@ -52,6 +52,24 @@ def session_runs(sessions: list) -> list[list]:
     return runs
 
 
+def version_three(doc: dict) -> dict:
+    """A version-4 document as version 3 wrote it: each integer in a row
+    replaced by the string it numbers, counting every string written so far
+    in row order, root row first."""
+    strings: list[str] = []
+    layers = []
+    for row in doc["layers"]:
+        texts = []
+        for value in row:
+            if isinstance(value, str):
+                strings.append(value)
+                texts.append(value)
+            else:
+                texts.append(strings[value])
+        layers.append(texts)
+    return dict(doc, version=3, layers=layers)
+
+
 def concat_texts(leaves: list[str], M: int, separator: str) -> list[list[str]]:
     """Expected node texts under the concat aggregator: flat joins per span."""
     spans = leaf_spans(len(leaves), M)

@@ -8,7 +8,8 @@ import re
 
 import pytest
 
-from hatmem import HatTree, LlmPersonaAggregator, ingest_episode, llm, mock_client, score_pairs
+from hatmem import (ConcatAggregator, HatTree, LlmPersonaAggregator, ingest_episode, llm,
+                    mock_client, score_pairs)
 from hatmem.cli import EXIT_DATA, EXIT_OK, EXIT_REMOTE, EXIT_USAGE, _client, build_parser, main
 from hatmem.config import load_config_file
 from hatmem.episodes import save_episodes
@@ -351,3 +352,19 @@ class TestInspect:
         assert [tuple(map(int, re.match(r"  \((\d+),(\d+)\) text=", line).groups()))
                 for line in node_lines] == positions
         assert f"leaf_count: {tree.leaf_count}" in lines
+
+    def test_prints_a_repeated_text_in_full_at_every_node(self, tmp_path, capsys):
+        tree = HatTree(3, ConcatAggregator())
+        for text in ("hi", "hi", "bye", "hi"):
+            tree.append_leaf(text)
+        tree_file = tmp_path / "repeats.tree.json"
+        tree_file.write_text(tree.serialize(), encoding="utf-8")
+        # The document writes "hi" once and numbers it at its three other nodes.
+        assert json.loads(tree_file.read_text(encoding="utf-8"))["layers"][1:] == [
+            ["hi\nhi\nbye", "hi"], [2, 2, "bye", 2]]
+        assert main(["inspect", str(tree_file)]) == EXIT_OK
+        node_lines = [line for line in capsys.readouterr().out.splitlines()
+                      if line.startswith("  (")]
+        texts = [["hi\nhi\nbye\nhi"], ["hi\nhi\nbye", "hi"], ["hi", "hi", "bye", "hi"]]
+        assert node_lines == [f"  ({k},{i}) text={text!r}"
+                              for k, row in enumerate(texts) for i, text in enumerate(row)]

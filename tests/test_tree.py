@@ -31,6 +31,7 @@ from reference_impls import (
     full_recompute,
     leaf_spans,
     session_runs,
+    version_three,
 )
 
 import hatmem
@@ -72,6 +73,12 @@ def check_against_reference(tree: HatTree, leaves: list[str], separator: str):
                 children = range(i * M, min((i + 1) * M, tree.layer_size(k + 1)))
                 assert text == separator.join(tree.node_at(k + 1, j) for j in children)
     assert tree.layers[-1] == leaves
+
+
+def loaded_rows(document: str) -> tuple:
+    """What a tree loaded from the document holds: its shape, texts and sessions."""
+    tree = HatTree.deserialize(document)
+    return tree.memory_length, tree.aggregator.spec(), tree.layers, tree.leaf_sessions
 
 
 def texts_by_position(tree: HatTree) -> list[list[str]]:
@@ -968,8 +975,9 @@ class TestPersistence:
 
     def test_single_field_mutations_fail_only_with_parse_error(self):
         # Every mutation must either load or raise DocumentParseError. One
-        # that loads serializes to a version-3 document with integer fields,
-        # which loads and serializes to the same bytes again.
+        # that loads serializes to a version-4 document with integer fields,
+        # which loads and serializes to the same bytes again, and whose
+        # version-3 form loads to the same rows.
         persona = HatTree(2, LlmPersonaAggregator(mock_client(), max_tokens=8))
         for i in range(5):
             persona.insert_leaf(f"persona turn {i}", session=1)
@@ -978,7 +986,8 @@ class TestPersistence:
             sessions.append_leaf(f"persona turn {i}", session)
         sources = [build_tree(7).serialize(), persona.serialize(), sessions.serialize(),
                    HatTree(3, TruncateAggregator(5)).serialize(), V1_DOCUMENT,
-                   INDENTED_V2_DOCUMENT]
+                   INDENTED_V2_DOCUMENT,
+                   json.dumps(version_three(json.loads(build_tree(7).serialize())))]
         docs = [json.loads(source) for source in sources]
         pool = [None, True, 0, 1, -1, 2, 7, 0.0, 1.0, 2.5, "", "x", [], [1, 2], [[]], {},
                 {"a": 1}, "../../../../tmp/x", "/tmp/x", "no_such_template"]
@@ -995,9 +1004,41 @@ class TestPersistence:
             except DocumentParseError:
                 continue
             document = loaded.serialize()
-            assert json.loads(document)["version"] == 3
-            assert all(type(v) is int for v in _integer_fields(json.loads(document)))
+            written = json.loads(document)
+            assert written["version"] == 4
+            assert all(type(v) is int for v in _integer_fields(written))
             assert HatTree.deserialize(document).serialize() == document
+            assert loaded_rows(json.dumps(version_three(written))) == loaded_rows(document)
+
+    @pytest.mark.parametrize("make", [
+        lambda: ConcatAggregator(" | "),
+        lambda: TruncateAggregator(4),
+        lambda: LlmPersonaAggregator(mock_client(), max_tokens=8),
+    ], ids=["concat", "truncate", "llm_persona"])
+    def test_a_round_trip_writes_each_text_once(self, make):
+        rng = random.Random(20240612)
+        numbers = 0
+        for _ in range(12):
+            tree = HatTree(rng.choice([2, 3, 5]), make())
+            for i in range(rng.randint(1, 200)):
+                # Two words of SIZE_WORDS, so that longer trees repeat turns.
+                words = f"{rng.choice(SIZE_WORDS)} {rng.choice(SIZE_WORDS)}"
+                tree.append_leaf(f"{('user', 'assistant')[i % 2]}: {words}",
+                                 session=rng.choice([None, 1, 2, 3]))
+                if rng.random() < 0.1:
+                    tree.flush()
+            document = tree.serialize()
+            doc = json.loads(document)
+            strings = [value for row in doc["layers"] for value in row if isinstance(value, str)]
+            assert len(set(strings)) == len(strings)
+            numbers += sum(map(len, doc["layers"])) - len(strings)
+            clone = HatTree.deserialize(document)
+            assert (clone.layers, clone.leaf_sessions) == (tree.layers, tree.leaf_sessions)
+            assert clone.serialize() == document
+            # Nodes of one text share one string object.
+            assert len({id(text) for row in clone.layers for text in row}) == len(strings)
+            assert loaded_rows(json.dumps(version_three(doc))) == loaded_rows(document)
+        assert numbers > 0
 
     def test_document_is_compact_sorted_json(self, rng):
         persona = HatTree(3, LlmPersonaAggregator(mock_client(), max_tokens=8))
@@ -1028,8 +1069,18 @@ class TestPersistence:
 RUN_SESSIONS = [1, 1, 1, 2, None, None, 1, 10 ** 30, 0]
 
 
-# Mutations of the version-3 document of build_tree(5): M=2, layer sizes
-# [1, 2, 3, 5], every meta null, so each layer's metas are one run.
+def _number(layer: int, index: int, value, version: int = 4):
+    """A mutation writing `value` as the text of node (layer, index) and
+    marking the document as of `version`."""
+    def mutate(doc):
+        doc["version"] = version
+        doc["layers"][layer][index] = value
+    return mutate
+
+
+# Mutations of the version-3 form of build_tree(5)'s document: M=2, layer
+# sizes [1, 2, 3, 5], every meta null, so each layer's metas are one run.
+# Six strings come before the first leaf, and three before node (2, 0).
 MALFORMED_V3 = {
     "null-text": lambda doc: doc["layers"][3].__setitem__(0, None),
     "number-text": lambda doc: doc["layers"][3].__setitem__(0, 7),
@@ -1057,6 +1108,12 @@ MALFORMED_V3 = {
     "float-session": lambda doc: doc["meta"].__setitem__(3, [[5, {"session": 1.0}]]),
     "string-session": lambda doc: doc["meta"].__setitem__(3, [[5, {"session": "1"}]]),
     "list-session": lambda doc: doc["meta"].__setitem__(3, [[4, None], [1, {"session": [1]}]]),
+    "number-of-the-next-string": _number(3, 0, 6),
+    "negative-number": _number(3, 0, -1),
+    "bool-number": _number(3, 0, True),
+    "float-number": _number(3, 0, 1.0),
+    "number-of-a-later-string": _number(2, 0, 4),
+    "number-in-version-3": _number(3, 0, 0, version=3),
 }
 
 
@@ -1112,7 +1169,7 @@ class TestVersionThreeDocument:
         assert json.loads(clone.serialize())["meta"][-1] == [[3, {"session": 4}]]
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
-    @pytest.mark.parametrize("version", [1, 2, 3])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4])
     def test_a_meta_json_cannot_write_is_a_parse_error(self, value, version):
         # Only the session is read: a bad value elsewhere in a meta is
         # dropped, and a session that is not an integer is refused.
@@ -1121,12 +1178,15 @@ class TestVersionThreeDocument:
         tree.append_leaf("there")
         doc = json.loads(tree.serialize())
         meta = {"session": 1, "score": 0.5}
+        if version < 4:
+            doc = version_three(doc)
         if version < 3:
             doc["version"] = version
             doc["layers"] = [[{"text": text, "meta": None} for text in row] for row in doc["layers"]]
             doc["layers"][-1][0]["meta"] = meta
         else:
             doc["meta"][-1][0][1] = meta
+        assert doc["version"] == version
         document = json.dumps(doc)
         loaded = HatTree.deserialize(document.replace("0.5", value))
         assert loaded.leaf_sessions == [1, None]
@@ -1135,10 +1195,13 @@ class TestVersionThreeDocument:
 
     @pytest.mark.parametrize("mutate", MALFORMED_V3.values(), ids=MALFORMED_V3.keys())
     def test_rejects_malformed_layers_and_runs(self, mutate):
-        doc = json.loads(build_tree(5).serialize())
+        doc = version_three(json.loads(build_tree(5).serialize()))
         assert doc["meta"] == [[[1, None]], [[2, None]], [[3, None]], [[5, None]]]
+        assert HatTree.deserialize(json.dumps(doc)).layers == build_tree(5).layers
         mutate(doc)
-        with pytest.raises(DocumentParseError):
+        # A bad number of a version-4 document is refused with its place.
+        with pytest.raises(DocumentParseError,
+                           match=r"layer \d+ node \d+" if doc["version"] == 4 else None):
             HatTree.deserialize(json.dumps(doc))
 
     def test_deeply_nested_json_is_a_parse_error(self):
@@ -1235,12 +1298,15 @@ class TestVersionOneDocument:
         assert tree.leaf_sessions == [1] * 6 + [2] * 5
         assert tree.agg_call_count == 0
 
-    def test_reserializes_as_version_three(self):
-        doc = json.loads(HatTree.deserialize(V1_DOCUMENT).serialize())
+    def test_reserializes_as_version_four(self):
+        document = HatTree.deserialize(V1_DOCUMENT).serialize()
+        doc = json.loads(document)
         v1 = json.loads(V1_DOCUMENT)
-        assert doc["version"] == 3
+        assert doc["version"] == 4
         assert set(doc) == {"format", "version", "memory_length", "aggregator", "layers", "meta"}
-        assert doc["layers"] == [[entry["text"] for entry in row] for row in v1["layers"]]
+        assert loaded_rows(document) == (
+            3, {"kind": "truncate", "params": {"budget": 5}},
+            [[entry["text"] for entry in row] for row in v1["layers"]], [1] * 6 + [2] * 5)
         # The leaves of each session are one run.
         assert doc["meta"] == [[[1, None]], [[2, None]], [[4, None]],
                                [[6, {"session": 1}], [5, {"session": 2}]]]
@@ -1349,10 +1415,13 @@ class TestIndentedVersionTwoDocument:
         document = tree.serialize()
         assert document == rebuilt.serialize()
         v2 = json.loads(INDENTED_V2_DOCUMENT)
-        v3 = dict(v2, version=3, layers=[[entry["text"] for entry in row] for row in v2["layers"]],
-                  meta=[session_runs([(entry["meta"] or {}).get("session") for entry in row])
-                        for row in v2["layers"]])
-        assert document == json.dumps(v3, sort_keys=True, separators=(",", ":")) + "\n"
+        doc = json.loads(document)
+        assert doc["version"] == 4
+        assert doc["meta"] == [session_runs([(entry["meta"] or {}).get("session") for entry in row])
+                               for row in v2["layers"]]
+        assert loaded_rows(document) == (
+            3, v2["aggregator"], [[entry["text"] for entry in row] for row in v2["layers"]],
+            [1, 1, 1, 2, 2])
 
 
 class TestFlushMatchesFullRecompute:
@@ -1401,8 +1470,10 @@ def _memoized(aggregate):
 
 
 def _integer_fields(doc: dict) -> list:
-    """The integer fields of a version-3 document: version, memory length and run counts."""
-    return [doc["version"], doc["memory_length"], *(run[0] for runs in doc["meta"] for run in runs)]
+    """The integer fields of a version-4 document: version, memory length, run
+    counts and the texts' numbers."""
+    return [doc["version"], doc["memory_length"], *(run[0] for runs in doc["meta"] for run in runs),
+            *(value for row in doc["layers"] for value in row if not isinstance(value, str))]
 
 
 def _random_field(doc, rng: random.Random):
