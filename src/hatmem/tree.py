@@ -8,19 +8,27 @@ so a node is its text and nothing else is stored: layer k of an n-leaf tree
 holds ceil(n / M ** (depth - k)) texts. When the leaf layer is full
 (M ** depth leaves), the next append prepends a new root layer.
 
-A document (version 4) holds the format marker, the version, the memory
+A document (version 5) holds the format marker, the version, the memory
 length, the aggregator spec, the texts of `layers` and each layer's node
-metas (`meta`) as runs. Trees are written as version 4.
+metas (`meta`) as runs. Trees are written as version 5.
 
 The texts are written in the order of `layers`, root row first and each row
-left to right. The first node with a given text writes the string; each
-later node with the same text writes the integer n instead, meaning the
-n-th string written in the document, counting from 0. So a text that
+left to right, and each distinct text is written once. The first node with a
+given text writes it in one of two forms: below the root, a text that occurs
+in its parent's text is written as the slice `[start, end]`, with
+`parent[start:end] == text` in code points; any other text is written as the
+string. The search for a slice starts at the end of the last slice among the
+node's earlier siblings, or at 0, so a concat child is found where it sits.
+Each later node with the same text writes the integer n instead, meaning the
+n-th distinct text written in the document, in either form, counting from 0.
+So the child of a concat or a clipped parent costs a few digits, a text that
 recurs, such as a parent equal to its one child or a turn said twice, is
-written once, and its nodes share one `str` when the document is loaded. A
-reference must be an integer from 0 to one less than the number of strings
-written before it; any other non-string is refused. Version 3 wrote every
-text as a string, so an integer there is refused.
+written once, and the nodes of one text share one `str` when the document is
+loaded. A number must be an integer from 0 to one less than the number of
+texts written before it, and a slice two integers with
+`0 <= start <= end <= len(parent)`, never in the root row; anything else is
+refused. Version 4 wrote no slice, and version 3 wrote every text as a
+string, so a slice there, or a number in version 3, is refused.
 
 A run `[count, meta]` stands for `count` adjacent nodes of one session, with
 meta `{"session": s}`, or of none, with meta null, so the leaves of one
@@ -36,7 +44,7 @@ from __future__ import annotations
 
 import json
 import threading
-from itertools import groupby, repeat
+from itertools import groupby
 from typing import Optional
 
 from .aggregation import LlmPersonaAggregator, aggregator_from_spec
@@ -44,7 +52,7 @@ from .errors import DocumentParseError, InvalidParameterError, NotFoundError
 from .llm import call_concurrently, is_int
 
 DOC_FORMAT = "hat-tree"
-DOC_VERSION = 4
+DOC_VERSION = 5
 
 
 class HatTree:
@@ -286,14 +294,14 @@ class HatTree:
             "version": DOC_VERSION,
             "memory_length": self.memory_length,
             "aggregator": self.aggregator.spec(),
-            "layers": _shared_texts(self.layers),
+            "layers": _shared_texts(self.layers, self.memory_length),
             "meta": meta if self.layers else [],
         }
         return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
     @classmethod
     def deserialize(cls, document: str, aggregator=None) -> "HatTree":
-        """Rebuild a tree from a document of version 4, 3, 2 or 1 (module docstring).
+        """Rebuild a tree from a document of version 5, 4, 3, 2 or 1 (module docstring).
 
         agg_call_count resets to 0 and every leaf counts as flushed. The
         aggregator is rebuilt from the document's recorded kind and params;
@@ -309,7 +317,7 @@ class HatTree:
             raise DocumentParseError("missing or wrong format marker")
         # A bool or a float equal to an int would pass the comparisons below
         # and then be written back as loaded, so integer fields must be ints.
-        if not is_int(doc.get("version")) or doc["version"] not in (1, 2, 3, DOC_VERSION):
+        if not is_int(doc.get("version")) or doc["version"] not in (1, 2, 3, 4, DOC_VERSION):
             raise DocumentParseError(f"unsupported document version {doc.get('version')!r}")
         memory_length = doc.get("memory_length")
         if not is_int(memory_length) or memory_length < 2:
@@ -323,16 +331,16 @@ class HatTree:
                 raise DocumentParseError("every node of a version-1 or version-2 layer must be an object")
             meta_doc = [[[1, node.get("meta")] for node in row] for row in layers_doc]
             layers_doc = [[node.get("text") for node in row] for row in layers_doc]
-        if doc["version"] == DOC_VERSION:
-            _resolve_references(layers_doc)
-        else:
-            for k, row in enumerate(layers_doc):
-                if not set(map(type, row)) <= {str}:
-                    raise DocumentParseError(f"layer {k}: every text must be a string")
         sizes = [len(row) for row in layers_doc]
         want = _layer_sizes(sizes[-1] if sizes else 0, memory_length)
         if sizes != want:
             raise DocumentParseError(f"layer sizes {sizes} do not fit the leaf layer (want {want})")
+        if doc["version"] >= 4:
+            _resolve_texts(layers_doc, memory_length, slices=doc["version"] == 5)
+        else:
+            for k, row in enumerate(layers_doc):
+                if not set(map(type, row)) <= {str}:
+                    raise DocumentParseError(f"layer {k}: every text must be a string")
 
         agg_spec = doc.get("aggregator")
         if not isinstance(agg_spec, dict) or "kind" not in agg_spec:
@@ -385,37 +393,64 @@ def _meta_runs(sessions: list[Optional[int]]) -> list[list]:
             for session, group in groupby(sessions)]
 
 
-def _shared_texts(layers: list[list[str]]) -> list[list]:
-    """The rows as a document writes them: a text already written becomes its number."""
-    numbers: dict[str, int] = {}
-    rows = []
-    for row in layers:
+def _shared_texts(layers: list[list[str]], memory_length: int) -> list[list]:
+    """The rows as a document writes them: a text already written becomes its
+    number, and a new text found in its parent's text becomes its slice."""
+    if not layers:
+        return []
+    numbers = {layers[0][0]: 0}
+    rows = [list(layers[0])]
+    for above, row in zip(layers, layers[1:]):
         written = []
-        for text in row:
-            n = numbers.get(text)
-            if n is None:
-                numbers[text] = len(numbers)
-                written.append(text)
-            else:
-                written.append(n)
+        for j, parent in enumerate(above):
+            start = 0  # the end of the last slice among these siblings
+            for text in row[j * memory_length:(j + 1) * memory_length]:
+                value = numbers.get(text)
+                if value is None:
+                    numbers[text] = len(numbers)
+                    at = parent.find(text, start)
+                    if at < 0:
+                        value = text
+                    else:
+                        start = at + len(text)
+                        value = [at, start]
+                written.append(value)
         rows.append(written)
     return rows
 
 
-def _resolve_references(layers_doc: list) -> None:
-    """Replace, in place, each reference of a version-4 document's rows by its
-    string, refusing every other non-string."""
-    strings: list[str] = []
+def _resolve_texts(layers_doc: list, memory_length: int, slices: bool) -> None:
+    """Replace, in place, each number and slice of a version-5 or version-4
+    document's rows, whose sizes fit, by its text, refusing every other
+    non-string and, unless `slices`, every slice."""
+    texts: list[str] = []
+    above = None
     for k, row in enumerate(layers_doc):
+        if set(map(type, row)) == {str}:  # a row of strings only, as most leaf rows are
+            texts += row
+            above = row
+            continue
+        # JSON values have exact types, so `type(v) is int` is `is_int(v)` here.
         for i, value in enumerate(row):
-            if isinstance(value, str):
-                strings.append(value)
-            elif is_int(value) and 0 <= value < len(strings):
-                row[i] = strings[value]
+            if type(value) is str:
+                texts.append(value)
+            elif type(value) is list and slices and k > 0:
+                parent = above[i // memory_length]
+                start, end = value if len(value) == 2 else (None, None)
+                if not (type(start) is int and type(end) is int and 0 <= start <= end <= len(parent)):
+                    raise DocumentParseError(
+                        f"layer {k} node {i}: want a slice [start, end] of the "
+                        f"{len(parent)} characters of its parent's text, got {value!r:.40}")
+                row[i] = text = parent[start:end]
+                texts.append(text)
+            elif type(value) is int and 0 <= value < len(texts):
+                row[i] = texts[value]
             else:
                 raise DocumentParseError(
-                    f"layer {k} node {i}: want a text or the number of one of the "
-                    f"{len(strings)} strings before it, got {value!r:.40}")
+                    f"layer {k} node {i}: want a text, "
+                    f"{'a slice of its parent, ' if slices and k > 0 else ''}"
+                    f"or the number of one of the {len(texts)} texts before it, got {value!r:.40}")
+        above = row
 
 
 def _read_runs(layers_doc: list, meta_doc) -> list[Optional[int]]:
@@ -445,7 +480,10 @@ def _read_runs(layers_doc: list, meta_doc) -> list[Optional[int]]:
         if covered != len(row):
             raise DocumentParseError(f"layer {k}: meta runs cover {covered} nodes, not {len(row)}")
     # The leaf layer is the last, so its runs are the ones left in `counted`.
-    return [s for count, session in counted for s in repeat(session, count)]
+    sessions: list[Optional[int]] = []
+    for count, session in counted:
+        sessions += [session] * count
+    return sessions
 
 
 def _layer_sizes(leaf_count: int, memory_length: int) -> list[int]:

@@ -53,19 +53,24 @@ def session_runs(sessions: list) -> list[list]:
 
 
 def version_three(doc: dict) -> dict:
-    """A version-4 document as version 3 wrote it: each integer in a row
-    replaced by the string it numbers, counting every string written so far
-    in row order, root row first."""
-    strings: list[str] = []
-    layers = []
+    """A version-5 or version-4 document as version 3 wrote it: each slice
+    `[start, end]` replaced by that part of its parent's text, and each
+    integer by the text it numbers, counting every text written so far in
+    row order, root row first."""
+    M = doc["memory_length"]
+    written: list[str] = []
+    layers: list[list[str]] = []
     for row in doc["layers"]:
         texts = []
-        for value in row:
-            if isinstance(value, str):
-                strings.append(value)
-                texts.append(value)
-            else:
-                texts.append(strings[value])
+        for i, value in enumerate(row):
+            if isinstance(value, int):
+                texts.append(written[value])
+                continue
+            if isinstance(value, list):
+                start, end = value
+                value = layers[-1][i // M][start:end]
+            written.append(value)
+            texts.append(value)
         layers.append(texts)
     return dict(doc, version=3, layers=layers)
 

@@ -359,9 +359,10 @@ class TestInspect:
             tree.append_leaf(text)
         tree_file = tmp_path / "repeats.tree.json"
         tree_file.write_text(tree.serialize(), encoding="utf-8")
-        # The document writes "hi" once and numbers it at its three other nodes.
-        assert json.loads(tree_file.read_text(encoding="utf-8"))["layers"][1:] == [
-            ["hi\nhi\nbye", "hi"], [2, 2, "bye", 2]]
+        # The document writes "hi" once, as a slice of its parent, and numbers
+        # it at its three other nodes; "hi\nhi\nbye" and "bye" are slices too.
+        assert json.loads(tree_file.read_text(encoding="utf-8"))["layers"] == [
+            ["hi\nhi\nbye\nhi"], [[0, 9], [10, 12]], [2, 2, [6, 9], 2]]
         assert main(["inspect", str(tree_file)]) == EXIT_OK
         node_lines = [line for line in capsys.readouterr().out.splitlines()
                       if line.startswith("  (")]

@@ -869,7 +869,7 @@ class TestPersistence:
         # No cache is stored: a layer is its texts and its sessions' runs.
         doc = json.loads(clone.serialize())
         assert set(doc) == {"format", "version", "memory_length", "aggregator", "layers", "meta"}
-        assert doc["layers"] == [["a\nb"], ["a", "b"]]
+        assert doc["layers"] == [["a\nb"], [[0, 1], [2, 3]]]
         assert doc["meta"] == [[[1, None]], [[1, {"session": 1}], [1, {"session": 2}]]]
 
     def test_explicit_matching_aggregator_accepted(self):
@@ -975,7 +975,7 @@ class TestPersistence:
 
     def test_single_field_mutations_fail_only_with_parse_error(self):
         # Every mutation must either load or raise DocumentParseError. One
-        # that loads serializes to a version-4 document with integer fields,
+        # that loads serializes to a version-5 document with integer fields,
         # which loads and serializes to the same bytes again, and whose
         # version-3 form loads to the same rows.
         persona = HatTree(2, LlmPersonaAggregator(mock_client(), max_tokens=8))
@@ -990,7 +990,8 @@ class TestPersistence:
                    json.dumps(version_three(json.loads(build_tree(7).serialize())))]
         docs = [json.loads(source) for source in sources]
         pool = [None, True, 0, 1, -1, 2, 7, 0.0, 1.0, 2.5, "", "x", [], [1, 2], [[]], {},
-                {"a": 1}, "../../../../tmp/x", "/tmp/x", "no_such_template"]
+                {"a": 1}, "../../../../tmp/x", "/tmp/x", "no_such_template",
+                [0, 1], [3, 2], [0, 10 ** 9], [[0]]]
         rng = random.Random(20240610)
         for _ in range(3000):
             doc = json.loads(json.dumps(rng.choice(docs)))
@@ -1005,7 +1006,7 @@ class TestPersistence:
                 continue
             document = loaded.serialize()
             written = json.loads(document)
-            assert written["version"] == 4
+            assert written["version"] == 5
             assert all(type(v) is int for v in _integer_fields(written))
             assert HatTree.deserialize(document).serialize() == document
             assert loaded_rows(json.dumps(version_three(written))) == loaded_rows(document)
@@ -1016,8 +1017,9 @@ class TestPersistence:
         lambda: LlmPersonaAggregator(mock_client(), max_tokens=8),
     ], ids=["concat", "truncate", "llm_persona"])
     def test_a_round_trip_writes_each_text_once(self, make):
+        kind = make().kind
         rng = random.Random(20240612)
-        numbers = 0
+        numbers = slices = 0
         for _ in range(12):
             tree = HatTree(rng.choice([2, 3, 5]), make())
             for i in range(rng.randint(1, 200)):
@@ -1029,16 +1031,34 @@ class TestPersistence:
                     tree.flush()
             document = tree.serialize()
             doc = json.loads(document)
-            strings = [value for row in doc["layers"] for value in row if isinstance(value, str)]
-            assert len(set(strings)) == len(strings)
-            numbers += sum(map(len, doc["layers"])) - len(strings)
+            v3 = version_three(doc)
+            # Each distinct text is written once, as a string or as a slice.
+            written = [text for row, texts in zip(doc["layers"], v3["layers"])
+                       for value, text in zip(row, texts) if not isinstance(value, int)]
+            assert sorted(written) == sorted({text for row in tree.layers for text in row})
+            forms = [type(value) for row in doc["layers"] for value in row]
+            numbers += forms.count(int)
+            slices += forms.count(list)
+            if kind == "concat":
+                # A concat child sits in its parent's text, so it is a slice or a number.
+                assert set(forms[1:]) <= {list, int}
             clone = HatTree.deserialize(document)
             assert (clone.layers, clone.leaf_sessions) == (tree.layers, tree.leaf_sessions)
             assert clone.serialize() == document
             # Nodes of one text share one string object.
-            assert len({id(text) for row in clone.layers for text in row}) == len(strings)
-            assert loaded_rows(json.dumps(version_three(doc))) == loaded_rows(document)
-        assert numbers > 0
+            assert len({id(text) for row in clone.layers for text in row}) == len(written)
+            assert loaded_rows(json.dumps(v3)) == loaded_rows(document)
+        # Truncate drops a turn's colon, and a truncate(4) parent higher up
+        # equals its first child, so that kind writes numbers but no slice.
+        assert numbers > 0 and (slices > 0 or kind == "truncate")
+
+    def test_a_child_is_sliced_after_its_earlier_siblings_slices(self):
+        # "b" and "a" also occur inside "ab", but each search starts where
+        # the slice of the sibling before it ends.
+        tree = HatTree(3, ConcatAggregator("\n"))
+        for text in ("ab", "b", "a"):
+            tree.append_leaf(text)
+        assert json.loads(tree.serialize())["layers"] == [["ab\nb\na"], [[0, 2], [3, 4], [5, 6]]]
 
     def test_document_is_compact_sorted_json(self, rng):
         persona = HatTree(3, LlmPersonaAggregator(mock_client(), max_tokens=8))
@@ -1080,7 +1100,8 @@ def _number(layer: int, index: int, value, version: int = 4):
 
 # Mutations of the version-3 form of build_tree(5)'s document: M=2, layer
 # sizes [1, 2, 3, 5], every meta null, so each layer's metas are one run.
-# Six strings come before the first leaf, and three before node (2, 0).
+# Six strings come before the first leaf, and three before node (2, 0). The
+# first leaf's parent text is "t0 | t1", 7 characters, so [0, 2] slices "t0".
 MALFORMED_V3 = {
     "null-text": lambda doc: doc["layers"][3].__setitem__(0, None),
     "number-text": lambda doc: doc["layers"][3].__setitem__(0, 7),
@@ -1114,6 +1135,19 @@ MALFORMED_V3 = {
     "float-number": _number(3, 0, 1.0),
     "number-of-a-later-string": _number(2, 0, 4),
     "number-in-version-3": _number(3, 0, 0, version=3),
+    "slice-in-the-root-row": _number(0, 0, [0, 1], version=5),
+    "slice-in-version-4": _number(3, 0, [0, 2]),
+    "slice-in-version-3": _number(3, 0, [0, 2], version=3),
+    "slice-of-one-bound": _number(3, 0, [0], version=5),
+    "slice-of-three-bounds": _number(3, 0, [0, 1, 2], version=5),
+    "bool-bound": _number(3, 0, [False, 2], version=5),
+    "float-bound": _number(3, 0, [0, 2.0], version=5),
+    "string-bounds": _number(3, 0, ["0", "2"], version=5),
+    "nested-slice": _number(3, 0, [[0, 2]], version=5),
+    "negative-start": _number(3, 0, [-1, 2], version=5),
+    "start-after-end": _number(3, 0, [3, 2], version=5),
+    "end-past-the-parent": _number(3, 0, [0, 8], version=5),
+    "huge-end": _number(3, 0, [0, 10 ** 18], version=5),
 }
 
 
@@ -1169,7 +1203,7 @@ class TestVersionThreeDocument:
         assert json.loads(clone.serialize())["meta"][-1] == [[3, {"session": 4}]]
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
-    @pytest.mark.parametrize("version", [1, 2, 3, 4])
+    @pytest.mark.parametrize("version", [1, 2, 3, 4, 5])
     def test_a_meta_json_cannot_write_is_a_parse_error(self, value, version):
         # Only the session is read: a bad value elsewhere in a meta is
         # dropped, and a session that is not an integer is refused.
@@ -1178,10 +1212,9 @@ class TestVersionThreeDocument:
         tree.append_leaf("there")
         doc = json.loads(tree.serialize())
         meta = {"session": 1, "score": 0.5}
-        if version < 4:
-            doc = version_three(doc)
+        if version < 5:
+            doc = dict(version_three(doc), version=version)
         if version < 3:
-            doc["version"] = version
             doc["layers"] = [[{"text": text, "meta": None} for text in row] for row in doc["layers"]]
             doc["layers"][-1][0]["meta"] = meta
         else:
@@ -1199,10 +1232,17 @@ class TestVersionThreeDocument:
         assert doc["meta"] == [[[1, None]], [[2, None]], [[3, None]], [[5, None]]]
         assert HatTree.deserialize(json.dumps(doc)).layers == build_tree(5).layers
         mutate(doc)
-        # A bad number of a version-4 document is refused with its place.
+        # A bad number or slice of a version-4 or -5 document is refused with its place.
         with pytest.raises(DocumentParseError,
-                           match=r"layer \d+ node \d+" if doc["version"] == 4 else None):
+                           match=r"layer \d+ node \d+" if doc["version"] >= 4 else None):
             HatTree.deserialize(json.dumps(doc))
+
+    @pytest.mark.parametrize("bounds, text", [([0, 2], "t0"), ([5, 7], "t1"), ([0, 7], "t0 | t1"),
+                                              ([7, 7], ""), ([0, 0], "")])
+    def test_a_slice_within_its_parent_loads_as_that_part_of_it(self, bounds, text):
+        doc = version_three(json.loads(build_tree(5).serialize()))
+        _number(3, 0, bounds, version=5)(doc)
+        assert HatTree.deserialize(json.dumps(doc)).layers[3] == [text, "t1", "t2", "t3", "t4"]
 
     def test_deeply_nested_json_is_a_parse_error(self):
         with pytest.raises(DocumentParseError):
@@ -1213,10 +1253,12 @@ class TestDocumentSize:
     @pytest.mark.parametrize("make", [
         lambda: TruncateAggregator(64),
         lambda: LlmPersonaAggregator(LlmClient(ClippingTransport(), "mock-chat"), max_tokens=64),
-    ], ids=["truncate", "llm_persona"])
+        lambda: ConcatAggregator("\n"),
+    ], ids=["truncate", "llm_persona", "concat"])
     def test_bytes_per_leaf_stay_flat_from_a_thousand_to_ten_thousand_leaves(self, make):
         # Aggregates of a bounded size and one meta run per session keep a
-        # document linear in its leaves. Concat texts grow with their spans.
+        # document linear in its leaves. Concat texts grow with their spans,
+        # but each child is written as a slice of its parent's text.
         per_leaf = []
         for n in (1_000, 10_000):
             rng = random.Random(20240611)
@@ -1298,11 +1340,11 @@ class TestVersionOneDocument:
         assert tree.leaf_sessions == [1] * 6 + [2] * 5
         assert tree.agg_call_count == 0
 
-    def test_reserializes_as_version_four(self):
+    def test_reserializes_as_version_five(self):
         document = HatTree.deserialize(V1_DOCUMENT).serialize()
         doc = json.loads(document)
         v1 = json.loads(V1_DOCUMENT)
-        assert doc["version"] == 4
+        assert doc["version"] == 5
         assert set(doc) == {"format", "version", "memory_length", "aggregator", "layers", "meta"}
         assert loaded_rows(document) == (
             3, {"kind": "truncate", "params": {"budget": 5}},
@@ -1416,7 +1458,7 @@ class TestIndentedVersionTwoDocument:
         assert document == rebuilt.serialize()
         v2 = json.loads(INDENTED_V2_DOCUMENT)
         doc = json.loads(document)
-        assert doc["version"] == 4
+        assert doc["version"] == 5
         assert doc["meta"] == [session_runs([(entry["meta"] or {}).get("session") for entry in row])
                                for row in v2["layers"]]
         assert loaded_rows(document) == (
@@ -1470,10 +1512,11 @@ def _memoized(aggregate):
 
 
 def _integer_fields(doc: dict) -> list:
-    """The integer fields of a version-4 document: version, memory length, run
-    counts and the texts' numbers."""
+    """The integer fields of a version-5 document: version, memory length, run
+    counts, the texts' numbers and the bounds of their slices."""
     return [doc["version"], doc["memory_length"], *(run[0] for runs in doc["meta"] for run in runs),
-            *(value for row in doc["layers"] for value in row if not isinstance(value, str))]
+            *(bound for row in doc["layers"] for value in row if not isinstance(value, str)
+              for bound in (value if isinstance(value, list) else [value]))]
 
 
 def _random_field(doc, rng: random.Random):
