@@ -14,13 +14,17 @@ metas (`meta`) as runs. Trees are written as version 5.
 
 The texts are written in the order of `layers`, root row first and each row
 left to right, and each distinct text is written once. The first node with a
-given text writes it in one of two forms: below the root, a text that occurs
-in its parent's text is written as the slice `[start, end]`, with
-`parent[start:end] == text` in code points; any other text is written as the
-string. The search for a slice starts at the end of the last slice among the
-node's earlier siblings, or at 0, so a concat child is found where it sits.
-Each later node with the same text writes the integer n instead, meaning the
-n-th distinct text written in the document, in either form, counting from 0.
+given text writes it in one of two forms. Below the root, the writer seeks
+each node's text in its parent's text, unless that text does not begin with
+the first child's text or equals it: the first child at 0, each later one
+from where the last one found ends, and none once one is not found. A text
+found at `start` is written as the slice `[start, end]`, with
+`parent[start:end] == text` in code points; any other is written as the
+string. So a concat child is found where it sits, and the children of a
+parent that holds none of them, as a truncate parent of turns, cost one
+comparison. Each later node with the same text writes the integer n instead,
+meaning the n-th distinct text written in the document, in either form,
+counting from 0.
 So the child of a concat or a clipped parent costs a few digits, a text that
 recurs, such as a parent equal to its one child or a turn said twice, is
 written once, and the nodes of one text share one `str` when the document is
@@ -44,7 +48,7 @@ from __future__ import annotations
 
 import json
 import threading
-from itertools import groupby
+from itertools import compress, groupby
 from typing import Optional
 
 from .aggregation import LlmPersonaAggregator, aggregator_from_spec
@@ -285,6 +289,8 @@ class HatTree:
         Flushes first, so a document never holds a stale internal text.
         Keys are sorted and nothing is indented, which lets CPython's C
         encoder do the work; `deserialize` also reads indented documents.
+        The document is built here, so it holds no cycle, and the encoder's
+        check for one, a dict entry per list, is skipped.
         """
         self.flush()
         # An internal node has no session, so each internal layer is one null run.
@@ -297,7 +303,7 @@ class HatTree:
             "layers": _shared_texts(self.layers, self.memory_length),
             "meta": meta if self.layers else [],
         }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+        return json.dumps(doc, sort_keys=True, separators=(",", ":"), check_circular=False) + "\n"
 
     @classmethod
     def deserialize(cls, document: str, aggregator=None) -> "HatTree":
@@ -395,27 +401,36 @@ def _meta_runs(sessions: list[Optional[int]]) -> list[list]:
 
 def _shared_texts(layers: list[list[str]], memory_length: int) -> list[list]:
     """The rows as a document writes them: a text already written becomes its
-    number, and a new text found in its parent's text becomes its slice."""
-    if not layers:
-        return []
-    numbers = {layers[0][0]: 0}
-    rows = [list(layers[0])]
-    for above, row in zip(layers, layers[1:]):
+    number, then a string found in its parent's text becomes its slice."""
+    numbers: dict[str, int] = {}
+    rows = []
+    for row in layers:
         written = []
-        for j, parent in enumerate(above):
-            start = 0  # the end of the last slice among these siblings
-            for text in row[j * memory_length:(j + 1) * memory_length]:
-                value = numbers.get(text)
-                if value is None:
-                    numbers[text] = len(numbers)
-                    at = parent.find(text, start)
-                    if at < 0:
-                        value = text
-                    else:
-                        start = at + len(text)
-                        value = [at, start]
-                written.append(value)
+        for text in row:
+            n = numbers.get(text)
+            if n is None:
+                numbers[text] = len(numbers)
+                written.append(text)
+            else:
+                written.append(n)
         rows.append(written)
+    # A slice is a tuple: cheaper to build than a list, and json writes it as an array.
+    m = memory_length
+    for above, row, written in zip(layers, layers[1:], rows[1:]):
+        for j in compress(range(len(above)), map(str.startswith, above, row[::m])):
+            parent, i = above[j], j * m
+            end = len(row[i])
+            if end == len(parent):
+                continue  # the first child's text is the parent's, written before it
+            if type(written[i]) is str:
+                written[i] = (0, end)
+            for i in range(i + 1, min(i + m, len(row))):
+                start = parent.find(row[i], end)
+                if start < 0:
+                    break
+                end = start + len(row[i])
+                if type(written[i]) is str:
+                    written[i] = (start, end)
     return rows
 
 
@@ -426,10 +441,6 @@ def _resolve_texts(layers_doc: list, memory_length: int, slices: bool) -> None:
     texts: list[str] = []
     above = None
     for k, row in enumerate(layers_doc):
-        if set(map(type, row)) == {str}:  # a row of strings only, as most leaf rows are
-            texts += row
-            above = row
-            continue
         # JSON values have exact types, so `type(v) is int` is `is_int(v)` here.
         for i, value in enumerate(row):
             if type(value) is str:

@@ -1060,6 +1060,27 @@ class TestPersistence:
             tree.append_leaf(text)
         assert json.loads(tree.serialize())["layers"] == [["ab\nb\na"], [[0, 2], [3, 4], [5, 6]]]
 
+    @pytest.mark.parametrize("join, leaves, row", [
+        # The parent does not begin with its first child: no child is sought.
+        (lambda texts: " ".join(reversed(texts)), ["a", "b", "c"], ["a", "b", "c"]),
+        # "b" is not found, so "c" is not sought after it.
+        (lambda texts: f"{texts[0]} {texts[2]}", ["a", "b", "c"], [[0, 1], "b", "c"]),
+        # The second "ab" is found at 3, so "b" is sought from 5.
+        ("\n".join, ["ab", "ab", "b"], [[0, 2], 1, [6, 7]]),
+    ], ids=["first-not-at-0", "after-a-miss", "after-a-number"])
+    def test_children_are_sought_in_order_and_not_after_a_miss(self, join, leaves, row):
+        class Joining(ConcatAggregator):
+            def aggregate(self, children_texts):
+                return join(children_texts)
+
+        tree = HatTree(3, Joining())
+        for text in leaves:
+            tree.append_leaf(text)
+        document = tree.serialize()
+        assert json.loads(document)["layers"] == [[join(leaves)], row]
+        clone = HatTree.deserialize(document, aggregator=Joining())
+        assert clone.layers == tree.layers and clone.serialize() == document
+
     def test_document_is_compact_sorted_json(self, rng):
         persona = HatTree(3, LlmPersonaAggregator(mock_client(), max_tokens=8))
         for i in range(4):
